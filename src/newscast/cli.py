@@ -28,9 +28,18 @@ from .io import (
     write_probability_articles,
     write_rejections,
     write_scored_articles,
+    write_rows,
     write_series,
+    write_table,
 )
-from .nowcast import MODEL_SPECS, backtest, fit_model, nowcast, resolve_spec
+from .nowcast import (
+    MODEL_SPECS,
+    ForecastSeries,
+    backtest,
+    fit_model,
+    nowcast,
+    resolve_spec,
+)
 from .report import (
     evaluation_table,
     evaluation_table_delimited,
@@ -243,12 +252,11 @@ def cmd_fit(cfg: RunConfig, spec_names: Sequence[str]) -> int:
     ]
     text = regression_table(results, names)
     comment = cfg.provenance()
-    cfg.out_path("regression.txt").write_text(
-        f"{comment}\n{text}", encoding="utf-8"
-    )
-    cfg.out_path("regression.csv").write_text(
-        f"{comment}\n{regression_table_delimited(results, names)}",
-        encoding="utf-8",
+    write_table(text, cfg.out_path("regression.txt"), comment)
+    write_table(
+        regression_table_delimited(results, names),
+        cfg.out_path("regression.csv"),
+        comment,
     )
     print(text, end="")
     return EXIT_OK
@@ -258,18 +266,17 @@ def cmd_nowcast(cfg: RunConfig, spec_names: Sequence[str], month: str | None) ->
     names = _resolve_spec_names(cfg, spec_names)
     t = MonthKey.parse(month) if month else cfg.train_end.shift(1)
     bundle = _load_pi_bundle(cfg, names)
-    lines = ["date,model,nowcast,nowcast_annualized"]
+    rows = []
     for name in names:
         fitted = fit_model(
             name, bundle, cfg.train_start, cfg.train_end, robust=cfg.robust
         )
         value = nowcast(name, fitted, bundle, t)
         annual = annualize(value)
-        lines.append(f"{t},{name},{value!r},{annual!r}")
+        rows.append([str(t), name, repr(value), repr(annual)])
         print(f"{name}: {t} nowcast {value:.4f} (annualized {annual:.4f})")
-    cfg.out_path("nowcast.csv").write_text(
-        "\n".join([cfg.provenance(), *lines]) + "\n", encoding="utf-8"
-    )
+    header = ["date", "model", "nowcast", "nowcast_annualized"]
+    write_rows(header, rows, cfg.out_path("nowcast.csv"), cfg.provenance())
     return EXIT_OK
 
 
@@ -287,21 +294,8 @@ def cmd_backtest(cfg: RunConfig, spec_names: Sequence[str]) -> int:
         )
         for name in names
     ]
-    comment = cfg.provenance()
-    write_forecasts(forecasts, cfg.effective_forecasts_path(), comment)
-    report = evaluate_forecasts(
-        forecasts,
-        variant=cfg.gw_variant,
-        unit=cfg.rmse_unit,
-        truncation_lag=cfg.truncation_lag,
-    )
-    text = evaluation_table(report)
-    cfg.out_path("evaluation.txt").write_text(f"{comment}\n{text}", encoding="utf-8")
-    cfg.out_path("evaluation.csv").write_text(
-        f"{comment}\n{evaluation_table_delimited(report)}", encoding="utf-8"
-    )
-    print(text, end="")
-    return EXIT_OK
+    write_forecasts(forecasts, cfg.effective_forecasts_path(), cfg.provenance())
+    return _evaluate(cfg, forecasts)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -311,7 +305,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             f"forecast file {forecasts_path} does not exist; "
             "run the backtest command first or set the 'forecasts' config key"
         )
-    forecasts = read_forecasts(forecasts_path)
+    return _evaluate(cfg, read_forecasts(forecasts_path))
+
+
+def _evaluate(cfg: RunConfig, forecasts: Sequence[ForecastSeries]) -> int:
+    """Write and print the evaluation report of the forecasts."""
     report = evaluate_forecasts(
         forecasts,
         variant=cfg.gw_variant,
@@ -320,9 +318,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     )
     comment = cfg.provenance()
     text = evaluation_table(report)
-    cfg.out_path("evaluation.txt").write_text(f"{comment}\n{text}", encoding="utf-8")
-    cfg.out_path("evaluation.csv").write_text(
-        f"{comment}\n{evaluation_table_delimited(report)}", encoding="utf-8"
+    write_table(text, cfg.out_path("evaluation.txt"), comment)
+    write_table(
+        evaluation_table_delimited(report), cfg.out_path("evaluation.csv"), comment
     )
     print(text, end="")
     return EXIT_OK
@@ -334,7 +332,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config_path = toy_config_path() if args.config == "toy" else args.config
         cfg = load_config(config_path, args.overrides, args.out)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "score":
             return cmd_score(cfg)
         if args.command == "build-index":

@@ -34,8 +34,8 @@ class SeriesFormatError(DataError):
         super().__init__(message)
 
 
-class MissingMonthsError(DataError):
-    """An operation needed months that the series does not cover."""
+class _ListsMonths:
+    """Carries the offending months and appends them to the message."""
 
     def __init__(self, message: str, months=()):
         self.months = tuple(months)
@@ -43,6 +43,10 @@ class MissingMonthsError(DataError):
             listing = ", ".join(str(m) for m in self.months)
             message = f"{message}: {listing}"
         super().__init__(message)
+
+
+class MissingMonthsError(_ListsMonths, DataError):
+    """An operation needed months that the series does not cover."""
 
 
 class InvalidProbabilityError(DataError):
@@ -57,16 +61,9 @@ class DomainError(NumericError):
     """Argument outside the mathematical domain of a transform."""
 
 
-class ZeroDenominatorError(NumericError):
+class ZeroDenominatorError(_ListsMonths, NumericError):
     """Percent change hit zero (or, for the sentiment index,
     sign-crossing) denominators. Carries the offending months."""
-
-    def __init__(self, message: str, months=()):
-        self.months = tuple(months)
-        if self.months:
-            listing = ", ".join(str(m) for m in self.months)
-            message = f"{message}: {listing}"
-        super().__init__(message)
 
 
 class SingularDesignError(NumericError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .errors import DataError, DegenerateLossError
 from .nowcast import ForecastSeries
@@ -54,20 +54,24 @@ def loss_differential(
     a: ForecastSeries, b: ForecastSeries, *, annualized: bool = True
 ) -> LossDifferential:
     """d_t = e_A(t)^2 - e_B(t)^2 on the months both series cover."""
-    common = [m for m in a.months if m in set(b.months)]
+    in_b = set(b.months)
+    common = tuple(m for m in a.months if m in in_b)
     if len(common) < 2:
         raise DataError(
             f"models {a.model!r} and {b.model!r} share {len(common)} "
             "months; need at least 2"
         )
-    index_a = {m: i for i, m in enumerate(a.months)}
-    index_b = {m: i for i, m in enumerate(b.months)}
-    ea = a.errors(annualized=annualized)
-    eb = b.errors(annualized=annualized)
-    d = np.array(
-        [ea[index_a[m]] ** 2 - eb[index_b[m]] ** 2 for m in common]
-    )
-    return LossDifferential(months=tuple(common), d=d)
+    ea = _errors_on(a, common, annualized)
+    eb = _errors_on(b, common, annualized)
+    return LossDifferential(months=common, d=ea**2 - eb**2)
+
+
+def _errors_on(
+    series: ForecastSeries, months: Sequence[MonthKey], annualized: bool
+) -> np.ndarray:
+    """The series' forecast errors on the given months, in their order."""
+    position = {m: i for i, m in enumerate(series.months)}
+    return series.errors(annualized=annualized)[[position[m] for m in months]]
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def giacomini_white(
         r2_uncentered = 1.0 - ssr / tss if tss > 0.0 else 0.0
         statistic = (n - 1) * r2_uncentered
         df = 2
-    p_value = float(stats.chi2.sf(statistic, df))
+    p_value = float(chdtrc(df, statistic))
     return GWResult(float(statistic), df, p_value, variant, n, dbar)
 
 
@@ -174,13 +178,9 @@ def gw_from_forecasts(
     """giacomini_white on the aligned errors of two forecast series."""
     diff = loss_differential(a, b, annualized=annualized)
     scale = 0.01 if unit == "fraction" else 1.0
-    index_a = {m: i for i, m in enumerate(a.months)}
-    index_b = {m: i for i, m in enumerate(b.months)}
-    ea = a.errors(annualized=annualized) * scale
-    eb = b.errors(annualized=annualized) * scale
     return giacomini_white(
-        [ea[index_a[m]] for m in diff.months],
-        [eb[index_b[m]] for m in diff.months],
+        _errors_on(a, diff.months, annualized) * scale,
+        _errors_on(b, diff.months, annualized) * scale,
         variant,
         truncation_lag=truncation_lag,
     )
@@ -214,10 +214,11 @@ def evaluate_forecasts(
 ) -> EvaluationReport:
     """RMSE per model and GW tests of each model against the first.
 
-    RMSE is computed on annualized values by default; unit "fraction"
-    divides percent values by 100 (so an RMSE printed as 0.0409 means
-    4.09 percentage points of annualized inflation), "percent" leaves
-    them as-is.
+    Every model must cover exactly the baseline's months, so RMSE and
+    GW see the same months. RMSE is computed on annualized values by
+    default; unit "fraction" divides percent values by 100 (so an RMSE
+    printed as 0.0409 means 4.09 percentage points of annualized
+    inflation), "percent" leaves them as-is.
     """
     if not forecasts:
         raise DataError("evaluate_forecasts needs at least one model")
@@ -230,6 +231,11 @@ def evaluate_forecasts(
     baseline = forecasts[0]
     entries = []
     for series in forecasts:
+        if series.months != baseline.months:
+            raise DataError(
+                f"model {series.model!r} covers different months than the "
+                f"baseline {baseline.model!r}"
+            )
         if annualized:
             predicted = np.array(series.nowcasts_annualized) * scale
             actual = np.array(series.realized_annualized) * scale

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .base import ParamMixin, check_is_fitted
 from .errors import ConfigError, DataError, ZeroDenominatorError
 from .sentiment import ScoredArticle
@@ -20,7 +22,7 @@ from .timeseries import (
     PERCENT,
     MonthKey,
     MonthlySeries,
-    month_range,
+    months_where,
     pct_change,
 )
 
@@ -110,28 +112,27 @@ def build_news_index(monthly: Sequence[MonthlySentiment]) -> NewsIndex:
     """
     if not monthly:
         raise DataError("build_news_index needs at least one monthly mean")
-    for earlier, later in zip(monthly, monthly[1:]):
-        if later.month <= earlier.month:
-            raise DataError(
-                f"monthly means out of order at {later.month} "
-                f"(follows {earlier.month})"
-            )
-    by_month = {m.month: m for m in monthly}
-    pairs: list[tuple[MonthKey, float]] = []
-    counts: dict[MonthKey, int] = {}
-    gaps: list[MonthKey] = []
-    level = 0.0
-    for month in month_range(monthly[0].month, monthly[-1].month):
-        entry = by_month.get(month)
-        if entry is None:
-            gaps.append(month)
-            counts[month] = 0
-        else:
-            level += entry.mean_score
-            counts[month] = entry.article_count
-        pairs.append((month, level))
-    series = MonthlySeries(INDEX_NAME, pairs, INDEX_LEVEL)
-    return NewsIndex(series=series, counts=counts, gap_months=tuple(gaps))
+    start = monthly[0].month.ordinal
+    offsets = np.array([m.month.ordinal for m in monthly]) - start
+    unordered = np.flatnonzero(np.diff(offsets) <= 0)
+    if unordered.size:
+        earlier, later = monthly[unordered[0]], monthly[unordered[0] + 1]
+        raise DataError(
+            f"monthly means out of order at {later.month} "
+            f"(follows {earlier.month})"
+        )
+    counts = np.bincount(offsets, [m.article_count for m in monthly]).astype(int)
+    # bincount adds each mean to 0.0 and cumsum accumulates in order, so
+    # the levels are exactly the running sum from 0.0 (gaps add 0.0).
+    levels = np.cumsum(np.bincount(offsets, [m.mean_score for m in monthly]))
+    series = MonthlySeries.from_arrays(
+        INDEX_NAME, start, levels, np.ones(len(levels), dtype=bool), INDEX_LEVEL
+    )
+    return NewsIndex(
+        series=series,
+        counts=dict(zip(series.months(), counts.tolist())),
+        gap_months=tuple(months_where(start, counts == 0)),
+    )
 
 
 def news_pi(
@@ -154,23 +155,11 @@ def news_pi(
     if mode not in PI_MODES:
         raise ConfigError(f"mode must be one of {PI_MODES}, got {mode!r}")
     out_name = f"pi-{series.name}"
+    start, now, then, both = series.lagged(window)
     if mode == "level-diff":
-        pairs = []
-        for month, value in series.items():
-            base = series.get(month.shift(-window))
-            if base is not None:
-                pairs.append((month, value - base))
-        return MonthlySeries(out_name, pairs, PERCENT)
-    zero: list[MonthKey] = []
-    crossing: list[MonthKey] = []
-    for month, value in series.items():
-        base = series.get(month.shift(-window))
-        if base is None:
-            continue
-        if base == 0.0:
-            zero.append(month)
-        elif value * base < 0.0:
-            crossing.append(month)
+        return MonthlySeries.from_arrays(out_name, start, now - then, both, PERCENT)
+    zero = months_where(start, both & (then == 0.0))
+    crossing = months_where(start, both & (now * then < 0.0))
     if zero or crossing:
         parts = []
         if zero:

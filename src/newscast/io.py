@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io as _io
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError, NewscastError, SeriesFormatError
 from .nowcast import ForecastSeries
@@ -83,14 +85,46 @@ def _read_rows(path: str | Path, header: Sequence[str]):
         yield start + reader.line_num, row
 
 
-def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    Path(path).write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
+@contextmanager
+def _output(path: str | Path, comment: str | None) -> Iterator[TextIO]:
+    """The one way output files are written: a text handle, already
+    past the comment line, on a temporary sibling of path that replaces
+    path when the block ends. Missing directories are made. On failure
+    the temporary is removed, and an OSError becomes a DataError naming
+    path."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(temporary, "w", encoding="utf-8") as handle:
+            if comment:
+                handle.write(f"{comment}\n")
+            yield handle
+        os.replace(temporary, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            temporary.unlink()
 
 
-def _csv_line(cells: Sequence[str]) -> str:
-    buffer = _io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow(cells)
-    return buffer.getvalue()
+def write_rows(
+    header: Sequence[str],
+    rows: Iterable[Sequence[str]],
+    path: str | Path,
+    comment: str | None = None,
+) -> None:
+    """CSV rows of strings under a header, after the comment."""
+    with _output(path, comment) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_table(text: str, path: str | Path, comment: str | None = None) -> None:
+    """A rendered report table (plain text or CSV) after the comment."""
+    with _output(path, comment) as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------- series
@@ -137,13 +171,8 @@ def read_series(
 def write_series(
     series: MonthlySeries, path: str | Path, comment: str | None = None
 ) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(_csv_line(SERIES_HEADER))
-    for month, value in series.items():
-        lines.append(_csv_line([str(month), repr(value)]))
-    _write_lines(path, lines)
+    rows = ([str(month), repr(value)] for month, value in series.items())
+    write_rows(SERIES_HEADER, rows, path, comment)
 
 
 # --------------------------------------------------------------- articles
@@ -155,8 +184,11 @@ def _parse_full_date(text: str) -> tuple[MonthKey, int]:
 
 
 def _full_date(article) -> str:
-    day = 1 if article.day is None else article.day
-    return f"{article.date}-{day:02d}"
+    if article.day is None:
+        raise DataError(
+            f"article {article.id!r} has no day of month; files need full dates"
+        )
+    return f"{article.date}-{article.day:02d}"
 
 
 def _read_articles(
@@ -258,49 +290,33 @@ def read_scored_articles(
 def write_probability_articles(
     articles: Sequence[Article], path: str | Path, comment: str | None = None
 ) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(_csv_line(PROBS_HEADER))
-    for a in articles:
+
+    def row(a: Article) -> list[str]:
         if a.probs is None:
             raise DataError(f"article {a.id!r} has no probabilities")
-        lines.append(
-            _csv_line(
-                [
-                    a.id,
-                    _full_date(a),
-                    repr(a.probs.p_down),
-                    repr(a.probs.p_neutral),
-                    repr(a.probs.p_up),
-                ]
-            )
-        )
-    _write_lines(path, lines)
+        return [
+            a.id,
+            _full_date(a),
+            repr(a.probs.p_down),
+            repr(a.probs.p_neutral),
+            repr(a.probs.p_up),
+        ]
+
+    write_rows(PROBS_HEADER, map(row, articles), path, comment)
 
 
 def write_scored_articles(
     articles: Sequence[ScoredArticle], path: str | Path, comment: str | None = None
 ) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(_csv_line(SCORED_HEADER))
-    for a in articles:
-        lines.append(_csv_line([a.id, _full_date(a), repr(a.score)]))
-    _write_lines(path, lines)
+    rows = ([a.id, _full_date(a), repr(a.score)] for a in articles)
+    write_rows(SCORED_HEADER, rows, path, comment)
 
 
 def write_rejections(
     rejections: Sequence[Rejection], path: str | Path, comment: str | None = None
 ) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(_csv_line(["line", "reason"]))
-    for r in rejections:
-        lines.append(_csv_line([str(r.line), r.reason]))
-    _write_lines(path, lines)
+    rows = ([str(r.line), r.reason] for r in rejections)
+    write_rows(["line", "reason"], rows, path, comment)
 
 
 # -------------------------------------------------------------- forecasts
@@ -311,30 +327,22 @@ def write_forecasts(
     path: str | Path,
     comment: str | None = None,
 ) -> None:
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(_csv_line(FORECAST_HEADER))
-    for series in series_list:
-        for i, month in enumerate(series.months):
-            lines.append(
-                _csv_line(
-                    [
-                        str(month),
-                        series.model,
-                        repr(series.nowcasts[i]),
-                        repr(series.nowcasts_annualized[i]),
-                        repr(series.realized[i]),
-                        repr(series.realized_annualized[i]),
-                    ]
-                )
-            )
-    _write_lines(path, lines)
+    rows = (
+        [str(month), series.model, *map(repr, values)]
+        for series in series_list
+        for month, *values in zip(
+            series.months,
+            series.nowcasts,
+            series.nowcasts_annualized,
+            series.realized,
+            series.realized_annualized,
+        )
+    )
+    write_rows(FORECAST_HEADER, rows, path, comment)
 
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:
     """Load a forecast file back into per-model series, in file order."""
-    order: list[str] = []
     collected: dict[str, list[tuple[MonthKey, float, float, float, float]]] = {}
     for line_num, row in _read_rows(Path(path), FORECAST_HEADER):
         if len(row) != len(FORECAST_HEADER):
@@ -347,27 +355,14 @@ def read_forecasts(path: str | Path) -> list[ForecastSeries]:
             values = tuple(float(cell) for cell in row[2:])
         except (NewscastError, ValueError) as exc:
             raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
-        model = row[1].strip()
-        if model not in collected:
-            order.append(model)
-            collected[model] = []
-        collected[model].append((month, *values))
-    if not order:
+        collected.setdefault(row[1].strip(), []).append((month, *values))
+    if not collected:
         raise DataError(f"{path} contains no forecast rows")
-    out = []
-    for model in order:
-        rows = collected[model]
-        out.append(
-            ForecastSeries(
-                model=model,
-                months=tuple(r[0] for r in rows),
-                nowcasts=tuple(r[1] for r in rows),
-                nowcasts_annualized=tuple(r[2] for r in rows),
-                realized=tuple(r[3] for r in rows),
-                realized_annualized=tuple(r[4] for r in rows),
-            )
-        )
-    return out
+    # Row fields follow ForecastSeries' fields after model: transpose.
+    return [
+        ForecastSeries(model, *map(tuple, zip(*rows)))
+        for model, rows in collected.items()
+    ]
 
 
 # ----------------------------------------------------------- index sidecar
@@ -378,14 +373,8 @@ def write_index_metadata(
 ) -> None:
     """Sidecar `month,article_count,gap` rows for a NEWS index."""
     gaps = set(gap_months)
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(_csv_line(INDEX_META_HEADER))
-    for month in sorted(counts):
-        lines.append(
-            _csv_line(
-                [str(month), str(counts[month]), "1" if month in gaps else "0"]
-            )
-        )
-    _write_lines(path, lines)
+    rows = (
+        [str(month), str(counts[month]), "1" if month in gaps else "0"]
+        for month in sorted(counts)
+    )
+    write_rows(INDEX_META_HEADER, rows, path, comment)

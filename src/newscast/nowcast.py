@@ -11,12 +11,12 @@ month.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .base import ParamMixin, check_is_fitted
-from .errors import ConfigError, DataError, MissingMonthsError
+from .errors import ConfigError, DataError
 from .ols import RegressionResult, fit_ols
 from .timeseries import (
     MonthKey,
@@ -90,16 +90,6 @@ def resolve_spec(spec: str | ModelSpec) -> ModelSpec:
         ) from None
 
 
-def _require_months(
-    series: MonthlySeries, months: Sequence[MonthKey], role: str
-) -> None:
-    absent = series.missing_months(months)
-    if absent:
-        raise MissingMonthsError(
-            f"{role} series {series.name!r} lacks months", sorted(absent)
-        )
-
-
 def _bundle_series(
     data: Mapping[str, MonthlySeries], key: str
 ) -> MonthlySeries:
@@ -128,21 +118,20 @@ def fit_model(
     spec = resolve_spec(spec)
     if train_end < train_start:
         raise DataError(f"training window {train_start}..{train_end} is reversed")
-    months = month_range(train_start, train_end)
-    if len(months) < len(spec.regressors) + 2:
+    n = months_between(train_start, train_end) + 1
+    if n < len(spec.regressors) + 2:
         raise DataError(
-            f"window {train_start}..{train_end} has {len(months)} months; "
+            f"window {train_start}..{train_end} has {n} months; "
             f"model {spec.name!r} needs at least {len(spec.regressors) + 2}"
         )
-    target = _bundle_series(data, TARGET_KEY)
-    _require_months(target, months, "target")
-    y = np.array([target[m] for m in months])
-    columns = [np.ones(len(months))]
-    for key in spec.regressors:
-        series = _bundle_series(data, key)
-        _require_months(series, months, "regressor")
-        columns.append(np.array([series[m] for m in months]))
-    X = np.column_stack(columns)
+    y = _bundle_series(data, TARGET_KEY).window(train_start, train_end)
+    X = np.column_stack(
+        [np.ones(n)]
+        + [
+            _bundle_series(data, key).window(train_start, train_end)
+            for key in spec.regressors
+        ]
+    )
     return fit_ols(y, X, names=spec.coefficient_names, robust=robust)
 
 
@@ -246,30 +235,24 @@ def backtest(
     if scheme == "fixed":
         fitted = fit_model(spec, data, train_start, train_end, robust=robust)
 
+    months = month_range(eval_start, eval_end)
     target = _bundle_series(data, TARGET_KEY)
-    eval_months = month_range(eval_start, eval_end)
-    _require_months(target, eval_months, "realized target")
+    realized = target.window(eval_start, eval_end).tolist()
 
-    months, casts, casts_ann, real, real_ann = [], [], [], [], []
-    for t in eval_months:
+    casts = []
+    for t in months:
         if scheme == "rolling":
             fitted = fit_model(
                 spec, data, t.shift(-window_length), t.shift(-1), robust=robust
             )
-        predicted = nowcast(spec, fitted, data, t, lags=lags)
-        actual = target[t]
-        months.append(t)
-        casts.append(predicted)
-        casts_ann.append(annualize(predicted))
-        real.append(actual)
-        real_ann.append(annualize(actual))
+        casts.append(nowcast(spec, fitted, data, t, lags=lags))
     return ForecastSeries(
         model=spec.name,
         months=tuple(months),
         nowcasts=tuple(casts),
-        nowcasts_annualized=tuple(casts_ann),
-        realized=tuple(real),
-        realized_annualized=tuple(real_ann),
+        nowcasts_annualized=tuple(map(annualize, casts)),
+        realized=tuple(realized),
+        realized_annualized=tuple(map(annualize, realized)),
     )
 
 

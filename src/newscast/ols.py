@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg, special
 
 from .errors import DataError, SingularDesignError
 
@@ -143,7 +143,7 @@ def fit_ols(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = beta / std_errors
-    p_values = 2.0 * stats.t.sf(np.abs(t_stats), df_residual)
+    p_values = 2.0 * special.stdtr(df_residual, -np.abs(t_stats))
 
     sst = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ssr / sst if sst > 0.0 else 1.0
@@ -152,7 +152,7 @@ def fit_ols(
 
     if k > 1 and r_squared < 1.0:
         f_stat = (r_squared / (k - 1)) / ((1.0 - r_squared) / df_residual)
-        f_p = float(stats.f.sf(f_stat, k - 1, df_residual))
+        f_p = float(special.fdtrc(k - 1, df_residual, f_stat))
     elif k > 1:
         f_stat, f_p = float("inf"), 0.0
     else:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DataError
 from .evaluation import EvaluationReport
-from .nowcast import DEPENDENT_LABEL, ForecastSeries, INTERCEPT_LABEL
+from .nowcast import DEPENDENT_LABEL, INTERCEPT_LABEL
 from .ols import RegressionResult, significance_stars
 
 NOTE_LINE = "Note: *p<0.1; **p<0.05; ***p<0.01"
@@ -209,20 +209,3 @@ def evaluation_table_delimited(report: EvaluationReport) -> str:
             )
     return buffer.getvalue()
 
-
-def forecast_rows(series_list: Sequence[ForecastSeries]) -> list[list[str]]:
-    """Long-format rows `date,model,...` for the forecast CSV."""
-    rows = []
-    for series in series_list:
-        for i, month in enumerate(series.months):
-            rows.append(
-                [
-                    str(month),
-                    series.model,
-                    repr(series.nowcasts[i]),
-                    repr(series.nowcasts_annualized[i]),
-                    repr(series.realized[i]),
-                    repr(series.realized_annualized[i]),
-                ]
-            )
-    return rows

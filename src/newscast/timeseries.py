@@ -4,6 +4,13 @@ The two units a series can carry are index levels (consumer price
 indices, the news sentiment index) and percent changes. Transforms are
 pure functions: they emit values only on months where their inputs
 exist and surface gaps explicitly instead of interpolating.
+
+A MonthlySeries stores its month axis as one start ordinal (months
+since year 0) and two arrays over the calendar span from its first to
+its last month: float64 values and a boolean presence mask. Months
+inside the span that the series lacks are False in the mask (their
+value slot holds NaN). Transforms and window reads are slices of these
+arrays; MonthKey objects appear only at the API and file boundary.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     DataError,
@@ -78,6 +87,14 @@ def month_range(start: MonthKey, end: MonthKey) -> list[MonthKey]:
     return [MonthKey.from_ordinal(o) for o in range(start.ordinal, end.ordinal + 1)]
 
 
+def months_where(start: int, mask: np.ndarray) -> list[MonthKey]:
+    """Months at the True slots of a mask whose slot 0 is ordinal start."""
+    return [MonthKey.from_ordinal(start + i) for i in np.flatnonzero(mask).tolist()]
+
+
+_ABSENT = object()
+
+
 class MonthlySeries:
     """Named, chronologically ordered month -> value map.
 
@@ -85,7 +102,7 @@ class MonthlySeries:
     Instances are immutable after construction.
     """
 
-    __slots__ = ("_name", "_unit", "_months", "_values", "_index")
+    __slots__ = ("_name", "_unit", "_start", "_values", "_present")
 
     def __init__(
         self,
@@ -93,29 +110,48 @@ class MonthlySeries:
         points: Iterable[tuple[MonthKey, float]] | Mapping[MonthKey, float],
         unit: str = INDEX_LEVEL,
     ):
-        if unit not in UNITS:
-            raise DataError(f"unit must be one of {UNITS}, got {unit!r}")
         if isinstance(points, Mapping):
             pairs = list(points.items())
         else:
             pairs = list(points)
-        months: list[MonthKey] = []
-        values: list[float] = []
         previous: MonthKey | None = None
-        for month, value in pairs:
+        for month, _ in pairs:
             if not isinstance(month, MonthKey):
                 raise DataError(f"series keys must be MonthKey, got {month!r}")
             if previous is not None and month <= previous:
                 kind = "duplicate" if month == previous else "non-monotone"
                 raise DataError(f"{kind} month {month} in series {name!r}")
             previous = month
-            months.append(month)
-            values.append(float(value))
+        start = pairs[0][0].ordinal if pairs else 0
+        offsets = [month.ordinal - start for month, _ in pairs]
+        present = np.zeros(offsets[-1] + 1 if pairs else 0, dtype=bool)
+        present[offsets] = True
+        values = np.full(len(present), np.nan)
+        values[offsets] = [float(value) for _, value in pairs]
+        self._set(name, unit, start, values, present)
+
+    @classmethod
+    def from_arrays(
+        cls, name: str, start: int, values: np.ndarray, present: np.ndarray, unit: str
+    ) -> MonthlySeries:
+        """Series taking values[i] at month ordinal start + i where present[i]."""
+        series = cls.__new__(cls)
+        series._set(name, unit, start, values, present)
+        return series
+
+    def _set(self, name, unit, start, values, present) -> None:
+        if unit not in UNITS:
+            raise DataError(f"unit must be one of {UNITS}, got {unit!r}")
+        # Trim absent months off both ends so the span runs first..last.
+        where = np.flatnonzero(present)
+        lo, hi = (int(where[0]), int(where[-1]) + 1) if where.size else (0, 0)
         self._name = str(name)
         self._unit = unit
-        self._months = tuple(months)
-        self._values = tuple(values)
-        self._index = {m: i for i, m in enumerate(months)}
+        self._start = start + lo
+        self._present = np.array(present[lo:hi], dtype=bool)
+        self._values = np.where(self._present, values[lo:hi], np.nan)
+        self._present.flags.writeable = False
+        self._values.flags.writeable = False
 
     @property
     def name(self) -> str:
@@ -126,55 +162,86 @@ class MonthlySeries:
         return self._unit
 
     def months(self) -> tuple[MonthKey, ...]:
-        return self._months
+        return tuple(months_where(self._start, self._present))
 
     def values(self) -> tuple[float, ...]:
-        return self._values
+        return tuple(self._values[self._present].tolist())
 
     def items(self) -> Iterator[tuple[MonthKey, float]]:
-        return iter(zip(self._months, self._values))
+        return zip(self.months(), self.values())
 
     def __len__(self) -> int:
-        return len(self._months)
+        return int(np.count_nonzero(self._present))
 
     def __contains__(self, month: MonthKey) -> bool:
-        return month in self._index
+        return self.get(month, _ABSENT) is not _ABSENT
 
     def __getitem__(self, month: MonthKey) -> float:
-        try:
-            return self._values[self._index[month]]
-        except KeyError:
-            raise MissingMonthsError(
-                f"series {self._name!r} has no value", [month]
-            ) from None
+        value = self.get(month, _ABSENT)
+        if value is _ABSENT:
+            raise MissingMonthsError(f"series {self._name!r} has no value", [month])
+        return value
 
     def get(self, month: MonthKey, default=None):
-        i = self._index.get(month)
-        return default if i is None else self._values[i]
+        if isinstance(month, MonthKey):
+            i = month.ordinal - self._start
+            if 0 <= i < len(self._present) and self._present[i]:
+                return float(self._values[i])
+        return default
 
     def first_month(self) -> MonthKey:
-        if not self._months:
+        if not len(self._present):
             raise DataError(f"series {self._name!r} is empty")
-        return self._months[0]
+        return MonthKey.from_ordinal(self._start)
 
     def last_month(self) -> MonthKey:
-        if not self._months:
-            raise DataError(f"series {self._name!r} is empty")
-        return self._months[-1]
+        return self.first_month().shift(len(self._present) - 1)
+
+    def window(self, start: MonthKey, end: MonthKey) -> np.ndarray:
+        """Read-only values of every month in [start, end], in order.
+
+        Raises MissingMonthsError listing each month the series lacks.
+        """
+        lo = start.ordinal - self._start
+        hi = end.ordinal - self._start + 1
+        if 0 <= lo and hi <= len(self._present) and self._present[lo:hi].all():
+            return self._values[lo:hi]
+        raise MissingMonthsError(
+            f"series {self._name!r} lacks months of {start}..{end}",
+            self.missing_months(month_range(start, end)),
+        )
+
+    def lagged(self, lag: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(start, now, then, both): from ordinal start on, the values at
+        each month t and at t - lag, and where both exist (else NaN)."""
+        if not isinstance(lag, int) or lag < 1:
+            raise DataError(f"window must be a positive integer, got {lag!r}")
+        return (
+            self._start + lag,
+            self._values[lag:],
+            self._values[:-lag],
+            self._present[lag:] & self._present[:-lag],
+        )
 
     def restrict(self, start: MonthKey, end: MonthKey) -> MonthlySeries:
         """Sub-series on the inclusive window [start, end]."""
-        pairs = [(m, v) for m, v in self.items() if start <= m <= end]
-        return MonthlySeries(self._name, pairs, self._unit)
+        lo = max(start.ordinal - self._start, 0)
+        hi = max(end.ordinal - self._start + 1, lo)
+        return MonthlySeries.from_arrays(
+            self._name, self._start + lo, self._values[lo:hi],
+            self._present[lo:hi], self._unit,
+        )
 
     def missing_months(self, months: Iterable[MonthKey]) -> list[MonthKey]:
-        return [m for m in months if m not in self._index]
+        return [m for m in months if m not in self]
 
     def with_name(self, name: str) -> MonthlySeries:
-        return MonthlySeries(name, zip(self._months, self._values), self._unit)
+        return MonthlySeries.from_arrays(
+            name, self._start, self._values, self._present, self._unit
+        )
 
     def __repr__(self) -> str:
-        span = f"{self._months[0]}..{self._months[-1]}" if self._months else "empty"
+        span = f"{self.first_month()}..{self.last_month()}" if len(self) else "empty"
         return (
             f"MonthlySeries({self._name!r}, {len(self)} months [{span}], "
             f"unit={self._unit!r})"
@@ -194,31 +261,24 @@ def pct_change(
     and raised as ZeroDenominatorError; pass on_zero="skip" to drop
     them instead.
     """
-    if not isinstance(window, int) or window < 1:
-        raise DataError(f"window must be a positive integer, got {window!r}")
     if on_zero not in ("error", "skip"):
         raise DataError(f"on_zero must be 'error' or 'skip', got {on_zero!r}")
     if series.unit != INDEX_LEVEL:
         raise UnitError(
             f"pct_change expects an index-level series, got {series.unit!r}"
         )
-    pairs: list[tuple[MonthKey, float]] = []
-    zero_months: list[MonthKey] = []
-    for month, value in series.items():
-        base = series.get(month.shift(-window))
-        if base is None:
-            continue
-        if base == 0.0:
-            zero_months.append(month)
-            continue
-        pairs.append((month, 100.0 * (value / base - 1.0)))
-    if zero_months and on_zero == "error":
+    start, now, then, both = series.lagged(window)
+    zero = both & (then == 0.0)
+    if on_zero == "error" and zero.any():
         raise ZeroDenominatorError(
             f"pct_change of {series.name!r} (window {window}) hit zero "
             "denominators",
-            zero_months,
+            months_where(start, zero),
         )
-    return MonthlySeries(series.name, pairs, PERCENT)
+    keep = both & ~zero
+    out = np.full(len(keep), np.nan)
+    out[keep] = 100.0 * (now[keep] / then[keep] - 1.0)
+    return MonthlySeries.from_arrays(series.name, start, out, keep, PERCENT)
 
 
 def annualize(pi: float) -> float:
@@ -248,12 +308,5 @@ def moving_average_predictor(
     """
     if not isinstance(lags, int) or lags < 1:
         raise DataError(f"lags must be a positive integer, got {lags!r}")
-    wanted = [t.shift(-k) for k in range(1, lags + 1)]
-    absent = pi_series.missing_months(wanted)
-    if absent:
-        raise MissingMonthsError(
-            f"moving average for {pi_series.name!r} at {t} lacks months",
-            sorted(absent),
-        )
     # fsum: exactly rounded, so the mean is order-independent.
-    return math.fsum(pi_series[m] for m in wanted) / lags
+    return math.fsum(pi_series.window(t.shift(-lags), t.shift(-1))) / lags

@@ -348,3 +348,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "sign-crossing" in err
         assert "level-diff" in err
+
+    def test_out_path_that_is_a_file_is_data_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run("--config", "toy", "--out", taken, "score") == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {taken}" in err
+
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "articles_scored.csv").mkdir(parents=True)
+        assert run("--config", "toy", "--out", out, "score") == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {out / 'articles_scored.csv'}" in err
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]

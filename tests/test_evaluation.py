@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from newscast import (
     DataError,
@@ -152,6 +153,13 @@ class TestGiacominiWhiteUnconditional:
         with pytest.raises(DataError, match="n >= 8"):
             giacomini_white([1.0, 2.0] * 3 + [1.5], [1.0] * 7)
         giacomini_white([1.0, 2.0] * 4, [1.0] * 8)  # n=8 passes
+
+
+class TestGwPValue:
+    def test_matches_scipy_stats_bitwise(self, rng):
+        for variant in ("unconditional", "conditional-lag1"):
+            res = giacomini_white(rng.normal(size=40), rng.normal(size=40), variant)
+            assert res.p_value == stats.chi2.sf(res.statistic, res.df)
 
 
 class TestGiacominiWhiteConditional:
@@ -334,3 +342,10 @@ class TestEvaluateForecasts:
         dup[1] = make_fs("fed", "2020-01", [0.1] * 24, [0.2] * 24)
         with pytest.raises(DataError, match="duplicate"):
             evaluate_forecasts(dup)
+
+    def test_mismatched_coverage_rejected(self, rng):
+        # RMSE would use each model's months but GW only the common ones.
+        forecasts = self._forecasts(rng)
+        forecasts.append(make_fs("news", "2020-02", [0.1] * 24, [0.2] * 24))
+        with pytest.raises(DataError, match="'news' covers different months"):
+            evaluate_forecasts(forecasts)

@@ -3,6 +3,7 @@
 import pytest
 
 from newscast import (
+    Article,
     DataError,
     ForecastSeries,
     MonthKey,
@@ -235,6 +236,15 @@ class TestScoredArticles:
         assert [a.score for a in back] == [a.score for a in articles]
         assert [a.day for a in back] == [a.day for a in articles]
 
+    def test_article_without_day_is_not_written(self, tmp_path):
+        # A made-up day would let the article past day_cutoff on reread.
+        path = tmp_path / "scored.csv"
+        undated = [ScoredArticle(id="a", date=MonthKey(2020, 1), score=0.5)]
+        with pytest.raises(DataError, match="no day of month"):
+            write_scored_articles(undated, path)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_range_score_rejected(self, tmp_path):
         path = tmp_path / "scored.csv"
         path.write_text("id,date,score\na,2020-01-05,1.5\n")
@@ -317,3 +327,30 @@ class TestSidecars:
         line = provenance_line("abc123def456")
         assert line.startswith("# newscast ")
         assert line.endswith(" config:abc123def456")
+
+
+class TestAtomicWrites:
+    def test_write_leaves_only_the_target(self, tmp_path, series_factory):
+        path = tmp_path / "s.csv"
+        write_series(series_factory("2020-01", [1.0, 2.0]), path, comment="# c")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "# c\ndate,value\n2020-01,1.0\n2020-02,2.0\n"
+
+    def test_failed_write_keeps_old_file_and_removes_temporary(self, tmp_path):
+        path = tmp_path / "probs.csv"
+        jan = MonthKey(2020, 1)
+        good = Article(id="a", date=jan, day=2, probs=SentimentProbs(0.2, 0.3, 0.5))
+        write_probability_articles([good], path)
+        before = path.read_text()
+        with pytest.raises(DataError, match="no probabilities"):
+            write_probability_articles([good, Article(id="b", date=jan, day=3)], path)
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_unwritable_target_is_data_error_naming_path(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(DataError, match="cannot write .*taken"):
+            write_rejections([Rejection(line=1, reason="x")], target)
+        assert list(tmp_path.iterdir()) == [target]
+

@@ -1,9 +1,16 @@
 """Least-squares fitting against a high-precision normal-equations oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import newscast
 
 from newscast import (
     DataError,
@@ -209,3 +216,27 @@ class TestSignificanceStars:
     @pytest.mark.parametrize("p,expected", CASES)
     def test_boundaries(self, p, expected):
         assert significance_stars(p) == expected
+
+
+class TestTailProbabilities:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second of import time and is not needed.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(newscast.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        code = "import sys, newscast; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
+
+    def test_p_values_match_scipy_stats_bitwise(self, rng):
+        for robust in (False, True):
+            X = np.column_stack([np.ones(30), rng.normal(size=(30, 3))])
+            y = X @ [0.1, 0.5, -0.2, 0.0] + rng.normal(size=30)
+            fit = fit_ols(y, X, robust=robust)
+            expected = 2.0 * stats.t.sf(np.abs(fit.t_statistics), fit.df_residual)
+            assert fit.p_values.tolist() == expected.tolist()
+            assert fit.f_p_value == stats.f.sf(fit.f_statistic, 3, fit.df_residual)
