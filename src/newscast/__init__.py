@@ -68,6 +68,7 @@ from .ols import RegressionResult, fit_ols, significance_stars
 from .sentiment import (
     DEFAULT_LEXICON,
     Article,
+    ArticleTable,
     ClassificationReport,
     LabeledArticle,
     ScoredArticle,
@@ -106,6 +107,7 @@ __all__ = [
     # sentiment
     "DEFAULT_LEXICON",
     "Article",
+    "ArticleTable",
     "ClassificationReport",
     "LabeledArticle",
     "ScoredArticle",

@@ -23,6 +23,7 @@ from .io import (
     read_scored_articles,
     read_series,
     read_text_articles,
+    remove_output,
     write_forecasts,
     write_index_metadata,
     write_probability_articles,
@@ -46,7 +47,13 @@ from .report import (
     regression_table,
     regression_table_delimited,
 )
-from .sentiment import Article, SentimentScorer, baseline_classify, lexicon_filter
+from .sentiment import (
+    SentimentScorer,
+    baseline_classify,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
+    baseline_probabilities,
+    lexicon_filter,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
+    lexicon_mask,
+)
 from .timeseries import MonthKey, MonthlySeries, annualize, pct_change
 from .version import __version__
 
@@ -140,33 +147,29 @@ def cmd_score(cfg: RunConfig) -> int:
         articles, rejections = read_probability_articles(
             cfg.news_probs_path, strict=False
         )
-        filtered_out = 0
         retained = articles
     elif cfg.news_text_path is not None:
         articles, rejections = read_text_articles(cfg.news_text_path, strict=False)
-        retained = []
-        for a in articles:
-            if not lexicon_filter(a.text or "", cfg.lexicon):
-                continue
-            probs = baseline_classify(
-                a.text or "",
+        retained = articles.take(lexicon_mask(articles.texts, cfg.lexicon))
+        retained = retained.replace(
+            probs=baseline_probabilities(
+                retained.texts,
                 up_lexicon=cfg.baseline_up_lexicon,
                 down_lexicon=cfg.baseline_down_lexicon,
                 gain=cfg.baseline_gain,
                 cap=cfg.baseline_cap,
             )
-            retained.append(
-                Article(id=a.id, date=a.date, day=a.day, text=a.text, probs=probs)
-            )
-        filtered_out = len(articles) - len(retained)
+        )
     else:
         raise ConfigError(
             "score needs a news_probs or news_text file in the config"
         )
+    filtered_out = len(articles) - len(retained)
 
     comment = cfg.provenance()
+    rejected_path = cfg.out_path("articles_rejected.csv")
     if rejections:
-        write_rejections(rejections, cfg.out_path("articles_rejected.csv"), comment)
+        write_rejections(rejections, rejected_path, comment)
         total = len(articles) + len(rejections)
         if len(rejections) > MAX_REJECTED_FRACTION * total:
             raise DataError(
@@ -177,6 +180,8 @@ def cmd_score(cfg: RunConfig) -> int:
     scored = SentimentScorer(cfg.score).fit_transform(retained)
     write_probability_articles(retained, cfg.out_path("articles_probs.csv"), comment)
     write_scored_articles(scored, cfg.out_path("articles_scored.csv"), comment)
+    if not rejections:
+        remove_output(rejected_path)  # a rerun's clean input leaves none
 
     if not scored:
         print("warning: no articles passed the lexicon filter", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .base import ParamMixin, check_is_fitted
 from .errors import ConfigError, DataError, ZeroDenominatorError
-from .sentiment import ScoredArticle
+from .sentiment import ArticleTable, ScoredArticle
 from .timeseries import (
     INDEX_LEVEL,
     PERCENT,
@@ -73,32 +73,36 @@ def monthly_aggregate(
     """
     if day_cutoff is not None and not 1 <= day_cutoff <= 31:
         raise ConfigError(f"day_cutoff must be in 1..31, got {day_cutoff}")
-    retained: dict[MonthKey, list[float]] = {}
-    total = 0
-    for article in articles:
-        total += 1
-        if day_cutoff is not None:
-            if article.day is None:
-                raise DataError(
-                    f"article {article.id!r} has no day of month; cannot "
-                    f"apply day_cutoff={day_cutoff}"
-                )
-            if article.day > day_cutoff:
-                continue
-        retained.setdefault(article.date, []).append(article.score)
-    if total == 0:
+    table = ArticleTable.of(articles)
+    checks = [(table.missing("scores"), "has no score")]
+    if day_cutoff is not None:
+        checks.insert(0, (
+            table.missing("days"),
+            f"has no day of month; cannot apply day_cutoff={day_cutoff}",
+        ))
+    table.require(*checks)
+    if not len(table):
         raise DataError("monthly_aggregate needs at least one article")
-    if not retained:
+    months, scores = table.months, table.scores
+    if day_cutoff is not None:
+        kept = table.days <= day_cutoff
+        months, scores = months[kept], scores[kept]
+    if not months.size:
         raise DataError(
             f"no articles on or before day {day_cutoff} of any month"
         )
+    order = np.argsort(months, kind="stable")
+    months, scores = months[order], scores[order]
+    starts = np.flatnonzero(np.diff(months, prepend=months[0] - 1))
     return [
         MonthlySentiment(
-            month=month,
-            mean_score=math.fsum(scores) / len(scores),
-            article_count=len(scores),
+            month=MonthKey.from_ordinal(month),
+            mean_score=math.fsum(group.tolist()) / len(group),
+            article_count=len(group),
         )
-        for month, scores in sorted(retained.items())
+        for month, group in zip(
+            months[starts].tolist(), np.split(scores, starts[1:])
+        )
     ]
 
 

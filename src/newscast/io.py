@@ -11,16 +11,26 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import io as _io
+import itertools
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 from .errors import DataError, NewscastError, SeriesFormatError
 from .nowcast import ForecastSeries
-from .sentiment import Article, LabeledArticle, ScoredArticle, SentimentProbs
+from .sentiment import (
+    Article,
+    ArticleTable,
+    LabeledArticle,
+    ScoredArticle,
+    SentimentProbs,
+    invalid_probabilities,
+)
 from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries
 from .version import __version__
 
@@ -57,32 +67,38 @@ def _read_rows(path: str | Path, header: Sequence[str]):
     """Yield (line_number, row) for each data row after the header.
 
     Leading comment ('#') and blank lines are skipped; the first real
-    line must be the exact expected header.
+    line must be the exact expected header. Lines end only at LF, CR or
+    CRLF, so line numbers count the file's physical lines.
     """
     path = Path(path)
+    skipped = 0
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as handle:
+            for first in handle:
+                if first.strip() and not first.lstrip().startswith("#"):
+                    break
+                skipped += 1
+            else:
+                raise SeriesFormatError(
+                    f"{path} has no header row", line=skipped or 1
+                )
+            reader = csv.reader(itertools.chain([first], handle))
+            names = next(reader)
+            if [c.strip() for c in names] != list(header):
+                raise SeriesFormatError(
+                    f"{path} header is {names}, expected {list(header)}",
+                    line=skipped + 1,
+                )
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                yield skipped + reader.line_num, row
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = raw.splitlines()
-    start = 0
-    while start < len(lines) and (
-        not lines[start].strip() or lines[start].lstrip().startswith("#")
-    ):
-        start += 1
-    if start == len(lines):
-        raise SeriesFormatError(f"{path} has no header row", line=start or 1)
-    reader = csv.reader(_io.StringIO("\n".join(lines[start:])))
-    first = next(reader)
-    if [c.strip() for c in first] != list(header):
+    except csv.Error as exc:
         raise SeriesFormatError(
-            f"{path} header is {first}, expected {list(header)}",
-            line=start + 1,
-        )
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        yield start + reader.line_num, row
+            f"{path}: {exc}", line=skipped + reader.line_num
+        ) from None
 
 
 @contextmanager
@@ -108,15 +124,30 @@ def _output(path: str | Path, comment: str | None) -> Iterator[TextIO]:
             temporary.unlink()
 
 
+def remove_output(path: str | Path) -> None:
+    """Delete an output file left by an earlier run, if there is one."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot remove {path}: {exc}") from exc
+
+
 def write_rows(
     header: Sequence[str],
     rows: Iterable[Sequence[str]],
     path: str | Path,
     comment: str | None = None,
+    quote_all: bool = False,
 ) -> None:
-    """CSV rows of strings under a header, after the comment."""
+    """CSV rows of strings under a header, after the comment.
+
+    Fields are quoted only where needed, unless quote_all is set:
+    minimal quoting leaves a field with a lone CR bare, and a reader
+    would end the row there.
+    """
+    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
     with _output(path, comment) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -178,17 +209,51 @@ def write_series(
 # --------------------------------------------------------------- articles
 
 
+def _parse_date(text: str) -> _dt.date:
+    return _dt.date.fromisoformat(text.strip())
+
+
 def _parse_full_date(text: str) -> tuple[MonthKey, int]:
-    d = _dt.date.fromisoformat(text.strip())
+    d = _parse_date(text)
     return MonthKey(d.year, d.month), d.day
 
 
-def _full_date(article) -> str:
-    if article.day is None:
-        raise DataError(
-            f"article {article.id!r} has no day of month; files need full dates"
-        )
-    return f"{article.date}-{article.day:02d}"
+def _date_columns(text: str) -> tuple[str, int, int]:
+    """(YYYY-MM-DD, month ordinal, day) of a date field."""
+    d = _parse_date(text)
+    return d.isoformat(), d.year * 12 + d.month - 1, d.day
+
+
+# The per-row parses: the reference for what an article row means, and
+# the source of every rejection reason.
+
+
+def _probability_article(row) -> Article:
+    month, day = _parse_full_date(row[1])
+    probs = SentimentProbs(float(row[2]), float(row[3]), float(row[4]))
+    if not row[0].strip():
+        raise DataError("empty article id")
+    return Article(id=row[0].strip(), date=month, day=day, probs=probs)
+
+
+def _text_article(row) -> Article:
+    month, day = _parse_full_date(row[1])
+    if not row[0].strip():
+        raise DataError("empty article id")
+    return Article(id=row[0].strip(), date=month, day=day, text=row[2])
+
+
+def _scored_article(row) -> ScoredArticle:
+    month, day = _parse_full_date(row[1])
+    if not row[0].strip():
+        raise DataError("empty article id")
+    return ScoredArticle(id=row[0].strip(), date=month, day=day, score=float(row[2]))
+
+
+def _parse_row(row, header: Sequence[str], parse: Callable):
+    if len(row) != len(header):
+        raise DataError(f"expected {len(header)} fields, got {len(row)}")
+    return parse(row)
 
 
 def _read_articles(
@@ -197,15 +262,12 @@ def _read_articles(
     parse: Callable,
     strict: bool,
 ) -> tuple[list, list[Rejection]]:
+    """The per-row reader: one parse(row) object per accepted row."""
     items: list = []
     rejections: list[Rejection] = []
     for line_num, row in _read_rows(Path(path), header):
         try:
-            if len(row) != len(header):
-                raise DataError(
-                    f"expected {len(header)} fields, got {len(row)}"
-                )
-            items.append(parse(row))
+            items.append(_parse_row(row, header, parse))
         except (NewscastError, ValueError) as exc:
             if strict:
                 raise SeriesFormatError(
@@ -215,33 +277,129 @@ def _read_articles(
     return items, rejections
 
 
+@dataclass(frozen=True)
+class _ArticleFormat:
+    """How the value fields of an id,date,... file become one
+    ArticleTable column, and which per-row parse is the reference."""
+
+    header: Sequence[str]
+    column: str
+    parse: Callable
+    #: row -> the row's value; ValueError when a field does not convert.
+    convert: Callable
+    #: list of values -> the column.
+    stack: Callable
+    #: column -> rows the per-row parse refuses for their values.
+    refused: Callable | None = None
+    #: one column entry -> its value fields, as the file writes them.
+    cells: Callable | None = None
+
+
+def _read_table(
+    path: str | Path, fmt: _ArticleFormat, strict: bool
+) -> tuple[ArticleTable, list[Rejection]]:
+    """The articles of a file as columns, in one pass over its rows.
+
+    Converting a field and checking a value are the same operations
+    the per-row parse performs (value checks on the whole column). A
+    row either check refuses is handed to the per-row parse for its
+    rejection reason, so the rejections, and the error strict mode
+    raises for the first of them, are those of _read_articles.
+    """
+    known: dict[str, tuple[str, int, int]] = {}
+    ids: list[str] = []
+    dates: list[str] = []
+    months: list[int] = []
+    days: list[int] = []
+    values: list = []
+    lines: list[int] = []
+    rejections: list[Rejection] = []
+    for line_num, row in _read_rows(path, fmt.header):
+        try:
+            if len(row) != len(fmt.header):
+                raise ValueError("field count")
+            date = known.get(row[1])
+            if date is None:
+                date = known[row[1]] = _date_columns(row[1])
+            value = fmt.convert(row)
+            key = row[0].strip()
+            if not key:
+                raise ValueError("empty id")
+        except ValueError:
+            rejections.append(Rejection(line_num, _reason(row, fmt)))
+            if strict:
+                break
+            continue
+        ids.append(key)
+        dates.append(date[0])
+        months.append(date[1])
+        days.append(date[2])
+        values.append(value)
+        lines.append(line_num)
+    table = ArticleTable(
+        ids,
+        dates,
+        np.array(months, dtype=np.int64),
+        np.array(days, dtype=np.int64),
+        **{fmt.column: fmt.stack(values)},
+    )
+    if fmt.refused is not None:
+        column = getattr(table, fmt.column)
+        refused = fmt.refused(column)
+        if refused.any():
+            for i in np.flatnonzero(refused).tolist():
+                row = [ids[i], dates[i], *fmt.cells(column[i])]
+                rejections.append(Rejection(lines[i], _reason(row, fmt)))
+            rejections.sort(key=attrgetter("line"))
+            table = table.take(~refused)
+    if strict and rejections:
+        first = rejections[0]
+        raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
+    return table, rejections
+
+
+def _reason(row, fmt: _ArticleFormat) -> str:
+    """Why the per-row parse refuses a row the column checks refused."""
+    try:
+        _parse_row(row, fmt.header, fmt.parse)
+    except (NewscastError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"per-row parse accepts a refused row {row!r}")
+
+
+_PROBS = _ArticleFormat(
+    PROBS_HEADER,
+    "probs",
+    _probability_article,
+    convert=lambda row: (float(row[2]), float(row[3]), float(row[4])),
+    stack=lambda values: np.array(values, dtype=float).reshape(-1, 3),
+    refused=invalid_probabilities,
+    cells=lambda probs: [repr(p) for p in probs.tolist()],
+)
+_TEXT = _ArticleFormat(TEXT_HEADER, "texts", _text_article, itemgetter(2), list)
+_SCORED = _ArticleFormat(
+    SCORED_HEADER,
+    "scores",
+    _scored_article,
+    convert=lambda row: float(row[2]),
+    stack=lambda values: np.array(values, dtype=float),
+    refused=lambda scores: ~((scores >= -1.0) & (scores <= 1.0)),
+    cells=lambda score: [repr(float(score))],
+)
+
+
 def read_probability_articles(
     path: str | Path, strict: bool = True
-) -> tuple[list[Article], list[Rejection]]:
+) -> tuple[ArticleTable, list[Rejection]]:
     """Load `id,date,p_down,p_neutral,p_up` rows (date YYYY-MM-DD)."""
-
-    def parse(row) -> Article:
-        month, day = _parse_full_date(row[1])
-        probs = SentimentProbs(float(row[2]), float(row[3]), float(row[4]))
-        if not row[0].strip():
-            raise DataError("empty article id")
-        return Article(id=row[0].strip(), date=month, day=day, probs=probs)
-
-    return _read_articles(path, PROBS_HEADER, parse, strict)
+    return _read_table(path, _PROBS, strict)
 
 
 def read_text_articles(
     path: str | Path, strict: bool = True
-) -> tuple[list[Article], list[Rejection]]:
+) -> tuple[ArticleTable, list[Rejection]]:
     """Load `id,date,text` rows (date YYYY-MM-DD, text quoted)."""
-
-    def parse(row) -> Article:
-        month, day = _parse_full_date(row[1])
-        if not row[0].strip():
-            raise DataError("empty article id")
-        return Article(id=row[0].strip(), date=month, day=day, text=row[2])
-
-    return _read_articles(path, TEXT_HEADER, parse, strict)
+    return _read_table(path, _TEXT, strict)
 
 
 def read_labeled_articles(
@@ -273,43 +431,48 @@ def read_labeled_articles(
 
 def read_scored_articles(
     path: str | Path, strict: bool = True
-) -> tuple[list[ScoredArticle], list[Rejection]]:
+) -> tuple[ArticleTable, list[Rejection]]:
     """Load `id,date,score` rows written by the score command."""
+    return _read_table(path, _SCORED, strict)
 
-    def parse(row) -> ScoredArticle:
-        month, day = _parse_full_date(row[1])
-        if not row[0].strip():
-            raise DataError("empty article id")
-        return ScoredArticle(
-            id=row[0].strip(), date=month, day=day, score=float(row[2])
-        )
 
-    return _read_articles(path, SCORED_HEADER, parse, strict)
+_NO_FULL_DATE = "has no day of month; files need full dates"
 
 
 def write_probability_articles(
     articles: Sequence[Article], path: str | Path, comment: str | None = None
 ) -> None:
-
-    def row(a: Article) -> list[str]:
-        if a.probs is None:
-            raise DataError(f"article {a.id!r} has no probabilities")
-        return [
-            a.id,
-            _full_date(a),
-            repr(a.probs.p_down),
-            repr(a.probs.p_neutral),
-            repr(a.probs.p_up),
-        ]
-
-    write_rows(PROBS_HEADER, map(row, articles), path, comment)
+    table = ArticleTable.of(articles)
+    table.require(
+        (table.missing("probs"), "has no probabilities"),
+        (table.missing("days"), _NO_FULL_DATE),
+    )
+    columns = table.probs.T if len(table) else ()
+    _write_articles(table, PROBS_HEADER, columns, path, comment)
 
 
 def write_scored_articles(
     articles: Sequence[ScoredArticle], path: str | Path, comment: str | None = None
 ) -> None:
-    rows = ([a.id, _full_date(a), repr(a.score)] for a in articles)
-    write_rows(SCORED_HEADER, rows, path, comment)
+    table = ArticleTable.of(articles)
+    table.require(
+        (table.missing("days"), _NO_FULL_DATE),
+        (table.missing("scores"), "has no score"),
+    )
+    columns = [table.scores] if len(table) else ()
+    _write_articles(table, SCORED_HEADER, columns, path, comment)
+
+
+def _write_articles(table: ArticleTable, header, columns, path, comment) -> None:
+    """Rows of id, date and the float columns, written with repr."""
+    values = (map(repr, column.tolist()) for column in columns)
+    write_rows(
+        header,
+        zip(table.ids, table.dates, *values),
+        path,
+        comment,
+        quote_all="\r" in "".join(table.ids),
+    )
 
 
 def write_rejections(

@@ -4,13 +4,23 @@ Labels are the 3-way scheme -1 (prices expected to fall), 0 (neutral),
 +1 (prices expected to rise). Probability vectors over these labels are
 turned into scalar scores either by taking the most probable label
 (argmax) or the expectation of the label (polarity).
+
+A batch of articles travels through the pipeline as an ArticleTable:
+columns of ids, dates, month ordinals and days, plus texts,
+probabilities or scores. Filtering, classifying and scoring work on the
+columns; the dataclass form (Article, ScoredArticle) is built only when
+a caller iterates or indexes a table.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from operator import index as _index
+
+import numpy as np
 
 from .base import ParamMixin
 from .errors import ConfigError, DataError, InvalidProbabilityError
@@ -105,8 +115,187 @@ class LabeledArticle:
             raise DataError(f"gold label must be one of {LABELS}")
 
 
+def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
+    """True for each row of an n x 3 (p_down, p_neutral, p_up) matrix
+    that SentimentProbs refuses: an entry outside [0, 1] (NaN included),
+    or a left-to-right sum further than PROB_SUM_TOL from 1."""
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf: refused by range anyway
+        total = probs[:, 0] + probs[:, 1] + probs[:, 2]
+    return ~in_range | (np.abs(total - 1.0) > PROB_SUM_TOL)
+
+
+class ArticleTable(Sequence):
+    """A batch of articles stored as columns.
+
+    - ids: list of str.
+    - dates: list of normalized dates, YYYY-MM-DD (YYYY-MM where the
+      day is unknown).
+    - months: int64 month ordinals (MonthKey.ordinal).
+    - days: int64 days of month, 0 where unknown.
+    - texts: list of str (None where an article has none).
+    - probs: n x 3 float64 (p_down, p_neutral, p_up), a NaN row where
+      an article has none.
+    - scores: float64, NaN where an article has none.
+
+    A column that is None is absent for every article. Iterating or
+    indexing builds the dataclass form: ScoredArticle where a score is
+    present, Article elsewhere. A table equals a list or table of the
+    same articles.
+    """
+
+    __slots__ = ("ids", "dates", "months", "days", "texts", "probs", "scores")
+
+    def __init__(
+        self,
+        ids: list[str],
+        dates: list[str],
+        months: np.ndarray,
+        days: np.ndarray,
+        texts: list[str | None] | None = None,
+        probs: np.ndarray | None = None,
+        scores: np.ndarray | None = None,
+    ):
+        self.ids = ids
+        self.dates = dates
+        self.months = months
+        self.days = days
+        self.texts = texts
+        self.probs = probs
+        self.scores = scores
+
+    @classmethod
+    def of(cls, articles: Iterable[Article]) -> ArticleTable:
+        """articles as a table: a table as it is, dataclasses as columns."""
+        if isinstance(articles, ArticleTable):
+            return articles
+        items = list(articles)
+        texts = [a.text for a in items]
+        probs = [
+            (np.nan,) * 3 if a.probs is None else a.probs.as_tuple() for a in items
+        ]
+        scores = [getattr(a, "score", np.nan) for a in items]
+        return cls(
+            ids=[a.id for a in items],
+            dates=[f"{a.date}-{a.day:02d}" if a.day else str(a.date) for a in items],
+            months=np.array([a.date.ordinal for a in items], dtype=np.int64),
+            days=np.array([a.day or 0 for a in items], dtype=np.int64),
+            texts=texts if any(t is not None for t in texts) else None,
+            probs=np.array(probs, dtype=float).reshape(-1, 3)
+            if any(a.probs is not None for a in items) else None,
+            scores=np.array(scores, dtype=float)
+            if any(isinstance(a, ScoredArticle) for a in items) else None,
+        )
+
+    def replace(self, **columns) -> ArticleTable:
+        """A table with the named columns replaced."""
+        return ArticleTable(
+            **{n: columns.get(n, getattr(self, n)) for n in self.__slots__}
+        )
+
+    def take(self, selection: np.ndarray) -> ArticleTable:
+        """The articles at a boolean mask or an index array, in order."""
+        rows = np.arange(len(self))[selection]
+        picked = rows.tolist()
+        return self.replace(**{
+            name: column[rows]
+            if isinstance(column, np.ndarray) else [column[i] for i in picked]
+            for name in self.__slots__
+            if (column := getattr(self, name)) is not None
+        })
+
+    def missing(self, column: str) -> np.ndarray:
+        """True for each article lacking column: "days", "probs" or "scores"."""
+        values = getattr(self, column)
+        if values is None:
+            return np.ones(len(self), dtype=bool)
+        if column == "days":
+            return values == 0
+        return np.isnan(values if values.ndim == 1 else values[:, 0])
+
+    def require(self, *checks: tuple[np.ndarray, str]) -> None:
+        """Raise DataError naming the first article that fails a check.
+
+        A check is (mask of failing articles, what to say about one);
+        at one article the earlier check is the one reported.
+        """
+        failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+        if failing.size:
+            i = int(failing[0])
+            what = next(what for mask, what in checks if mask[i])
+            raise DataError(f"article {self.ids[i]!r} {what}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return next(iter(self.take([_index(i)])))
+
+    def __iter__(self) -> Iterator[Article]:
+        absent = [None] * len(self)
+        return map(
+            _article,
+            self.ids,
+            self.months.tolist(),
+            self.days.tolist(),
+            absent if self.texts is None else self.texts,
+            absent if self.probs is None else self.probs.tolist(),
+            absent if self.scores is None else self.scores.tolist(),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (ArticleTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<ArticleTable of {len(self)} articles>"
+
+
+def _article(id, month, day, text, probs, score) -> Article:
+    """The dataclass form of one table row (see ArticleTable)."""
+    fields = dict(
+        id=id,
+        date=MonthKey.from_ordinal(month),
+        day=day or None,
+        text=text,
+        probs=None if probs is None or math.isnan(probs[0]) else SentimentProbs(*probs),
+    )
+    if score is None or math.isnan(score):
+        return Article(**fields)
+    return ScoredArticle(**fields, score=score)
+
+
 def normalize_whitespace(text: str) -> str:
     return _WS_RE.sub(" ", text).strip()
+
+
+def _phrases(lexicon: Iterable[str]) -> list[str]:
+    """Distinct non-empty phrases, whitespace-normalized and lower-cased."""
+    normalized = dict.fromkeys(normalize_whitespace(p).lower() for p in lexicon)
+    return [p for p in normalized if p]
+
+
+def _haystacks(texts: Iterable[str]) -> list[str]:
+    return [normalize_whitespace(text).lower() for text in texts]
+
+
+def lexicon_mask(
+    texts: Sequence[str], lexicon: Iterable[str] = DEFAULT_LEXICON
+) -> np.ndarray:
+    """lexicon_filter of every text, as a boolean array."""
+    phrases = _phrases(lexicon)
+    if not phrases:
+        raise ConfigError("lexicon must contain at least one phrase")
+    return np.fromiter(
+        (any(p in haystack for p in phrases) for haystack in _haystacks(texts)),
+        dtype=bool,
+        count=len(texts),
+    )
 
 
 def lexicon_filter(text: str, lexicon: Iterable[str] = DEFAULT_LEXICON) -> bool:
@@ -116,14 +305,7 @@ def lexicon_filter(text: str, lexicon: Iterable[str] = DEFAULT_LEXICON) -> bool:
     whitespace-normalized text, so multi-word phrases match across
     line breaks and extra spaces.
     """
-    phrases = [normalize_whitespace(p).lower() for p in lexicon]
-    phrases = [p for p in phrases if p]
-    if not phrases:
-        raise ConfigError("lexicon must contain at least one phrase")
-    haystack = normalize_whitespace(text).lower()
-    if not haystack:
-        return False
-    return any(p in haystack for p in phrases)
+    return bool(lexicon_mask([text], lexicon)[0])
 
 
 def polarity_score(probs: SentimentProbs) -> float:
@@ -143,6 +325,21 @@ def argmax_score(probs: SentimentProbs) -> int:
     if probs.p_down > probs.p_up and probs.p_down > probs.p_neutral:
         return -1
     return 0
+
+
+def polarity_scores(probs: np.ndarray) -> np.ndarray:
+    """polarity_score of every row of an n x 3 probability matrix."""
+    return probs[:, 2] - probs[:, 0]
+
+
+def argmax_scores(probs: np.ndarray) -> np.ndarray:
+    """argmax_score of every row of an n x 3 probability matrix, as floats."""
+    down, neutral, up = probs.T
+    return np.select(
+        [(up > down) & (up > neutral), (down > up) & (down > neutral)],
+        [1.0, -1.0],
+        0.0,
+    )
 
 
 #: Word lists and constants for the deterministic keyword baseline.
@@ -171,6 +368,41 @@ DEFAULT_BASELINE_GAIN = 1.0
 DEFAULT_BASELINE_CAP = 8
 
 
+def baseline_probabilities(
+    texts: Sequence[str],
+    *,
+    up_lexicon: Iterable[str] = DEFAULT_UP_LEXICON,
+    down_lexicon: Iterable[str] = DEFAULT_DOWN_LEXICON,
+    gain: float = DEFAULT_BASELINE_GAIN,
+    cap: int = DEFAULT_BASELINE_CAP,
+) -> np.ndarray:
+    """baseline_classify of every text, as an n x 3 matrix of
+    (p_down, p_neutral, p_up) rows."""
+    if gain <= 0:
+        raise ConfigError(f"baseline gain must be positive, got {gain}")
+    if cap < 1:
+        raise ConfigError(f"baseline cap must be >= 1, got {cap}")
+    haystacks = _haystacks(texts)
+
+    def hits(lexicon: Iterable[str]) -> np.ndarray:
+        phrases = _phrases(lexicon)
+        counts = np.fromiter(
+            (sum(p in haystack for p in phrases) for haystack in haystacks),
+            dtype=np.int64,
+            count=len(haystacks),
+        )
+        return np.minimum(counts, cap)
+
+    odds_up = gain * hits(up_lexicon)
+    odds_down = gain * hits(down_lexicon)
+    z = 1.0 + odds_up + odds_down
+    probs = np.column_stack([odds_down / z, 1.0 / z, odds_up / z])
+    invalid = np.flatnonzero(invalid_probabilities(probs))
+    if invalid.size:
+        SentimentProbs(*probs[invalid[0]].tolist())  # raises the reason
+    return probs
+
+
 def baseline_classify(
     text: str,
     *,
@@ -189,25 +421,10 @@ def baseline_classify(
 
     No evidence yields exactly (0, 1, 0); probabilities never reach 1.
     """
-    if gain <= 0:
-        raise ConfigError(f"baseline gain must be positive, got {gain}")
-    if cap < 1:
-        raise ConfigError(f"baseline cap must be >= 1, got {cap}")
-    haystack = normalize_whitespace(text).lower()
-
-    def hits(lexicon: Iterable[str]) -> int:
-        phrases = {normalize_whitespace(p).lower() for p in lexicon}
-        phrases.discard("")
-        if not haystack:
-            return 0
-        return sum(1 for p in phrases if p in haystack)
-
-    up = min(hits(up_lexicon), cap)
-    down = min(hits(down_lexicon), cap)
-    odds_up = gain * up
-    odds_down = gain * down
-    z = 1.0 + odds_up + odds_down
-    return SentimentProbs(p_down=odds_down / z, p_neutral=1.0 / z, p_up=odds_up / z)
+    probs = baseline_probabilities(
+        [text], up_lexicon=up_lexicon, down_lexicon=down_lexicon, gain=gain, cap=cap
+    )
+    return SentimentProbs(*probs[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -274,9 +491,9 @@ class SentimentScorer(ParamMixin):
 
     def _score_fn(self):
         if self.score == "polarity":
-            return polarity_score
+            return polarity_scores
         if self.score == "argmax":
-            return lambda probs: float(argmax_score(probs))
+            return argmax_scores
         raise ConfigError(f"score must be 'polarity' or 'argmax', got {self.score!r}")
 
     def fit(self, X=None, y=None) -> "SentimentScorer":
@@ -284,27 +501,18 @@ class SentimentScorer(ParamMixin):
         return self
 
     def score_probs(self, probs: SentimentProbs) -> float:
-        return self._score_fn()(probs)
+        return float(self._score_fn()(np.array([probs.as_tuple()]))[0])
 
-    def transform(self, articles: Iterable[Article]) -> list[ScoredArticle]:
+    def transform(self, articles: Iterable[Article]) -> ArticleTable:
+        """The articles with scores, as a table (iterating it yields
+        ScoredArticle)."""
         fn = self._score_fn()
-        scored = []
-        for a in articles:
-            if a.probs is None:
-                raise DataError(f"article {a.id!r} has no probabilities to score")
-            scored.append(
-                ScoredArticle(
-                    id=a.id,
-                    date=a.date,
-                    day=a.day,
-                    text=a.text,
-                    probs=a.probs,
-                    score=fn(a.probs),
-                )
-            )
-        return scored
+        table = ArticleTable.of(articles)
+        table.require((table.missing("probs"), "has no probabilities to score"))
+        probs = np.empty((0, 3)) if table.probs is None else table.probs
+        return table.replace(scores=fn(probs))
 
-    def fit_transform(self, articles: Iterable[Article], y=None) -> list[ScoredArticle]:
+    def fit_transform(self, articles: Iterable[Article], y=None) -> ArticleTable:
         return self.fit().transform(articles)
 
 

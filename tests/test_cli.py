@@ -141,6 +141,21 @@ class TestScore:
         assert len(rows) == 2
         assert rows[1][0] == "22"  # physical line of the bad row
 
+    def test_clean_rerun_removes_stale_rejections(self, tmp_path):
+        good = ["id,date,p_down,p_neutral,p_up"]
+        good += [f"a{i:02d},2015-01-{i + 1:02d},0.2,0.3,0.5" for i in range(20)]
+        probs = tmp_path / "probs.csv"
+        probs.write_text("\n".join(good + ["bad,2015-01-05,0.9,0.9,0.9"]) + "\n")
+        cfg = write_config(tmp_path, news_probs=probs)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "score") == 0
+        assert (out / "articles_rejected.csv").exists()
+        probs.write_text("\n".join(good) + "\n")
+        assert run("--config", cfg, "--out", out, "score") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "articles_probs.csv", "articles_scored.csv"
+        ]
+
     def test_excessive_rejection_rate_fails(self, tmp_path, capsys):
         lines = ["id,date,p_down,p_neutral,p_up"]
         lines += [f"a{i:02d},2015-01-{i + 1:02d},0.2,0.3,0.5" for i in range(10)]
@@ -338,6 +353,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path, cpi=bad)
         assert run("--config", cfg, "--out", tmp_path / "out", "fit", "fed") == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "cpi.csv"
+        bad.write_bytes(b"date,value\n2015-01,100.0\xff\n")
+        cfg = write_config(tmp_path, cpi=bad)
+        assert run("--config", cfg, "--out", tmp_path / "out", "fit", "fed") == 3
+        assert f"cannot read {bad}" in capsys.readouterr().err
 
     def test_sign_crossing_index_is_numeric_error(self, tmp_path, capsys):
         crafted = tmp_path / "index.csv"

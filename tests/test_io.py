@@ -184,6 +184,49 @@ class TestTextArticles:
         assert rejections[0].line == 2
 
 
+class TestPhysicalLines:
+    def test_unicode_line_breaks_stay_inside_unquoted_fields(self, tmp_path):
+        # str.splitlines() would end lines at U+2028, U+0085, \x0c, \x1c.
+        path = tmp_path / "text.csv"
+        path.write_text(
+            "id,date,text\n"
+            "t1,2020-03-04,Inflation rises\u2028 sharply\n"
+            "t2,2020-03-05,a\x85b\x0cc\x1cd\x0be\n"
+            "t3,2020-13-01,bad month\n",
+            encoding="utf-8",
+        )
+        articles, rejections = read_text_articles(path, strict=False)
+        assert [a.text for a in articles] == [
+            "Inflation rises\u2028 sharply", "a\x85b\x0cc\x1cd\x0be"
+        ]
+        assert [r.line for r in rejections] == [4]
+
+    def test_crlf_and_quoted_newlines_count_physical_lines(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_bytes(
+            b"# comment\r\n\r\nid,date,text\r\n"
+            b't1,2020-03-04,"two\r\nlines"\r\n'
+            b"\r\n"
+            b"t2,2020-02-30,bad day\r\n"
+        )
+        articles, rejections = read_text_articles(path, strict=False)
+        assert [a.text for a in articles] == ["two\r\nlines"]
+        assert [r.line for r in rejections] == [7]
+
+    def test_oversized_field_is_format_error_with_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text(f"id,date,text\nt1,2020-03-04,{'x' * 200_000}\n")
+        with pytest.raises(SeriesFormatError, match="field larger") as err:
+            read_text_articles(path, strict=False)
+        assert err.value.line == 2
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"date,value\n2020-01,1.0\xff\n")
+        with pytest.raises(DataError, match="cannot read"):
+            read_series(path)
+
+
 class TestLabeledArticles:
     def test_signed_encoding(self, tmp_path):
         path = tmp_path / "labels.csv"
