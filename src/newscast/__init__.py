@@ -45,7 +45,6 @@ from .index import (
 from .io import (
     Rejection,
     read_forecasts,
-    read_labeled_articles,
     read_probability_articles,
     read_scored_articles,
     read_series,
@@ -70,7 +69,6 @@ from .sentiment import (
     Article,
     ArticleTable,
     ClassificationReport,
-    LabeledArticle,
     ScoredArticle,
     SentimentProbs,
     SentimentScorer,
@@ -109,7 +107,6 @@ __all__ = [
     "Article",
     "ArticleTable",
     "ClassificationReport",
-    "LabeledArticle",
     "ScoredArticle",
     "SentimentProbs",
     "SentimentScorer",
@@ -141,7 +138,6 @@ __all__ = [
     # file formats
     "Rejection",
     "read_forecasts",
-    "read_labeled_articles",
     "read_probability_articles",
     "read_scored_articles",
     "read_series",

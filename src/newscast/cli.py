@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError, NewscastError, NumericError
 from .evaluation import evaluate_forecasts
 from .index import build_news_index, monthly_aggregate, news_pi
 from .io import (
+    NOWCAST_HEADER,
     read_forecasts,
     read_probability_articles,
     read_scored_articles,
@@ -167,19 +168,24 @@ def cmd_score(cfg: RunConfig) -> int:
     filtered_out = len(articles) - len(retained)
 
     comment = cfg.provenance()
+    probs_path = cfg.out_path("articles_probs.csv")
+    scored_path = cfg.out_path("articles_scored.csv")
     rejected_path = cfg.out_path("articles_rejected.csv")
     if rejections:
         write_rejections(rejections, rejected_path, comment)
         total = len(articles) + len(rejections)
         if len(rejections) > MAX_REJECTED_FRACTION * total:
+            # An earlier run's outputs would pass for this run's.
+            remove_output(probs_path)
+            remove_output(scored_path)
             raise DataError(
                 f"{len(rejections)} of {total} rows are malformed "
                 f"(> {MAX_REJECTED_FRACTION:.0%}); see articles_rejected.csv"
             )
 
     scored = SentimentScorer(cfg.score).fit_transform(retained)
-    write_probability_articles(retained, cfg.out_path("articles_probs.csv"), comment)
-    write_scored_articles(scored, cfg.out_path("articles_scored.csv"), comment)
+    write_probability_articles(retained, probs_path, comment)
+    write_scored_articles(scored, scored_path, comment)
     if not rejections:
         remove_output(rejected_path)  # a rerun's clean input leaves none
 
@@ -188,7 +194,7 @@ def cmd_score(cfg: RunConfig) -> int:
     print(
         f"scored {len(scored)} articles "
         f"({len(rejections)} rejected, {filtered_out} filtered out) "
-        f"-> {cfg.out_path('articles_scored.csv')}"
+        f"-> {scored_path}"
     )
     return EXIT_OK
 
@@ -280,8 +286,7 @@ def cmd_nowcast(cfg: RunConfig, spec_names: Sequence[str], month: str | None) ->
         annual = annualize(value)
         rows.append([str(t), name, repr(value), repr(annual)])
         print(f"{name}: {t} nowcast {value:.4f} (annualized {annual:.4f})")
-    header = ["date", "model", "nowcast", "nowcast_annualized"]
-    write_rows(header, rows, cfg.out_path("nowcast.csv"), cfg.provenance())
+    write_rows(NOWCAST_HEADER, rows, cfg.out_path("nowcast.csv"), cfg.provenance())
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError, NewscastError
 from .evaluation import GW_VARIANTS, RMSE_UNITS
 from .index import PI_MODES
-from .io import LABEL_ENCODINGS, provenance_line
+from .io import provenance_line
 from .nowcast import BACKTEST_SCHEMES, resolve_spec
 from .sentiment import (
     DEFAULT_BASELINE_CAP,
@@ -65,6 +65,8 @@ KEY_DEFAULTS: dict[str, object] = {
 }
 
 SCORE_FUNCTIONS = ("polarity", "argmax")
+# Validated, though no command reads articles with gold labels.
+LABEL_ENCODINGS = ("signed", "indexed")
 
 
 def _parse_pairs(text: str, source: str) -> dict[str, str]:

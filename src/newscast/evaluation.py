@@ -19,7 +19,8 @@ from .nowcast import ForecastSeries
 from .timeseries import MonthKey
 
 GW_VARIANTS = ("unconditional", "conditional-lag1")
-RMSE_UNITS = ("fraction", "percent")
+#: Each RMSE unit and the factor that takes percent values to it.
+RMSE_UNITS = {"fraction": 0.01, "percent": 1.0}
 
 
 def rmse(forecasts: Sequence[float], realized: Sequence[float]) -> float:
@@ -50,9 +51,7 @@ class LossDifferential:
             raise DataError("loss differential needs at least 2 months")
 
 
-def loss_differential(
-    a: ForecastSeries, b: ForecastSeries, *, annualized: bool = True
-) -> LossDifferential:
+def loss_differential(a: ForecastSeries, b: ForecastSeries) -> LossDifferential:
     """d_t = e_A(t)^2 - e_B(t)^2 on the months both series cover."""
     in_b = set(b.months)
     common = tuple(m for m in a.months if m in in_b)
@@ -61,17 +60,21 @@ def loss_differential(
             f"models {a.model!r} and {b.model!r} share {len(common)} "
             "months; need at least 2"
         )
-    ea = _errors_on(a, common, annualized)
-    eb = _errors_on(b, common, annualized)
+    ea = _errors_on(a, common)
+    eb = _errors_on(b, common)
     return LossDifferential(months=common, d=ea**2 - eb**2)
 
 
-def _errors_on(
-    series: ForecastSeries, months: Sequence[MonthKey], annualized: bool
-) -> np.ndarray:
+def _errors_on(series: ForecastSeries, months: Sequence[MonthKey]) -> np.ndarray:
     """The series' forecast errors on the given months, in their order."""
     position = {m: i for i, m in enumerate(series.months)}
-    return series.errors(annualized=annualized)[[position[m] for m in months]]
+    return series.errors()[[position[m] for m in months]]
+
+
+def _unit_scale(unit: str) -> float:
+    if unit not in RMSE_UNITS:
+        raise DataError(f"unit must be one of {tuple(RMSE_UNITS)}, got {unit!r}")
+    return RMSE_UNITS[unit]
 
 
 @dataclass(frozen=True)
@@ -171,16 +174,15 @@ def gw_from_forecasts(
     b: ForecastSeries,
     variant: str = "unconditional",
     *,
-    annualized: bool = True,
     unit: str = "fraction",
     truncation_lag: int = 0,
 ) -> GWResult:
-    """giacomini_white on the aligned errors of two forecast series."""
-    diff = loss_differential(a, b, annualized=annualized)
-    scale = 0.01 if unit == "fraction" else 1.0
+    """giacomini_white on the aligned annualized errors of two series."""
+    scale = _unit_scale(unit)
+    diff = loss_differential(a, b)
     return giacomini_white(
-        _errors_on(a, diff.months, annualized) * scale,
-        _errors_on(b, diff.months, annualized) * scale,
+        _errors_on(a, diff.months) * scale,
+        _errors_on(b, diff.months) * scale,
         variant,
         truncation_lag=truncation_lag,
     )
@@ -209,25 +211,22 @@ def evaluate_forecasts(
     *,
     variant: str = "unconditional",
     unit: str = "fraction",
-    annualized: bool = True,
     truncation_lag: int = 0,
 ) -> EvaluationReport:
     """RMSE per model and GW tests of each model against the first.
 
     Every model must cover exactly the baseline's months, so RMSE and
-    GW see the same months. RMSE is computed on annualized values by
-    default; unit "fraction" divides percent values by 100 (so an RMSE
-    printed as 0.0409 means 4.09 percentage points of annualized
-    inflation), "percent" leaves them as-is.
+    GW see the same months. RMSE is computed on annualized values;
+    unit "fraction" divides percent values by 100 (so an RMSE printed
+    as 0.0409 means 4.09 percentage points of annualized inflation),
+    "percent" leaves them as-is.
     """
     if not forecasts:
         raise DataError("evaluate_forecasts needs at least one model")
-    if unit not in RMSE_UNITS:
-        raise DataError(f"unit must be one of {RMSE_UNITS}, got {unit!r}")
+    scale = _unit_scale(unit)
     names = [f.model for f in forecasts]
     if len(set(names)) != len(names):
         raise DataError(f"duplicate model names in evaluation: {names}")
-    scale = 0.01 if unit == "fraction" else 1.0
     baseline = forecasts[0]
     entries = []
     for series in forecasts:
@@ -236,19 +235,14 @@ def evaluate_forecasts(
                 f"model {series.model!r} covers different months than the "
                 f"baseline {baseline.model!r}"
             )
-        if annualized:
-            predicted = np.array(series.nowcasts_annualized) * scale
-            actual = np.array(series.realized_annualized) * scale
-        else:
-            predicted = np.array(series.nowcasts) * scale
-            actual = np.array(series.realized) * scale
+        predicted = np.array(series.nowcasts_annualized) * scale
+        actual = np.array(series.realized_annualized) * scale
         gw = None
         if series is not baseline:
             gw = gw_from_forecasts(
                 baseline,
                 series,
                 variant,
-                annualized=annualized,
                 unit=unit,
                 truncation_lag=truncation_lag,
             )

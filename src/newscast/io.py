@@ -26,7 +26,6 @@ from .nowcast import ForecastSeries
 from .sentiment import (
     Article,
     ArticleTable,
-    LabeledArticle,
     ScoredArticle,
     SentimentProbs,
     invalid_probabilities,
@@ -37,18 +36,13 @@ from .version import __version__
 SERIES_HEADER = ["date", "value"]
 PROBS_HEADER = ["id", "date", "p_down", "p_neutral", "p_up"]
 TEXT_HEADER = ["id", "date", "text"]
-LABELED_HEADER = ["id", "date", "label"]
 SCORED_HEADER = ["id", "date", "score"]
 FORECAST_HEADER = [
     "date", "model", "nowcast", "nowcast_annualized",
     "realized", "realized_annualized",
 ]
+NOWCAST_HEADER = FORECAST_HEADER[:4]
 INDEX_META_HEADER = ["month", "article_count", "gap"]
-
-LABEL_ENCODINGS = ("signed", "indexed")
-# The indexed file encoding: 0 negative, 1 neutral, 2 positive.
-_INDEXED_TO_SIGNED = {0: -1, 1: 0, 2: 1}
-_SIGNED_TO_INDEXED = {v: k for k, v in _INDEXED_TO_SIGNED.items()}
 
 
 def provenance_line(digest: str) -> str:
@@ -402,33 +396,6 @@ def read_text_articles(
     return _read_table(path, _TEXT, strict)
 
 
-def read_labeled_articles(
-    path: str | Path, encoding: str = "signed", strict: bool = True
-) -> tuple[list[LabeledArticle], list[Rejection]]:
-    """Load `id,date,label` rows under the signed or indexed encoding."""
-    if encoding not in LABEL_ENCODINGS:
-        raise DataError(
-            f"label encoding must be one of {LABEL_ENCODINGS}, got {encoding!r}"
-        )
-
-    def parse(row) -> LabeledArticle:
-        month, day = _parse_full_date(row[1])
-        raw = int(row[2])
-        if encoding == "indexed":
-            if raw not in _INDEXED_TO_SIGNED:
-                raise DataError(f"indexed label must be 0, 1, or 2; got {raw}")
-            label = _INDEXED_TO_SIGNED[raw]
-        else:
-            label = raw
-        if not row[0].strip():
-            raise DataError("empty article id")
-        return LabeledArticle(
-            id=row[0].strip(), date=month, gold_label=label, day=day
-        )
-
-    return _read_articles(path, LABELED_HEADER, parse, strict)
-
-
 def read_scored_articles(
     path: str | Path, strict: bool = True
 ) -> tuple[ArticleTable, list[Rejection]]:
@@ -505,7 +472,8 @@ def write_forecasts(
 
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:
-    """Load a forecast file back into per-model series, in file order."""
+    """Load a forecast file back into per-model series, in file order.
+    Within a model, months must be strictly increasing."""
     collected: dict[str, list[tuple[MonthKey, float, float, float, float]]] = {}
     for line_num, row in _read_rows(Path(path), FORECAST_HEADER):
         if len(row) != len(FORECAST_HEADER):
@@ -518,7 +486,14 @@ def read_forecasts(path: str | Path) -> list[ForecastSeries]:
             values = tuple(float(cell) for cell in row[2:])
         except (NewscastError, ValueError) as exc:
             raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
-        collected.setdefault(row[1].strip(), []).append((month, *values))
+        model = row[1].strip()
+        rows = collected.setdefault(model, [])
+        if rows and month <= rows[-1][0]:
+            kind = "duplicate" if month == rows[-1][0] else "non-monotone"
+            raise SeriesFormatError(
+                f"{path}: {kind} month {month} for model {model!r}", line=line_num
+            )
+        rows.append((month, *values))
     if not collected:
         raise DataError(f"{path} contains no forecast rows")
     # Row fields follow ForecastSeries' fields after model: transpose.

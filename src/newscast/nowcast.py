@@ -187,13 +187,11 @@ class ForecastSeries:
     def __len__(self) -> int:
         return len(self.months)
 
-    def errors(self, *, annualized: bool = True) -> np.ndarray:
-        """Forecast errors, realized minus nowcast."""
-        if annualized:
-            return np.array(self.realized_annualized) - np.array(
-                self.nowcasts_annualized
-            )
-        return np.array(self.realized) - np.array(self.nowcasts)
+    def errors(self) -> np.ndarray:
+        """Annualized forecast errors, realized minus nowcast."""
+        return np.array(self.realized_annualized) - np.array(
+            self.nowcasts_annualized
+        )
 
 
 BACKTEST_SCHEMES = ("fixed", "rolling")

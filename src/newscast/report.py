@@ -14,19 +14,13 @@ from typing import Sequence
 
 from .errors import DataError
 from .evaluation import EvaluationReport
-from .nowcast import DEPENDENT_LABEL, INTERCEPT_LABEL
+from .nowcast import DEPENDENT_LABEL, INTERCEPT_LABEL, REGRESSOR_LABELS
 from .ols import RegressionResult, significance_stars
 
 NOTE_LINE = "Note: *p<0.1; **p<0.05; ***p<0.01"
 
 #: Canonical display order of coefficient rows across model columns.
-COEFFICIENT_ORDER = (
-    INTERCEPT_LABEL,
-    "pi-CCPI",
-    "pi-FCPI",
-    "pi-Gasoline",
-    "pi-NEWS",
-)
+COEFFICIENT_ORDER = (INTERCEPT_LABEL, *REGRESSOR_LABELS.values())
 
 DIAGNOSTIC_ROWS = (
     ("Observations", lambda r: f"{r.n_obs:d}"),

@@ -102,19 +102,6 @@ class ScoredArticle(Article):
             raise DataError(f"score {self.score} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class LabeledArticle:
-    id: str
-    date: MonthKey
-    gold_label: int
-    day: int | None = None
-    text: str | None = None
-
-    def __post_init__(self):
-        if self.gold_label not in LABELS:
-            raise DataError(f"gold label must be one of {LABELS}")
-
-
 def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
     """True for each row of an n x 3 (p_down, p_neutral, p_up) matrix
     that SentimentProbs refuses: an entry outside [0, 1] (NaN included),
@@ -499,9 +486,6 @@ class SentimentScorer(ParamMixin):
     def fit(self, X=None, y=None) -> "SentimentScorer":
         self._score_fn()
         return self
-
-    def score_probs(self, probs: SentimentProbs) -> float:
-        return float(self._score_fn()(np.array([probs.as_tuple()]))[0])
 
     def transform(self, articles: Iterable[Article]) -> ArticleTable:
         """The articles with scores, as a table (iterating it yields

@@ -70,9 +70,6 @@ class MonthKey:
     def shift(self, months: int) -> MonthKey:
         return MonthKey.from_ordinal(self.ordinal + months)
 
-    def successor(self) -> MonthKey:
-        return self.shift(1)
-
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
 
@@ -223,15 +220,6 @@ class MonthlySeries:
             self._present[lag:] & self._present[:-lag],
         )
 
-    def restrict(self, start: MonthKey, end: MonthKey) -> MonthlySeries:
-        """Sub-series on the inclusive window [start, end]."""
-        lo = max(start.ordinal - self._start, 0)
-        hi = max(end.ordinal - self._start + 1, lo)
-        return MonthlySeries.from_arrays(
-            self._name, self._start + lo, self._values[lo:hi],
-            self._present[lo:hi], self._unit,
-        )
-
     def missing_months(self, months: Iterable[MonthKey]) -> list[MonthKey]:
         return [m for m in months if m not in self]
 
@@ -248,37 +236,28 @@ class MonthlySeries:
         )
 
 
-def pct_change(
-    series: MonthlySeries,
-    window: int = 12,
-    *,
-    on_zero: str = "error",
-) -> MonthlySeries:
+def pct_change(series: MonthlySeries, window: int = 12) -> MonthlySeries:
     """window-month percent change: 100 * (P_t / P_{t-window} - 1).
 
     Output is defined exactly on months t where both P_t and
     P_{t-window} exist. Months whose denominator is zero are collected
-    and raised as ZeroDenominatorError; pass on_zero="skip" to drop
-    them instead.
+    and raised as ZeroDenominatorError.
     """
-    if on_zero not in ("error", "skip"):
-        raise DataError(f"on_zero must be 'error' or 'skip', got {on_zero!r}")
     if series.unit != INDEX_LEVEL:
         raise UnitError(
             f"pct_change expects an index-level series, got {series.unit!r}"
         )
     start, now, then, both = series.lagged(window)
     zero = both & (then == 0.0)
-    if on_zero == "error" and zero.any():
+    if zero.any():
         raise ZeroDenominatorError(
             f"pct_change of {series.name!r} (window {window}) hit zero "
             "denominators",
             months_where(start, zero),
         )
-    keep = both & ~zero
-    out = np.full(len(keep), np.nan)
-    out[keep] = 100.0 * (now[keep] / then[keep] - 1.0)
-    return MonthlySeries.from_arrays(series.name, start, out, keep, PERCENT)
+    out = np.full(len(both), np.nan)
+    out[both] = 100.0 * (now[both] / then[both] - 1.0)
+    return MonthlySeries.from_arrays(series.name, start, out, both, PERCENT)
 
 
 def annualize(pi: float) -> float:

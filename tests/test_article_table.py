@@ -307,9 +307,6 @@ class TestScoringMatchesPerArticle:
         scorer = SentimentScorer(score)
         assert [fingerprint(a) for a in scorer.transform(table)] == want
         assert [fingerprint(a) for a in scorer.transform(articles)] == want
-        assert [scorer.score_probs(a.probs) for a in articles] == [
-            float.fromhex(f[-1]) for f in want
-        ]
 
     @SETTINGS
     @given(

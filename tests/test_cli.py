@@ -167,6 +167,22 @@ class TestScore:
         assert "malformed" in capsys.readouterr().err
         assert (tmp_path / "out" / "articles_rejected.csv").exists()
 
+    def test_failed_rerun_leaves_no_stale_scores(self, tmp_path, capsys):
+        good = ["id,date,p_down,p_neutral,p_up"]
+        good += [f"a{i:02d},2015-01-{i + 1:02d},0.2,0.3,0.5" for i in range(20)]
+        bad = [f"bad{i},2015-01-05,0.9,0.9,0.9" for i in range(5)]
+        probs = tmp_path / "probs.csv"
+        probs.write_text("\n".join(good) + "\n")
+        cfg = write_config(tmp_path, news_probs=probs)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "score") == 0
+        probs.write_text("\n".join(good + bad) + "\n")
+        assert run("--config", cfg, "--out", out, "score") == 3
+        assert [p.name for p in out.iterdir()] == ["articles_rejected.csv"]
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", out, "build-index") == 3
+        assert "does not exist" in capsys.readouterr().err
+
     def test_score_without_news_inputs_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run("--config", cfg, "--out", tmp_path / "out", "score") == 2

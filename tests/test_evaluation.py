@@ -77,14 +77,17 @@ class TestLossDifferential:
     def test_formula_and_alignment(self):
         a = make_fs("a", "2020-01", [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
         b = make_fs("b", "2020-01", [0.0, 0.0, 0.0], [2.0, 1.0, 3.0])
-        diff = loss_differential(a, b, annualized=False)
+        diff = loss_differential(a, b)
         assert diff.months == a.months
-        np.testing.assert_allclose(diff.d, [1.0 - 4.0, 4.0 - 1.0, 0.0])
+        ea = np.array([annualize(v) for v in (1.0, 2.0, 3.0)])
+        eb = np.array([annualize(v) for v in (2.0, 1.0, 3.0)])
+        np.testing.assert_allclose(diff.d, ea**2 - eb**2)
+        assert diff.d[2] == 0.0
 
     def test_restricts_to_common_months(self):
         a = make_fs("a", "2020-01", [0.0] * 4, [1.0, 2.0, 3.0, 4.0])
         b = make_fs("b", "2020-02", [0.0] * 3, [1.0, 1.0, 1.0])
-        diff = loss_differential(a, b, annualized=False)
+        diff = loss_differential(a, b)
         assert diff.months == b.months
 
     def test_too_few_common_months(self):

@@ -12,7 +12,6 @@ from newscast import (
     SeriesFormatError,
     annualize,
     read_forecasts,
-    read_labeled_articles,
     read_probability_articles,
     read_scored_articles,
     read_series,
@@ -227,42 +226,6 @@ class TestPhysicalLines:
             read_series(path)
 
 
-class TestLabeledArticles:
-    def test_signed_encoding(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        path.write_text(
-            "id,date,label\na,2020-01-05,-1\nb,2020-01-06,0\nc,2020-01-07,1\n"
-        )
-        articles, _ = read_labeled_articles(path, encoding="signed")
-        assert [a.gold_label for a in articles] == [-1, 0, 1]
-
-    def test_indexed_encoding_maps_to_signed(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        path.write_text(
-            "id,date,label\na,2020-01-05,0\nb,2020-01-06,1\nc,2020-01-07,2\n"
-        )
-        articles, _ = read_labeled_articles(path, encoding="indexed")
-        assert [a.gold_label for a in articles] == [-1, 0, 1]
-
-    def test_indexed_rejects_out_of_range(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        path.write_text("id,date,label\na,2020-01-05,-1\n")
-        with pytest.raises(SeriesFormatError, match="0, 1, or 2"):
-            read_labeled_articles(path, encoding="indexed")
-
-    def test_signed_rejects_indexed_only_value(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        path.write_text("id,date,label\na,2020-01-05,2\n")
-        with pytest.raises(SeriesFormatError):
-            read_labeled_articles(path, encoding="signed")
-
-    def test_unknown_encoding(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        path.write_text("id,date,label\n")
-        with pytest.raises(DataError, match="encoding"):
-            read_labeled_articles(path, encoding="onehot")
-
-
 class TestScoredArticles:
     def test_roundtrip_preserves_scores(self, tmp_path, rng):
         articles = [
@@ -345,6 +308,22 @@ class TestForecastFiles:
         with pytest.raises(SeriesFormatError) as err:
             read_forecasts(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "second, kind", [("2020-01", "duplicate"), ("2019-12", "non-monotone")]
+    )
+    def test_month_order_within_a_model(self, tmp_path, second, kind):
+        path = tmp_path / "forecasts.csv"
+        path.write_text(
+            "date,model,nowcast,nowcast_annualized,realized,realized_annualized\n"
+            "2020-01,fed,0.1,1.2,0.2,2.4\n"
+            "2020-01,news,0.1,1.2,0.2,2.4\n"
+            f"{second},fed,0.1,1.2,0.2,2.4\n"
+        )
+        with pytest.raises(SeriesFormatError) as err:
+            read_forecasts(path)
+        assert err.value.line == 4
+        assert f"{kind} month {second} for model 'fed'" in str(err.value)
 
 
 class TestSidecars:

@@ -289,10 +289,6 @@ class TestBacktest:
             fs.errors(),
             np.array(fs.realized_annualized) - np.array(fs.nowcasts_annualized),
         )
-        np.testing.assert_array_equal(
-            fs.errors(annualized=False),
-            np.array(fs.realized) - np.array(fs.nowcasts),
-        )
 
     def test_annualized_columns(self, rng):
         data = make_bundle(rng, noise=0.2)

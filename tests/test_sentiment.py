@@ -8,7 +8,6 @@ from newscast import (
     ConfigError,
     DataError,
     InvalidProbabilityError,
-    LabeledArticle,
     MonthKey,
     ScoredArticle,
     SentimentProbs,
@@ -60,11 +59,6 @@ class TestArticles:
         ScoredArticle(id="a", date=MonthKey(2020, 1), score=-1.0)
         with pytest.raises(DataError):
             ScoredArticle(id="a", date=MonthKey(2020, 1), score=1.5)
-
-    def test_gold_label_values(self):
-        LabeledArticle(id="a", date=MonthKey(2020, 1), gold_label=-1)
-        with pytest.raises(DataError):
-            LabeledArticle(id="a", date=MonthKey(2020, 1), gold_label=2)
 
     def test_rescore_replaces_only_score(self):
         a = ScoredArticle(
