@@ -291,21 +291,31 @@ def cmd_nowcast(cfg: RunConfig, spec_names: Sequence[str], month: str | None) ->
 
 
 def cmd_backtest(cfg: RunConfig, spec_names: Sequence[str]) -> int:
-    names = _resolve_spec_names(cfg, spec_names)
-    bundle = _load_pi_bundle(cfg, names)
-    forecasts = [
-        backtest(
-            name,
-            bundle,
-            (cfg.train_start, cfg.train_end),
-            (cfg.eval_start, cfg.eval_end),
-            cfg.scheme,
-            robust=cfg.robust,
-        )
-        for name in names
-    ]
-    write_forecasts(forecasts, cfg.effective_forecasts_path(), cfg.provenance())
-    return _evaluate(cfg, forecasts)
+    forecasts_path = cfg.effective_forecasts_path()
+    try:
+        names = _resolve_spec_names(cfg, spec_names)
+        bundle = _load_pi_bundle(cfg, names)
+        forecasts = [
+            backtest(
+                name,
+                bundle,
+                (cfg.train_start, cfg.train_end),
+                (cfg.eval_start, cfg.eval_end),
+                cfg.scheme,
+            )
+            for name in names
+        ]
+        write_forecasts(forecasts, forecasts_path, cfg.provenance())
+        return _evaluate(cfg, forecasts)
+    except NewscastError:
+        # An earlier run's outputs would pass for this run's.
+        for path in (
+            forecasts_path,
+            cfg.out_path("evaluation.txt"),
+            cfg.out_path("evaluation.csv"),
+        ):
+            remove_output(path)
+        raise
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:

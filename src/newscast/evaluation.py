@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import DataError, DegenerateLossError
 from .nowcast import ForecastSeries
@@ -165,6 +164,8 @@ def giacomini_white(
         r2_uncentered = 1.0 - ssr / tss if tss > 0.0 else 0.0
         statistic = (n - 1) * r2_uncentered
         df = 2
+    from scipy.special import chdtrc  # here, so importing newscast loads no scipy
+
     p_value = float(chdtrc(df, statistic))
     return GWResult(float(statistic), df, p_value, variant, n, dbar)
 

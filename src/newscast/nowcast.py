@@ -6,6 +6,15 @@ that are not yet released (the price components) are imputed with the
 mean of their previous 12 values; the news sentiment regressor is
 observable in real time and enters with its exact value for the target
 month.
+
+One helper builds the response and the [1, regressors...] design over a
+span of months, and one helper evaluates the nowcast formula. fit_model
+builds the design of one window and runs fit_ols, the solve core plus
+the inference step that the fit command writes to regression.txt and
+regression.csv. backtest builds each model's design once over every
+month its windows cover, slices each rolling (or the fixed) window out
+of it, and runs the ols solve core alone: a nowcast needs coefficients
+and nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from .base import ParamMixin, check_is_fitted
 from .errors import ConfigError, DataError
-from .ols import RegressionResult, fit_ols
+from .ols import RegressionResult, fit_ols, solve_ols
 from .timeseries import (
     MonthKey,
     MonthlySeries,
@@ -101,6 +110,34 @@ def _bundle_series(
         ) from None
 
 
+def _window_length(spec: ModelSpec, start: MonthKey, end: MonthKey) -> int:
+    """Months in [start, end], checked to be enough to fit the spec."""
+    if end < start:
+        raise DataError(f"training window {start}..{end} is reversed")
+    n = months_between(start, end) + 1
+    if n < len(spec.regressors) + 2:
+        raise DataError(
+            f"window {start}..{end} has {n} months; "
+            f"model {spec.name!r} needs at least {len(spec.regressors) + 2}"
+        )
+    return n
+
+
+def _design(
+    spec: ModelSpec,
+    data: Mapping[str, MonthlySeries],
+    start: MonthKey,
+    end: MonthKey,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target values and the [1, regressors...] design over [start, end]."""
+    y = _bundle_series(data, TARGET_KEY).window(start, end)
+    X = np.column_stack(
+        [np.ones(len(y))]
+        + [_bundle_series(data, key).window(start, end) for key in spec.regressors]
+    )
+    return y, X
+
+
 def fit_model(
     spec: str | ModelSpec,
     data: Mapping[str, MonthlySeries],
@@ -116,22 +153,8 @@ def fit_model(
     the whole window.
     """
     spec = resolve_spec(spec)
-    if train_end < train_start:
-        raise DataError(f"training window {train_start}..{train_end} is reversed")
-    n = months_between(train_start, train_end) + 1
-    if n < len(spec.regressors) + 2:
-        raise DataError(
-            f"window {train_start}..{train_end} has {n} months; "
-            f"model {spec.name!r} needs at least {len(spec.regressors) + 2}"
-        )
-    y = _bundle_series(data, TARGET_KEY).window(train_start, train_end)
-    X = np.column_stack(
-        [np.ones(n)]
-        + [
-            _bundle_series(data, key).window(train_start, train_end)
-            for key in spec.regressors
-        ]
-    )
+    _window_length(spec, train_start, train_end)
+    y, X = _design(spec, data, train_start, train_end)
     return fit_ols(y, X, names=spec.coefficient_names, robust=robust)
 
 
@@ -155,14 +178,27 @@ def nowcast(
             f"fitted coefficients {fitted.names} do not match model "
             f"{spec.name!r} ({expected})"
         )
-    value = fitted.coefficient(INTERCEPT_LABEL)
-    for key in spec.regressors:
+    return _nowcast_value(spec, fitted.estimates, data, t, lags)
+
+
+def _nowcast_value(
+    spec: ModelSpec,
+    beta: np.ndarray,
+    data: Mapping[str, MonthlySeries],
+    t: MonthKey,
+    lags: int,
+) -> float:
+    """b0 + sum of b_j * x_j in spec order, beta aligned with the spec's
+    coefficient names."""
+    intercept, *slopes = beta.tolist()
+    value = intercept
+    for key, b in zip(spec.regressors, slopes):
         series = _bundle_series(data, key)
         if key == NEWS_KEY:
             x = series[t]
         else:
             x = moving_average_predictor(series, t, lags)
-        value += fitted.coefficient(REGRESSOR_LABELS[key]) * x
+        value += b * x
     return value
 
 
@@ -205,13 +241,15 @@ def backtest(
     scheme: str = "fixed",
     *,
     lags: int = 12,
-    robust: bool = False,
 ) -> ForecastSeries:
     """Nowcast every month of eval_window and pair with realizations.
 
     fixed fits once on train_window; rolling refits for each target
     month on the trailing window of the same length (so the first
     rolling fit coincides with the fixed one when the windows abut).
+    Each window is a row slice of one design built over every month the
+    windows cover, and only its coefficients are solved for; they and
+    the nowcasts equal those of fit_model and nowcast on that window.
     """
     spec = resolve_spec(spec)
     if scheme not in BACKTEST_SCHEMES:
@@ -227,23 +265,26 @@ def backtest(
             f"training window {train_start}..{train_end} overlaps or "
             f"follows evaluation window {eval_start}..{eval_end}"
         )
-    window_length = months_between(train_start, train_end) + 1
-
-    fitted = None
-    if scheme == "fixed":
-        fitted = fit_model(spec, data, train_start, train_end, robust=robust)
+    n = _window_length(spec, train_start, train_end)
+    names = spec.coefficient_names
 
     months = month_range(eval_start, eval_end)
+    if scheme == "fixed":
+        y, X = _design(spec, data, train_start, train_end)
+        betas = [solve_ols(y, X, names).beta] * len(months)
+
     target = _bundle_series(data, TARGET_KEY)
     realized = target.window(eval_start, eval_end).tolist()
 
-    casts = []
-    for t in months:
-        if scheme == "rolling":
-            fitted = fit_model(
-                spec, data, t.shift(-window_length), t.shift(-1), robust=robust
-            )
-        casts.append(nowcast(spec, fitted, data, t, lags=lags))
+    if scheme == "rolling":
+        y, X = _design(spec, data, eval_start.shift(-n), eval_end.shift(-1))
+        betas = (
+            solve_ols(y[i : i + n], X[i : i + n], names).beta
+            for i in range(len(months))
+        )
+    casts = [
+        _nowcast_value(spec, beta, data, t, lags) for t, beta in zip(months, betas)
+    ]
     return ForecastSeries(
         model=spec.name,
         months=tuple(months),

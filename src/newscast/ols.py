@@ -3,15 +3,23 @@
 Built directly on a column-pivoted QR factorization so rank problems
 fail loudly with the names of the offending columns instead of
 producing a silently unstable solve.
+
+The work is split in two steps. solve_ols is the core: the finiteness
+and rank checks and the coefficients. fit_ols adds the inference step
+on top of it (covariance, t and F tail probabilities, R-squared).
+The fit command and regression.csv use both steps; the walk-forward
+backtest needs only coefficients and calls solve_ols alone.
+
+scipy is imported inside the two steps, so importing this module (and
+running a command that fits nothing) loads no scipy module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import DataError, SingularDesignError
 
@@ -66,6 +74,45 @@ class RegressionResult:
             raise DataError(f"no coefficient named {name!r}; have {self.names}")
 
 
+class Solution(NamedTuple):
+    """Least-squares coefficients with the pivoted R factor behind them
+    (X[:, pivot] = Q R)."""
+
+    beta: np.ndarray
+    r: np.ndarray
+    pivot: np.ndarray
+
+
+def solve_ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> Solution:
+    """Coefficients of the least-squares fit of y on the columns of X.
+
+    y and X are float arrays of matching, already validated shapes with
+    more rows than columns; names label the columns. Raises DataError
+    for non-finite values and SingularDesignError, naming the dependent
+    columns, when a column is (numerically) a linear combination of
+    the others.
+    """
+    from scipy import linalg
+
+    if not np.isfinite(y).all() or not np.isfinite(X).all():
+        raise DataError("design and response must be finite")
+    k = X.shape[1]
+    Q, R, pivot = linalg.qr(X, mode="economic", pivoting=True, check_finite=False)
+    diag = np.abs(R.diagonal())
+    if diag[0] == 0.0:
+        raise SingularDesignError("design matrix is zero", list(names))
+    rank = np.count_nonzero(diag > RANK_TOLERANCE * diag[0])
+    if rank < k:
+        dependent = sorted(names[j] for j in pivot[rank:])
+        raise SingularDesignError(
+            f"design is rank deficient (rank {rank} of {k}); dependent columns",
+            dependent,
+        )
+    beta = np.empty(k)
+    beta[pivot] = linalg.solve_triangular(R, Q.T @ y)
+    return Solution(beta, R, pivot)
+
+
 def fit_ols(
     y: Sequence[float] | np.ndarray,
     X: Sequence[Sequence[float]] | np.ndarray,
@@ -103,25 +150,21 @@ def fit_ols(
         raise DataError(
             f"need more observations than coefficients, got n={n}, k={k}"
         )
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(X)):
-        raise DataError("design and response must be finite")
+    return _inference(y, X, names, solve_ols(y, X, names), robust)
 
-    Q, R, pivot = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag[0] == 0.0:
-        raise SingularDesignError("design matrix is zero", list(names))
-    rank = int(np.sum(diag > RANK_TOLERANCE * diag[0]))
-    if rank < k:
-        dependent = sorted(names[j] for j in pivot[rank:])
-        raise SingularDesignError(
-            f"design is rank deficient (rank {rank} of {k}); dependent columns",
-            dependent,
-        )
 
-    beta_pivoted = linalg.solve_triangular(R, Q.T @ y)
-    beta = np.empty(k)
-    beta[pivot] = beta_pivoted
+def _inference(
+    y: np.ndarray,
+    X: np.ndarray,
+    names: tuple[str, ...],
+    solution: Solution,
+    robust: bool,
+) -> RegressionResult:
+    """fit_ols's diagnostics around a solved fit."""
+    from scipy import linalg, special
 
+    beta, R, pivot = solution
+    n, k = X.shape
     residuals = y - X @ beta
     df_residual = n - k
     ssr = float(residuals @ residuals)

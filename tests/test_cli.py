@@ -330,6 +330,34 @@ class TestBacktestAndEvaluate:
         assert (out / "evaluation.csv").read_bytes() == first
         capsys.readouterr()
 
+    def test_failed_rerun_leaves_no_stale_forecasts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("score", "build-index", "backtest"):
+            assert run("--config", "toy", "--out", out, command) == 0
+        assert run("--config", "toy", "--out", out,
+                   "--set", "eval_end=2030-12", "backtest", "all") == 3
+        for name in ("forecasts.csv", "evaluation.txt", "evaluation.csv"):
+            assert not (out / name).exists()
+        capsys.readouterr()
+        assert run("--config", "toy", "--out", out, "evaluate") == 3
+        assert "backtest command first" in capsys.readouterr().err
+
+    def test_gap_inside_the_rolling_span_is_data_error(self, tmp_path, capsys):
+        # A gasoline level missing in 2020-05 leaves no 1-month change for
+        # 2020-05 and 2020-06. The rolling windows from 2020-06 on span
+        # them; the fixed training window 2015-01..2019-12 does not.
+        levels = (TOY_DIR / "gas.csv").read_text().splitlines()
+        gas = tmp_path / "gas.csv"
+        gas.write_text(
+            "\n".join(line for line in levels if not line.startswith("2020-05"))
+            + "\n"
+        )
+        cfg = write_config(tmp_path, gas=gas, scheme="rolling")
+        assert run("--config", cfg, "--out", tmp_path / "out",
+                   "backtest", "fed") == 3
+        err = capsys.readouterr().err
+        assert "'gas' lacks months" in err and "2020-05, 2020-06" in err
+
     def test_evaluate_requires_forecasts(self, tmp_path, capsys):
         assert run("--config", "toy", "--out", tmp_path / "out", "evaluate") == 3
         assert "backtest command first" in capsys.readouterr().err

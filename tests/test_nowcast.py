@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newscast import (
     MODEL_SPECS,
@@ -14,14 +16,19 @@ from newscast import (
     ModelSpec,
     MonthKey,
     MonthlySeries,
+    NewscastError,
     NotFittedError,
     RegressionResult,
+    SingularDesignError,
     annualize,
     backtest,
     fit_model,
+    month_range,
+    months_between,
     nowcast,
     resolve_spec,
 )
+from newscast.nowcast import BACKTEST_SCHEMES
 
 BETA = (0.5, 1.5, -0.25, 0.1, 0.02)  # const, ccpi, fcpi, gas, news
 
@@ -320,6 +327,129 @@ class TestBacktest:
         data = make_bundle(rng, noise=0.2)
         fs = backtest("fed+news", data, self.TRAIN, self.EVAL)
         assert fs.model == "fed+news"
+
+
+def per_window_backtest(spec, data, train, evaluation, scheme, lags=12,
+                        robust=False):
+    """The backtest loop written out: a full fit_model (coefficients and
+    inference) per window and the public nowcast, then the annualized
+    columns in the order backtest computes them."""
+    length = months_between(*train) + 1
+    fitted = None
+    if scheme == "fixed":
+        fitted = fit_model(spec, data, *train, robust=robust)
+    realized = data["cpi"].window(*evaluation).tolist()
+    casts = []
+    for t in month_range(*evaluation):
+        if scheme == "rolling":
+            fitted = fit_model(
+                spec, data, t.shift(-length), t.shift(-1), robust=robust
+            )
+        casts.append(nowcast(spec, fitted, data, t, lags=lags))
+    list(map(annualize, casts))
+    list(map(annualize, realized))
+    return casts
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def outcome(call):
+    """A call's nowcasts as bytes, or its error type and message."""
+    try:
+        return ("ok", bits(call()))
+    except NewscastError as exc:
+        return (type(exc), str(exc))
+
+
+class TestBacktestMatchesPerWindowFits:
+    TRAIN = (month("2013-01"), month("2017-12"))
+    EVAL = (month("2018-01"), month("2019-12"))
+
+    @pytest.mark.parametrize("robust", [False, True])
+    @pytest.mark.parametrize("spec", list(MODEL_SPECS))
+    @pytest.mark.parametrize("scheme", BACKTEST_SCHEMES)
+    def test_bitwise(self, rng, scheme, spec, robust):
+        data = make_bundle(rng, noise=0.2)
+        fs = backtest(spec, data, self.TRAIN, self.EVAL, scheme)
+        expected = per_window_backtest(
+            spec, data, self.TRAIN, self.EVAL, scheme, robust=robust
+        )
+        assert bits(fs.nowcasts) == bits(expected)
+
+    def test_dependent_column_in_a_later_window(self, rng):
+        # Gasoline is constant over 2015-07..2020-06, so only the rolling
+        # window that ends in 2020-06 makes it a copy of the intercept.
+        data = make_bundle(rng, n=110, noise=0.2)
+        gas = np.array(data["gas"].values())
+        gas[30:90] = 0.5
+        data["gas"] = pct_series("pi-Gasoline", "2013-01", gas)
+        evaluation = (month("2018-01"), month("2020-12"))
+        with pytest.raises(SingularDesignError) as got:
+            backtest("fed", data, self.TRAIN, evaluation, "rolling")
+        with pytest.raises(SingularDesignError) as expected:
+            per_window_backtest("fed", data, self.TRAIN, evaluation, "rolling")
+        assert "rank deficient" in str(got.value)
+        assert str(got.value) == str(expected.value)
+        # The fixed window never sees the constant stretch whole.
+        backtest("fed", data, self.TRAIN, evaluation, "fixed")
+
+    def test_gap_inside_the_rolling_span(self, rng):
+        data = make_bundle(rng, noise=0.2)
+        gap = month("2016-05")
+        data["ccpi"] = MonthlySeries(
+            "pi-CCPI",
+            [(m, v) for m, v in data["ccpi"].items() if m != gap],
+            "percent",
+        )
+        with pytest.raises(MissingMonthsError) as got:
+            backtest("ccpi+news", data, self.TRAIN, self.EVAL, "rolling")
+        assert got.value.months == (gap,)
+
+
+@st.composite
+def gapless_cases(draw):
+    """A spec, scheme, windows and gapless series long enough that every
+    window and every moving-average lag exists."""
+    spec = resolve_spec(draw(st.sampled_from(list(MODEL_SPECS))))
+    scheme = draw(st.sampled_from(BACKTEST_SCHEMES))
+    lags = draw(st.integers(1, 12))
+    length = draw(st.integers(len(spec.regressors) + 2, 24))
+    n_eval = draw(st.integers(1, 12))
+    gap = draw(st.integers(0, 3))
+    start = MonthKey.from_ordinal(draw(st.integers(2000 * 12, 2001 * 12)))
+    eval_start = start.shift(length + gap + lags)
+    train_end = eval_start.shift(-1 - gap)
+    train = (train_end.shift(1 - length), train_end)
+    evaluation = (eval_start, eval_start.shift(n_eval - 1))
+    n = length + gap + lags + n_eval
+    # Small integers make exactly dependent columns common.
+    values = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False),
+    )
+    data = {
+        key: pct_series(key, str(start),
+                        draw(st.lists(values, min_size=n, max_size=n)))
+        for key in ("cpi",) + spec.regressors
+    }
+    return spec, data, train, evaluation, scheme, lags
+
+
+@settings(max_examples=150, deadline=None)
+@given(gapless_cases(), st.booleans())
+def test_backtest_matches_per_window_fits(case, robust):
+    spec, data, train, evaluation, scheme, lags = case
+    got = outcome(
+        lambda: backtest(spec, data, train, evaluation, scheme, lags=lags).nowcasts
+    )
+    expected = outcome(
+        lambda: per_window_backtest(
+            spec, data, train, evaluation, scheme, lags, robust
+        )
+    )
+    assert got == expected
 
 
 class TestInflationNowcaster:

@@ -1,5 +1,6 @@
 """Least-squares fitting against a high-precision normal-equations oracle."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,11 +15,13 @@ import newscast
 
 from newscast import (
     DataError,
-    RegressionResult,
+    NewscastError,
     SingularDesignError,
     fit_ols,
     significance_stars,
 )
+from newscast.cli import main as cli_main
+from newscast.ols import solve_ols
 
 # Fixed 10x3 fixture (intercept, x1, x2); every value is dyadic so the
 # float64 design is exact. Expected values were computed independently
@@ -155,6 +158,31 @@ class TestRankDeficiency:
         assert np.all(np.isfinite(res.estimates))
 
 
+class TestSolveCore:
+    """solve_ols is fit_ols without the inference step."""
+
+    def test_beta_is_fit_ols_estimates(self, rng):
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
+        y = X @ [0.1, 0.5, -0.2, 0.0] + rng.normal(size=40)
+        beta = solve_ols(y, X, ("const", "a", "b", "c")).beta
+        for robust in (False, True):
+            assert beta.tobytes() == fit_ols(y, X, robust=robust).estimates.tobytes()
+
+    @pytest.mark.parametrize("X", [
+        np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0)]),
+        np.zeros((6, 3)),
+        np.column_stack([np.ones(6), np.arange(6.0), [0, 1, 0, 1, np.inf, 1]]),
+    ])
+    def test_same_errors_as_fit_ols(self, X):
+        names = ("const", "a", "b")
+        with pytest.raises(NewscastError) as solved:
+            solve_ols(np.ones(6), X, names)
+        with pytest.raises(NewscastError) as fitted:
+            fit_ols(np.ones(6), X, names)
+        assert type(solved.value) is type(fitted.value)
+        assert str(solved.value) == str(fitted.value)
+
+
 class TestEdgesAndValidation:
     def test_intercept_only_f_is_nan(self):
         res = fit_ols([1.0, 2.0, 3.0, 4.0], np.ones((4, 1)), ("const",))
@@ -218,19 +246,54 @@ class TestSignificanceStars:
         assert significance_stars(p) == expected
 
 
+def package_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(newscast.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
+def scipy_modules_after(out, *commands):
+    """The scipy modules a fresh interpreter has loaded after importing
+    newscast.cli and running the commands on the toy config."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from newscast.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['--config', 'toy', '--out', sys.argv[1], c])\n"
+        "             for c in sys.argv[2:]]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'scipy')]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, out, *commands], env=package_env(),
+        capture_output=True, text=True, check=True,
+    )
+    codes, modules = json.loads(result.stdout)
+    assert codes == [0] * len(commands)
+    return modules
+
+
 class TestTailProbabilities:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second of import time and is not needed.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(newscast.__file__).parents[1]), env.get("PYTHONPATH", "")]
-        )
+        env = package_env()
         code = "import sys, newscast; print('scipy.stats' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True,
         )
         assert result.stdout.strip() == "False"
+
+    def test_scipy_is_loaded_only_by_the_commands_that_call_it(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert scipy_modules_after(out) == []  # import newscast.cli alone
+        assert scipy_modules_after(out, "score", "build-index") == []
+        assert cli_main(["--config", "toy", "--out", out, "backtest"]) == 0
+        loaded = scipy_modules_after(out, "evaluate")
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.linalg")]
 
     def test_p_values_match_scipy_stats_bitwise(self, rng):
         for robust in (False, True):

@@ -3,7 +3,6 @@
 import pytest
 
 from newscast import (
-    DEFAULT_LEXICON,
     Article,
     ConfigError,
     DataError,
