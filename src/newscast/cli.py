@@ -3,15 +3,23 @@
 Commands compose through files in the output directory: score writes
 the scored articles that build-index reads, build-index writes the
 index that fit and backtest read, backtest writes the forecasts that
-evaluate reads. Every output is a pure function of the config and the
-input files, so reruns are byte-identical.
+evaluate reads. A command writes only there: the files COMMANDS lists
+for it, and score also articles_rejected.csv when it rejects rows. The
+`scored`, `news_index` and `forecasts` keys name files read in place of
+an upstream command's output; no command writes them. A command that
+fails removes its COMMANDS files, so an earlier run's output cannot
+pass for its own; articles_rejected.csv, which a refused score names in
+its error, stays. Every output is a pure function of the config and
+the input files, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Mapping, Sequence
+from contextlib import suppress
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 from .config import RunConfig, load_config, toy_config_path
 from .errors import ConfigError, DataError, NewscastError, NumericError
@@ -143,7 +151,18 @@ def _resolve_spec_names(cfg: RunConfig, names: Sequence[str]) -> list[str]:
     return list(dict.fromkeys(names))
 
 
-def cmd_score(cfg: RunConfig) -> int:
+def _upstream(path: Path, what: str, command: str, key: str) -> Path:
+    """path, or a DataError naming the command that writes it and the
+    config key that names a replacement."""
+    if not path.exists():
+        raise DataError(
+            f"{what} file {path} does not exist; run the {command} command "
+            f"first or set the {key!r} config key"
+        )
+    return path
+
+
+def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.news_probs_path is not None:
         articles, rejections = read_probability_articles(
             cfg.news_probs_path, strict=False
@@ -175,9 +194,6 @@ def cmd_score(cfg: RunConfig) -> int:
         write_rejections(rejections, rejected_path, comment)
         total = len(articles) + len(rejections)
         if len(rejections) > MAX_REJECTED_FRACTION * total:
-            # An earlier run's outputs would pass for this run's.
-            remove_output(probs_path)
-            remove_output(scored_path)
             raise DataError(
                 f"{len(rejections)} of {total} rows are malformed "
                 f"(> {MAX_REJECTED_FRACTION:.0%}); see articles_rejected.csv"
@@ -199,14 +215,10 @@ def cmd_score(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_build_index(cfg: RunConfig) -> int:
-    scored_path = cfg.effective_scored_path()
-    if not scored_path.exists():
-        raise DataError(
-            f"scored-article file {scored_path} does not exist; "
-            "run the score command first or set the 'scored' config key"
-        )
-    scored, _ = read_scored_articles(scored_path)
+def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
+    scored, _ = read_scored_articles(
+        _upstream(cfg.effective_scored_path(), "scored-article", "score", "scored")
+    )
     monthly = monthly_aggregate(scored, day_cutoff=cfg.day_cutoff)
     index = build_news_index(monthly)
     comment = cfg.provenance()
@@ -242,20 +254,16 @@ def _load_pi_bundle(
         levels = read_series(path, name=key)
         bundle[key] = pct_change(levels, cfg.window)
     if "news" in needed:
-        index_path = cfg.effective_news_index_path()
-        if not index_path.exists():
-            raise DataError(
-                f"news index file {index_path} does not exist; "
-                "run the build-index command first or set the "
-                "'news_index' config key"
-            )
+        index_path = _upstream(
+            cfg.effective_news_index_path(), "news index", "build-index", "news_index"
+        )
         index_series = read_series(index_path, name="NEWS")
         bundle["news"] = news_pi(index_series, cfg.window, mode=cfg.news_pi_mode)
     return bundle
 
 
-def cmd_fit(cfg: RunConfig, spec_names: Sequence[str]) -> int:
-    names = _resolve_spec_names(cfg, spec_names)
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    names = _resolve_spec_names(cfg, args.specs)
     bundle = _load_pi_bundle(cfg, names)
     results = [
         fit_model(name, bundle, cfg.train_start, cfg.train_end, robust=cfg.robust)
@@ -264,8 +272,8 @@ def cmd_fit(cfg: RunConfig, spec_names: Sequence[str]) -> int:
     text = regression_table(results, names)
     comment = cfg.provenance()
     write_table(text, cfg.out_path("regression.txt"), comment)
-    write_table(
-        regression_table_delimited(results, names),
+    write_rows(
+        *regression_table_delimited(results, names),
         cfg.out_path("regression.csv"),
         comment,
     )
@@ -273,9 +281,12 @@ def cmd_fit(cfg: RunConfig, spec_names: Sequence[str]) -> int:
     return EXIT_OK
 
 
-def cmd_nowcast(cfg: RunConfig, spec_names: Sequence[str], month: str | None) -> int:
-    names = _resolve_spec_names(cfg, spec_names)
-    t = MonthKey.parse(month) if month else cfg.train_end.shift(1)
+def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> int:
+    names = _resolve_spec_names(cfg, args.specs)
+    try:
+        t = MonthKey.parse(args.month) if args.month else cfg.train_end.shift(1)
+    except DataError as exc:
+        raise ConfigError(f"--month: {exc}") from None
     bundle = _load_pi_bundle(cfg, names)
     rows = []
     for name in names:
@@ -290,42 +301,20 @@ def cmd_nowcast(cfg: RunConfig, spec_names: Sequence[str], month: str | None) ->
     return EXIT_OK
 
 
-def cmd_backtest(cfg: RunConfig, spec_names: Sequence[str]) -> int:
-    forecasts_path = cfg.effective_forecasts_path()
-    try:
-        names = _resolve_spec_names(cfg, spec_names)
-        bundle = _load_pi_bundle(cfg, names)
-        forecasts = [
-            backtest(
-                name,
-                bundle,
-                (cfg.train_start, cfg.train_end),
-                (cfg.eval_start, cfg.eval_end),
-                cfg.scheme,
-            )
-            for name in names
-        ]
-        write_forecasts(forecasts, forecasts_path, cfg.provenance())
-        return _evaluate(cfg, forecasts)
-    except NewscastError:
-        # An earlier run's outputs would pass for this run's.
-        for path in (
-            forecasts_path,
-            cfg.out_path("evaluation.txt"),
-            cfg.out_path("evaluation.csv"),
-        ):
-            remove_output(path)
-        raise
+def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
+    names = _resolve_spec_names(cfg, args.specs)
+    bundle = _load_pi_bundle(cfg, names)
+    windows = (cfg.train_start, cfg.train_end), (cfg.eval_start, cfg.eval_end)
+    forecasts = [backtest(name, bundle, *windows, cfg.scheme) for name in names]
+    write_forecasts(forecasts, cfg.out_path("forecasts.csv"), cfg.provenance())
+    return _evaluate(cfg, forecasts)
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    forecasts_path = cfg.effective_forecasts_path()
-    if not forecasts_path.exists():
-        raise DataError(
-            f"forecast file {forecasts_path} does not exist; "
-            "run the backtest command first or set the 'forecasts' config key"
-        )
-    return _evaluate(cfg, read_forecasts(forecasts_path))
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    path = cfg.effective_forecasts_path()
+    return _evaluate(
+        cfg, read_forecasts(_upstream(path, "forecast", "backtest", "forecasts"))
+    )
 
 
 def _evaluate(cfg: RunConfig, forecasts: Sequence[ForecastSeries]) -> int:
@@ -339,44 +328,49 @@ def _evaluate(cfg: RunConfig, forecasts: Sequence[ForecastSeries]) -> int:
     comment = cfg.provenance()
     text = evaluation_table(report)
     write_table(text, cfg.out_path("evaluation.txt"), comment)
-    write_table(
-        evaluation_table_delimited(report), cfg.out_path("evaluation.csv"), comment
+    write_rows(
+        *evaluation_table_delimited(report), cfg.out_path("evaluation.csv"), comment
     )
     print(text, end="")
     return EXIT_OK
 
 
+#: Each command's handler, called with (cfg, args), and the files it
+#: writes under --out.
+COMMANDS: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
+    "score": (cmd_score, ("articles_probs.csv", "articles_scored.csv")),
+    "build-index": (cmd_build_index, ("news_index.csv", "news_index_meta.csv")),
+    "fit": (cmd_fit, ("regression.txt", "regression.csv")),
+    "nowcast": (cmd_nowcast, ("nowcast.csv",)),
+    "backtest": (cmd_backtest, ("forecasts.csv", "evaluation.txt", "evaluation.csv")),
+    "evaluate": (cmd_evaluate, ("evaluation.txt", "evaluation.csv")),
+}
+
+#: Error families and their exit codes; any other NewscastError exits 1.
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (NumericError, EXIT_NUMERIC),
+    (DataError, EXIT_DATA),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, outputs = COMMANDS[args.command]
+    cfg = None
     try:
         config_path = toy_config_path() if args.config == "toy" else args.config
         cfg = load_config(config_path, args.overrides, args.out)
-        if args.command == "score":
-            return cmd_score(cfg)
-        if args.command == "build-index":
-            return cmd_build_index(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.specs)
-        if args.command == "nowcast":
-            return cmd_nowcast(cfg, args.specs, args.month)
-        if args.command == "backtest":
-            return cmd_backtest(cfg, args.specs)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return handler(cfg, args)
     except NewscastError as exc:
+        # An earlier run's outputs would pass for this run's. A failed
+        # removal is ignored, so the error reported is the command's.
+        if cfg is not None:
+            for name in outputs:
+                with suppress(OSError):
+                    cfg.out_path(name).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), 1)
 
 
 if __name__ == "__main__":

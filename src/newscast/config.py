@@ -10,6 +10,7 @@ directory, because the config may live somewhere read-only.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -279,8 +280,11 @@ def load_config(
         resolve_spec(name)  # raises ConfigError on unknown names
 
     baseline_gain = _float(effective["baseline_gain"], "baseline_gain")
-    if baseline_gain <= 0:
-        raise ConfigError(f"baseline_gain must be positive, got {baseline_gain}")
+    if not 0 < baseline_gain < math.inf:
+        raise ConfigError(
+            f"config key 'baseline_gain' must be positive and finite, "
+            f"got {baseline_gain}"
+        )
 
     return RunConfig(
         config_dir=config_dir,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import itertools
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -155,6 +156,45 @@ def write_table(text: str, path: str | Path, comment: str | None = None) -> None
 # ---------------------------------------------------------------- series
 
 
+def _month_rows(path: Path, header: Sequence[str], keyed: bool):
+    """Yield (month, model, values) for each row of a month-keyed file:
+    the month in the first field, then the model name if keyed, then
+    the float values. Values must be finite and months strictly
+    increasing per model; a row that breaks a rule is rejected with its
+    line number."""
+    latest: dict[str, MonthKey] = {}
+    first = 2 if keyed else 1
+    for line_num, row in _read_rows(path, header):
+        try:
+            if len(row) != len(header):
+                raise DataError(f"expected {len(header)} fields, got {len(row)}")
+            month = MonthKey.parse(row[0])
+            model = row[1].strip() if keyed else ""
+            values = [
+                _finite(name, cell, month)
+                for name, cell in zip(header[first:], row[first:])
+            ]
+            previous = latest.get(model)
+            if previous is not None and month <= previous:
+                kind = "duplicate" if month == previous else "non-monotone"
+                owner = f" for model {model!r}" if keyed else ""
+                raise DataError(f"{kind} month {month}{owner}")
+        except NewscastError as exc:
+            raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
+        latest[model] = month
+        yield month, model, values
+
+
+def _finite(name: str, cell: str, month: MonthKey) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{name} {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"{name} {cell!r} at {month} is not finite")
+    return value
+
+
 def read_series(
     path: str | Path,
     name: str | None = None,
@@ -163,33 +203,12 @@ def read_series(
     """Load a `date,value` file into a MonthlySeries.
 
     Month keys must be strictly increasing; duplicates, unparseable
-    dates, and non-numeric values are rejected with their line number.
+    dates, and non-numeric or non-finite values are rejected with their
+    line number.
     """
     path = Path(path)
-    pairs: list[tuple[MonthKey, float]] = []
-    previous: MonthKey | None = None
-    for line_num, row in _read_rows(path, SERIES_HEADER):
-        if len(row) != 2:
-            raise SeriesFormatError(
-                f"{path}: expected 2 fields, got {len(row)}", line=line_num
-            )
-        try:
-            month = MonthKey.parse(row[0].strip())
-        except NewscastError as exc:
-            raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
-        try:
-            value = float(row[1])
-        except ValueError:
-            raise SeriesFormatError(
-                f"{path}: value {row[1]!r} is not a number", line=line_num
-            ) from None
-        if previous is not None and month <= previous:
-            kind = "duplicate" if month == previous else "non-monotone"
-            raise SeriesFormatError(
-                f"{path}: {kind} month {month}", line=line_num
-            )
-        previous = month
-        pairs.append((month, value))
+    rows = _month_rows(path, SERIES_HEADER, keyed=False)
+    pairs = [(month, value) for month, _, (value,) in rows]
     return MonthlySeries(name or path.stem, pairs, unit)
 
 
@@ -473,27 +492,11 @@ def write_forecasts(
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:
     """Load a forecast file back into per-model series, in file order.
-    Within a model, months must be strictly increasing."""
+    Within a model, months must be strictly increasing; every value
+    must be finite."""
     collected: dict[str, list[tuple[MonthKey, float, float, float, float]]] = {}
-    for line_num, row in _read_rows(Path(path), FORECAST_HEADER):
-        if len(row) != len(FORECAST_HEADER):
-            raise SeriesFormatError(
-                f"{path}: expected {len(FORECAST_HEADER)} fields, got {len(row)}",
-                line=line_num,
-            )
-        try:
-            month = MonthKey.parse(row[0].strip())
-            values = tuple(float(cell) for cell in row[2:])
-        except (NewscastError, ValueError) as exc:
-            raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
-        model = row[1].strip()
-        rows = collected.setdefault(model, [])
-        if rows and month <= rows[-1][0]:
-            kind = "duplicate" if month == rows[-1][0] else "non-monotone"
-            raise SeriesFormatError(
-                f"{path}: {kind} month {month} for model {model!r}", line=line_num
-            )
-        rows.append((month, *values))
+    for month, model, values in _month_rows(Path(path), FORECAST_HEADER, keyed=True):
+        collected.setdefault(model, []).append((month, *values))
     if not collected:
         raise DataError(f"{path} contains no forecast rows")
     # Row fields follow ForecastSeries' fields after model: transpose.

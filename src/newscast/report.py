@@ -8,8 +8,6 @@ star legend.
 
 from __future__ import annotations
 
-import io as _io
-import csv
 from typing import Sequence
 
 from .errors import DataError
@@ -114,48 +112,38 @@ def regression_table(
 def regression_table_delimited(
     results: Sequence[RegressionResult],
     model_names: Sequence[str],
-) -> str:
-    """CSV mirror of the table: term,statistic,<model per column>."""
+) -> tuple[list[str], list[list[str]]]:
+    """CSV mirror of the table, as its header and rows:
+    term,statistic,<model per column>."""
     if not results or len(results) != len(model_names):
         raise DataError("need one model name per regression result")
-    terms = _coefficient_rows(results)
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["term", "statistic", *model_names])
 
     def cells(term: str, pick) -> list[str]:
-        out = []
-        for result in results:
-            if term in result.names:
-                out.append(pick(result, result.names.index(term)))
-            else:
-                out.append("")
-        return out
+        return [
+            pick(r, r.names.index(term)) if term in r.names else "" for r in results
+        ]
 
-    for term in terms:
-        writer.writerow(
-            [term, "estimate", *cells(term, lambda r, i: repr(float(r.estimates[i])))]
-        )
-        writer.writerow(
-            [term, "std_error",
-             *cells(term, lambda r, i: repr(float(r.standard_errors[i])))]
-        )
-        writer.writerow(
-            [term, "p_value", *cells(term, lambda r, i: repr(float(r.p_values[i])))]
-        )
-        writer.writerow([term, "stars", *cells(term, lambda r, i: r.stars[i])])
-    writer.writerow(["Observations", "value", *[str(r.n_obs) for r in results]])
-    writer.writerow(["R2", "value", *[repr(r.r_squared) for r in results]])
-    writer.writerow(
-        ["Adjusted R2", "value", *[repr(r.adjusted_r_squared) for r in results]]
+    statistics = (
+        ("estimate", lambda r, i: repr(float(r.estimates[i]))),
+        ("std_error", lambda r, i: repr(float(r.standard_errors[i]))),
+        ("p_value", lambda r, i: repr(float(r.p_values[i]))),
+        ("stars", lambda r, i: r.stars[i]),
     )
-    writer.writerow(
+    rows = [
+        [term, statistic, *cells(term, pick)]
+        for term in _coefficient_rows(results)
+        for statistic, pick in statistics
+    ]
+    rows += [
+        ["Observations", "value", *[str(r.n_obs) for r in results]],
+        ["R2", "value", *[repr(r.r_squared) for r in results]],
+        ["Adjusted R2", "value", *[repr(r.adjusted_r_squared) for r in results]],
         ["Residual Std. Error", "value",
-         *[repr(r.residual_std_error) for r in results]]
-    )
-    writer.writerow(["F Statistic", "value", *[repr(r.f_statistic) for r in results]])
-    writer.writerow(["F p-value", "value", *[repr(r.f_p_value) for r in results]])
-    return buffer.getvalue()
+         *[repr(r.residual_std_error) for r in results]],
+        ["F Statistic", "value", *[repr(r.f_statistic) for r in results]],
+        ["F p-value", "value", *[repr(r.f_p_value) for r in results]],
+    ]
+    return ["term", "statistic", *model_names], rows
 
 
 def evaluation_table(report: EvaluationReport) -> str:
@@ -179,27 +167,20 @@ def evaluation_table(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluation_table_delimited(report: EvaluationReport) -> str:
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["model", "rmse", "gw_statistic", "gw_df", "gw_p_value", "gw_variant",
-         "stars"]
-    )
+def evaluation_table_delimited(
+    report: EvaluationReport,
+) -> tuple[list[str], list[list[str]]]:
+    """CSV mirror of the evaluation table, as its header and rows."""
+    header = [
+        "model", "rmse", "gw_statistic", "gw_df", "gw_p_value", "gw_variant",
+        "stars",
+    ]
+    rows = []
     for entry in report.entries:
-        if entry.gw is None:
-            writer.writerow([entry.model, repr(entry.rmse), "", "", "", "", ""])
-        else:
-            writer.writerow(
-                [
-                    entry.model,
-                    repr(entry.rmse),
-                    repr(entry.gw.statistic),
-                    str(entry.gw.df),
-                    repr(entry.gw.p_value),
-                    entry.gw.variant,
-                    significance_stars(entry.gw.p_value),
-                ]
-            )
-    return buffer.getvalue()
-
+        gw = entry.gw
+        tests = [""] * 5 if gw is None else [
+            repr(gw.statistic), str(gw.df), repr(gw.p_value), gw.variant,
+            significance_stars(gw.p_value),
+        ]
+        rows.append([entry.model, repr(entry.rmse), *tests])
+    return header, rows

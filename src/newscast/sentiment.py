@@ -365,8 +365,8 @@ def baseline_probabilities(
 ) -> np.ndarray:
     """baseline_classify of every text, as an n x 3 matrix of
     (p_down, p_neutral, p_up) rows."""
-    if gain <= 0:
-        raise ConfigError(f"baseline gain must be positive, got {gain}")
+    if not 0 < gain < math.inf:
+        raise ConfigError(f"baseline gain must be positive and finite, got {gain}")
     if cap < 1:
         raise ConfigError(f"baseline cap must be >= 1, got {cap}")
     haystacks = _haystacks(texts)

@@ -2,11 +2,13 @@
 
 import csv
 import io
+import shutil
 
 import pytest
 
 from newscast import toy_config_path
-from newscast.cli import main
+from newscast.cli import COMMANDS, main
+from newscast.nowcast import MODEL_SPECS
 
 TOY_DIR = toy_config_path().parent
 
@@ -429,3 +431,131 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"cannot write {out / 'articles_scored.csv'}" in err
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.fixture(scope="module")
+def toy_chain(tmp_path_factory):
+    """Outputs of every command's clean toy run, shared read-only."""
+    out = tmp_path_factory.mktemp("toy-chain")
+    for command in ("score", "build-index", "fit", "nowcast", "backtest"):
+        assert run("--config", "toy", "--out", out, command) == 0
+    return out
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+FORECAST_TEXT = (
+    "date,model,nowcast,nowcast_annualized,realized,realized_annualized\n"
+)
+
+
+class TestCommandTable:
+    """Each command writes only its COMMANDS files under --out, and a
+    failed command removes them."""
+
+    @pytest.mark.parametrize(
+        "argv, inputs, code, message",
+        [
+            (["--set", "news_probs=", "--set", "news_text=", "score"], {}, 2,
+             "news_probs or news_text"),
+            (["--set", "scored={tmp}/scored.csv", "build-index"],
+             {"scored.csv": "id,date,score\na1,2015-01-05,2.0\n"}, 3, "line 2"),
+            (["fit", "fed+tweets"], {}, 2, "unknown model"),
+            (["nowcast", "--month", "2020-13"], {}, 2, "--month"),
+            (["--set", "eval_end=2030-12", "backtest"], {}, 3, "lacks months"),
+            (["--set", "forecasts={tmp}/forecasts.csv", "evaluate"],
+             {"forecasts.csv": FORECAST_TEXT + "2020-01,fed,nan,0,0,0\n"}, 3,
+             "is not finite"),
+        ],
+        ids=list(COMMANDS),
+    )
+    def test_failed_rerun_removes_only_its_outputs(
+        self, tmp_path, toy_chain, capsys, argv, inputs, code, message
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(toy_chain, out)
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        command = next(a for a in argv if a in COMMANDS)
+        outputs = COMMANDS[command][1]
+        before = snapshot(out)
+        assert set(outputs) <= set(before)
+        capsys.readouterr()
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run("--config", "toy", "--out", out, *argv) == code
+        assert message in capsys.readouterr().err
+        after = snapshot(out)
+        assert after == {k: v for k, v in before.items() if k not in outputs}
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_success_writes_exactly_its_outputs(self, tmp_path, toy_chain, command):
+        # Upstream files come from the chain through the config keys,
+        # so the fresh --out holds only what this command wrote.
+        chain = snapshot(toy_chain)
+        out = tmp_path / "out"
+        assert run(
+            "--config", "toy", "--out", out,
+            "--set", f"scored={toy_chain / 'articles_scored.csv'}",
+            "--set", f"news_index={toy_chain / 'news_index.csv'}",
+            "--set", f"forecasts={toy_chain / 'forecasts.csv'}",
+            command,
+        ) == 0
+        assert sorted(snapshot(out)) == sorted(COMMANDS[command][1])
+        assert snapshot(toy_chain) == chain
+
+    def test_score_with_rejections_adds_the_rejection_file(self, tmp_path):
+        lines = ["id,date,p_down,p_neutral,p_up"]
+        lines += [f"a{i:02d},2015-01-{i + 1:02d},0.2,0.3,0.5" for i in range(20)]
+        probs = tmp_path / "probs.csv"
+        probs.write_text("\n".join(lines + ["bad,2015-01-05,0.9,0.9,0.9"]) + "\n")
+        cfg = write_config(tmp_path, news_probs=probs)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "score") == 0
+        assert sorted(snapshot(out)) == sorted(
+            (*COMMANDS["score"][1], "articles_rejected.csv")
+        )
+
+    def test_failed_build_index_leaves_no_stale_index(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("score", "build-index"):
+            assert run("--config", "toy", "--out", out, command) == 0
+        # The text route with a lexicon nothing matches scores 0 articles.
+        assert run("--config", "toy", "--out", out, "--set", "news_probs=",
+                   "--set", "lexicon=zzzz", "score") == 0
+        assert run("--config", "toy", "--out", out, "build-index") == 3
+        assert not (out / "news_index.csv").exists()
+        assert not (out / "news_index_meta.csv").exists()
+        capsys.readouterr()
+        assert run("--config", "toy", "--out", out, "backtest") == 3
+        assert "build-index command first" in capsys.readouterr().err
+
+    def test_backtest_never_writes_the_configured_forecasts(
+        self, tmp_path, toy_chain, capsys
+    ):
+        mine = tmp_path / "keep" / "mine.csv"
+        mine.parent.mkdir()
+        mine.write_bytes((toy_chain / "forecasts.csv").read_bytes())
+        original = mine.read_bytes()
+        out = tmp_path / "out"
+        shutil.copytree(toy_chain, out)
+        keyed = ("--config", "toy", "--out", out, "--set", f"forecasts={mine}")
+        assert run(*keyed, "--set", "eval_end=2030-12", "backtest", "all") == 3
+        assert mine.read_bytes() == original
+        assert run(*keyed, "backtest", "all") == 0
+        assert mine.read_bytes() == original
+        rows = read_csv_after_provenance(out / "forecasts.csv")
+        assert {r[1] for r in rows[1:]} == set(MODEL_SPECS)
+        capsys.readouterr()
+
+    def test_out_path_that_is_a_file_reports_the_write_error(
+        self, tmp_path, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run("--config", "toy", "--out", taken, "backtest", "fed") == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {taken / 'forecasts.csv'}" in err
+        assert "cannot remove" not in err
+        assert taken.read_text() == "not a directory\n"

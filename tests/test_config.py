@@ -200,6 +200,12 @@ class TestValidation:
             with pytest.raises(ConfigError):
                 load_config(path, overrides=(override,))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_baseline_gain_names_the_key(self, tmp_path, value):
+        path = write_minimal_config(tmp_path)
+        with pytest.raises(ConfigError, match="'baseline_gain' must be positive"):
+            load_config(path, overrides=(f"baseline_gain = {value}",))
+
     def test_day_cutoff_none(self, tmp_path):
         path = write_minimal_config(tmp_path)
         assert load_config(path, overrides=("day_cutoff = none",)).day_cutoff is None

@@ -17,7 +17,7 @@ from newscast import (
     lexicon_filter,
     polarity_score,
 )
-from newscast.sentiment import normalize_whitespace, rescore
+from newscast.sentiment import baseline_probabilities, normalize_whitespace, rescore
 
 
 def probs(d, n, u):
@@ -254,6 +254,11 @@ class TestBaselineClassify:
             baseline_classify("x", gain=0.0)
         with pytest.raises(ConfigError):
             baseline_classify("x", cap=0)
+
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    def test_non_finite_gain_refused(self, gain):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            baseline_probabilities(["prices rose"], gain=gain)
 
     def test_output_is_valid_probability_vector(self, rng):
         vocab = ("rose", "fell", "surged", "cooled", "spiked", "slowing",
