@@ -87,6 +87,7 @@ from .timeseries import (
     month_range,
     months_between,
     moving_average_predictor,
+    moving_averages,
     pct_change,
 )
 from .version import __version__
@@ -101,6 +102,7 @@ __all__ = [
     "month_range",
     "months_between",
     "moving_average_predictor",
+    "moving_averages",
     "pct_change",
     # sentiment
     "DEFAULT_LEXICON",

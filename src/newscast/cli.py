@@ -8,8 +8,9 @@ for it, and score also articles_rejected.csv when it rejects rows. The
 `scored`, `news_index` and `forecasts` keys name files read in place of
 an upstream command's output; no command writes them. A command that
 fails removes its COMMANDS files, so an earlier run's output cannot
-pass for its own; articles_rejected.csv, which a refused score names in
-its error, stays. Every output is a pure function of the config and
+pass for its own. score removes an earlier articles_rejected.csv before
+it reads its input, and a refused score keeps the one it wrote, which
+its error names. Every output is a pure function of the config and
 the input files, so reruns are byte-identical.
 """
 
@@ -163,6 +164,9 @@ def _upstream(path: Path, what: str, command: str, key: str) -> Path:
 
 
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
+    # Only this run's rejections may stand beside its output.
+    rejected_path = cfg.out_path("articles_rejected.csv")
+    remove_output(rejected_path)
     if cfg.news_probs_path is not None:
         articles, rejections = read_probability_articles(
             cfg.news_probs_path, strict=False
@@ -189,7 +193,6 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     comment = cfg.provenance()
     probs_path = cfg.out_path("articles_probs.csv")
     scored_path = cfg.out_path("articles_scored.csv")
-    rejected_path = cfg.out_path("articles_rejected.csv")
     if rejections:
         write_rejections(rejections, rejected_path, comment)
         total = len(articles) + len(rejections)
@@ -202,8 +205,6 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     scored = SentimentScorer(cfg.score).fit_transform(retained)
     write_probability_articles(retained, probs_path, comment)
     write_scored_articles(scored, scored_path, comment)
-    if not rejections:
-        remove_output(rejected_path)  # a rerun's clean input leaves none
 
     if not scored:
         print("warning: no articles passed the lexicon filter", file=sys.stderr)

@@ -123,6 +123,8 @@ def remove_output(path: str | Path) -> None:
     """Delete an output file left by an earlier run, if there is one."""
     try:
         Path(path).unlink(missing_ok=True)
+    except NotADirectoryError:
+        pass  # a path below a non-directory names no file
     except OSError as exc:
         raise DataError(f"cannot remove {path}: {exc}") from exc
 

@@ -8,13 +8,19 @@ observable in real time and enters with its exact value for the target
 month.
 
 One helper builds the response and the [1, regressors...] design over a
-span of months, and one helper evaluates the nowcast formula. fit_model
-builds the design of one window and runs fit_ols, the solve core plus
-the inference step that the fit command writes to regression.txt and
-regression.csv. backtest builds each model's design once over every
+span of months. Nowcasts are computed as columns over a span of months:
+one helper reads each regressor as one array over the span (the news
+values, or a price index's moving averages), and one adds b0 + b1*x1 +
+... in spec order, elementwise, so each nowcast is bit for bit the
+scalar sum for its month. A single nowcast is a span of one month.
+fit_model
+builds the design of one window and runs fit_ols, the solve core
+plus the inference step that the fit command writes to regression.txt
+and regression.csv. backtest builds each model's design once over every
 month its windows cover, slices each rolling (or the fixed) window out
-of it, and runs the ols solve core alone: a nowcast needs coefficients
-and nothing else.
+of it, runs the ols solve core alone (a nowcast needs coefficients and
+nothing else), and stacks the coefficients into one row per evaluation
+month.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from .timeseries import (
     annualize,
     month_range,
     months_between,
-    moving_average_predictor,
+    moving_average_predictor,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
+    moving_averages,
 )
 
 TARGET_KEY = "cpi"
@@ -178,28 +185,37 @@ def nowcast(
             f"fitted coefficients {fitted.names} do not match model "
             f"{spec.name!r} ({expected})"
         )
-    return _nowcast_value(spec, fitted.estimates, data, t, lags)
+    columns = _regressor_columns(spec, data, t, t, lags)
+    return _nowcasts(fitted.estimates[None, :], columns).item()
 
 
-def _nowcast_value(
+def _regressor_columns(
     spec: ModelSpec,
-    beta: np.ndarray,
     data: Mapping[str, MonthlySeries],
-    t: MonthKey,
+    start: MonthKey,
+    end: MonthKey,
     lags: int,
-) -> float:
-    """b0 + sum of b_j * x_j in spec order, beta aligned with the spec's
-    coefficient names."""
-    intercept, *slopes = beta.tolist()
-    value = intercept
-    for key, b in zip(spec.regressors, slopes):
+) -> list[np.ndarray]:
+    """Each regressor's values at nowcast time for every month of
+    [start, end], in spec order: the news values themselves, and the
+    moving average of each price index's lags preceding values."""
+    columns = []
+    for key in spec.regressors:
         series = _bundle_series(data, key)
         if key == NEWS_KEY:
-            x = series[t]
+            columns.append(series.window(start, end))
         else:
-            x = moving_average_predictor(series, t, lags)
-        value += b * x
-    return value
+            columns.append(moving_averages(series, start, end, lags))
+    return columns
+
+
+def _nowcasts(betas: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """b0 + b1*x1 + b2*x2 + ..., added in spec order, for each row of
+    betas (one row, or one per month) against the regressor columns."""
+    casts = betas[:, 0]
+    for j, x in enumerate(columns, 1):
+        casts = casts + betas[:, j] * x
+    return casts
 
 
 @dataclass(frozen=True)
@@ -250,6 +266,13 @@ def backtest(
     Each window is a row slice of one design built over every month the
     windows cover, and only its coefficients are solved for; they and
     the nowcasts equal those of fit_model and nowcast on that window.
+    The nowcasts are computed as columns over the evaluation window.
+
+    Every input is read, one span per series, before the first window
+    is solved: a month missing anywhere (a design row, a realized or
+    news value, a moving-average lag) raises a MissingMonthsError that
+    names the span and every month it lacks, before any window can
+    raise SingularDesignError.
     """
     spec = resolve_spec(spec)
     if scheme not in BACKTEST_SCHEMES:
@@ -268,26 +291,22 @@ def backtest(
     n = _window_length(spec, train_start, train_end)
     names = spec.coefficient_names
 
-    months = month_range(eval_start, eval_end)
+    realized = _bundle_series(data, TARGET_KEY).window(eval_start, eval_end)
     if scheme == "fixed":
         y, X = _design(spec, data, train_start, train_end)
-        betas = [solve_ols(y, X, names).beta] * len(months)
-
-    target = _bundle_series(data, TARGET_KEY)
-    realized = target.window(eval_start, eval_end).tolist()
-
-    if scheme == "rolling":
+        starts = range(1)
+    else:
         y, X = _design(spec, data, eval_start.shift(-n), eval_end.shift(-1))
-        betas = (
-            solve_ols(y[i : i + n], X[i : i + n], names).beta
-            for i in range(len(months))
-        )
-    casts = [
-        _nowcast_value(spec, beta, data, t, lags) for t, beta in zip(months, betas)
-    ]
+        starts = range(len(realized))
+    columns = _regressor_columns(spec, data, eval_start, eval_end, lags)
+    betas = np.array(
+        [solve_ols(y[i : i + n], X[i : i + n], names).beta for i in starts]
+    )
+    casts = _nowcasts(betas, columns).tolist()
+    realized = realized.tolist()
     return ForecastSeries(
         model=spec.name,
-        months=tuple(months),
+        months=tuple(month_range(eval_start, eval_end)),
         nowcasts=tuple(casts),
         nowcasts_annualized=tuple(map(annualize, casts)),
         realized=tuple(realized),

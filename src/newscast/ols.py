@@ -8,15 +8,26 @@ The work is split in two steps. solve_ols is the core: the finiteness
 and rank checks and the coefficients. fit_ols adds the inference step
 on top of it (covariance, t and F tail probabilities, R-squared).
 The fit command and regression.csv use both steps; the walk-forward
-backtest needs only coefficients and calls solve_ols alone.
+backtest needs only coefficients and calls solve_ols alone, once per
+rolling window.
 
-scipy is imported inside the two steps, so importing this module (and
-running a command that fits nothing) loads no scipy module.
+The core calls the LAPACK routines geqp3, orgqr and trtrs directly,
+exactly as scipy.linalg.qr(mode="economic", pivoting=True) and
+solve_triangular call them: the same workspace sizes, the pivots made
+0-based, and the triangular solve done as the transposed system on
+R.T. So the coefficients, R and the pivot are bit for bit those of the
+public scipy functions, without their per-call argument validation,
+array conversion and workspace queries. The routines are looked up
+once, and each workspace size once per design shape.
+
+scipy is imported on first use, so importing this module (and running
+a command that fits nothing) loads no scipy module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -83,21 +94,54 @@ class Solution(NamedTuple):
     pivot: np.ndarray
 
 
+@cache
+def _routines():
+    """The float64 LAPACK routines geqp3, orgqr and trtrs."""
+    from scipy.linalg import lapack
+
+    return lapack.get_lapack_funcs(("geqp3", "orgqr", "trtrs"), (np.empty(0),))
+
+
+@lru_cache(maxsize=64)
+def _workspace(n: int, k: int) -> tuple[int, int, np.ndarray]:
+    """Optimal geqp3 and orgqr workspace sizes for an n x k design, as
+    scipy queries them (they depend on the shape alone), and the mask
+    of the entries below the diagonal of a k x k matrix."""
+    geqp3, orgqr, _ = _routines()
+    probe = np.zeros((n, k), order="F")
+    geqp3_lwork = int(geqp3(probe, lwork=-1)[-2][0])
+    orgqr_lwork = int(orgqr(probe, np.zeros(k), lwork=-1)[-2][0])
+    below = np.tri(k, k, -1, dtype=bool)
+    below.flags.writeable = False
+    return geqp3_lwork, orgqr_lwork, below
+
+
+def _check(routine: str, info: int) -> None:
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal {routine}"
+        )
+
+
 def solve_ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> Solution:
     """Coefficients of the least-squares fit of y on the columns of X.
 
-    y and X are float arrays of matching, already validated shapes with
-    more rows than columns; names label the columns. Raises DataError
-    for non-finite values and SingularDesignError, naming the dependent
-    columns, when a column is (numerically) a linear combination of
-    the others.
+    y and X are float64 arrays of matching, already validated shapes
+    with more rows than columns; names label the columns. Raises
+    DataError for non-finite values and SingularDesignError, naming the
+    dependent columns, when a column is (numerically) a linear
+    combination of the others.
     """
-    from scipy import linalg
-
     if not np.isfinite(y).all() or not np.isfinite(X).all():
         raise DataError("design and response must be finite")
-    k = X.shape[1]
-    Q, R, pivot = linalg.qr(X, mode="economic", pivoting=True, check_finite=False)
+    geqp3, orgqr, trtrs = _routines()
+    n, k = X.shape
+    geqp3_lwork, orgqr_lwork, below = _workspace(n, k)
+    qr, jpvt, tau, _, info = geqp3(X, lwork=geqp3_lwork)
+    _check("geqp3", info)
+    pivot = jpvt - 1  # LAPACK pivots are 1-based
+    # np.triu(qr[:k]) as a C-ordered copy; orgqr overwrites qr with Q.
+    R = np.where(below, 0.0, qr[:k])
     diag = np.abs(R.diagonal())
     if diag[0] == 0.0:
         raise SingularDesignError("design matrix is zero", list(names))
@@ -108,8 +152,15 @@ def solve_ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> Solution:
             f"design is rank deficient (rank {rank} of {k}); dependent columns",
             dependent,
         )
+    Q, _, info = orgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
+    _check("orgqr", info)
+    # R x = Q'y solved as solve_triangular solves it for a C-ordered R:
+    # the transposed system on the Fortran-ordered R.T. Every diagonal
+    # entry is nonzero after the rank check, so info is never positive.
+    x, info = trtrs(R.T, Q.T @ y, lower=1, trans=1, overwrite_b=1)
+    _check("trtrs", info)
     beta = np.empty(k)
-    beta[pivot] = linalg.solve_triangular(R, Q.T @ y)
+    beta[pivot] = x
     return Solution(beta, R, pivot)
 
 

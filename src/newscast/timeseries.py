@@ -277,15 +277,27 @@ def deannualize(pi_ann: float) -> float:
     return 100.0 * (growth ** (1.0 / 12.0) - 1.0)
 
 
-def moving_average_predictor(
-    pi_series: MonthlySeries, t: MonthKey, lags: int = 12
-) -> float:
-    """Mean of the lags values preceding month t (t itself excluded).
+def moving_averages(
+    pi_series: MonthlySeries, start: MonthKey, end: MonthKey, lags: int = 12
+) -> np.ndarray:
+    """For each month t of [start, end], in order, the mean of the lags
+    values preceding t (t itself excluded).
 
-    Used to stand in for a not-yet-released percent change. All lag
-    months must be present.
+    Used to stand in for not-yet-released percent changes. One window
+    read covers every lag month of the span, so the MissingMonthsError
+    for absent lags names the span and every month it lacks.
     """
     if not isinstance(lags, int) or lags < 1:
         raise DataError(f"lags must be a positive integer, got {lags!r}")
-    # fsum: exactly rounded, so the mean is order-independent.
-    return math.fsum(pi_series.window(t.shift(-lags), t.shift(-1))) / lags
+    values = pi_series.window(start.shift(-lags), end.shift(-1)).tolist()
+    # fsum: exactly rounded, so each mean is order-independent.
+    return np.array(
+        [math.fsum(values[i : i + lags]) / lags for i in range(len(values) - lags + 1)]
+    )
+
+
+def moving_average_predictor(
+    pi_series: MonthlySeries, t: MonthKey, lags: int = 12
+) -> float:
+    """moving_averages for the single month t."""
+    return float(moving_averages(pi_series, t, t, lags)[0])

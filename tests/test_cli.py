@@ -158,6 +158,20 @@ class TestScore:
             "articles_probs.csv", "articles_scored.csv"
         ]
 
+    def test_failed_rerun_leaves_no_stale_rejections(self, tmp_path, capsys):
+        good = ["id,date,p_down,p_neutral,p_up"]
+        good += [f"a{i:02d},2015-01-{i + 1:02d},0.2,0.3,0.5" for i in range(20)]
+        probs = tmp_path / "probs.csv"
+        probs.write_text("\n".join(good + ["bad,2015-01-05,0.9,0.9,0.9"]) + "\n")
+        cfg = write_config(tmp_path, news_probs=probs)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "score") == 0
+        assert (out / "articles_rejected.csv").exists()
+        unset = ("--set", "news_probs=", "--set", "news_text=")
+        assert run("--config", cfg, "--out", out, *unset, "score") == 2
+        assert "news_probs or news_text" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_excessive_rejection_rate_fails(self, tmp_path, capsys):
         lines = ["id,date,p_down,p_neutral,p_up"]
         lines += [f"a{i:02d},2015-01-{i + 1:02d},0.2,0.3,0.5" for i in range(10)]

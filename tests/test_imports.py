@@ -1,6 +1,7 @@
 """Import hygiene: no module imports a name at top level it never uses."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,22 @@ MODULES = sorted(
 EXEMPT = {
     ("src/newscast/cli.py", "baseline_classify"),
     ("src/newscast/cli.py", "lexicon_filter"),
+    ("src/newscast/nowcast.py", "moving_average_predictor"),
 }
+BENCH_TRACE = ROOT / "benchmarks" / "bench_trace.py"
+
+
+def wrapped_names() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs benchmarks/bench_trace.py replaces
+    in newscast.<module> when it traces a run, read from its _WRAPPED
+    table without importing it."""
+    tree = ast.parse(BENCH_TRACE.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_WRAPPED" for t in node.targets
+        ):
+            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    raise AssertionError(f"{BENCH_TRACE} has no _WRAPPED table")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,3 +83,11 @@ def test_exemptions_are_still_imports():
             and name in (alias.name for alias in node.names)
             for node in tree.body
         ), f"{relative} no longer imports {name}; drop its exemption"
+
+
+@pytest.mark.parametrize("module, attr", wrapped_names(), ids="{}".format)
+def test_traced_names_resolve(module, attr):
+    # A renamed or dropped name would make `benchmarks/run.py --trace 1`
+    # fail with an AttributeError.
+    found = getattr(importlib.import_module(f"newscast.{module}"), attr, None)
+    assert callable(found), f"newscast.{module} has no function {attr}"

@@ -408,6 +408,34 @@ class TestBacktestMatchesPerWindowFits:
         assert got.value.months == (gap,)
 
 
+    def test_every_missing_lag_month_named_at_once(self, rng):
+        # The fixed design covers the training window only; the moving
+        # averages over the evaluation window need gas through 2019-11.
+        data = make_bundle(rng, noise=0.2)
+        gaps = (month("2018-06"), month("2019-03"))
+        data["gas"] = MonthlySeries(
+            "pi-Gasoline",
+            [(m, v) for m, v in data["gas"].items() if m not in gaps],
+            "percent",
+        )
+        with pytest.raises(MissingMonthsError) as got:
+            backtest("fed", data, self.TRAIN, self.EVAL, "fixed")
+        assert got.value.months == gaps
+        assert "'pi-Gasoline' lacks months of 2017-01..2019-11" in str(got.value)
+
+    def test_every_missing_news_month_named_at_once(self, rng):
+        data = make_bundle(rng, noise=0.2)
+        gaps = (month("2018-02"), month("2019-07"))
+        data["news"] = MonthlySeries(
+            "pi-NEWS",
+            [(m, v) for m, v in data["news"].items() if m not in gaps],
+            "percent",
+        )
+        for scheme in BACKTEST_SCHEMES:
+            with pytest.raises(MissingMonthsError) as got:
+                backtest("news", data, self.TRAIN, self.EVAL, scheme)
+            assert got.value.months == gaps
+
 @st.composite
 def gapless_cases(draw):
     """A spec, scheme, windows and gapless series long enough that every

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg, stats
 
 import newscast
 
@@ -21,7 +23,7 @@ from newscast import (
     significance_stars,
 )
 from newscast.cli import main as cli_main
-from newscast.ols import solve_ols
+from newscast.ols import RANK_TOLERANCE, solve_ols
 
 # Fixed 10x3 fixture (intercept, x1, x2); every value is dyadic so the
 # float64 design is exact. Expected values were computed independently
@@ -181,6 +183,89 @@ class TestSolveCore:
             fit_ols(np.ones(6), X, names)
         assert type(solved.value) is type(fitted.value)
         assert str(solved.value) == str(fitted.value)
+
+
+def scipy_solve(y, X, names):
+    """The solve core written on the public scipy functions: the oracle
+    for solve_ols, which calls their LAPACK routines directly."""
+    if not np.isfinite(y).all() or not np.isfinite(X).all():
+        raise DataError("design and response must be finite")
+    k = X.shape[1]
+    Q, R, pivot = linalg.qr(X, mode="economic", pivoting=True, check_finite=False)
+    diag = np.abs(R.diagonal())
+    if diag[0] == 0.0:
+        raise SingularDesignError("design matrix is zero", list(names))
+    rank = np.count_nonzero(diag > RANK_TOLERANCE * diag[0])
+    if rank < k:
+        dependent = sorted(names[j] for j in pivot[rank:])
+        raise SingularDesignError(
+            f"design is rank deficient (rank {rank} of {k}); dependent columns",
+            dependent,
+        )
+    beta = np.empty(k)
+    beta[pivot] = linalg.solve_triangular(R, Q.T @ y)
+    return beta, R, pivot
+
+
+def solved(solve, y, X, names):
+    """beta, R and the pivot as bytes with R's layout and the pivot's
+    dtype, or the error's type and text."""
+    try:
+        beta, R, pivot = solve(y, X, names)
+    except NewscastError as exc:
+        return type(exc), str(exc)
+    return (
+        beta.tobytes(), R.tobytes(), R.flags.c_contiguous,
+        pivot.tobytes(), pivot.dtype,
+    )
+
+
+@st.composite
+def designs(draw):
+    """y and an n x k design with n in k+1..200, laid out C-ordered,
+    Fortran-ordered or as a row slice of a taller array. Columns may be
+    small integers (exact dependence is common), copies or near copies
+    of an earlier column, zero, or hold a non-finite value."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.integers(0, 5))
+    full = rng.normal(size=(n + offset, k)) * 10.0 ** draw(st.integers(-3, 3))
+    y = rng.normal(size=n + offset)
+    for j in range(k):
+        kind = draw(st.sampled_from(
+            ["normal"] * 5 + ["integers", "ones", "copy", "near", "near", "zero"]
+        ))
+        if kind == "integers":
+            full[:, j] = rng.integers(-2, 3, size=n + offset)
+        elif kind == "ones":
+            full[:, j] = 1.0
+        elif kind == "zero":
+            full[:, j] = 0.0
+        elif kind in ("copy", "near") and j > 0:
+            source = draw(st.integers(0, j - 1))
+            scale = draw(st.sampled_from([1.0, -2.5, 1e-3]))
+            full[:, j] = scale * full[:, source]
+            if kind == "near":
+                eps = draw(st.sampled_from([1e-15, 1e-12, 1e-10, 1e-8, 1e-4]))
+                full[:, j] += eps * rng.normal(size=n + offset)
+    if draw(st.integers(0, 19)) == 0:
+        full[draw(st.integers(0, n + offset - 1)), draw(st.integers(0, k - 1))] = (
+            draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        )
+    layout = draw(st.sampled_from(["C", "F", "rows"]))
+    if layout == "rows":
+        X, y = full[offset : offset + n], y[offset : offset + n]
+    else:
+        X, y = np.array(full[:n], order=layout), y[:n]
+    return y, X, tuple(f"x{j}" for j in range(k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(designs())
+def test_solve_matches_scipy_bitwise(case):
+    y, X, names = case
+    assert solved(solve_ols, y, X, names) == solved(scipy_solve, y, X, names)
 
 
 class TestEdgesAndValidation:

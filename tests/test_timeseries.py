@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newscast import (
@@ -19,6 +20,7 @@ from newscast import (
     month_range,
     months_between,
     moving_average_predictor,
+    moving_averages,
     pct_change,
 )
 
@@ -289,3 +291,57 @@ class TestMovingAveragePredictor:
         assert moving_average_predictor(s, MonthKey(2019, 4), lags=3) == 2.0
         with pytest.raises(DataError):
             moving_average_predictor(s, MonthKey(2019, 4), lags=0)
+
+
+@st.composite
+def lagged_spans(draw):
+    """A percent series that may have gaps, a lag count, and a span of
+    target months whose lag months may reach a month or two past either
+    end of the series."""
+    lags = draw(st.integers(1, 12))
+    n = draw(st.integers(lags, 48))
+    values = draw(st.lists(
+        st.floats(-1e12, 1e12, allow_nan=False), min_size=n, max_size=n
+    ))
+    gaps = set()
+    if n > 1 and draw(st.booleans()):
+        gaps = set(draw(st.lists(st.integers(1, n - 1), max_size=3)))
+    origin = MonthKey(2010, 1)
+    series = MonthlySeries(
+        "pi",
+        [(origin.shift(i), v) for i, v in enumerate(values) if i not in gaps],
+        "percent",
+    )
+    first = draw(st.integers(lags - 2, n))
+    last = draw(st.integers(first, n + 1))
+    return series, origin.shift(first), origin.shift(last), lags
+
+
+class TestMovingAverages:
+    @settings(max_examples=300)
+    @given(lagged_spans())
+    def test_equals_the_per_month_means(self, case):
+        # The reference is each month's mean over its own window; the span
+        # raises once, naming every lag month that any target month lacks.
+        series, start, end, lags = case
+        expected, missing = [], set()
+        for t in month_range(start, end):
+            try:
+                mean = math.fsum(series.window(t.shift(-lags), t.shift(-1))) / lags
+            except MissingMonthsError as exc:
+                missing.update(exc.months)
+                with pytest.raises(MissingMonthsError) as single:
+                    moving_average_predictor(series, t, lags)
+                assert str(single.value) == str(exc)
+                continue
+            assert moving_average_predictor(series, t, lags) == mean
+            expected.append(mean)
+        if missing:
+            with pytest.raises(MissingMonthsError) as err:
+                moving_averages(series, start, end, lags)
+            assert err.value.months == tuple(sorted(missing))
+            span = f"{start.shift(-lags)}..{end.shift(-1)}"
+            assert f"'pi' lacks months of {span}" in str(err.value)
+        else:
+            got = moving_averages(series, start, end, lags)
+            assert got.tobytes() == np.array(expected).tobytes()
