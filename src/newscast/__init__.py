@@ -66,10 +66,8 @@ from .nowcast import (
 from .ols import RegressionResult, fit_ols, significance_stars
 from .sentiment import (
     DEFAULT_LEXICON,
-    Article,
     ArticleTable,
     ClassificationReport,
-    ScoredArticle,
     SentimentProbs,
     SentimentScorer,
     argmax_score,
@@ -77,7 +75,6 @@ from .sentiment import (
     classification_report,
     lexicon_filter,
     polarity_score,
-    rescore,
 )
 from .timeseries import (
     MonthKey,
@@ -106,10 +103,8 @@ __all__ = [
     "pct_change",
     # sentiment
     "DEFAULT_LEXICON",
-    "Article",
     "ArticleTable",
     "ClassificationReport",
-    "ScoredArticle",
     "SentimentProbs",
     "SentimentScorer",
     "argmax_score",
@@ -117,7 +112,6 @@ __all__ = [
     "classification_report",
     "lexicon_filter",
     "polarity_score",
-    "rescore",
     # index
     "MonthlySentiment",
     "NewsIndex",

@@ -168,12 +168,12 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     rejected_path = cfg.out_path("articles_rejected.csv")
     remove_output(rejected_path)
     if cfg.news_probs_path is not None:
-        articles, rejections = read_probability_articles(
-            cfg.news_probs_path, strict=False
-        )
+        source = cfg.news_probs_path
+        articles, rejections = read_probability_articles(source, strict=False)
         retained = articles
     elif cfg.news_text_path is not None:
-        articles, rejections = read_text_articles(cfg.news_text_path, strict=False)
+        source = cfg.news_text_path
+        articles, rejections = read_text_articles(source, strict=False)
         retained = articles.take(lexicon_mask(articles.texts, cfg.lexicon))
         retained = retained.replace(
             probs=baseline_probabilities(
@@ -206,7 +206,9 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_probability_articles(retained, probs_path, comment)
     write_scored_articles(scored, scored_path, comment)
 
-    if not scored:
+    if not len(articles):
+        print(f"warning: {source} contains no articles", file=sys.stderr)
+    elif not len(scored):
         print("warning: no articles passed the lexicon filter", file=sys.stderr)
     print(
         f"scored {len(scored)} articles "
@@ -217,9 +219,10 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
-    scored, _ = read_scored_articles(
-        _upstream(cfg.effective_scored_path(), "scored-article", "score", "scored")
-    )
+    path = _upstream(cfg.effective_scored_path(), "scored-article", "score", "scored")
+    scored, _ = read_scored_articles(path)
+    if not len(scored):
+        raise DataError(f"{path} contains no scored articles")
     monthly = monthly_aggregate(scored, day_cutoff=cfg.day_cutoff)
     index = build_news_index(monthly)
     comment = cfg.provenance()

@@ -276,8 +276,10 @@ def load_config(
     )
     if not specs:
         raise ConfigError("config key 'specs' must list at least one model")
-    for name in specs:
+    for i, name in enumerate(specs):
         resolve_spec(name)  # raises ConfigError on unknown names
+        if name in specs[:i]:
+            raise ConfigError(f"config key 'specs' names model {name!r} twice")
 
     baseline_gain = _float(effective["baseline_gain"], "baseline_gain")
     if not 0 < baseline_gain < math.inf:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .base import ParamMixin, check_is_fitted
 from .errors import ConfigError, DataError, ZeroDenominatorError
-from .sentiment import ArticleTable, ScoredArticle
+from .sentiment import ArticleTable
 from .timeseries import (
     INDEX_LEVEL,
     PERCENT,
@@ -62,7 +62,7 @@ class NewsIndex:
 
 
 def monthly_aggregate(
-    articles: Iterable[ScoredArticle], *, day_cutoff: int | None = None
+    articles: ArticleTable, *, day_cutoff: int | None = None
 ) -> list[MonthlySentiment]:
     """Group articles by month and take the sample mean of their scores.
 
@@ -73,19 +73,13 @@ def monthly_aggregate(
     """
     if day_cutoff is not None and not 1 <= day_cutoff <= 31:
         raise ConfigError(f"day_cutoff must be in 1..31, got {day_cutoff}")
-    table = ArticleTable.of(articles)
-    checks = [(table.missing("scores"), "has no score")]
-    if day_cutoff is not None:
-        checks.insert(0, (
-            table.missing("days"),
-            f"has no day of month; cannot apply day_cutoff={day_cutoff}",
-        ))
-    table.require(*checks)
-    if not len(table):
+    if articles.scores is None:
+        raise DataError("the articles have no scores to aggregate")
+    if not len(articles):
         raise DataError("monthly_aggregate needs at least one article")
-    months, scores = table.months, table.scores
+    months, scores = articles.months, articles.scores
     if day_cutoff is not None:
-        kept = table.days <= day_cutoff
+        kept = articles.days <= day_cutoff
         months, scores = months[kept], scores[kept]
     if not months.size:
         raise DataError(
@@ -204,17 +198,17 @@ class NewsIndexBuilder(ParamMixin):
         self.window = window
         self.mode = mode
 
-    def fit(self, articles: Iterable[ScoredArticle], y=None) -> "NewsIndexBuilder":
+    def fit(self, articles: ArticleTable, y=None) -> "NewsIndexBuilder":
         self.monthly_ = monthly_aggregate(articles, day_cutoff=self.day_cutoff)
         self.index_ = build_news_index(self.monthly_)
         return self
 
-    def transform(self, articles: Iterable[ScoredArticle]) -> NewsIndex:
+    def transform(self, articles: ArticleTable) -> NewsIndex:
         return build_news_index(
             monthly_aggregate(articles, day_cutoff=self.day_cutoff)
         )
 
-    def fit_transform(self, articles: Iterable[ScoredArticle], y=None) -> NewsIndex:
+    def fit_transform(self, articles: ArticleTable, y=None) -> NewsIndex:
         return self.fit(articles).index_
 
     def pi_series(self) -> MonthlySeries:

@@ -5,6 +5,10 @@ written by this package start with one comment line (prefixed '#')
 carrying the tool version and the config digest; readers skip leading
 comment and blank lines, so pipeline outputs feed back in cleanly.
 Errors carry 1-based physical line numbers.
+
+Article files are read into an ArticleTable in one pass. A malformed
+article row is rejected with its line and one reason, found in a fixed
+order of checks per format (see _read_table).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -24,13 +28,7 @@ import numpy as np
 
 from .errors import DataError, NewscastError, SeriesFormatError
 from .nowcast import ForecastSeries
-from .sentiment import (
-    Article,
-    ArticleTable,
-    ScoredArticle,
-    SentimentProbs,
-    invalid_probabilities,
-)
+from .sentiment import COLUMN_CHECKS, ArticleTable, SentimentProbs
 from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries
 from .version import __version__
 
@@ -206,11 +204,13 @@ def read_series(
 
     Month keys must be strictly increasing; duplicates, unparseable
     dates, and non-numeric or non-finite values are rejected with their
-    line number.
+    line number. A file without data rows is refused.
     """
     path = Path(path)
     rows = _month_rows(path, SERIES_HEADER, keyed=False)
     pairs = [(month, value) for month, _, (value,) in rows]
+    if not pairs:
+        raise DataError(f"{path} contains no series rows")
     return MonthlySeries(name or path.stem, pairs, unit)
 
 
@@ -224,90 +224,46 @@ def write_series(
 # --------------------------------------------------------------- articles
 
 
-def _parse_date(text: str) -> _dt.date:
-    return _dt.date.fromisoformat(text.strip())
-
-
-def _parse_full_date(text: str) -> tuple[MonthKey, int]:
-    d = _parse_date(text)
-    return MonthKey(d.year, d.month), d.day
-
-
 def _date_columns(text: str) -> tuple[str, int, int]:
     """(YYYY-MM-DD, month ordinal, day) of a date field."""
-    d = _parse_date(text)
+    d = _dt.date.fromisoformat(text.strip())
     return d.isoformat(), d.year * 12 + d.month - 1, d.day
 
 
-# The per-row parses: the reference for what an article row means, and
-# the source of every rejection reason.
-
-
-def _probability_article(row) -> Article:
-    month, day = _parse_full_date(row[1])
-    probs = SentimentProbs(float(row[2]), float(row[3]), float(row[4]))
-    if not row[0].strip():
+def _probability_value(row, key: str) -> tuple[float, float, float]:
+    value = (float(row[2]), float(row[3]), float(row[4]))
+    if not key:
+        SentimentProbs(*value)  # a refused row is named for its values
         raise DataError("empty article id")
-    return Article(id=row[0].strip(), date=month, day=day, probs=probs)
+    return value
 
 
-def _text_article(row) -> Article:
-    month, day = _parse_full_date(row[1])
-    if not row[0].strip():
+def _text_value(row, key: str) -> str:
+    if not key:
         raise DataError("empty article id")
-    return Article(id=row[0].strip(), date=month, day=day, text=row[2])
+    return row[2]
 
 
-def _scored_article(row) -> ScoredArticle:
-    month, day = _parse_full_date(row[1])
-    if not row[0].strip():
+def _score_value(row, key: str) -> float:
+    if not key:
         raise DataError("empty article id")
-    return ScoredArticle(id=row[0].strip(), date=month, day=day, score=float(row[2]))
-
-
-def _parse_row(row, header: Sequence[str], parse: Callable):
-    if len(row) != len(header):
-        raise DataError(f"expected {len(header)} fields, got {len(row)}")
-    return parse(row)
-
-
-def _read_articles(
-    path: str | Path,
-    header: Sequence[str],
-    parse: Callable,
-    strict: bool,
-) -> tuple[list, list[Rejection]]:
-    """The per-row reader: one parse(row) object per accepted row."""
-    items: list = []
-    rejections: list[Rejection] = []
-    for line_num, row in _read_rows(Path(path), header):
-        try:
-            items.append(_parse_row(row, header, parse))
-        except (NewscastError, ValueError) as exc:
-            if strict:
-                raise SeriesFormatError(
-                    f"{path}: {exc}", line=line_num
-                ) from None
-            rejections.append(Rejection(line=line_num, reason=str(exc)))
-    return items, rejections
+    return float(row[2])
 
 
 @dataclass(frozen=True)
 class _ArticleFormat:
     """How the value fields of an id,date,... file become one
-    ArticleTable column, and which per-row parse is the reference."""
+    ArticleTable column."""
 
     header: Sequence[str]
     column: str
-    parse: Callable
-    #: row -> the row's value; ValueError when a field does not convert.
-    convert: Callable
+    #: (row, stripped id) -> the row's value. Raises the rejection
+    #: reason: a ValueError when a field does not convert, a DataError
+    #: for an empty id; the checks run in the order this function makes
+    #: them, after the field count and the date.
+    value: Callable
     #: list of values -> the column.
     stack: Callable
-    #: column -> rows the per-row parse refuses for their values.
-    refused: Callable | None = None
-    #: one column entry -> its value fields, as the file writes them.
-    cells: Callable | None = None
 
 
 def _read_table(
@@ -315,11 +271,13 @@ def _read_table(
 ) -> tuple[ArticleTable, list[Rejection]]:
     """The articles of a file as columns, in one pass over its rows.
 
-    Converting a field and checking a value are the same operations
-    the per-row parse performs (value checks on the whole column). A
-    row either check refuses is handed to the per-row parse for its
-    rejection reason, so the rejections, and the error strict mode
-    raises for the first of them, are those of _read_articles.
+    A row is rejected for its field count, then its date, then for what
+    fmt.value raises, then for a value ArticleTable refuses (checked on
+    the whole column, with COLUMN_CHECKS). The orders that result:
+    probabilities: field count, date, floats, probability rule, id;
+    text: field count, date, id; scored: field count, date, id, float,
+    score range. Strict mode raises the first rejection, with its line,
+    and reads no row after one that fails to convert.
     """
     known: dict[str, tuple[str, int, int]] = {}
     ids: list[str] = []
@@ -329,19 +287,18 @@ def _read_table(
     values: list = []
     lines: list[int] = []
     rejections: list[Rejection] = []
+    width = len(fmt.header)
     for line_num, row in _read_rows(path, fmt.header):
         try:
-            if len(row) != len(fmt.header):
-                raise ValueError("field count")
+            if len(row) != width:
+                raise DataError(f"expected {width} fields, got {len(row)}")
             date = known.get(row[1])
             if date is None:
                 date = known[row[1]] = _date_columns(row[1])
-            value = fmt.convert(row)
             key = row[0].strip()
-            if not key:
-                raise ValueError("empty id")
-        except ValueError:
-            rejections.append(Rejection(line_num, _reason(row, fmt)))
+            value = fmt.value(row, key)
+        except (DataError, ValueError) as exc:
+            rejections.append(Rejection(line_num, str(exc)))
             if strict:
                 break
             continue
@@ -351,55 +308,44 @@ def _read_table(
         days.append(date[2])
         values.append(value)
         lines.append(line_num)
+    column = fmt.stack(values)
+    if fmt.column in COLUMN_CHECKS:
+        refused, reason = COLUMN_CHECKS[fmt.column]
+        bad = refused(column)
+        if bad.any():
+            for i in np.flatnonzero(bad).tolist():
+                rejections.append(Rejection(lines[i], reason(column[i].tolist())))
+            rejections.sort(key=attrgetter("line"))
+            good = (~bad).tolist()
+            ids, dates, months, days = (
+                list(itertools.compress(c, good)) for c in (ids, dates, months, days)
+            )
+            column = column[~bad]
+    if strict and rejections:
+        first = rejections[0]
+        raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
     table = ArticleTable(
         ids,
         dates,
         np.array(months, dtype=np.int64),
         np.array(days, dtype=np.int64),
-        **{fmt.column: fmt.stack(values)},
+        **{fmt.column: column},
     )
-    if fmt.refused is not None:
-        column = getattr(table, fmt.column)
-        refused = fmt.refused(column)
-        if refused.any():
-            for i in np.flatnonzero(refused).tolist():
-                row = [ids[i], dates[i], *fmt.cells(column[i])]
-                rejections.append(Rejection(lines[i], _reason(row, fmt)))
-            rejections.sort(key=attrgetter("line"))
-            table = table.take(~refused)
-    if strict and rejections:
-        first = rejections[0]
-        raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
     return table, rejections
-
-
-def _reason(row, fmt: _ArticleFormat) -> str:
-    """Why the per-row parse refuses a row the column checks refused."""
-    try:
-        _parse_row(row, fmt.header, fmt.parse)
-    except (NewscastError, ValueError) as exc:
-        return str(exc)
-    raise AssertionError(f"per-row parse accepts a refused row {row!r}")
 
 
 _PROBS = _ArticleFormat(
     PROBS_HEADER,
     "probs",
-    _probability_article,
-    convert=lambda row: (float(row[2]), float(row[3]), float(row[4])),
+    _probability_value,
     stack=lambda values: np.array(values, dtype=float).reshape(-1, 3),
-    refused=invalid_probabilities,
-    cells=lambda probs: [repr(p) for p in probs.tolist()],
 )
-_TEXT = _ArticleFormat(TEXT_HEADER, "texts", _text_article, itemgetter(2), list)
+_TEXT = _ArticleFormat(TEXT_HEADER, "texts", _text_value, list)
 _SCORED = _ArticleFormat(
     SCORED_HEADER,
     "scores",
-    _scored_article,
-    convert=lambda row: float(row[2]),
+    _score_value,
     stack=lambda values: np.array(values, dtype=float),
-    refused=lambda scores: ~((scores >= -1.0) & (scores <= 1.0)),
-    cells=lambda score: [repr(float(score))],
 )
 
 
@@ -424,31 +370,20 @@ def read_scored_articles(
     return _read_table(path, _SCORED, strict)
 
 
-_NO_FULL_DATE = "has no day of month; files need full dates"
-
-
 def write_probability_articles(
-    articles: Sequence[Article], path: str | Path, comment: str | None = None
+    articles: ArticleTable, path: str | Path, comment: str | None = None
 ) -> None:
-    table = ArticleTable.of(articles)
-    table.require(
-        (table.missing("probs"), "has no probabilities"),
-        (table.missing("days"), _NO_FULL_DATE),
-    )
-    columns = table.probs.T if len(table) else ()
-    _write_articles(table, PROBS_HEADER, columns, path, comment)
+    if articles.probs is None:
+        raise DataError("the articles have no probabilities to write")
+    _write_articles(articles, PROBS_HEADER, articles.probs.T, path, comment)
 
 
 def write_scored_articles(
-    articles: Sequence[ScoredArticle], path: str | Path, comment: str | None = None
+    articles: ArticleTable, path: str | Path, comment: str | None = None
 ) -> None:
-    table = ArticleTable.of(articles)
-    table.require(
-        (table.missing("days"), _NO_FULL_DATE),
-        (table.missing("scores"), "has no score"),
-    )
-    columns = [table.scores] if len(table) else ()
-    _write_articles(table, SCORED_HEADER, columns, path, comment)
+    if articles.scores is None:
+        raise DataError("the articles have no scores to write")
+    _write_articles(articles, SCORED_HEADER, [articles.scores], path, comment)
 
 
 def _write_articles(table: ArticleTable, header, columns, path, comment) -> None:

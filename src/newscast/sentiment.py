@@ -7,24 +7,22 @@ turned into scalar scores either by taking the most probable label
 
 A batch of articles travels through the pipeline as an ArticleTable:
 columns of ids, dates, month ordinals and days, plus texts,
-probabilities or scores. Filtering, classifying and scoring work on the
-columns; the dataclass form (Article, ScoredArticle) is built only when
-a caller iterates or indexes a table.
+probabilities or scores. It is the one article type: readers return it,
+filtering, classifying and scoring work on its columns, and its
+constructor is where an article's values are checked.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
-from operator import index as _index
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .base import ParamMixin
 from .errors import ConfigError, DataError, InvalidProbabilityError
-from .timeseries import MonthKey
 
 LABELS = (-1, 0, 1)
 
@@ -70,38 +68,6 @@ class SentimentProbs:
         return (self.p_down, self.p_neutral, self.p_up)
 
 
-@dataclass(frozen=True)
-class Article:
-    """A dated news item, before scoring.
-
-    Either text or a probability vector (or both) may be present,
-    depending on which input file produced it. day is the day of
-    month when known.
-    """
-
-    id: str
-    date: MonthKey
-    day: int | None = None
-    text: str | None = None
-    probs: SentimentProbs | None = None
-
-    def __post_init__(self):
-        if self.day is not None and not 1 <= self.day <= 31:
-            raise DataError(f"day of month must be in 1..31, got {self.day}")
-
-
-@dataclass(frozen=True)
-class ScoredArticle(Article):
-    """An article with its scalar sentiment score in [-1, 1]."""
-
-    score: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not -1.0 <= self.score <= 1.0:
-            raise DataError(f"score {self.score} outside [-1, 1]")
-
-
 def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
     """True for each row of an n x 3 (p_down, p_neutral, p_up) matrix
     that SentimentProbs refuses: an entry outside [0, 1] (NaN included),
@@ -112,23 +78,47 @@ def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
     return ~in_range | (np.abs(total - 1.0) > PROB_SUM_TOL)
 
 
-class ArticleTable(Sequence):
+def _probability_reason(row) -> str:
+    """Why SentimentProbs refuses a row that invalid_probabilities flags."""
+    try:
+        SentimentProbs(*row)
+    except InvalidProbabilityError as exc:
+        return str(exc)
+    raise AssertionError(f"SentimentProbs accepts a refused row {row}")
+
+
+#: The values ArticleTable refuses, per column, in the order it checks
+#: them: (column -> mask of refused entries, entry -> the reason).
+COLUMN_CHECKS = {
+    "days": (
+        lambda days: (days < 1) | (days > 31),
+        "day of month must be in 1..31, got {}".format,
+    ),
+    "probs": (invalid_probabilities, _probability_reason),
+    "scores": (
+        lambda scores: ~((scores >= -1.0) & (scores <= 1.0)),
+        "score {} outside [-1, 1]".format,
+    ),
+}
+
+
+class ArticleTable:
     """A batch of articles stored as columns.
 
     - ids: list of str.
-    - dates: list of normalized dates, YYYY-MM-DD (YYYY-MM where the
-      day is unknown).
+    - dates: list of dates, YYYY-MM-DD.
     - months: int64 month ordinals (MonthKey.ordinal).
-    - days: int64 days of month, 0 where unknown.
-    - texts: list of str (None where an article has none).
-    - probs: n x 3 float64 (p_down, p_neutral, p_up), a NaN row where
-      an article has none.
-    - scores: float64, NaN where an article has none.
+    - days: int64 days of month.
+    - texts: list of str, or None.
+    - probs: n x 3 float64 (p_down, p_neutral, p_up), or None.
+    - scores: float64, or None.
 
-    A column that is None is absent for every article. Iterating or
-    indexing builds the dataclass form: ScoredArticle where a score is
-    present, Article elsewhere. A table equals a list or table of the
-    same articles.
+    A column that is None is absent for every article. The constructor
+    checks that every column holds one entry per article and that each
+    entry passes COLUMN_CHECKS: days in 1..31, probability rows that
+    SentimentProbs accepts, scores in [-1, 1]. A failure raises
+    DataError naming the first offending article. replace checks only
+    the columns it replaces, and take only selects checked rows.
     """
 
     __slots__ = ("ids", "dates", "months", "days", "texts", "probs", "scores")
@@ -139,122 +129,69 @@ class ArticleTable(Sequence):
         dates: list[str],
         months: np.ndarray,
         days: np.ndarray,
-        texts: list[str | None] | None = None,
+        texts: list[str] | None = None,
         probs: np.ndarray | None = None,
         scores: np.ndarray | None = None,
     ):
-        self.ids = ids
-        self.dates = dates
-        self.months = months
-        self.days = days
-        self.texts = texts
-        self.probs = probs
-        self.scores = scores
+        columns = (ids, dates, months, days, texts, probs, scores)
+        for name, column in zip(self.__slots__, columns):
+            setattr(self, name, column)
+        self._check(self.__slots__)
 
-    @classmethod
-    def of(cls, articles: Iterable[Article]) -> ArticleTable:
-        """articles as a table: a table as it is, dataclasses as columns."""
-        if isinstance(articles, ArticleTable):
-            return articles
-        items = list(articles)
-        texts = [a.text for a in items]
-        probs = [
-            (np.nan,) * 3 if a.probs is None else a.probs.as_tuple() for a in items
-        ]
-        scores = [getattr(a, "score", np.nan) for a in items]
-        return cls(
-            ids=[a.id for a in items],
-            dates=[f"{a.date}-{a.day:02d}" if a.day else str(a.date) for a in items],
-            months=np.array([a.date.ordinal for a in items], dtype=np.int64),
-            days=np.array([a.day or 0 for a in items], dtype=np.int64),
-            texts=texts if any(t is not None for t in texts) else None,
-            probs=np.array(probs, dtype=float).reshape(-1, 3)
-            if any(a.probs is not None for a in items) else None,
-            scores=np.array(scores, dtype=float)
-            if any(isinstance(a, ScoredArticle) for a in items) else None,
-        )
+    def _check(self, names: Iterable[str]) -> None:
+        """Check that all columns are equally long, then the values of
+        the named columns."""
+        lengths = {
+            name: len(column)
+            for name in self.__slots__
+            if (column := getattr(self, name)) is not None
+        }
+        if len(set(lengths.values())) > 1:
+            short = min(lengths.values())
+            at = f" at article {self.ids[short]!r}" if short < len(self.ids) else ""
+            listing = ", ".join(f"{name} {n}" for name, n in lengths.items())
+            raise DataError(f"article columns differ in length{at}: {listing}")
+        first = None
+        for name, (refused, reason) in COLUMN_CHECKS.items():
+            column = getattr(self, name)
+            if name not in names or column is None:
+                continue
+            hits = np.flatnonzero(refused(column))
+            # At one article the earlier check is the one reported.
+            if hits.size and (first is None or hits[0] < first[0]):
+                first = int(hits[0]), reason(column[hits[0]].tolist())
+        if first is not None:
+            raise DataError(f"article {self.ids[first[0]]!r}: {first[1]}")
+
+    def _with(self, columns: dict) -> ArticleTable:
+        """This table with the given columns replaced, unchecked."""
+        table = object.__new__(ArticleTable)
+        for name in self.__slots__:
+            setattr(table, name, columns.get(name, getattr(self, name)))
+        return table
 
     def replace(self, **columns) -> ArticleTable:
         """A table with the named columns replaced."""
-        return ArticleTable(
-            **{n: columns.get(n, getattr(self, n)) for n in self.__slots__}
-        )
+        table = self._with(columns)
+        table._check(columns)
+        return table
 
     def take(self, selection: np.ndarray) -> ArticleTable:
         """The articles at a boolean mask or an index array, in order."""
         rows = np.arange(len(self))[selection]
         picked = rows.tolist()
-        return self.replace(**{
+        return self._with({
             name: column[rows]
             if isinstance(column, np.ndarray) else [column[i] for i in picked]
             for name in self.__slots__
             if (column := getattr(self, name)) is not None
         })
 
-    def missing(self, column: str) -> np.ndarray:
-        """True for each article lacking column: "days", "probs" or "scores"."""
-        values = getattr(self, column)
-        if values is None:
-            return np.ones(len(self), dtype=bool)
-        if column == "days":
-            return values == 0
-        return np.isnan(values if values.ndim == 1 else values[:, 0])
-
-    def require(self, *checks: tuple[np.ndarray, str]) -> None:
-        """Raise DataError naming the first article that fails a check.
-
-        A check is (mask of failing articles, what to say about one);
-        at one article the earlier check is the one reported.
-        """
-        failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
-        if failing.size:
-            i = int(failing[0])
-            what = next(what for mask, what in checks if mask[i])
-            raise DataError(f"article {self.ids[i]!r} {what}")
-
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.take(i)
-        return next(iter(self.take([_index(i)])))
-
-    def __iter__(self) -> Iterator[Article]:
-        absent = [None] * len(self)
-        return map(
-            _article,
-            self.ids,
-            self.months.tolist(),
-            self.days.tolist(),
-            absent if self.texts is None else self.texts,
-            absent if self.probs is None else self.probs.tolist(),
-            absent if self.scores is None else self.scores.tolist(),
-        )
-
-    def __eq__(self, other):
-        if isinstance(other, (ArticleTable, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"<ArticleTable of {len(self)} articles>"
-
-
-def _article(id, month, day, text, probs, score) -> Article:
-    """The dataclass form of one table row (see ArticleTable)."""
-    fields = dict(
-        id=id,
-        date=MonthKey.from_ordinal(month),
-        day=day or None,
-        text=text,
-        probs=None if probs is None or math.isnan(probs[0]) else SentimentProbs(*probs),
-    )
-    if score is None or math.isnan(score):
-        return Article(**fields)
-    return ScoredArticle(**fields, score=score)
 
 
 def normalize_whitespace(text: str) -> str:
@@ -487,19 +424,13 @@ class SentimentScorer(ParamMixin):
         self._score_fn()
         return self
 
-    def transform(self, articles: Iterable[Article]) -> ArticleTable:
-        """The articles with scores, as a table (iterating it yields
-        ScoredArticle)."""
+    def transform(self, articles: ArticleTable) -> ArticleTable:
+        """The articles with their scores column set."""
         fn = self._score_fn()
-        table = ArticleTable.of(articles)
-        table.require((table.missing("probs"), "has no probabilities to score"))
-        probs = np.empty((0, 3)) if table.probs is None else table.probs
-        return table.replace(scores=fn(probs))
+        if articles.probs is None:
+            raise DataError("the articles have no probabilities to score")
+        return articles.replace(scores=fn(articles.probs))
 
-    def fit_transform(self, articles: Iterable[Article], y=None) -> ArticleTable:
+    def fit_transform(self, articles: ArticleTable, y=None) -> ArticleTable:
         return self.fit().transform(articles)
 
-
-def rescore(article: ScoredArticle, score: float) -> ScoredArticle:
-    """Copy of an article with a replaced score (test and scaling aid)."""
-    return replace(article, score=score)

@@ -1,7 +1,9 @@
+from datetime import date
+
 import numpy as np
 import pytest
 
-from newscast import MonthKey, MonthlySeries
+from newscast import ArticleTable, MonthKey, MonthlySeries
 
 
 @pytest.fixture
@@ -20,3 +22,18 @@ def make_series(start: str, values, name="s", unit="index-level") -> MonthlySeri
 @pytest.fixture
 def series_factory():
     return make_series
+
+
+def make_articles(ids, dates, texts=None, probs=None, scores=None) -> ArticleTable:
+    """An ArticleTable of the articles with these ids and YYYY-MM-DD
+    dates, plus the given columns as lists."""
+    parsed = [date.fromisoformat(d) for d in dates]
+    return ArticleTable(
+        list(ids),
+        [d.isoformat() for d in parsed],
+        np.array([d.year * 12 + d.month - 1 for d in parsed], dtype=np.int64),
+        np.array([d.day for d in parsed], dtype=np.int64),
+        texts=None if texts is None else list(texts),
+        probs=None if probs is None else np.array(probs, dtype=float).reshape(-1, 3),
+        scores=None if scores is None else np.array(scores, dtype=float),
+    )

@@ -14,7 +14,6 @@ from scipy.special import betainc
 
 from newscast import (
     MonthKey,
-    ScoredArticle,
     annualize,
     argmax_score,
     build_news_index,
@@ -32,13 +31,12 @@ from newscast import (
     polarity_score,
     read_probability_articles,
     read_series,
-    rescore,
     toy_config_path,
 )
 from newscast.cli import main as cli_main
 from newscast.sentiment import SentimentProbs
 
-from conftest import make_series
+from conftest import make_articles, make_series
 
 TOY_DIR = toy_config_path().parent
 
@@ -202,12 +200,13 @@ def test_c05_index_algebra():
     # must return the means bit for bit.
     rng = np.random.default_rng(5150)
     months = month_range(MonthKey.parse("2015-01"), MonthKey.parse("2017-12"))
-    articles = []
+    ids, dates, dyadic = [], [], []
     for i, month in enumerate(months):
         for j in range(2 ** int(rng.integers(0, 4))):
-            score = int(rng.integers(-1024, 1025)) / 1024.0
-            articles.append(ScoredArticle(id=f"a{i}-{j}", date=month,
-                                          score=score))
+            ids.append(f"a{i}-{j}")
+            dates.append(f"{month}-01")
+            dyadic.append(int(rng.integers(-1024, 1025)) / 1024.0)
+    articles = make_articles(ids, dates, scores=dyadic)
     monthly = monthly_aggregate(articles)
     index = build_news_index(monthly)
     assert index.series[months[0]] == monthly[0].mean_score
@@ -216,20 +215,20 @@ def test_c05_index_algebra():
 
     # Aggregation order must not matter at all (exactly rounded sums).
     scores = rng.uniform(-1.0, 1.0, len(articles))
-    articles = [rescore(a, s) for a, s in zip(articles, scores)]
+    articles = articles.replace(scores=scores)
     baseline = tuple(build_news_index(monthly_aggregate(articles)).series[m]
                      for m in months)
-    pool = list(articles)
+    pool = articles
     for _ in range(100):
-        pool = [pool[i] for i in rng.permutation(len(pool))]
+        pool = pool.take(rng.permutation(len(pool)))
         shuffled = tuple(build_news_index(monthly_aggregate(pool)).series[m]
                          for m in months)
         assert shuffled == baseline
 
     # Scaling every score by c scales every level by c.
     c = 1.9
-    small = [rescore(a, s / 2.0) for a, s in zip(articles, scores)]
-    scaled = [rescore(a, a.score * c) for a in small]
+    small = articles.replace(scores=scores / 2.0)
+    scaled = small.replace(scores=small.scores * c)
     levels = np.array([build_news_index(monthly_aggregate(small)).series[m]
                        for m in months])
     levels_scaled = np.array(
@@ -386,12 +385,11 @@ def test_c09_pipeline_determinism(tmp_path):
 def test_c10_no_look_ahead():
     articles, rejections = read_probability_articles(TOY_DIR / "news_probs.csv")
     assert not rejections
-    scored = [rescore(ScoredArticle(id=a.id, date=a.date, day=a.day,
-                                    probs=a.probs),
-                      polarity_score(a.probs))
-              for a in articles]
+    scored = articles.replace(scores=np.array([
+        polarity_score(SentimentProbs(*p)) for p in articles.probs.tolist()
+    ]))
     cutoff = MonthKey.parse("2021-06")
-    truncated = [a for a in scored if a.date <= cutoff]
+    truncated = scored.take(scored.months <= cutoff.ordinal)
     assert len(truncated) < len(scored)
 
     full_index = build_news_index(monthly_aggregate(scored))

@@ -128,6 +128,17 @@ class TestScore:
         rows = read_csv_after_provenance(tmp_path / "out" / "articles_scored.csv")
         assert rows == [["id", "date", "score"]]
 
+    def test_empty_probability_file_is_named_not_blamed_on_the_filter(
+        self, tmp_path, capsys
+    ):
+        empty = tmp_path / "probs.csv"
+        empty.write_text("id,date,p_down,p_neutral,p_up\n")
+        cfg = write_config(tmp_path, news_probs=empty)
+        assert run("--config", cfg, "--out", tmp_path / "out", "score") == 0
+        err = capsys.readouterr().err
+        assert f"warning: {empty} contains no articles" in err
+        assert "lexicon" not in err
+
     def test_small_rejection_rate_tolerated(self, tmp_path):
         lines = ["id,date,p_down,p_neutral,p_up"]
         lines += [f"a{i:02d},2015-01-{(i % 28) + 1:02d},0.2,0.3,0.5"
@@ -220,6 +231,14 @@ class TestBuildIndex:
                    "build-index") == 3
         err = capsys.readouterr().err
         assert "score command first" in err
+
+
+    def test_empty_scored_file_is_named(self, tmp_path, capsys):
+        scored = tmp_path / "scored.csv"
+        scored.write_text("# c\nid,date,score\n")
+        cfg = write_config(tmp_path, scored=scored)
+        assert run("--config", cfg, "--out", tmp_path / "out", "build-index") == 3
+        assert f"{scored} contains no scored articles" in capsys.readouterr().err
 
 
 class TestFit:
@@ -413,6 +432,24 @@ class TestExitCodes:
         cfg = write_config(tmp_path, cpi=bad)
         assert run("--config", cfg, "--out", tmp_path / "out", "fit", "fed") == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_header_only_series_file_is_named(self, tmp_path, capsys):
+        empty = tmp_path / "cpi.csv"
+        empty.write_text("date,value\n")
+        cfg = write_config(tmp_path, cpi=empty)
+        assert run("--config", cfg, "--out", tmp_path / "out", "fit", "fed") == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {empty} contains no series rows\n"
+
+    def test_repeated_config_spec_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("score", "build-index"):
+            assert run("--config", "toy", "--out", out, command) == 0
+        capsys.readouterr()
+        assert run("--config", "toy", "--out", out, "--set", "specs=fed,fed",
+                   "backtest") == 2
+        assert "'specs' names model 'fed' twice" in capsys.readouterr().err
+        assert not (out / "forecasts.csv").exists()
 
     def test_undecodable_input_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "cpi.csv"

@@ -167,6 +167,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown model"):
             load_config(path, overrides=("specs = fed, fed+tweets",))
 
+    def test_repeated_spec_rejected_by_name(self, tmp_path):
+        path = write_minimal_config(tmp_path)
+        with pytest.raises(ConfigError, match="'specs' names model 'fed' twice"):
+            load_config(path, overrides=("specs = fed, fed+news, fed",))
+
     def test_empty_specs_rejected(self, tmp_path):
         path = write_minimal_config(tmp_path)
         with pytest.raises(ConfigError, match="at least one model"):

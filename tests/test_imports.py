@@ -1,4 +1,5 @@
-"""Import hygiene: no module imports a name at top level it never uses."""
+"""Import hygiene: no module imports a name at top level it never uses,
+and every top-level name the package defines is read or exported."""
 
 import ast
 import importlib
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import newscast
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [*(ROOT / "src" / "newscast").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+SOURCES = sorted((ROOT / "src" / "newscast").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 #: Imported only so benchmarks/bench_trace.py can wrap them by name.
 EXEMPT = {
@@ -91,3 +93,57 @@ def test_traced_names_resolve(module, attr):
     # fail with an AttributeError.
     found = getattr(importlib.import_module(f"newscast.{module}"), attr, None)
     assert callable(found), f"newscast.{module} has no function {attr}"
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Names a module's top-level def, class and assignment statements
+    bind, dunders excepted."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as an attribute, or imports by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def dead_definitions(sources: dict[str, str], exported) -> list[str]:
+    """module.name for each top-level definition that no module reads
+    and that is not exported."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(reads, trees.values()), exported)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in definitions(tree)
+        if name not in read
+    )
+
+
+def test_every_definition_is_read_in_the_package_or_exported():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    dead = dead_definitions(sources, newscast.__all__)
+    assert dead == [], f"defined but never read or exported: {dead}"
+
+
+def test_dead_definition_checker_follows_reads_imports_and_exports():
+    sources = {
+        "a": "X = 1\nY: int = 2\ndef f(): return g\ndef g(): pass\n"
+        "class C: pass\n__all__ = []\n",
+        "b": "from a import C\nimport a\nZ = a.Y\n",
+    }
+    assert dead_definitions(sources, ["X"]) == ["a.f", "b.Z"]

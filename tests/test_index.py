@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from newscast import (
+    ArticleTable,
     ConfigError,
     DataError,
     MonthKey,
@@ -13,18 +15,23 @@ from newscast import (
     MonthlySeries,
     NewsIndexBuilder,
     NotFittedError,
-    ScoredArticle,
     ZeroDenominatorError,
     build_news_index,
     monthly_aggregate,
     news_pi,
 )
 
+from conftest import make_articles
 
-def art(id_, month_str, score, day=None):
-    return ScoredArticle(
-        id=id_, date=MonthKey.parse(month_str), day=day, score=score
-    )
+
+def art(id_, month_str, score, day=1):
+    return id_, f"{month_str}-{day:02d}", score
+
+
+def scored(articles):
+    """(id, date, score) triples as an ArticleTable."""
+    ids, dates, scores = zip(*articles) if articles else ((), (), ())
+    return make_articles(ids, dates, scores=list(scores))
 
 
 def mean(month_str, value, count=1):
@@ -35,7 +42,7 @@ def mean(month_str, value, count=1):
 
 class TestMonthlyAggregate:
     def test_singleton(self):
-        out = monthly_aggregate([art("a", "2020-03", 0.4)])
+        out = monthly_aggregate(scored([art("a", "2020-03", 0.4)]))
         assert len(out) == 1
         assert out[0].month == MonthKey(2020, 3)
         assert out[0].mean_score == 0.4
@@ -43,7 +50,7 @@ class TestMonthlyAggregate:
 
     def test_symmetric_scores_average_to_zero(self):
         out = monthly_aggregate(
-            [art("a", "2020-01", 0.7), art("b", "2020-01", -0.7)]
+            scored([art("a", "2020-01", 0.7), art("b", "2020-01", -0.7)])
         )
         assert out[0].mean_score == 0.0
         assert out[0].article_count == 2
@@ -53,13 +60,13 @@ class TestMonthlyAggregate:
         months = [MonthKey(2019, 1).shift(int(k)) for k in rng.integers(0, 10, 200)]
         scores = rng.uniform(-1, 1, 200)
         articles = [
-            ScoredArticle(id=f"a{i}", date=m, score=float(s))
+            art(f"a{i}", str(m), float(s))
             for i, (m, s) in enumerate(zip(months, scores))
         ]
         expected = {}
-        for a in articles:
-            expected.setdefault(a.date, []).append(a.score)
-        out = monthly_aggregate(articles)
+        for m, (_, _, score) in zip(months, articles):
+            expected.setdefault(m, []).append(score)
+        out = monthly_aggregate(scored(articles))
         assert [m.month for m in out] == sorted(expected)
         for m in out:
             group = expected[m.month]
@@ -71,8 +78,8 @@ class TestMonthlyAggregate:
             art(f"a{i}", "2020-01", float(s))
             for i, s in enumerate(rng.uniform(-1, 1, 50))
         ]
-        forward = monthly_aggregate(articles)
-        backward = monthly_aggregate(list(reversed(articles)))
+        forward = monthly_aggregate(scored(articles))
+        backward = monthly_aggregate(scored(list(reversed(articles))))
         assert forward[0].mean_score == backward[0].mean_score
 
     def test_day_cutoff_drops_late_articles(self):
@@ -81,29 +88,34 @@ class TestMonthlyAggregate:
             art("b", "2020-01", -1.0, day=20),
             art("c", "2020-02", 0.5, day=15),
         ]
-        out = monthly_aggregate(articles, day_cutoff=15)
+        out = monthly_aggregate(scored(articles), day_cutoff=15)
         assert [(m.month, m.mean_score) for m in out] == [
             (MonthKey(2020, 1), 1.0),
             (MonthKey(2020, 2), 0.5),
         ]
 
     def test_day_cutoff_requires_days(self):
-        with pytest.raises(DataError, match="no day"):
-            monthly_aggregate([art("a", "2020-01", 0.1)], day_cutoff=15)
+        # Every article has a day of month: a table refuses day 0.
+        with pytest.raises(DataError, match="'a': day of month"):
+            ArticleTable(
+                ["a"], ["2020-01"], np.array([MonthKey(2020, 1).ordinal]), np.array([0])
+            )
 
     def test_day_cutoff_all_filtered(self):
         with pytest.raises(DataError, match="no articles on or before"):
-            monthly_aggregate([art("a", "2020-01", 0.1, day=20)], day_cutoff=15)
+            monthly_aggregate(
+                scored([art("a", "2020-01", 0.1, day=20)]), day_cutoff=15
+            )
 
     def test_day_cutoff_validation(self):
         with pytest.raises(ConfigError):
-            monthly_aggregate([art("a", "2020-01", 0.1, day=1)], day_cutoff=0)
+            monthly_aggregate(scored([art("a", "2020-01", 0.1)]), day_cutoff=0)
         with pytest.raises(ConfigError):
-            monthly_aggregate([art("a", "2020-01", 0.1, day=1)], day_cutoff=32)
+            monthly_aggregate(scored([art("a", "2020-01", 0.1)]), day_cutoff=32)
 
     def test_empty_input(self):
         with pytest.raises(DataError, match="at least one"):
-            monthly_aggregate([])
+            monthly_aggregate(scored([]))
 
 
 class TestBuildNewsIndex:
@@ -244,28 +256,26 @@ class TestNoLookAhead:
         for i in range(18):
             m = MonthKey(2019, 1).shift(i)
             for j in range(4):
-                articles.append(
-                    ScoredArticle(
-                        id=f"{m}-{j}", date=m, day=int(rng.integers(1, 29)),
-                        score=float(rng.uniform(-1, 1)),
-                    )
-                )
+                articles.append(art(
+                    f"{m}-{j}", str(m), float(rng.uniform(-1, 1)),
+                    day=int(rng.integers(1, 29)),
+                ))
         cut = MonthKey(2019, 12)
-        full = build_news_index(monthly_aggregate(articles))
-        truncated = build_news_index(
-            monthly_aggregate([a for a in articles if a.date <= cut])
-        )
+        full = build_news_index(monthly_aggregate(scored(articles)))
+        truncated = build_news_index(monthly_aggregate(scored(
+            [a for a in articles if MonthKey.parse(a[1][:7]) <= cut]
+        )))
         for month in truncated.series.months():
             assert truncated.series[month] == full.series[month]
 
 
 class TestNewsIndexBuilder:
     def _articles(self):
-        return [
+        return scored([
             art("a", "2020-01", 0.5, day=3),
             art("b", "2020-01", 0.25, day=20),
             art("c", "2020-02", -0.25, day=10),
-        ]
+        ])
 
     def test_fit_transform(self):
         builder = NewsIndexBuilder()

@@ -1,14 +1,13 @@
 """File formats: series, article variants, forecasts, rejections."""
 
+import numpy as np
 import pytest
 
 from newscast import (
-    Article,
+    ArticleTable,
     DataError,
     ForecastSeries,
     MonthKey,
-    ScoredArticle,
-    SentimentProbs,
     SeriesFormatError,
     annualize,
     read_forecasts,
@@ -27,6 +26,8 @@ from newscast.io import (
     write_probability_articles,
     write_rejections,
 )
+
+from conftest import make_articles
 
 
 class TestSeriesFiles:
@@ -116,28 +117,26 @@ class TestSeriesFiles:
         with pytest.raises(SeriesFormatError, match="no header"):
             read_series(path)
 
-    def test_empty_series_is_fine(self, tmp_path):
+    def test_header_only_series_is_refused(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("date,value\n")
-        assert len(read_series(path)) == 0
+        path.write_text("# c\ndate,value\n\n")
+        with pytest.raises(DataError, match=f"{path} contains no series rows"):
+            read_series(path)
 
 
 class TestProbabilityArticles:
     def test_roundtrip(self, tmp_path):
-        articles = [
-            ScoredArticle(
-                id="a1", date=MonthKey(2020, 1), day=5,
-                probs=SentimentProbs(0.25, 0.5, 0.25), score=0.0,
-            ),
-        ]
+        articles = make_articles(
+            ["a1"], ["2020-01-05"], probs=[(0.25, 0.5, 0.25)], scores=[0.0]
+        )
         path = tmp_path / "probs.csv"
         write_probability_articles(articles, path)
         back, rejections = read_probability_articles(path)
         assert rejections == []
-        assert back[0].id == "a1"
-        assert back[0].date == MonthKey(2020, 1)
-        assert back[0].day == 5
-        assert back[0].probs.as_tuple() == (0.25, 0.5, 0.25)
+        assert back.ids[0] == "a1"
+        assert MonthKey.from_ordinal(int(back.months[0])) == MonthKey(2020, 1)
+        assert back.days[0] == 5
+        assert tuple(back.probs[0]) == (0.25, 0.5, 0.25)
 
     def test_strict_mode_raises_with_line(self, tmp_path):
         path = tmp_path / "probs.csv"
@@ -162,15 +161,15 @@ class TestProbabilityArticles:
             "a6,2020-01-09,0.1,0.1,0.8\n"
         )
         articles, rejections = read_probability_articles(path, strict=False)
-        assert [a.id for a in articles] == ["a1", "a6"]
+        assert articles.ids == ["a1", "a6"]
         assert [r.line for r in rejections] == [3, 4, 5, 6]
 
     def test_day_is_parsed_from_full_date(self, tmp_path):
         path = tmp_path / "probs.csv"
         path.write_text("id,date,p_down,p_neutral,p_up\na,2021-12-31,0,1,0\n")
         articles, _ = read_probability_articles(path)
-        assert articles[0].date == MonthKey(2021, 12)
-        assert articles[0].day == 31
+        assert MonthKey.from_ordinal(int(articles.months[0])) == MonthKey(2021, 12)
+        assert articles.days[0] == 31
 
 
 class TestTextArticles:
@@ -181,13 +180,13 @@ class TestTextArticles:
         )
         articles, rejections = read_text_articles(path)
         assert rejections == []
-        assert articles[0].text == "Inflation, again, surprises"
+        assert articles.texts[0] == "Inflation, again, surprises"
 
     def test_bad_date_collected_in_lenient_mode(self, tmp_path):
         path = tmp_path / "text.csv"
         path.write_text("id,date,text\nt1,2020-02-30,oops\n")
         articles, rejections = read_text_articles(path, strict=False)
-        assert articles == []
+        assert len(articles) == 0
         assert len(rejections) == 1
         assert rejections[0].line == 2
 
@@ -204,7 +203,7 @@ class TestPhysicalLines:
             encoding="utf-8",
         )
         articles, rejections = read_text_articles(path, strict=False)
-        assert [a.text for a in articles] == [
+        assert articles.texts == [
             "Inflation rises\u2028 sharply", "a\x85b\x0cc\x1cd\x0be"
         ]
         assert [r.line for r in rejections] == [4]
@@ -218,7 +217,7 @@ class TestPhysicalLines:
             b"t2,2020-02-30,bad day\r\n"
         )
         articles, rejections = read_text_articles(path, strict=False)
-        assert [a.text for a in articles] == ["two\r\nlines"]
+        assert articles.texts == ["two\r\nlines"]
         assert [r.line for r in rejections] == [7]
 
     def test_oversized_field_is_format_error_with_line(self, tmp_path):
@@ -237,26 +236,30 @@ class TestPhysicalLines:
 
 class TestScoredArticles:
     def test_roundtrip_preserves_scores(self, tmp_path, rng):
-        articles = [
-            ScoredArticle(
-                id=f"a{i}", date=MonthKey(2020, 1 + i % 3), day=1 + i,
-                score=float(s),
-            )
-            for i, s in enumerate(rng.uniform(-1, 1, 10))
-        ]
+        articles = make_articles(
+            [f"a{i}" for i in range(10)],
+            [f"2020-{1 + i % 3:02d}-{1 + i:02d}" for i in range(10)],
+            scores=rng.uniform(-1, 1, 10),
+        )
         path = tmp_path / "scored.csv"
         write_scored_articles(articles, path, comment=provenance_line("0" * 12))
         back, rejections = read_scored_articles(path)
         assert rejections == []
-        assert [a.score for a in back] == [a.score for a in articles]
-        assert [a.day for a in back] == [a.day for a in articles]
+        assert back.scores.tolist() == articles.scores.tolist()
+        assert back.days.tolist() == articles.days.tolist()
 
     def test_article_without_day_is_not_written(self, tmp_path):
-        # A made-up day would let the article past day_cutoff on reread.
+        # A made-up day would let the article past day_cutoff on reread,
+        # so a table refuses day 0.
         path = tmp_path / "scored.csv"
-        undated = [ScoredArticle(id="a", date=MonthKey(2020, 1), score=0.5)]
-        with pytest.raises(DataError, match="no day of month"):
-            write_scored_articles(undated, path)
+        with pytest.raises(DataError, match="day of month"):
+            write_scored_articles(
+                ArticleTable(
+                    ["a"], ["2020-01"], np.array([MonthKey(2020, 1).ordinal]),
+                    np.array([0]), scores=np.array([0.5]),
+                ),
+                path,
+            )
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -384,12 +387,14 @@ class TestAtomicWrites:
 
     def test_failed_write_keeps_old_file_and_removes_temporary(self, tmp_path):
         path = tmp_path / "probs.csv"
-        jan = MonthKey(2020, 1)
-        good = Article(id="a", date=jan, day=2, probs=SentimentProbs(0.2, 0.3, 0.5))
-        write_probability_articles([good], path)
+        good = make_articles(["a"], ["2020-01-02"], probs=[(0.2, 0.3, 0.5)])
+        write_probability_articles(good, path)
         before = path.read_text()
+        textual = make_articles(
+            ["a", "b"], ["2020-01-02", "2020-01-03"], texts=["x", "y"]
+        )
         with pytest.raises(DataError, match="no probabilities"):
-            write_probability_articles([good, Article(id="b", date=jan, day=3)], path)
+            write_probability_articles(textual, path)
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
 

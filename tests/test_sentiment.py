@@ -1,14 +1,14 @@
 """Probability vectors, scoring rules, lexicon gate, keyword baseline, F1."""
 
+import numpy as np
 import pytest
 
 from newscast import (
-    Article,
+    ArticleTable,
     ConfigError,
     DataError,
     InvalidProbabilityError,
     MonthKey,
-    ScoredArticle,
     SentimentProbs,
     SentimentScorer,
     argmax_score,
@@ -17,7 +17,9 @@ from newscast import (
     lexicon_filter,
     polarity_score,
 )
-from newscast.sentiment import baseline_probabilities, normalize_whitespace, rescore
+from newscast.sentiment import baseline_probabilities, normalize_whitespace
+
+from conftest import make_articles
 
 
 def probs(d, n, u):
@@ -46,27 +48,26 @@ class TestSentimentProbs:
         assert probs(0.0, 0.0, 1.0).p_up == 1.0
 
 
+def article(day=1, scores=None):
+    """One article of January 2020, built as a table."""
+    return ArticleTable(
+        ["a"], [f"2020-01-{day:02d}"], np.array([MonthKey(2020, 1).ordinal]),
+        np.array([day]), scores=None if scores is None else np.array(scores),
+    )
+
+
 class TestArticles:
     def test_day_bounds(self):
-        Article(id="a", date=MonthKey(2020, 1), day=31)
+        article(day=31)
         with pytest.raises(DataError):
-            Article(id="a", date=MonthKey(2020, 1), day=0)
+            article(day=0)
         with pytest.raises(DataError):
-            Article(id="a", date=MonthKey(2020, 1), day=32)
+            article(day=32)
 
     def test_score_bounds(self):
-        ScoredArticle(id="a", date=MonthKey(2020, 1), score=-1.0)
+        article(scores=[-1.0])
         with pytest.raises(DataError):
-            ScoredArticle(id="a", date=MonthKey(2020, 1), score=1.5)
-
-    def test_rescore_replaces_only_score(self):
-        a = ScoredArticle(
-            id="a", date=MonthKey(2020, 1), day=4, probs=probs(0.1, 0.2, 0.7),
-            score=0.6,
-        )
-        b = rescore(a, -0.25)
-        assert b.score == -0.25
-        assert (b.id, b.date, b.day, b.probs) == (a.id, a.date, a.day, a.probs)
+            article(scores=[1.5])
 
 
 class TestPolarityScore:
@@ -334,32 +335,30 @@ class TestClassificationReport:
 
 class TestSentimentScorer:
     def _articles(self):
-        return [
-            Article(id="a1", date=MonthKey(2020, 1), day=5,
-                    probs=probs(0.1, 0.2, 0.7)),
-            Article(id="a2", date=MonthKey(2020, 1),
-                    probs=probs(0.6, 0.3, 0.1)),
-        ]
+        return make_articles(
+            ["a1", "a2"], ["2020-01-05", "2020-01-01"],
+            probs=[(0.1, 0.2, 0.7), (0.6, 0.3, 0.1)],
+        )
 
     def test_polarity_transform(self):
         scored = SentimentScorer().fit_transform(self._articles())
-        assert [a.id for a in scored] == ["a1", "a2"]
-        assert scored[0].score == pytest.approx(0.6)
-        assert scored[1].score == pytest.approx(-0.5)
-        assert scored[0].probs is not None  # inputs carried through
+        assert scored.ids == ["a1", "a2"]
+        assert scored.scores[0] == pytest.approx(0.6)
+        assert scored.scores[1] == pytest.approx(-0.5)
+        assert scored.probs is not None  # inputs carried through
 
     def test_argmax_transform(self):
         scored = SentimentScorer(score="argmax").fit_transform(self._articles())
-        assert [a.score for a in scored] == [1.0, -1.0]
+        assert scored.scores.tolist() == [1.0, -1.0]
 
     def test_invalid_mode_fails_at_fit(self):
         with pytest.raises(ConfigError):
             SentimentScorer(score="median").fit()
 
     def test_article_without_probs_rejected(self):
-        bare = Article(id="a", date=MonthKey(2020, 1), text="only text")
+        bare = make_articles(["a"], ["2020-01-01"], texts=["only text"])
         with pytest.raises(DataError, match="probabilities"):
-            SentimentScorer().fit_transform([bare])
+            SentimentScorer().fit_transform(bare)
 
     def test_get_params(self):
         assert SentimentScorer(score="argmax").get_params() == {"score": "argmax"}
