@@ -227,9 +227,7 @@ def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
     index = build_news_index(monthly)
     comment = cfg.provenance()
     write_series(index.series, cfg.out_path("news_index.csv"), comment)
-    write_index_metadata(
-        index.counts, index.gap_months, cfg.out_path("news_index_meta.csv"), comment
-    )
+    write_index_metadata(index, cfg.out_path("news_index_meta.csv"), comment)
     gaps = len(index.gap_months)
     print(
         f"built NEWS index over {len(index.series)} months "

@@ -3,7 +3,8 @@
 Losses are squared errors throughout. The Giacomini-White test works
 on the loss differential d_t = e_A(t)^2 - e_B(t)^2: the unconditional
 variant asks whether its mean is zero, the conditional variant whether
-yesterday's differential predicts today's.
+yesterday's differential predicts today's. Two models' forecasts are
+lined up on the month ordinals both cover.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import DataError, DegenerateLossError
 from .nowcast import ForecastSeries
-from .timeseries import MonthKey
 
 GW_VARIANTS = ("unconditional", "conditional-lag1")
 #: Each RMSE unit and the factor that takes percent values to it.
@@ -36,11 +36,12 @@ def rmse(forecasts: Sequence[float], realized: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((forecasts - realized) ** 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossDifferential:
-    """Squared-error loss differences of two models on common months."""
+    """Squared-error loss differences of two models on common months,
+    given as int64 month ordinals."""
 
-    months: tuple[MonthKey, ...]
+    months: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
@@ -52,22 +53,15 @@ class LossDifferential:
 
 def loss_differential(a: ForecastSeries, b: ForecastSeries) -> LossDifferential:
     """d_t = e_A(t)^2 - e_B(t)^2 on the months both series cover."""
-    in_b = set(b.months)
-    common = tuple(m for m in a.months if m in in_b)
+    common, in_a, in_b = np.intersect1d(
+        a.months, b.months, assume_unique=True, return_indices=True
+    )
     if len(common) < 2:
         raise DataError(
             f"models {a.model!r} and {b.model!r} share {len(common)} "
             "months; need at least 2"
         )
-    ea = _errors_on(a, common)
-    eb = _errors_on(b, common)
-    return LossDifferential(months=common, d=ea**2 - eb**2)
-
-
-def _errors_on(series: ForecastSeries, months: Sequence[MonthKey]) -> np.ndarray:
-    """The series' forecast errors on the given months, in their order."""
-    position = {m: i for i, m in enumerate(series.months)}
-    return series.errors()[[position[m] for m in months]]
+    return LossDifferential(common, a.errors()[in_a] ** 2 - b.errors()[in_b] ** 2)
 
 
 def _unit_scale(unit: str) -> float:
@@ -180,10 +174,10 @@ def gw_from_forecasts(
 ) -> GWResult:
     """giacomini_white on the aligned annualized errors of two series."""
     scale = _unit_scale(unit)
-    diff = loss_differential(a, b)
+    months = loss_differential(a, b).months
     return giacomini_white(
-        _errors_on(a, diff.months) * scale,
-        _errors_on(b, diff.months) * scale,
+        a.errors()[np.searchsorted(a.months, months)] * scale,
+        b.errors()[np.searchsorted(b.months, months)] * scale,
         variant,
         truncation_lag=truncation_lag,
     )
@@ -231,13 +225,13 @@ def evaluate_forecasts(
     baseline = forecasts[0]
     entries = []
     for series in forecasts:
-        if series.months != baseline.months:
+        if not np.array_equal(series.months, baseline.months):
             raise DataError(
                 f"model {series.model!r} covers different months than the "
                 f"baseline {baseline.model!r}"
             )
-        predicted = np.array(series.nowcasts_annualized) * scale
-        actual = np.array(series.realized_annualized) * scale
+        predicted = series.nowcasts_annualized * scale
+        actual = series.realized_annualized * scale
         gw = None
         if series is not baseline:
             gw = gw_from_forecasts(

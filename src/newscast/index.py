@@ -3,14 +3,16 @@
 The index level for month t is the running sum of monthly mean article
 scores up to and including t (a prefix sum, so its first differences
 recover the monthly means). Months without articles carry the previous
-level forward and are flagged, never interpolated.
+level forward and are flagged, never interpolated. Articles are grouped
+by the month ordinals of their dates, and a NewsIndex counts them in
+one array over its span.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,18 +49,21 @@ class MonthlySentiment:
             raise DataError(f"mean score {self.mean_score} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewsIndex:
     """Cumulative sentiment index plus per-month provenance.
 
-    counts records how many articles fed each month of the series;
-    gap_months lists the months that had none and therefore carry the
-    previous level forward.
+    counts is a read-only int64 array of how many articles fed each
+    month of the series, from its first month on; gap_months lists the
+    months that had none and therefore carry the previous level forward.
     """
 
     series: MonthlySeries
-    counts: Mapping[MonthKey, int] = field(repr=False)
-    gap_months: tuple[MonthKey, ...] = ()
+    counts: np.ndarray = field(repr=False)
+
+    @property
+    def gap_months(self) -> tuple[MonthKey, ...]:
+        return tuple(months_where(self.series.first_month().ordinal, self.counts == 0))
 
 
 def monthly_aggregate(
@@ -119,18 +124,15 @@ def build_news_index(monthly: Sequence[MonthlySentiment]) -> NewsIndex:
             f"monthly means out of order at {later.month} "
             f"(follows {earlier.month})"
         )
-    counts = np.bincount(offsets, [m.article_count for m in monthly]).astype(int)
+    counts = np.bincount(offsets, [m.article_count for m in monthly]).astype(np.int64)
+    counts.flags.writeable = False
     # bincount adds each mean to 0.0 and cumsum accumulates in order, so
     # the levels are exactly the running sum from 0.0 (gaps add 0.0).
     levels = np.cumsum(np.bincount(offsets, [m.mean_score for m in monthly]))
     series = MonthlySeries.from_arrays(
         INDEX_NAME, start, levels, np.ones(len(levels), dtype=bool), INDEX_LEVEL
     )
-    return NewsIndex(
-        series=series,
-        counts=dict(zip(series.months(), counts.tolist())),
-        gap_months=tuple(months_where(start, counts == 0)),
-    )
+    return NewsIndex(series=series, counts=counts)
 
 
 def news_pi(

@@ -8,7 +8,9 @@ Errors carry 1-based physical line numbers.
 
 Article files are read into an ArticleTable in one pass. A malformed
 article row is rejected with its line and one reason, found in a fixed
-order of checks per format (see _read_table).
+order of checks per format (see _read_table). Dates are parsed with
+date.fromisoformat into one datetime64[D] column; months are ordinals
+in memory and YYYY-MM text only in files.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import DataError, NewscastError, SeriesFormatError
+from .index import NewsIndex
 from .nowcast import ForecastSeries
 from .sentiment import COLUMN_CHECKS, ArticleTable, SentimentProbs
 from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries
@@ -224,10 +227,8 @@ def write_series(
 # --------------------------------------------------------------- articles
 
 
-def _date_columns(text: str) -> tuple[str, int, int]:
-    """(YYYY-MM-DD, month ordinal, day) of a date field."""
-    d = _dt.date.fromisoformat(text.strip())
-    return d.isoformat(), d.year * 12 + d.month - 1, d.day
+#: date.toordinal of 1970-01-01, where datetime64[D] counts from.
+_EPOCH_DAY = _dt.date(1970, 1, 1).toordinal()
 
 
 def _probability_value(row, key: str) -> tuple[float, float, float]:
@@ -279,11 +280,9 @@ def _read_table(
     score range. Strict mode raises the first rejection, with its line,
     and reads no row after one that fails to convert.
     """
-    known: dict[str, tuple[str, int, int]] = {}
+    known: dict[str, int] = {}
     ids: list[str] = []
-    dates: list[str] = []
-    months: list[int] = []
-    days: list[int] = []
+    dates: list[int] = []
     values: list = []
     lines: list[int] = []
     rejections: list[Rejection] = []
@@ -294,7 +293,8 @@ def _read_table(
                 raise DataError(f"expected {width} fields, got {len(row)}")
             date = known.get(row[1])
             if date is None:
-                date = known[row[1]] = _date_columns(row[1])
+                parsed = _dt.date.fromisoformat(row[1].strip())
+                date = known[row[1]] = parsed.toordinal() - _EPOCH_DAY
             key = row[0].strip()
             value = fmt.value(row, key)
         except (DataError, ValueError) as exc:
@@ -303,9 +303,7 @@ def _read_table(
                 break
             continue
         ids.append(key)
-        dates.append(date[0])
-        months.append(date[1])
-        days.append(date[2])
+        dates.append(date)
         values.append(value)
         lines.append(line_num)
     column = fmt.stack(values)
@@ -317,19 +315,13 @@ def _read_table(
                 rejections.append(Rejection(lines[i], reason(column[i].tolist())))
             rejections.sort(key=attrgetter("line"))
             good = (~bad).tolist()
-            ids, dates, months, days = (
-                list(itertools.compress(c, good)) for c in (ids, dates, months, days)
-            )
+            ids, dates = (list(itertools.compress(c, good)) for c in (ids, dates))
             column = column[~bad]
     if strict and rejections:
         first = rejections[0]
         raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
     table = ArticleTable(
-        ids,
-        dates,
-        np.array(months, dtype=np.int64),
-        np.array(days, dtype=np.int64),
-        **{fmt.column: column},
+        ids, np.array(dates, dtype="datetime64[D]"), **{fmt.column: column}
     )
     return table, rejections
 
@@ -387,11 +379,15 @@ def write_scored_articles(
 
 
 def _write_articles(table: ArticleTable, header, columns, path, comment) -> None:
-    """Rows of id, date and the float columns, written with repr."""
+    """Rows of id, date and the float columns, written with repr. Each
+    distinct date is formatted once."""
+    # numpy finds the distinct values of int64 faster than of datetime64.
+    days, at = np.unique(table.dates.view(np.int64), return_inverse=True)
+    text = np.datetime_as_string(days.view("datetime64[D]")).astype(object)
     values = (map(repr, column.tolist()) for column in columns)
     write_rows(
         header,
-        zip(table.ids, table.dates, *values),
+        zip(table.ids, text[at].tolist(), *values),
         path,
         comment,
         quote_all="\r" in "".join(table.ids),
@@ -414,14 +410,14 @@ def write_forecasts(
     comment: str | None = None,
 ) -> None:
     rows = (
-        [str(month), series.model, *map(repr, values)]
+        [str(MonthKey.from_ordinal(month)), series.model, *map(repr, values)]
         for series in series_list
         for month, *values in zip(
-            series.months,
-            series.nowcasts,
-            series.nowcasts_annualized,
-            series.realized,
-            series.realized_annualized,
+            series.months.tolist(),
+            series.nowcasts.tolist(),
+            series.nowcasts_annualized.tolist(),
+            series.realized.tolist(),
+            series.realized_annualized.tolist(),
         )
     )
     write_rows(FORECAST_HEADER, rows, path, comment)
@@ -431,28 +427,24 @@ def read_forecasts(path: str | Path) -> list[ForecastSeries]:
     """Load a forecast file back into per-model series, in file order.
     Within a model, months must be strictly increasing; every value
     must be finite."""
-    collected: dict[str, list[tuple[MonthKey, float, float, float, float]]] = {}
+    collected: dict[str, list[tuple[int, float, float, float, float]]] = {}
     for month, model, values in _month_rows(Path(path), FORECAST_HEADER, keyed=True):
-        collected.setdefault(model, []).append((month, *values))
+        collected.setdefault(model, []).append((month.ordinal, *values))
     if not collected:
         raise DataError(f"{path} contains no forecast rows")
     # Row fields follow ForecastSeries' fields after model: transpose.
-    return [
-        ForecastSeries(model, *map(tuple, zip(*rows)))
-        for model, rows in collected.items()
-    ]
+    return [ForecastSeries(model, *zip(*rows)) for model, rows in collected.items()]
 
 
 # ----------------------------------------------------------- index sidecar
 
 
 def write_index_metadata(
-    counts, gap_months, path: str | Path, comment: str | None = None
+    index: NewsIndex, path: str | Path, comment: str | None = None
 ) -> None:
     """Sidecar `month,article_count,gap` rows for a NEWS index."""
-    gaps = set(gap_months)
     rows = (
-        [str(month), str(counts[month]), "1" if month in gaps else "0"]
-        for month in sorted(counts)
+        [str(month), str(count), "0" if count else "1"]
+        for month, count in zip(index.series.months(), index.counts.tolist())
     )
     write_rows(INDEX_META_HEADER, rows, path, comment)

@@ -7,25 +7,19 @@ mean of their previous 12 values; the news sentiment regressor is
 observable in real time and enters with its exact value for the target
 month.
 
-One helper builds the response and the [1, regressors...] design over a
-span of months. Nowcasts are computed as columns over a span of months:
-one helper reads each regressor as one array over the span (the news
-values, or a price index's moving averages), and one adds b0 + b1*x1 +
-... in spec order, elementwise, so each nowcast is bit for bit the
-scalar sum for its month. A single nowcast is a span of one month.
-fit_model
-builds the design of one window and runs fit_ols, the solve core
-plus the inference step that the fit command writes to regression.txt
-and regression.csv. backtest builds each model's design once over every
-month its windows cover, slices each rolling (or the fixed) window out
-of it, runs the ols solve core alone (a nowcast needs coefficients and
-nothing else), and stacks the coefficients into one row per evaluation
-month.
+fit_model fits the [1, regressors...] design of one window with
+fit_ols, the solve core plus the inference that the fit command writes.
+backtest builds each model's design once over every month its windows
+cover and runs the solve core alone on each window's rows. Nowcasts are
+columns over a span of months: each regressor is read as one array (the
+news values, or a price index's moving averages) and b0 + b1*x1 + ...
+is added in spec order, so each nowcast equals the scalar sum for its
+month. A ForecastSeries holds int64 month ordinals and float64 arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,7 +31,6 @@ from .timeseries import (
     MonthKey,
     MonthlySeries,
     annualize,
-    month_range,
     months_between,
     moving_average_predictor,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
     moving_averages,
@@ -218,32 +211,35 @@ def _nowcasts(betas: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
     return casts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastSeries:
-    """Aligned nowcasts and realizations, monthly and annualized."""
+    """Aligned nowcasts and realizations, monthly and annualized: the
+    strictly increasing month ordinals (MonthKey.ordinal) as a read-only
+    int64 array, each value column as a read-only float64 array."""
 
     model: str
-    months: tuple[MonthKey, ...]
-    nowcasts: tuple[float, ...]
-    nowcasts_annualized: tuple[float, ...]
-    realized: tuple[float, ...]
-    realized_annualized: tuple[float, ...]
+    months: np.ndarray
+    nowcasts: np.ndarray
+    nowcasts_annualized: np.ndarray
+    realized: np.ndarray
+    realized_annualized: np.ndarray
 
     def __post_init__(self):
-        n = len(self.months)
-        for name in ("nowcasts", "nowcasts_annualized", "realized",
-                     "realized_annualized"):
-            if len(getattr(self, name)) != n:
-                raise DataError(f"{name} length differs from months")
+        for field, dtype in zip(fields(self)[1:], (np.int64, *[float] * 4)):
+            column = np.array(getattr(self, field.name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+            if len(column) != len(self.months):
+                raise DataError(f"{field.name} length differs from months")
+        if (np.diff(self.months) <= 0).any():
+            raise DataError(f"months of model {self.model!r} are not increasing")
 
     def __len__(self) -> int:
         return len(self.months)
 
     def errors(self) -> np.ndarray:
         """Annualized forecast errors, realized minus nowcast."""
-        return np.array(self.realized_annualized) - np.array(
-            self.nowcasts_annualized
-        )
+        return self.realized_annualized - self.nowcasts_annualized
 
 
 BACKTEST_SCHEMES = ("fixed", "rolling")
@@ -302,15 +298,14 @@ def backtest(
     betas = np.array(
         [solve_ols(y[i : i + n], X[i : i + n], names).beta for i in starts]
     )
-    casts = _nowcasts(betas, columns).tolist()
-    realized = realized.tolist()
+    casts = _nowcasts(betas, columns)
     return ForecastSeries(
         model=spec.name,
-        months=tuple(month_range(eval_start, eval_end)),
-        nowcasts=tuple(casts),
-        nowcasts_annualized=tuple(map(annualize, casts)),
-        realized=tuple(realized),
-        realized_annualized=tuple(map(annualize, realized)),
+        months=np.arange(eval_start.ordinal, eval_end.ordinal + 1),
+        nowcasts=casts,
+        nowcasts_annualized=list(map(annualize, casts.tolist())),
+        realized=realized,
+        realized_annualized=list(map(annualize, realized.tolist())),
     )
 
 

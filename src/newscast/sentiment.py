@@ -6,10 +6,11 @@ turned into scalar scores either by taking the most probable label
 (argmax) or the expectation of the label (polarity).
 
 A batch of articles travels through the pipeline as an ArticleTable:
-columns of ids, dates, month ordinals and days, plus texts,
-probabilities or scores. It is the one article type: readers return it,
-filtering, classifying and scoring work on its columns, and its
-constructor is where an article's values are checked.
+columns of ids and datetime64[D] dates, plus texts, probabilities or
+scores; month ordinals and days of month are derived from the dates. It
+is the one article type: readers return it, filtering, classifying and
+scoring work on its columns, and its constructor is where an article's
+values are checked.
 """
 
 from __future__ import annotations
@@ -87,12 +88,15 @@ def _probability_reason(row) -> str:
     raise AssertionError(f"SentimentProbs accepts a refused row {row}")
 
 
+#: The dates an article file can hold.
+DATE_RANGE = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
+
 #: The values ArticleTable refuses, per column, in the order it checks
 #: them: (column -> mask of refused entries, entry -> the reason).
 COLUMN_CHECKS = {
-    "days": (
-        lambda days: (days < 1) | (days > 31),
-        "day of month must be in 1..31, got {}".format,
+    "dates": (  # NaT compares false, so it is refused too
+        lambda dates: ~((dates >= DATE_RANGE[0]) & (dates <= DATE_RANGE[1])),
+        lambda day: f"date {np.datetime64(day, 'D')} outside years 1..9999",
     ),
     "probs": (invalid_probabilities, _probability_reason),
     "scores": (
@@ -106,37 +110,44 @@ class ArticleTable:
     """A batch of articles stored as columns.
 
     - ids: list of str.
-    - dates: list of dates, YYYY-MM-DD.
-    - months: int64 month ordinals (MonthKey.ordinal).
-    - days: int64 days of month.
+    - dates: datetime64[D] array.
     - texts: list of str, or None.
     - probs: n x 3 float64 (p_down, p_neutral, p_up), or None.
     - scores: float64, or None.
 
-    A column that is None is absent for every article. The constructor
-    checks that every column holds one entry per article and that each
-    entry passes COLUMN_CHECKS: days in 1..31, probability rows that
-    SentimentProbs accepts, scores in [-1, 1]. A failure raises
-    DataError naming the first offending article. replace checks only
-    the columns it replaces, and take only selects checked rows.
+    A column that is None is absent for every article. months (int64
+    MonthKey ordinals) and days of month are read from the dates. The
+    constructor checks that every column holds one entry per article,
+    that dates is a datetime64[D] array, and that each entry passes
+    COLUMN_CHECKS: dates in years 1..9999 (never NaT), probability rows
+    that SentimentProbs accepts, scores in [-1, 1]. A failure raises
+    DataError naming the column or the first offending article. replace
+    checks only the columns it replaces, and take only selects rows.
     """
 
-    __slots__ = ("ids", "dates", "months", "days", "texts", "probs", "scores")
+    __slots__ = ("ids", "dates", "texts", "probs", "scores")
 
     def __init__(
         self,
         ids: list[str],
-        dates: list[str],
-        months: np.ndarray,
-        days: np.ndarray,
+        dates: np.ndarray,
         texts: list[str] | None = None,
         probs: np.ndarray | None = None,
         scores: np.ndarray | None = None,
     ):
-        columns = (ids, dates, months, days, texts, probs, scores)
+        columns = (ids, dates, texts, probs, scores)
         for name, column in zip(self.__slots__, columns):
             setattr(self, name, column)
         self._check(self.__slots__)
+
+    @property
+    def months(self) -> np.ndarray:
+        # datetime64[M] counts months from 1970-01.
+        return self.dates.astype("datetime64[M]").astype(np.int64) + 1970 * 12
+
+    @property
+    def days(self) -> np.ndarray:
+        return (self.dates - self.dates.astype("datetime64[M]")).astype(np.int64) + 1
 
     def _check(self, names: Iterable[str]) -> None:
         """Check that all columns are equally long, then the values of
@@ -151,6 +162,9 @@ class ArticleTable:
             at = f" at article {self.ids[short]!r}" if short < len(self.ids) else ""
             listing = ", ".join(f"{name} {n}" for name, n in lengths.items())
             raise DataError(f"article columns differ in length{at}: {listing}")
+        kind = str(getattr(self.dates, "dtype", type(self.dates).__name__))
+        if "dates" in names and kind != "datetime64[D]":
+            raise DataError(f"article column dates must be datetime64[D], got {kind}")
         first = None
         for name, (refused, reason) in COLUMN_CHECKS.items():
             column = getattr(self, name)
@@ -315,7 +329,9 @@ def baseline_probabilities(
             dtype=np.int64,
             count=len(haystacks),
         )
-        return np.minimum(counts, cap)
+        # No count exceeds the phrase count, and a cap past int64 cannot
+        # enter numpy.
+        return np.minimum(counts, min(cap, len(phrases)))
 
     odds_up = gain * hits(up_lexicon)
     odds_down = gain * hits(down_lexicon)

@@ -34,7 +34,8 @@ INDEX_LEVEL = "index-level"
 PERCENT = "percent"
 UNITS = (INDEX_LEVEL, PERCENT)
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+# [0-9]: \d would also match the digits date.fromisoformat refuses.
+_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")
 
 
 @dataclass(frozen=True, order=True)

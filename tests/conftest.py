@@ -26,13 +26,12 @@ def series_factory():
 
 def make_articles(ids, dates, texts=None, probs=None, scores=None) -> ArticleTable:
     """An ArticleTable of the articles with these ids and YYYY-MM-DD
-    dates, plus the given columns as lists."""
-    parsed = [date.fromisoformat(d) for d in dates]
+    dates, plus the given columns as lists. The dates are parsed by
+    date.fromisoformat, as the readers do; numpy would also read text
+    such as "today"."""
     return ArticleTable(
         list(ids),
-        [d.isoformat() for d in parsed],
-        np.array([d.year * 12 + d.month - 1 for d in parsed], dtype=np.int64),
-        np.array([d.day for d in parsed], dtype=np.int64),
+        np.array([date.fromisoformat(d) for d in dates], dtype="datetime64[D]"),
         texts=None if texts is None else list(texts),
         probs=None if probs is None else np.array(probs, dtype=float).reshape(-1, 3),
         scores=None if scores is None else np.array(scores, dtype=float),

@@ -243,15 +243,16 @@ def oracle_read(path, header, parse, strict):
 
 def table_rows(table, column):
     """The articles of a table as the oracle's tuples; hex keeps floats
-    bitwise."""
+    bitwise, and dates are written by date.isoformat, not by numpy."""
     if column == "probs":
         values = [tuple(p.hex() for p in row) for row in table.probs.tolist()]
     elif column == "scores":
         values = [s.hex() for s in table.scores.tolist()]
     else:
         values = table.texts
+    dates = [d.isoformat() for d in table.dates.tolist()]
     return list(zip(
-        table.ids, table.dates, table.months.tolist(), table.days.tolist(), values
+        table.ids, dates, table.months.tolist(), table.days.tolist(), values
     ))
 
 
@@ -418,16 +419,19 @@ def reference_baseline(text, gain, cap):
     return ((down / z).hex(), (1.0 / z).hex(), (up / z).hex())
 
 
-JAN = MonthKey(2020, 1).ordinal
+JAN_1, JAN_2 = date(2020, 1, 1), date(2020, 1, 2)
 
 
-def two_articles(days=(1, 2), texts=None, probs=None, scores=None):
-    """Articles 'a' and 'b' of January 2020, built as a table."""
+def date_column(*dates):
+    """A datetime64[D] column; None is NaT."""
+    return np.array(dates, dtype="datetime64[D]")
+
+
+def two_articles(dates=(JAN_1, JAN_2), texts=None, probs=None, scores=None):
+    """Articles 'a' and 'b', built as a table."""
     return ArticleTable(
         ["a", "b"],
-        [f"2020-01-{day:02d}" for day in days],
-        np.array([JAN, JAN]),
-        np.array(days),
+        date_column(*dates),
         texts=texts,
         probs=None if probs is None else np.array(probs),
         scores=None if scores is None else np.array(scores),
@@ -444,16 +448,31 @@ class TestArticleTable:
         with pytest.raises(DataError, match="at article 'b'.* scores 1"):
             write_scored_articles(two_articles(scores=[0.5]), tmp_path / "s.csv")
         with pytest.raises(DataError, match="differ in length: ids 2, dates 3"):
-            ArticleTable(
-                ["a", "b"], ["2020-01-01"] * 3, np.array([JAN] * 2), np.ones(2)
-            )
+            ArticleTable(["a", "b"], date_column(JAN_1, JAN_1, JAN_1))
 
-    def test_days_are_in_1_to_31(self):
-        two_articles(days=(1, 31))
-        with pytest.raises(DataError, match="'b': day of month .* got 40"):
-            monthly_aggregate(two_articles((1, 40), scores=[0.5, 0.5]), day_cutoff=31)
-        with pytest.raises(DataError, match="'a': day of month .* got 0"):
-            two_articles(days=(0, 1))
+    def test_dates_are_datetime64_days_in_years_1_to_9999(self):
+        first, last = date(1, 1, 1), date(9999, 12, 31)
+        table = two_articles((first, last))
+        assert table.months.tolist() == [
+            MonthKey(1, 1).ordinal, MonthKey(9999, 12).ordinal
+        ]
+        assert table.days.tolist() == [1, 31]
+        with pytest.raises(DataError, match="'b': date NaT outside"):
+            two_articles((JAN_1, None))
+        with pytest.raises(DataError, match="'a': date 10000-01-01 outside"):
+            two_articles().replace(dates=date_column(last, last) + [1, 0])
+        # Date text such as 2020-01-40 never reaches numpy: a dates
+        # column of any other type is refused whole.
+        for dates, kind in (
+            (["2020-01-01", "2020-01-40"], "list"),
+            (np.array(["2020-01-01", "2020-01-02"]), "<U10"),
+            (date_column(JAN_1, JAN_2).astype("datetime64[M]"), r"datetime64\[M\]"),
+            (date_column(JAN_1, JAN_2).view(np.int64), "int64"),
+        ):
+            with pytest.raises(
+                DataError, match=rf"column dates must be datetime64\[D\], got {kind}"
+            ):
+                ArticleTable(["a", "b"], dates)
 
     def test_probability_rows_pass_the_probability_rule(self):
         with pytest.raises(DataError, match="'b': probabilities sum to 2.7"):
@@ -471,10 +490,10 @@ class TestArticleTable:
             two_articles(scores=[math.nan, 0.0])
 
     def test_first_article_and_first_check_are_reported(self):
-        with pytest.raises(DataError, match="'a': day of month"):
-            two_articles(days=(0, 40), scores=[5.0, 5.0])
+        with pytest.raises(DataError, match="'a': date NaT"):
+            two_articles((None, None), scores=[5.0, 5.0])
         with pytest.raises(DataError, match="'a': score 5.0"):
-            two_articles(days=(1, 40), scores=[5.0, 0.0])
+            two_articles((JAN_1, None), scores=[5.0, 0.0])
 
     def test_replace_checks_what_it_replaces(self):
         table = two_articles(probs=[(0.0, 1.0, 0.0), (0.2, 0.3, 0.5)])
@@ -502,6 +521,20 @@ def drawn_table(drawn, column):
     return make_articles(ids, map(date.isoformat, days), **{column: list(values)})
 
 
+def written_dates(path):
+    """The date field of each row of an article file."""
+    return [row[1] for _, row in oracle_rows(path)]
+
+
+def mid_month_aggregate(table):
+    """monthly_aggregate with day_cutoff=15, or its error."""
+    try:
+        monthly = monthly_aggregate(table, day_cutoff=15)
+    except DataError as exc:
+        return str(exc)
+    return [(m.month, m.mean_score.hex(), m.article_count) for m in monthly]
+
+
 class TestRoundTrip:
     @SETTINGS
     @given(st.lists(st.tuples(ROUND_TRIP_IDS, ANY_DAY, valid_probs()), max_size=12))
@@ -509,6 +542,7 @@ class TestRoundTrip:
         articles = drawn_table(drawn, "probs")
         path = scratch / "p.csv"
         write_probability_articles(articles, path)
+        assert written_dates(path) == [d.isoformat() for _, d, _ in drawn]
         back, rejections = read_probability_articles(path)
         assert rejections == []
         assert table_rows(back, "probs") == table_rows(articles, "probs")
@@ -524,9 +558,11 @@ class TestRoundTrip:
         articles = drawn_table(drawn, "scores")
         path = scratch / "s.csv"
         write_scored_articles(articles, path)
+        assert written_dates(path) == [d.isoformat() for _, d, _ in drawn]
         back, rejections = read_scored_articles(path)
         assert rejections == []
         assert table_rows(back, "scores") == table_rows(articles, "scores")
+        assert mid_month_aggregate(back) == mid_month_aggregate(articles)
         before = path.read_bytes()
         write_scored_articles(back, path)
         assert path.read_bytes() == before

@@ -116,6 +116,20 @@ class TestScore:
         stdout = capsys.readouterr().out
         assert "filtered out" in stdout
 
+    def test_cap_past_int64_scores_as_any_cap_past_the_phrase_count(self, tmp_path):
+        # No headline hits more phrases than a lexicon holds.
+        text = ("--set", "news_probs=")
+        outs = {}
+        for cap in (2**63, 1000):
+            outs[cap] = tmp_path / str(cap)
+            assert run(
+                "--config", "toy", "--out", outs[cap], *text,
+                "--set", f"baseline_cap={cap}", "score",
+            ) == 0
+        for name in ("articles_probs.csv", "articles_scored.csv"):
+            rows = [read_csv_after_provenance(out / name) for out in outs.values()]
+            assert len(rows[0]) > 1 and rows[0] == rows[1]
+
     def test_zero_match_lexicon_warns_but_succeeds(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -33,8 +33,8 @@ COND_B = (0.5, 1.5, 2.0, 1.0, 0.5, 2.0, 1.5, 1.0, 0.5)
 
 
 def make_fs(model, start, nowcasts, realized):
-    m0 = MonthKey.parse(start)
-    months = tuple(m0.shift(i) for i in range(len(nowcasts)))
+    m0 = MonthKey.parse(start).ordinal
+    months = range(m0, m0 + len(nowcasts))
     return ForecastSeries(
         model=model,
         months=months,
@@ -78,7 +78,7 @@ class TestLossDifferential:
         a = make_fs("a", "2020-01", [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
         b = make_fs("b", "2020-01", [0.0, 0.0, 0.0], [2.0, 1.0, 3.0])
         diff = loss_differential(a, b)
-        assert diff.months == a.months
+        assert diff.months.tolist() == a.months.tolist()
         ea = np.array([annualize(v) for v in (1.0, 2.0, 3.0)])
         eb = np.array([annualize(v) for v in (2.0, 1.0, 3.0)])
         np.testing.assert_allclose(diff.d, ea**2 - eb**2)
@@ -88,13 +88,23 @@ class TestLossDifferential:
         a = make_fs("a", "2020-01", [0.0] * 4, [1.0, 2.0, 3.0, 4.0])
         b = make_fs("b", "2020-02", [0.0] * 3, [1.0, 1.0, 1.0])
         diff = loss_differential(a, b)
-        assert diff.months == b.months
+        assert diff.months.tolist() == b.months.tolist()
+        np.testing.assert_array_equal(
+            diff.d, a.errors()[1:] ** 2 - b.errors() ** 2
+        )
 
     def test_too_few_common_months(self):
         a = make_fs("a", "2020-01", [0.0, 0.0], [1.0, 2.0])
         b = make_fs("b", "2021-01", [0.0, 0.0], [1.0, 2.0])
         with pytest.raises(DataError, match="common|share"):
             loss_differential(a, b)
+
+    def test_months_must_increase(self):
+        # Alignment looks months up in sorted order.
+        with pytest.raises(DataError, match="'a' are not increasing"):
+            ForecastSeries("a", [24241, 24241], *[[0.0, 0.0]] * 4)
+        with pytest.raises(DataError, match="'a' are not increasing"):
+            ForecastSeries("a", [24242, 24241], *[[0.0, 0.0]] * 4)
 
 
 class TestGiacominiWhiteUnconditional:
@@ -296,6 +306,7 @@ class TestGwFromForecasts:
         )
         res = gw_from_forecasts(long, short)
         assert res.n == 12
+        assert res == giacomini_white(long.errors()[2:] * 0.01, short.errors() * 0.01)
 
 
 class TestEvaluateForecasts:
@@ -319,8 +330,7 @@ class TestEvaluateForecasts:
         report = evaluate_forecasts(forecasts, unit="fraction")
         for fs, entry in zip(forecasts, report.entries):
             expected = rmse(
-                np.array(fs.nowcasts_annualized) * 0.01,
-                np.array(fs.realized_annualized) * 0.01,
+                fs.nowcasts_annualized * 0.01, fs.realized_annualized * 0.01
             )
             assert entry.rmse == expected
 

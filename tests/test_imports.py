@@ -95,6 +95,25 @@ def test_traced_names_resolve(module, attr):
     assert callable(found), f"newscast.{module} has no function {attr}"
 
 
+def test_traced_toy_chain_runs(tmp_path, capsys, monkeypatch):
+    # The trace's recorders read what the wrapped functions take and
+    # return (gap months, article counts, a positional output path), so
+    # a changed type fails here, not only under `run.py --trace 1`.
+    monkeypatch.syspath_prepend(str(BENCH_TRACE.parent))
+    bench_trace = importlib.import_module("bench_trace")
+    main = importlib.import_module("newscast.cli").main
+    chain = (
+        ["--set", "news_probs=", "score"], ["score"], ["build-index"],
+        ["backtest", "all"], ["evaluate"],
+    )
+    tracer = bench_trace.Tracer()
+    with bench_trace.instrumented(tracer):
+        codes = [main(["--config", "toy", "--out", str(tmp_path), *a]) for a in chain]
+    assert codes == [0] * len(chain), capsys.readouterr().err
+    metrics = bench_trace.layer_metrics(tracer.spans)
+    assert (metrics["index.months"], metrics["index.gap_months"]) == (132, 0)
+
+
 def definitions(tree: ast.Module) -> list[str]:
     """Names a module's top-level def, class and assignment statements
     bind, dunders excepted."""

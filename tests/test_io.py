@@ -1,5 +1,7 @@
 """File formats: series, article variants, forecasts, rejections."""
 
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from newscast import (
     DataError,
     ForecastSeries,
     MonthKey,
+    MonthlySentiment,
     SeriesFormatError,
     annualize,
+    build_news_index,
     read_forecasts,
     read_probability_articles,
     read_scored_articles,
@@ -250,15 +254,12 @@ class TestScoredArticles:
 
     def test_article_without_day_is_not_written(self, tmp_path):
         # A made-up day would let the article past day_cutoff on reread,
-        # so a table refuses day 0.
+        # so a table refuses dates without days.
         path = tmp_path / "scored.csv"
-        with pytest.raises(DataError, match="day of month"):
+        month = np.array([date(2020, 1, 1)], dtype="datetime64[M]")
+        with pytest.raises(DataError, match=r"datetime64\[D\], got datetime64\[M\]"):
             write_scored_articles(
-                ArticleTable(
-                    ["a"], ["2020-01"], np.array([MonthKey(2020, 1).ordinal]),
-                    np.array([0]), scores=np.array([0.5]),
-                ),
-                path,
+                ArticleTable(["a"], month, scores=np.array([0.5])), path
             )
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
@@ -272,7 +273,7 @@ class TestScoredArticles:
 
 class TestForecastFiles:
     def _series(self, model, shift=0.0):
-        months = tuple(MonthKey(2020, 1 + i) for i in range(3))
+        months = [MonthKey(2020, 1 + i).ordinal for i in range(3)]
         casts = (0.1 + shift, 0.2 + shift, 0.3 + shift)
         real = (0.15, 0.25, 0.2)
         return ForecastSeries(
@@ -291,12 +292,14 @@ class TestForecastFiles:
         write_forecasts([fed, both], path)
         back = read_forecasts(path)
         assert [fs.model for fs in back] == ["fed", "fed+news"]
+        columns = (
+            "months", "nowcasts", "nowcasts_annualized", "realized",
+            "realized_annualized",
+        )
         for original, loaded in zip([fed, both], back):
-            assert loaded.months == original.months
-            assert loaded.nowcasts == original.nowcasts
-            assert loaded.nowcasts_annualized == original.nowcasts_annualized
-            assert loaded.realized == original.realized
-            assert loaded.realized_annualized == original.realized_annualized
+            for name in columns:
+                got, want = getattr(loaded, name), getattr(original, name)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     def test_model_order_is_file_order(self, tmp_path):
         path = tmp_path / "forecasts.csv"
@@ -366,8 +369,11 @@ class TestSidecars:
 
     def test_index_metadata(self, tmp_path):
         path = tmp_path / "meta.csv"
-        counts = {MonthKey(2020, 1): 4, MonthKey(2020, 2): 0, MonthKey(2020, 3): 2}
-        write_index_metadata(counts, [MonthKey(2020, 2)], path)
+        index = build_news_index([
+            MonthlySentiment(MonthKey(2020, 1), 0.5, 4),
+            MonthlySentiment(MonthKey(2020, 3), -0.5, 2),
+        ])
+        write_index_metadata(index, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "month,article_count,gap"
         assert lines[1:] == ["2020-01,4,0", "2020-02,0,1", "2020-03,2,0"]

@@ -1,5 +1,7 @@
 """Probability vectors, scoring rules, lexicon gate, keyword baseline, F1."""
 
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from newscast import (
     ConfigError,
     DataError,
     InvalidProbabilityError,
-    MonthKey,
     SentimentProbs,
     SentimentScorer,
     argmax_score,
@@ -51,18 +52,19 @@ class TestSentimentProbs:
 def article(day=1, scores=None):
     """One article of January 2020, built as a table."""
     return ArticleTable(
-        ["a"], [f"2020-01-{day:02d}"], np.array([MonthKey(2020, 1).ordinal]),
-        np.array([day]), scores=None if scores is None else np.array(scores),
+        ["a"], np.array([date(2020, 1, day)], dtype="datetime64[D]"),
+        scores=None if scores is None else np.array(scores),
     )
 
 
 class TestArticles:
     def test_day_bounds(self):
-        article(day=31)
-        with pytest.raises(DataError):
-            article(day=0)
-        with pytest.raises(DataError):
-            article(day=32)
+        assert article(day=31).days.tolist() == [31]
+        # Day 0 or 32 has no datetime64[D] value; a missing date is NaT.
+        with pytest.raises(DataError, match=r"datetime64\[D\], got list"):
+            ArticleTable(["a"], ["2020-01-32"])
+        with pytest.raises(DataError, match="'a': date NaT"):
+            ArticleTable(["a"], np.array([None], dtype="datetime64[D]"))
 
     def test_score_bounds(self):
         article(scores=[-1.0])
