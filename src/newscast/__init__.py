@@ -7,7 +7,6 @@ changes, nowcast with moving-average imputation, and compare models by
 RMSE and the Giacomini-White test.
 """
 
-from .base import ParamMixin, check_is_fitted
 from .config import RunConfig, load_config, toy_config_path
 from .errors import (
     ConfigError,
@@ -17,7 +16,6 @@ from .errors import (
     InvalidProbabilityError,
     MissingMonthsError,
     NewscastError,
-    NotFittedError,
     NumericError,
     SeriesFormatError,
     SingularDesignError,
@@ -37,7 +35,6 @@ from .evaluation import (
 from .index import (
     MonthlySentiment,
     NewsIndex,
-    NewsIndexBuilder,
     build_news_index,
     monthly_aggregate,
     news_pi,
@@ -56,7 +53,6 @@ from .io import (
 from .nowcast import (
     MODEL_SPECS,
     ForecastSeries,
-    InflationNowcaster,
     ModelSpec,
     backtest,
     fit_model,
@@ -115,14 +111,12 @@ __all__ = [
     # index
     "MonthlySentiment",
     "NewsIndex",
-    "NewsIndexBuilder",
     "build_news_index",
     "monthly_aggregate",
     "news_pi",
     # regression and nowcasting
     "MODEL_SPECS",
     "ForecastSeries",
-    "InflationNowcaster",
     "ModelSpec",
     "RegressionResult",
     "backtest",
@@ -150,9 +144,6 @@ __all__ = [
     "gw_from_forecasts",
     "loss_differential",
     "rmse",
-    # estimator protocol
-    "ParamMixin",
-    "check_is_fitted",
     # config
     "RunConfig",
     "load_config",
@@ -170,5 +161,4 @@ __all__ = [
     "ZeroDenominatorError",
     "SingularDesignError",
     "DegenerateLossError",
-    "NotFittedError",
 ]

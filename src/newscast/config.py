@@ -25,6 +25,7 @@ from .sentiment import (
     DEFAULT_DOWN_LEXICON,
     DEFAULT_LEXICON,
     DEFAULT_UP_LEXICON,
+    SCORES,
 )
 from .timeseries import MonthKey
 
@@ -65,7 +66,6 @@ KEY_DEFAULTS: dict[str, object] = {
     "seed": "0",
 }
 
-SCORE_FUNCTIONS = ("polarity", "argmax")
 # Validated, though no command reads articles with gold labels.
 LABEL_ENCODINGS = ("signed", "indexed")
 
@@ -301,7 +301,7 @@ def load_config(
         news_index_path=input_path("news_index", required=False),
         forecasts_path=input_path("forecasts", required=False),
         lexicon=_phrases(effective["lexicon"], "lexicon"),
-        score=_enum(effective["score"], "score", SCORE_FUNCTIONS),
+        score=_enum(effective["score"], "score", SCORES),
         label_encoding=_enum(
             effective["label_encoding"], "label_encoding", LABEL_ENCODINGS
         ),

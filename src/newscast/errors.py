@@ -79,7 +79,3 @@ class SingularDesignError(NumericError):
 class DegenerateLossError(NumericError):
     """Loss differential has zero variance but non-zero mean, which
     signals duplicated or constant-offset inputs rather than evidence."""
-
-
-class NotFittedError(NewscastError):
-    """An estimator method requiring a fit was called before fit()."""

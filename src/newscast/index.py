@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ParamMixin, check_is_fitted
 from .errors import ConfigError, DataError, ZeroDenominatorError
 from .sentiment import ArticleTable
 from .timeseries import (
@@ -82,9 +81,9 @@ def monthly_aggregate(
         raise DataError("the articles have no scores to aggregate")
     if not len(articles):
         raise DataError("monthly_aggregate needs at least one article")
-    months, scores = articles.months, articles.scores
+    (months, days), scores = articles.months_and_days(), articles.scores
     if day_cutoff is not None:
-        kept = articles.days <= day_cutoff
+        kept = days <= day_cutoff
         months, scores = months[kept], scores[kept]
     if not months.size:
         raise DataError(
@@ -175,44 +174,3 @@ def news_pi(
             zero + crossing,
         )
     return pct_change(series, window).with_name(out_name)
-
-
-class NewsIndexBuilder(ParamMixin):
-    """Estimator wrapper over aggregate -> prefix-sum -> transform.
-
-    Parameters
-    ----------
-    day_cutoff : int or None
-        Keep only articles on or before this day of month.
-    window : int
-        Percent-change window for pi_series().
-    mode : str
-        "pct-change" or "level-diff" transform of the index.
-    """
-
-    def __init__(
-        self,
-        day_cutoff: int | None = None,
-        window: int = 12,
-        mode: str = "pct-change",
-    ):
-        self.day_cutoff = day_cutoff
-        self.window = window
-        self.mode = mode
-
-    def fit(self, articles: ArticleTable, y=None) -> "NewsIndexBuilder":
-        self.monthly_ = monthly_aggregate(articles, day_cutoff=self.day_cutoff)
-        self.index_ = build_news_index(self.monthly_)
-        return self
-
-    def transform(self, articles: ArticleTable) -> NewsIndex:
-        return build_news_index(
-            monthly_aggregate(articles, day_cutoff=self.day_cutoff)
-        )
-
-    def fit_transform(self, articles: ArticleTable, y=None) -> NewsIndex:
-        return self.fit(articles).index_
-
-    def pi_series(self) -> MonthlySeries:
-        check_is_fitted(self, "index_")
-        return news_pi(self.index_, self.window, mode=self.mode)

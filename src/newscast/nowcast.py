@@ -20,11 +20,10 @@ month. A ForecastSeries holds int64 month ordinals and float64 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .base import ParamMixin, check_is_fitted
 from .errors import ConfigError, DataError
 from .ols import RegressionResult, fit_ols, solve_ols
 from .timeseries import (
@@ -307,47 +306,3 @@ def backtest(
         realized=realized,
         realized_annualized=list(map(annualize, realized.tolist())),
     )
-
-
-class InflationNowcaster(ParamMixin):
-    """Estimator wrapper: fit a model spec once, then nowcast months.
-
-    Parameters
-    ----------
-    spec : str
-        Model name (fed, news, fed+news, fed-gas+news, ccpi+news).
-    lags : int
-        Moving-average length for imputed regressors.
-    robust : bool
-        Use HC1 standard errors in the underlying fit.
-    """
-
-    def __init__(self, spec: str = "fed+news", lags: int = 12, robust: bool = False):
-        self.spec = spec
-        self.lags = lags
-        self.robust = robust
-
-    def fit(
-        self,
-        data: Mapping[str, MonthlySeries],
-        train_window: tuple[MonthKey, MonthKey],
-    ) -> "InflationNowcaster":
-        spec = resolve_spec(self.spec)
-        self.result_ = fit_model(
-            spec, data, train_window[0], train_window[1], robust=self.robust
-        )
-        self.spec_ = spec
-        self.data_ = dict(data)
-        return self
-
-    def predict(
-        self,
-        months: Iterable[MonthKey],
-        data: Mapping[str, MonthlySeries] | None = None,
-    ) -> list[float]:
-        check_is_fitted(self, "result_")
-        bundle = self.data_ if data is None else data
-        return [
-            nowcast(self.spec_, self.result_, bundle, t, lags=self.lags)
-            for t in months
-        ]

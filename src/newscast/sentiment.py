@@ -3,7 +3,7 @@
 Labels are the 3-way scheme -1 (prices expected to fall), 0 (neutral),
 +1 (prices expected to rise). Probability vectors over these labels are
 turned into scalar scores either by taking the most probable label
-(argmax) or the expectation of the label (polarity).
+(argmax) or the expectation of the label (polarity); SCORES names both.
 
 A batch of articles travels through the pipeline as an ArticleTable:
 columns of ids and datetime64[D] dates, plus texts, probabilities or
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamMixin
 from .errors import ConfigError, DataError, InvalidProbabilityError
 
 LABELS = (-1, 0, 1)
@@ -115,14 +114,15 @@ class ArticleTable:
     - probs: n x 3 float64 (p_down, p_neutral, p_up), or None.
     - scores: float64, or None.
 
-    A column that is None is absent for every article. months (int64
-    MonthKey ordinals) and days of month are read from the dates. The
-    constructor checks that every column holds one entry per article,
-    that dates is a datetime64[D] array, and that each entry passes
-    COLUMN_CHECKS: dates in years 1..9999 (never NaT), probability rows
-    that SentimentProbs accepts, scores in [-1, 1]. A failure raises
-    DataError naming the column or the first offending article. replace
-    checks only the columns it replaces, and take only selects rows.
+    A column that is None is absent for every article. months_and_days
+    reads the months (int64 MonthKey ordinals) and the days of month
+    from the dates. The constructor checks that every column holds one
+    entry per article, that dates is a datetime64[D] array, and that
+    each entry passes COLUMN_CHECKS: dates in years 1..9999 (never
+    NaT), probability rows that SentimentProbs accepts, scores in
+    [-1, 1]. A failure raises DataError naming the column or the first
+    offending article. replace checks only the columns it replaces, and
+    take only selects rows.
     """
 
     __slots__ = ("ids", "dates", "texts", "probs", "scores")
@@ -142,12 +142,15 @@ class ArticleTable:
 
     @property
     def months(self) -> np.ndarray:
-        # datetime64[M] counts months from 1970-01.
-        return self.dates.astype("datetime64[M]").astype(np.int64) + 1970 * 12
+        return self.months_and_days()[0]
 
-    @property
-    def days(self) -> np.ndarray:
-        return (self.dates - self.dates.astype("datetime64[M]")).astype(np.int64) + 1
+    def months_and_days(self) -> tuple[np.ndarray, np.ndarray]:
+        """The month ordinal and the day of month of every date, from one
+        conversion of the column."""
+        starts = self.dates.astype("datetime64[M]")
+        # datetime64[M] counts months from 1970-01.
+        months = starts.astype(np.int64) + 1970 * 12
+        return months, (self.dates - starts).astype(np.int64) + 1
 
     def _check(self, names: Iterable[str]) -> None:
         """Check that all columns are equally long, then the values of
@@ -278,6 +281,12 @@ def argmax_scores(probs: np.ndarray) -> np.ndarray:
         [1.0, -1.0],
         0.0,
     )
+
+
+#: The score functions by name, each from an n x 3 probability matrix
+#: to one score per row: "polarity" is the expected label, "argmax" the
+#: most probable label.
+SCORES = {"polarity": polarity_scores, "argmax": argmax_scores}
 
 
 #: Word lists and constants for the deterministic keyword baseline.
@@ -416,37 +425,22 @@ def classification_report(
     )
 
 
-class SentimentScorer(ParamMixin):
-    """Stateless transformer from probability vectors to scalar scores.
-
-    Parameters
-    ----------
-    score : str
-        "polarity" (expected label, default) or "argmax" (most
-        probable label).
-    """
+class SentimentScorer:
+    """Sets the scores column of articles from their probabilities,
+    with the SCORES function named by score. It is a class only because
+    benchmarks/bench_trace.py subclasses it to time scoring."""
 
     def __init__(self, score: str = "polarity"):
         self.score = score
 
-    def _score_fn(self):
-        if self.score == "polarity":
-            return polarity_scores
-        if self.score == "argmax":
-            return argmax_scores
-        raise ConfigError(f"score must be 'polarity' or 'argmax', got {self.score!r}")
-
-    def fit(self, X=None, y=None) -> "SentimentScorer":
-        self._score_fn()
-        return self
-
-    def transform(self, articles: ArticleTable) -> ArticleTable:
-        """The articles with their scores column set."""
-        fn = self._score_fn()
+    def fit_transform(self, articles: ArticleTable, y=None) -> ArticleTable:
+        """The articles with their scores column set. y is unused; the
+        benchmark tracer passes it."""
+        fn = SCORES.get(self.score)
+        if fn is None:
+            raise ConfigError(
+                f"score must be one of {tuple(SCORES)}, got {self.score!r}"
+            )
         if articles.probs is None:
             raise DataError("the articles have no probabilities to score")
         return articles.replace(scores=fn(articles.probs))
-
-    def fit_transform(self, articles: ArticleTable, y=None) -> ArticleTable:
-        return self.fit().transform(articles)
-

@@ -56,6 +56,8 @@ class MonthKey:
         m = _MONTH_RE.match(text.strip())
         if not m:
             raise DataError(f"expected YYYY-MM month, got {text!r}")
+        if m.group(1) == "0000":  # article dates cannot hold year 0 either
+            raise DataError(f"month {text!r} is outside years 1..9999")
         return cls(int(m.group(1)), int(m.group(2)))
 
     @classmethod

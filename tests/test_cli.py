@@ -2,7 +2,9 @@
 
 import csv
 import io
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +339,19 @@ class TestNowcast:
             )
             assert direct == from_backtest
 
+    def test_readme_library_example_prints_it(self, toy_run, capsys, monkeypatch):
+        # The README's library chain, run on the toy files, prints the
+        # command line's fed+news nowcast.
+        assert run("--config", "toy", "--out", toy_run,
+                   "nowcast", "--month", "2020-01", "fed+news") == 0
+        rows = read_csv_after_provenance(toy_run / "nowcast.csv")
+        capsys.readouterr()
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        library = readme[readme.index("\n## Library\n"):]
+        monkeypatch.chdir(TOY_DIR)
+        exec(re.search(r"```python\n(.*?)```", library, re.S).group(1), {})
+        assert capsys.readouterr().out == f"{rows[1][2]}\n"
+
 
 class TestBacktestAndEvaluate:
     def test_forecast_file_shape(self, toy_run):
@@ -464,6 +479,24 @@ class TestExitCodes:
                    "backtest") == 2
         assert "'specs' names model 'fed' twice" in capsys.readouterr().err
         assert not (out / "forecasts.csv").exists()
+
+    def test_year_0_month_is_refused_by_each_reader(self, tmp_path, capsys):
+        # Article dates cannot hold year 0, so no month may be in it.
+        out = tmp_path / "out"
+        refused = "month '0000-01' is outside years 1..9999"
+        assert run("--config", "toy", "--out", out,
+                   "--set", "train_start=0000-01", "fit") == 2
+        assert capsys.readouterr().err == (
+            f"error: config key 'train_start': {refused}\n"
+        )
+        bad = tmp_path / "cpi.csv"
+        bad.write_text("date,value\n0000-01,100.0\n")
+        cfg = write_config(tmp_path, cpi=bad)
+        assert run("--config", cfg, "--out", out, "fit", "fed") == 3
+        assert capsys.readouterr().err == f"error: line 2: {bad}: {refused}\n"
+        assert run("--config", "toy", "--out", out,
+                   "nowcast", "--month", "0000-01") == 2
+        assert capsys.readouterr().err == f"error: --month: {refused}\n"
 
     def test_undecodable_input_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "cpi.csv"

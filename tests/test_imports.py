@@ -112,6 +112,9 @@ def test_traced_toy_chain_runs(tmp_path, capsys, monkeypatch):
     assert codes == [0] * len(chain), capsys.readouterr().err
     metrics = bench_trace.layer_metrics(tracer.spans)
     assert (metrics["index.months"], metrics["index.gap_months"]) == (132, 0)
+    # The trace times scoring through cli.SentimentScorer: one span per
+    # score command, or sentiment.score_s reads 0.
+    assert [s.name for s in tracer.spans].count("sentiment.score") == 2
 
 
 def definitions(tree: ast.Module) -> list[str]:

@@ -14,8 +14,6 @@ from newscast import (
     MonthKey,
     MonthlySentiment,
     MonthlySeries,
-    NewsIndexBuilder,
-    NotFittedError,
     ZeroDenominatorError,
     build_news_index,
     monthly_aggregate,
@@ -267,36 +265,3 @@ class TestNoLookAhead:
         )))
         for month in truncated.series.months():
             assert truncated.series[month] == full.series[month]
-
-
-class TestNewsIndexBuilder:
-    def _articles(self):
-        return scored([
-            art("a", "2020-01", 0.5, day=3),
-            art("b", "2020-01", 0.25, day=20),
-            art("c", "2020-02", -0.25, day=10),
-        ])
-
-    def test_fit_transform(self):
-        builder = NewsIndexBuilder()
-        index = builder.fit_transform(self._articles())
-        assert index.series[MonthKey(2020, 1)] == 0.375
-        assert index.series[MonthKey(2020, 2)] == 0.125
-
-    def test_day_cutoff_param(self):
-        index = NewsIndexBuilder(day_cutoff=15).fit_transform(self._articles())
-        assert index.series[MonthKey(2020, 1)] == 0.5
-
-    def test_pi_series_requires_fit(self):
-        with pytest.raises(NotFittedError):
-            NewsIndexBuilder().pi_series()
-
-    def test_pi_series_uses_params(self):
-        builder = NewsIndexBuilder(window=1, mode="level-diff")
-        builder.fit(self._articles())
-        out = builder.pi_series()
-        assert out[MonthKey(2020, 2)] == -0.25
-
-    def test_get_params(self):
-        params = NewsIndexBuilder(day_cutoff=15).get_params()
-        assert params == {"day_cutoff": 15, "window": 12, "mode": "pct-change"}

@@ -138,8 +138,10 @@ class TestProbabilityArticles:
         back, rejections = read_probability_articles(path)
         assert rejections == []
         assert back.ids[0] == "a1"
-        assert MonthKey.from_ordinal(int(back.months[0])) == MonthKey(2020, 1)
-        assert back.days[0] == 5
+        months, days = back.months_and_days()
+        assert (MonthKey.from_ordinal(int(months[0])), days[0]) == (
+            MonthKey(2020, 1), 5
+        )
         assert tuple(back.probs[0]) == (0.25, 0.5, 0.25)
 
     def test_strict_mode_raises_with_line(self, tmp_path):
@@ -172,8 +174,10 @@ class TestProbabilityArticles:
         path = tmp_path / "probs.csv"
         path.write_text("id,date,p_down,p_neutral,p_up\na,2021-12-31,0,1,0\n")
         articles, _ = read_probability_articles(path)
-        assert MonthKey.from_ordinal(int(articles.months[0])) == MonthKey(2021, 12)
-        assert articles.days[0] == 31
+        months, days = articles.months_and_days()
+        assert (MonthKey.from_ordinal(int(months[0])), days[0]) == (
+            MonthKey(2021, 12), 31
+        )
 
 
 class TestTextArticles:
@@ -250,7 +254,7 @@ class TestScoredArticles:
         back, rejections = read_scored_articles(path)
         assert rejections == []
         assert back.scores.tolist() == articles.scores.tolist()
-        assert back.days.tolist() == articles.days.tolist()
+        assert back.dates.tolist() == articles.dates.tolist()
 
     def test_article_without_day_is_not_written(self, tmp_path):
         # A made-up day would let the article past day_cutoff on reread,

@@ -11,13 +11,11 @@ from newscast import (
     MODEL_SPECS,
     ConfigError,
     DataError,
-    InflationNowcaster,
     MissingMonthsError,
     ModelSpec,
     MonthKey,
     MonthlySeries,
     NewscastError,
-    NotFittedError,
     RegressionResult,
     SingularDesignError,
     annualize,
@@ -479,40 +477,3 @@ def test_backtest_matches_per_window_fits(case, robust):
         )
     )
     assert got == expected
-
-
-class TestInflationNowcaster:
-    def test_predict_matches_backtest(self, rng):
-        data = make_bundle(rng, noise=0.2)
-        train = (month("2013-01"), month("2017-12"))
-        est = InflationNowcaster(spec="fed+news").fit(data, train)
-        months = [month("2018-01"), month("2018-02"), month("2018-03")]
-        fs = backtest(
-            "fed+news", data, train, (months[0], months[-1])
-        )
-        assert bits(est.predict(months)) == bits(fs.nowcasts)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(NotFittedError):
-            InflationNowcaster().predict([month("2020-01")])
-
-    def test_explicit_data_overrides_stored(self, rng):
-        data = make_bundle(rng, noise=0.2)
-        est = InflationNowcaster(spec="news").fit(
-            data, (month("2013-01"), month("2017-12"))
-        )
-        altered = dict(data)
-        t = month("2018-01")
-        altered["news"] = pct_series("pi-NEWS", str(t), [5.0])
-        base = est.predict([t])[0]
-        swapped = est.predict([t], data=altered)[0]
-        assert swapped != base
-        assert swapped == pytest.approx(
-            est.result_.coefficient("const")
-            + est.result_.coefficient("pi-NEWS") * 5.0
-        )
-
-    def test_get_params_defaults(self):
-        assert InflationNowcaster().get_params() == {
-            "spec": "fed+news", "lags": 12, "robust": False
-        }

@@ -59,7 +59,7 @@ def article(day=1, scores=None):
 
 class TestArticles:
     def test_day_bounds(self):
-        assert article(day=31).days.tolist() == [31]
+        assert article(day=31).months_and_days()[1].tolist() == [31]
         # Day 0 or 32 has no datetime64[D] value; a missing date is NaT.
         with pytest.raises(DataError, match=r"datetime64\[D\], got list"):
             ArticleTable(["a"], ["2020-01-32"])
@@ -355,12 +355,9 @@ class TestSentimentScorer:
 
     def test_invalid_mode_fails_at_fit(self):
         with pytest.raises(ConfigError):
-            SentimentScorer(score="median").fit()
+            SentimentScorer(score="median").fit_transform(self._articles())
 
     def test_article_without_probs_rejected(self):
         bare = make_articles(["a"], ["2020-01-01"], texts=["only text"])
         with pytest.raises(DataError, match="probabilities"):
             SentimentScorer().fit_transform(bare)
-
-    def test_get_params(self):
-        assert SentimentScorer(score="argmax").get_params() == {"score": "argmax"}

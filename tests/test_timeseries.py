@@ -38,11 +38,11 @@ class TestMonthKey:
         assert MonthKey.parse(str(m)) == m
 
     def test_parse_rejects_garbage(self):
-        # Digits of other scripts are refused, as date.fromisoformat
-        # refuses them in an article date.
+        # Digits of other scripts and year 0 are refused, as
+        # date.fromisoformat refuses them in an article date.
         for bad in (
             "2020-3", "2020/03", "202003", "2020-13", "", "20-01", "٢٠٢٠-٠١",
-            "２０２０-０１",
+            "２０２０-０１", "0000-01",
         ):
             with pytest.raises(DataError):
                 MonthKey.parse(bad)
