@@ -152,10 +152,22 @@ def _resolve_spec_names(cfg: RunConfig, names: Sequence[str]) -> list[str]:
     return list(dict.fromkeys(names))
 
 
-def _upstream(path: Path, what: str, command: str, key: str) -> Path:
-    """path, or a DataError naming the command that writes it and the
-    config key that names a replacement."""
+#: Each config key that names a file read in place of an upstream
+#: command's output: what the file holds, and its name under --out.
+UPSTREAM = {
+    "scored": ("scored-article", "articles_scored.csv"),
+    "news_index": ("news index", "news_index.csv"),
+    "forecasts": ("forecast", "forecasts.csv"),
+}
+
+
+def _upstream(cfg: RunConfig, key: str) -> Path:
+    """The file the key names, else the upstream output under --out. If
+    neither exists, a DataError names the command to run and the key."""
+    what, filename = UPSTREAM[key]
+    path = getattr(cfg, key) or cfg.out_path(filename)
     if not path.exists():
+        command = next(c for c, (_, outs) in COMMANDS.items() if filename in outs)
         raise DataError(
             f"{what} file {path} does not exist; run the {command} command "
             f"first or set the {key!r} config key"
@@ -167,12 +179,12 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
     # Only this run's rejections may stand beside its output.
     rejected_path = cfg.out_path("articles_rejected.csv")
     remove_output(rejected_path)
-    if cfg.news_probs_path is not None:
-        source = cfg.news_probs_path
+    if cfg.news_probs is not None:
+        source = cfg.news_probs
         articles, rejections = read_probability_articles(source, strict=False)
         retained = articles
-    elif cfg.news_text_path is not None:
-        source = cfg.news_text_path
+    elif cfg.news_text is not None:
+        source = cfg.news_text
         articles, rejections = read_text_articles(source, strict=False)
         retained = articles.take(lexicon_mask(articles.texts, cfg.lexicon))
         retained = retained.replace(
@@ -219,7 +231,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
-    path = _upstream(cfg.effective_scored_path(), "scored-article", "score", "scored")
+    path = _upstream(cfg, "scored")
     scored, _ = read_scored_articles(path)
     if not len(scored):
         raise DataError(f"{path} contains no scored articles")
@@ -243,23 +255,13 @@ def _load_pi_bundle(
     needed = {"cpi"}
     for name in spec_names:
         needed.update(resolve_spec(name).regressors)
-    level_paths = {
-        "cpi": cfg.cpi_path,
-        "ccpi": cfg.ccpi_path,
-        "fcpi": cfg.fcpi_path,
-        "gas": cfg.gas_path,
-    }
     bundle: dict[str, MonthlySeries] = {}
-    for key, path in level_paths.items():
-        if key not in needed:
-            continue
-        levels = read_series(path, name=key)
-        bundle[key] = pct_change(levels, cfg.window)
+    for key in ("cpi", "ccpi", "fcpi", "gas"):  # the series' config keys
+        if key in needed:
+            levels = read_series(getattr(cfg, key), name=key)
+            bundle[key] = pct_change(levels, cfg.window)
     if "news" in needed:
-        index_path = _upstream(
-            cfg.effective_news_index_path(), "news index", "build-index", "news_index"
-        )
-        index_series = read_series(index_path, name="NEWS")
+        index_series = read_series(_upstream(cfg, "news_index"), name="NEWS")
         bundle["news"] = news_pi(index_series, cfg.window, mode=cfg.news_pi_mode)
     return bundle
 
@@ -313,10 +315,7 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    path = cfg.effective_forecasts_path()
-    return _evaluate(
-        cfg, read_forecasts(_upstream(path, "forecast", "backtest", "forecasts"))
-    )
+    return _evaluate(cfg, read_forecasts(_upstream(cfg, "forecasts")))
 
 
 def _evaluate(cfg: RunConfig, forecasts: Sequence[ForecastSeries]) -> int:

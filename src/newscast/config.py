@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, NewscastError
@@ -30,44 +31,6 @@ from .sentiment import (
 from .timeseries import MonthKey
 
 _REQUIRED = object()
-
-#: Every recognized key with its default raw value (None = optional path).
-KEY_DEFAULTS: dict[str, object] = {
-    "cpi": _REQUIRED,
-    "ccpi": _REQUIRED,
-    "fcpi": _REQUIRED,
-    "gas": _REQUIRED,
-    "news_probs": "",
-    "news_text": "",
-    "scored": "",
-    "news_index": "",
-    "forecasts": "",
-    "lexicon": "; ".join(DEFAULT_LEXICON),
-    "score": "polarity",
-    "label_encoding": "signed",
-    "baseline_gain": repr(DEFAULT_BASELINE_GAIN),
-    "baseline_cap": str(DEFAULT_BASELINE_CAP),
-    "baseline_up_lexicon": "; ".join(DEFAULT_UP_LEXICON),
-    "baseline_down_lexicon": "; ".join(DEFAULT_DOWN_LEXICON),
-    "day_cutoff": "15",
-    "window": "12",
-    "news_pi_mode": "pct-change",
-    "train_start": _REQUIRED,
-    "train_end": _REQUIRED,
-    "eval_start": _REQUIRED,
-    "eval_end": _REQUIRED,
-    "scheme": "fixed",
-    "specs": "fed, fed+news",
-    "robust": "false",
-    "gw_variant": "unconditional",
-    "truncation_lag": "0",
-    "rmse_unit": "fraction",
-    "out": "out",
-    "seed": "0",
-}
-
-# Validated, though no command reads articles with gold labels.
-LABEL_ENCODINGS = ("signed", "indexed")
 
 
 def _parse_pairs(text: str, source: str) -> dict[str, str]:
@@ -92,39 +55,79 @@ def _parse_pairs(text: str, source: str) -> dict[str, str]:
     return values
 
 
-def _month(raw: str, key: str) -> MonthKey:
+def _input(required: bool):
+    def parse(raw: str, key: str, config_dir: Path) -> Path | None:
+        if not raw:
+            if required:
+                raise ConfigError(f"config key {key!r} is required")
+            return None
+        resolved = config_dir / raw
+        if not resolved.exists():
+            raise ConfigError(f"config key {key!r}: file {resolved} does not exist")
+        return resolved
+
+    return parse
+
+
+def _out(raw: str, key: str, _) -> Path:
+    if "\0" in raw:
+        raise ConfigError(f"config key {key!r}: {raw!r} holds a NUL byte")
+    return Path(raw)
+
+
+def _month(raw: str, key: str, _) -> MonthKey:
     try:
         return MonthKey.parse(raw)
     except NewscastError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
-def _int(raw: str, key: str, minimum: int | None = None) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
-    return value
+def _number(convert, what: str, raw: str, key: str):
+    """convert(raw), refusing the non-ASCII digits int and float accept."""
+    if raw.isascii():
+        with suppress(ValueError):
+            return convert(raw)
+    raise ConfigError(f"config key {key!r}: {raw!r} is not {what}")
 
 
-def _float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {raw!r} is not a number") from None
+def _int(minimum: int | None = None):
+    def parse(raw: str, key: str, _) -> int:
+        value = _number(int, "an integer", raw, key)
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _enum(raw: str, key: str, allowed) -> str:
-    if raw not in allowed:
-        raise ConfigError(
-            f"config key {key!r} must be one of {tuple(allowed)}, got {raw!r}"
-        )
-    return raw
+def _day_cutoff(raw: str, key: str, _) -> int | None:
+    if raw.lower() in ("", "none"):
+        return None
+    day = _int(minimum=1)(raw, key, None)
+    if day > 31:
+        raise ConfigError(f"day_cutoff must be in 1..31, got {day}")
+    return day
 
 
-def _bool(raw: str, key: str) -> bool:
+def _gain(raw: str, key: str, _) -> float:
+    gain = _number(float, "a number", raw, key)
+    if not 0 < gain < math.inf:
+        raise ConfigError(f"config key {key!r} must be positive and finite, got {gain}")
+    return gain
+
+
+def _enum(allowed):
+    def parse(raw: str, key: str, _) -> str:
+        if raw not in allowed:
+            raise ConfigError(
+                f"config key {key!r} must be one of {tuple(allowed)}, got {raw!r}"
+            )
+        return raw
+
+    return parse
+
+
+def _bool(raw: str, key: str, _) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "yes", "1"):
         return True
@@ -133,70 +136,91 @@ def _bool(raw: str, key: str) -> bool:
     raise ConfigError(f"config key {key!r} must be true or false, got {raw!r}")
 
 
-def _phrases(raw: str, key: str) -> tuple[str, ...]:
+def _phrases(raw: str, key: str, _) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in raw.split(";") if p.strip())
     if not parts:
         raise ConfigError(f"config key {key!r} must list at least one phrase")
     return parts
 
 
+def _specs(raw: str, key: str, _) -> tuple[str, ...]:
+    specs = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not specs:
+        raise ConfigError(f"config key {key!r} must list at least one model")
+    for i, name in enumerate(specs):
+        resolve_spec(name)  # raises ConfigError on unknown names
+        if name in specs[:i]:
+            raise ConfigError(f"config key {key!r} names model {name!r} twice")
+    return specs
+
+
+def _key(default: object, parse) -> object:
+    """The field of one config key: its raw default (_REQUIRED when the
+    file must set it) and its parser. Parsers are called as
+    parse(raw, key, config_dir) and raise ConfigError naming the key."""
+    return field(metadata={"default": default, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    config_dir: Path
+    """The settings of one run. Every field but digest is the config key
+    of the same name, parsed from its raw value."""
+
     digest: str
 
-    cpi_path: Path
-    ccpi_path: Path
-    fcpi_path: Path
-    gas_path: Path
-    news_probs_path: Path | None
-    news_text_path: Path | None
-    scored_path: Path | None
-    news_index_path: Path | None
-    forecasts_path: Path | None
+    # Input paths, relative to the config file's directory.
+    cpi: Path = _key(_REQUIRED, _input(required=True))
+    ccpi: Path = _key(_REQUIRED, _input(required=True))
+    fcpi: Path = _key(_REQUIRED, _input(required=True))
+    gas: Path = _key(_REQUIRED, _input(required=True))
+    news_probs: Path | None = _key("", _input(required=False))
+    news_text: Path | None = _key("", _input(required=False))
+    scored: Path | None = _key("", _input(required=False))
+    news_index: Path | None = _key("", _input(required=False))
+    forecasts: Path | None = _key("", _input(required=False))
 
-    lexicon: tuple[str, ...]
-    score: str
-    label_encoding: str
-    baseline_gain: float
-    baseline_cap: int
-    baseline_up_lexicon: tuple[str, ...]
-    baseline_down_lexicon: tuple[str, ...]
+    lexicon: tuple[str, ...] = _key("; ".join(DEFAULT_LEXICON), _phrases)
+    score: str = _key("polarity", _enum(SCORES))
+    # Validated, though no command reads articles with gold labels.
+    label_encoding: str = _key("signed", _enum(("signed", "indexed")))
+    baseline_gain: float = _key(repr(DEFAULT_BASELINE_GAIN), _gain)
+    baseline_cap: int = _key(str(DEFAULT_BASELINE_CAP), _int(minimum=1))
+    baseline_up_lexicon: tuple[str, ...] = _key("; ".join(DEFAULT_UP_LEXICON), _phrases)
+    baseline_down_lexicon: tuple[str, ...] = _key(
+        "; ".join(DEFAULT_DOWN_LEXICON), _phrases
+    )
 
-    day_cutoff: int | None
-    window: int
-    news_pi_mode: str
+    day_cutoff: int | None = _key("15", _day_cutoff)
+    window: int = _key("12", _int(minimum=1))
+    news_pi_mode: str = _key("pct-change", _enum(PI_MODES))
 
-    train_start: MonthKey
-    train_end: MonthKey
-    eval_start: MonthKey
-    eval_end: MonthKey
-    scheme: str
-    specs: tuple[str, ...]
-    robust: bool
+    train_start: MonthKey = _key(_REQUIRED, _month)
+    train_end: MonthKey = _key(_REQUIRED, _month)
+    eval_start: MonthKey = _key(_REQUIRED, _month)
+    eval_end: MonthKey = _key(_REQUIRED, _month)
+    scheme: str = _key("fixed", _enum(BACKTEST_SCHEMES))
+    specs: tuple[str, ...] = _key("fed, fed+news", _specs)
+    robust: bool = _key("false", _bool)
 
-    gw_variant: str
-    truncation_lag: int
-    rmse_unit: str
+    gw_variant: str = _key("unconditional", _enum(GW_VARIANTS))
+    truncation_lag: int = _key("0", _int(minimum=0))
+    rmse_unit: str = _key("fraction", _enum(RMSE_UNITS))
 
-    out_dir: Path
-    seed: int
+    # The output directory, relative to the working directory.
+    out: Path = _key("out", _out)
+    seed: int = _key("0", _int())
 
     def provenance(self) -> str:
         return provenance_line(self.digest)
 
     def out_path(self, filename: str) -> Path:
-        return self.out_dir / filename
+        return self.out / filename
 
-    # Paths that default to the output of the preceding pipeline stage.
-    def effective_scored_path(self) -> Path:
-        return self.scored_path or self.out_path("articles_scored.csv")
 
-    def effective_news_index_path(self) -> Path:
-        return self.news_index_path or self.out_path("news_index.csv")
+_KEYS = tuple(f for f in fields(RunConfig) if f.metadata)
 
-    def effective_forecasts_path(self) -> Path:
-        return self.forecasts_path or self.out_path("forecasts.csv")
+#: Every recognized key with its default raw value.
+KEY_DEFAULTS: dict[str, object] = {f.name: f.metadata["default"] for f in _KEYS}
 
 
 def load_config(
@@ -229,106 +253,23 @@ def load_config(
     ]
     if missing:
         raise ConfigError(f"config {path} is missing required keys: {missing}")
-    effective = {
-        key: values.get(key, default if default is not _REQUIRED else "")
-        for key, default in KEY_DEFAULTS.items()
-    }
+    effective = {**KEY_DEFAULTS, **values}
 
     canonical = "\n".join(f"{k}={effective[k]}" for k in sorted(effective))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-    config_dir = path.parent
-
-    def input_path(key: str, required: bool) -> Path | None:
-        raw = effective[key]
-        if not raw:
-            if required:
-                raise ConfigError(f"config key {key!r} is required")
-            return None
-        resolved = config_dir / raw
-        if not resolved.exists():
-            raise ConfigError(
-                f"config key {key!r}: file {resolved} does not exist"
-            )
-        return resolved
-
-    train_start = _month(effective["train_start"], "train_start")
-    train_end = _month(effective["train_end"], "train_end")
-    eval_start = _month(effective["eval_start"], "eval_start")
-    eval_end = _month(effective["eval_end"], "eval_end")
-    if not (train_start <= train_end < eval_start <= eval_end):
+    cfg = RunConfig(
+        digest=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12],
+        **{
+            f.name: f.metadata["parse"](effective[f.name], f.name, path.parent)
+            for f in _KEYS
+        },
+    )
+    if not (cfg.train_start <= cfg.train_end < cfg.eval_start <= cfg.eval_end):
         raise ConfigError(
             f"windows must satisfy train_start <= train_end < eval_start "
-            f"<= eval_end; got {train_start}..{train_end} and "
-            f"{eval_start}..{eval_end}"
+            f"<= eval_end; got {cfg.train_start}..{cfg.train_end} and "
+            f"{cfg.eval_start}..{cfg.eval_end}"
         )
-
-    raw_cutoff = effective["day_cutoff"].lower()
-    if raw_cutoff in ("", "none"):
-        day_cutoff = None
-    else:
-        day_cutoff = _int(effective["day_cutoff"], "day_cutoff", minimum=1)
-        if day_cutoff > 31:
-            raise ConfigError(f"day_cutoff must be in 1..31, got {day_cutoff}")
-
-    specs = tuple(
-        s.strip() for s in effective["specs"].split(",") if s.strip()
-    )
-    if not specs:
-        raise ConfigError("config key 'specs' must list at least one model")
-    for i, name in enumerate(specs):
-        resolve_spec(name)  # raises ConfigError on unknown names
-        if name in specs[:i]:
-            raise ConfigError(f"config key 'specs' names model {name!r} twice")
-
-    baseline_gain = _float(effective["baseline_gain"], "baseline_gain")
-    if not 0 < baseline_gain < math.inf:
-        raise ConfigError(
-            f"config key 'baseline_gain' must be positive and finite, "
-            f"got {baseline_gain}"
-        )
-
-    return RunConfig(
-        config_dir=config_dir,
-        digest=digest,
-        cpi_path=input_path("cpi", required=True),
-        ccpi_path=input_path("ccpi", required=True),
-        fcpi_path=input_path("fcpi", required=True),
-        gas_path=input_path("gas", required=True),
-        news_probs_path=input_path("news_probs", required=False),
-        news_text_path=input_path("news_text", required=False),
-        scored_path=input_path("scored", required=False),
-        news_index_path=input_path("news_index", required=False),
-        forecasts_path=input_path("forecasts", required=False),
-        lexicon=_phrases(effective["lexicon"], "lexicon"),
-        score=_enum(effective["score"], "score", SCORES),
-        label_encoding=_enum(
-            effective["label_encoding"], "label_encoding", LABEL_ENCODINGS
-        ),
-        baseline_gain=baseline_gain,
-        baseline_cap=_int(effective["baseline_cap"], "baseline_cap", minimum=1),
-        baseline_up_lexicon=_phrases(
-            effective["baseline_up_lexicon"], "baseline_up_lexicon"
-        ),
-        baseline_down_lexicon=_phrases(
-            effective["baseline_down_lexicon"], "baseline_down_lexicon"
-        ),
-        day_cutoff=day_cutoff,
-        window=_int(effective["window"], "window", minimum=1),
-        news_pi_mode=_enum(effective["news_pi_mode"], "news_pi_mode", PI_MODES),
-        train_start=train_start,
-        train_end=train_end,
-        eval_start=eval_start,
-        eval_end=eval_end,
-        scheme=_enum(effective["scheme"], "scheme", BACKTEST_SCHEMES),
-        specs=specs,
-        robust=_bool(effective["robust"], "robust"),
-        gw_variant=_enum(effective["gw_variant"], "gw_variant", GW_VARIANTS),
-        truncation_lag=_int(effective["truncation_lag"], "truncation_lag", 0),
-        rmse_unit=_enum(effective["rmse_unit"], "rmse_unit", RMSE_UNITS),
-        out_dir=Path(effective["out"]),
-        seed=_int(effective["seed"], "seed"),
-    )
+    return cfg
 
 
 def toy_config_path() -> Path:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from newscast import toy_config_path
-from newscast.cli import COMMANDS, main
+from newscast import load_config, toy_config_path
+from newscast.cli import COMMANDS, _upstream, main
 from newscast.nowcast import MODEL_SPECS
 
 TOY_DIR = toy_config_path().parent
@@ -243,11 +243,12 @@ class TestBuildIndex:
         assert all(r[2] == "0" for r in meta_rows[1:])  # no gaps in toy data
 
     def test_requires_scored_file(self, tmp_path, capsys):
-        assert run("--config", "toy", "--out", tmp_path / "out",
-                   "build-index") == 3
-        err = capsys.readouterr().err
-        assert "score command first" in err
-
+        out = tmp_path / "out"
+        assert run("--config", "toy", "--out", out, "build-index") == 3
+        assert capsys.readouterr().err == (
+            f"error: scored-article file {out / 'articles_scored.csv'} does not "
+            "exist; run the score command first or set the 'scored' config key\n"
+        )
 
     def test_empty_scored_file_is_named(self, tmp_path, capsys):
         scored = tmp_path / "scored.csv"
@@ -295,8 +296,12 @@ class TestFit:
         assert "unknown model" in capsys.readouterr().err
 
     def test_news_spec_requires_index_file(self, tmp_path, capsys):
-        assert run("--config", "toy", "--out", tmp_path / "out", "fit") == 3
-        assert "build-index command first" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run("--config", "toy", "--out", out, "fit") == 3
+        assert capsys.readouterr().err == (
+            f"error: news index file {out / 'news_index.csv'} does not exist; "
+            "run the build-index command first or set the 'news_index' config key\n"
+        )
 
     def test_price_only_spec_needs_no_index(self, tmp_path, capsys):
         assert run("--config", "toy", "--out", tmp_path / "out",
@@ -351,6 +356,32 @@ class TestNowcast:
         monkeypatch.chdir(TOY_DIR)
         exec(re.search(r"```python\n(.*?)```", library, re.S).group(1), {})
         assert capsys.readouterr().out == f"{rows[1][2]}\n"
+
+
+class TestUpstream:
+    """Each upstream file is the one its config key names, else the
+    upstream command's output under --out."""
+
+    def test_upstream_files_fall_back_to_out_dir(self, tmp_path):
+        out = tmp_path / "results"
+        out.mkdir()
+        cfg = load_config(write_config(tmp_path), out_override=str(out))
+        for key, filename in [
+            ("scored", "articles_scored.csv"),
+            ("news_index", "news_index.csv"),
+            ("forecasts", "forecasts.csv"),
+        ]:
+            (out / filename).write_text("")
+            assert _upstream(cfg, key) == out / filename
+
+    def test_explicit_upstream_path_wins(self, tmp_path):
+        mine = tmp_path / "my_scored.csv"
+        mine.write_text("id,date,score\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "articles_scored.csv").write_text("")
+        cfg = load_config(write_config(tmp_path, scored=mine), out_override=str(out))
+        assert _upstream(cfg, "scored") == mine
 
 
 class TestBacktestAndEvaluate:
@@ -423,8 +454,12 @@ class TestBacktestAndEvaluate:
         assert "'gas' lacks months" in err and "2020-05, 2020-06" in err
 
     def test_evaluate_requires_forecasts(self, tmp_path, capsys):
-        assert run("--config", "toy", "--out", tmp_path / "out", "evaluate") == 3
-        assert "backtest command first" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run("--config", "toy", "--out", out, "evaluate") == 3
+        assert capsys.readouterr().err == (
+            f"error: forecast file {out / 'forecasts.csv'} does not exist; "
+            "run the backtest command first or set the 'forecasts' config key\n"
+        )
 
     def test_single_spec_report_has_no_test_column(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -454,6 +489,13 @@ class TestExitCodes:
         assert run("--config", "toy", "--out", tmp_path / "out",
                    "--set", "window=zero", "fit") == 2
         assert "not an integer" in capsys.readouterr().err
+
+    def test_nul_byte_in_out_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, out="a\0b")
+        assert run("--config", cfg, "fit", "fed") == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'out': 'a\\x00b' holds a NUL byte\n"
+        )
 
     def test_malformed_series_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "cpi.csv"

@@ -1,8 +1,12 @@
 """Config parsing, digests, validation, and path resolution."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from newscast import ConfigError, MonthKey, load_config, toy_config_path
+from newscast import ConfigError, MonthKey, RunConfig, load_config, toy_config_path
+from newscast.config import KEY_DEFAULTS
 
 
 def write_minimal_config(tmp_path, extra="", skip=()):
@@ -28,8 +32,8 @@ def write_minimal_config(tmp_path, extra="", skip=()):
 class TestToyConfig:
     def test_bundled_config_loads(self):
         cfg = load_config(toy_config_path())
-        assert cfg.cpi_path.exists()
-        assert cfg.news_probs_path is not None and cfg.news_probs_path.exists()
+        assert cfg.cpi.exists()
+        assert cfg.news_probs is not None and cfg.news_probs.exists()
         assert cfg.train_start < cfg.train_end < cfg.eval_start <= cfg.eval_end
         assert set(cfg.specs) <= {
             "fed", "news", "fed+news", "fed-gas+news", "ccpi+news"
@@ -61,7 +65,7 @@ class TestParsing:
         assert cfg.gw_variant == "unconditional"
         assert cfg.rmse_unit == "fraction"
         assert cfg.robust is False
-        assert cfg.news_probs_path is None
+        assert cfg.news_probs is None
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_minimal_config(
@@ -117,7 +121,22 @@ class TestDigest:
         a = load_config(path, out_override="out-a")
         b = load_config(path, out_override="out-b")
         assert a.digest != b.digest
-        assert a.out_dir.name == "out-a"
+        assert a.out.name == "out-a"
+
+    def test_toy_digest_is_pinned(self):
+        assert load_config(toy_config_path()).digest == "30cc1019ae69"
+
+    def test_minimal_config_digest_is_pinned(self, tmp_path):
+        assert load_config(write_minimal_config(tmp_path)).digest == "12d69c5357d4"
+
+    def test_key_defaults_are_the_run_config_fields(self):
+        assert set(KEY_DEFAULTS) == {f.name for f in fields(RunConfig)} - {"digest"}
+
+    def test_readme_configuration_names_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        section = readme[readme.index("\n### Configuration\n") + 1:]
+        section = section[:section.index("\n#")]
+        assert [key for key in KEY_DEFAULTS if f"`{key}`" not in section] == []
 
 
 class TestOverrides:
@@ -201,8 +220,16 @@ class TestValidation:
             "truncation_lag = -1",
             "day_cutoff = 32",
             "day_cutoff = 0",
+            # int() and float() accept non-ASCII digits; the config does not.
+            "window = \u0661",
+            "day_cutoff = \u0661\u0665",
+            "baseline_cap = \u0668",
+            "baseline_gain = \u0661.\u0665",
+            "truncation_lag = \uff10",
+            "seed = \u0661",
         ):
-            with pytest.raises(ConfigError):
+            key = override.split("=")[0].strip()
+            with pytest.raises(ConfigError, match=key):
                 load_config(path, overrides=(override,))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -230,7 +257,7 @@ class TestPathResolution:
         sub.mkdir()
         path = write_minimal_config(sub)
         cfg = load_config(path)
-        assert cfg.cpi_path == sub / "cpi.csv"
+        assert cfg.cpi == sub / "cpi.csv"
 
     def test_missing_input_file_rejected(self, tmp_path):
         path = write_minimal_config(tmp_path)
@@ -242,20 +269,6 @@ class TestPathResolution:
         path = write_minimal_config(tmp_path, extra="scored = scored.csv\n")
         with pytest.raises(ConfigError, match="scored"):
             load_config(path)
-
-    def test_effective_paths_fall_back_to_out_dir(self, tmp_path):
-        path = write_minimal_config(tmp_path)
-        cfg = load_config(path, out_override="results")
-        assert cfg.effective_scored_path() == cfg.out_dir / "articles_scored.csv"
-        assert cfg.effective_news_index_path() == cfg.out_dir / "news_index.csv"
-        assert cfg.effective_forecasts_path() == cfg.out_dir / "forecasts.csv"
-        assert cfg.out_path("x.txt") == cfg.out_dir / "x.txt"
-
-    def test_explicit_optional_path_wins(self, tmp_path):
-        (tmp_path / "my_scored.csv").write_text("id,date,score\n")
-        path = write_minimal_config(tmp_path, extra="scored = my_scored.csv\n")
-        cfg = load_config(path)
-        assert cfg.effective_scored_path() == tmp_path / "my_scored.csv"
 
     def test_lexicon_phrases_split_on_semicolons(self, tmp_path):
         path = write_minimal_config(
