@@ -83,8 +83,9 @@ def _month(raw: str, key: str, _) -> MonthKey:
 
 
 def _number(convert, what: str, raw: str, key: str):
-    """convert(raw), refusing the non-ASCII digits int and float accept."""
-    if raw.isascii():
+    """convert(raw), refusing the non-ASCII digits and the '_' digit
+    separators that int and float accept."""
+    if raw.isascii() and "_" not in raw:
         with suppress(ValueError):
             return convert(raw)
     raise ConfigError(f"config key {key!r}: {raw!r} is not {what}")

@@ -6,25 +6,30 @@ carrying the tool version and the config digest; readers skip leading
 comment and blank lines, so pipeline outputs feed back in cleanly.
 Errors carry 1-based physical line numbers.
 
-Article files are read into an ArticleTable in one pass. A malformed
-article row is rejected with its line and one reason, found in a fixed
-order of checks per format (see _read_table). Dates are parsed with
-date.fromisoformat into one datetime64[D] column; months are ordinals
-in memory and YYYY-MM text only in files.
+Article files are read into an ArticleTable a block of lines at a
+time. A date is any text date.fromisoformat takes after stripping, and
+a value any text float() takes. A malformed row is rejected with its
+line and one reason, in a fixed order of checks per format (see
+_read_table); `score` writes them to articles_rejected.csv as
+`line,reason` rows, and refuses to run above 10% rejected. Dates become
+one datetime64[D] column, months ordinals in memory and YYYY-MM text in
+files. Writers quote an id only when it needs it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import heapq
+import io
 import itertools
 import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter, not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -59,41 +64,84 @@ class Rejection:
     reason: str
 
 
-def _read_rows(path: str | Path, header: Sequence[str]):
-    """Yield (line_number, row) for each data row after the header.
+#: Characters a reader takes at a time (then on to the end of the line),
+#: and rows an article writer formats at a time: blocks of ~1,000 rows.
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 4096
+#: Characters that make csv.reader split a line other than at its commas.
+_CSV_ONLY = ('"', "\r", "\0")
 
-    Leading comment ('#') and blank lines are skipped; the first real
-    line must be the exact expected header. Lines end only at LF, CR or
-    CRLF, so line numbers count the file's physical lines.
-    """
+
+def _plain_lines(text: str, width: int) -> int | None:
+    """The number of lines in text if csv.reader would split each at its
+    commas into width fields: each ends in LF, holds width - 1 commas, no
+    quote, CR or NUL, and is no longer than csv's field limit."""
+    if not text.endswith("\n") or any(c in text for c in _CSV_ONLY):
+        return None
+    raw = np.frombuffer(text.encode(), np.uint8)  # one byte for each LF or comma
+    ends = np.flatnonzero(raw == 10)
+    commas = np.diff(np.searchsorted(np.flatnonzero(raw == 44), ends), prepend=0)
+    longest = np.diff(ends, prepend=-1).max()
+    plain = (commas == width - 1).all() and longest <= csv.field_size_limit()
+    return len(ends) if plain else None
+
+
+def _read_blocks(path: str | Path, header: Sequence[str]):
+    """Yield (lines, fields, misfits) per block of data lines, and an
+    empty block last: the int64 line numbers of the rows with len(header)
+    fields, their fields in one list, and (line, row) of the other rows
+    that are not blank. Leading comment ('#') and blank lines are
+    skipped; the first real line must be the exact expected header. Lines
+    end only at LF, CR or CRLF, so line numbers count physical lines; a
+    row has the number of its last line. A block is split at its commas
+    where csv.reader would split it so (see _plain_lines); otherwise
+    csv.reader reads as many rows as it has lines, reading on where a
+    quoted field holds a line end."""
     path = Path(path)
-    skipped = 0
+    width = len(header)
+    line = 0  # physical lines before the next one read
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             for first in handle:
                 if first.strip() and not first.lstrip().startswith("#"):
                     break
-                skipped += 1
+                line += 1
             else:
-                raise SeriesFormatError(
-                    f"{path} has no header row", line=skipped or 1
-                )
+                raise SeriesFormatError(f"{path} has no header row", line=line or 1)
             reader = csv.reader(itertools.chain([first], handle))
             names = next(reader)
             if [c.strip() for c in names] != list(header):
                 raise SeriesFormatError(
                     f"{path} header is {names}, expected {list(header)}",
-                    line=skipped + 1,
+                    line=line + 1,
                 )
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                yield skipped + reader.line_num, row
+            line += reader.line_num
+            while True:
+                text = handle.read(_BLOCK_CHARS) + handle.readline()
+                if count := _plain_lines(text, width):
+                    fields = text.replace("\n", ",").split(",")[:-1]
+                    yield np.arange(line + 1, line + 1 + count), fields, []
+                    line += count
+                else:
+                    block = io.StringIO(text, newline="").readlines()
+                    reader = csv.reader(itertools.chain(block, handle))
+                    rows, ends, misfits = [], [], []
+                    for row in itertools.islice(reader, len(block)):  # may read on
+                        if len(row) == width:
+                            rows.append(row)
+                            ends.append(line + reader.line_num)
+                        elif len(row) > 1 or "".join(row).strip():  # not blank
+                            misfits.append((line + reader.line_num, row))
+                    line += reader.line_num
+                    fields = list(itertools.chain(*rows))
+                    yield np.array(ends, dtype=np.int64), fields, misfits
+                if not text:
+                    return
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise SeriesFormatError(
-            f"{path}: {exc}", line=skipped + reader.line_num
+            f"{path}: {exc}", line=line + reader.line_num
         ) from None
 
 
@@ -167,25 +215,27 @@ def _month_rows(path: Path, header: Sequence[str], keyed: bool):
     line number."""
     latest: dict[str, MonthKey] = {}
     first = 2 if keyed else 1
-    for line_num, row in _read_rows(path, header):
-        try:
-            if len(row) != len(header):
-                raise DataError(f"expected {len(header)} fields, got {len(row)}")
-            month = MonthKey.parse(row[0])
-            model = row[1].strip() if keyed else ""
-            values = [
-                _finite(name, cell, month)
-                for name, cell in zip(header[first:], row[first:])
-            ]
-            previous = latest.get(model)
-            if previous is not None and month <= previous:
-                kind = "duplicate" if month == previous else "non-monotone"
-                owner = f" for model {model!r}" if keyed else ""
-                raise DataError(f"{kind} month {month}{owner}")
-        except NewscastError as exc:
-            raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
-        latest[model] = month
-        yield month, model, values
+    for lines, fields, misfits in _read_blocks(path, header):
+        rows = zip(lines.tolist(), zip(*[iter(fields)] * len(header)))
+        for line_num, row in heapq.merge(rows, misfits, key=itemgetter(0)):
+            try:
+                if len(row) != len(header):
+                    raise DataError(f"expected {len(header)} fields, got {len(row)}")
+                month = MonthKey.parse(row[0])
+                model = row[1].strip() if keyed else ""
+                values = [
+                    _finite(name, cell, month)
+                    for name, cell in zip(header[first:], row[first:])
+                ]
+                previous = latest.get(model)
+                if previous is not None and month <= previous:
+                    kind = "duplicate" if month == previous else "non-monotone"
+                    owner = f" for model {model!r}" if keyed else ""
+                    raise DataError(f"{kind} month {month}{owner}")
+            except NewscastError as exc:
+                raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
+            latest[model] = month
+            yield month, model, values
 
 
 def _finite(name: str, cell: str, month: MonthKey) -> float:
@@ -229,137 +279,121 @@ def write_series(
 
 #: date.toordinal of 1970-01-01, where datetime64[D] counts from.
 _EPOCH_DAY = _dt.date(1970, 1, 1).toordinal()
+#: NaT as an int64: the day of a date that date.fromisoformat refuses.
+_NAT = np.iinfo(np.int64).min
 
 
-def _probability_value(row, key: str) -> tuple[float, float, float]:
-    value = (float(row[2]), float(row[3]), float(row[4]))
-    if not key:
-        SentimentProbs(*value)  # a refused row is named for its values
-        raise DataError("empty article id")
-    return value
+def _floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells read with float(), and True where it refuses one (NaN).
+    numpy reads a list of str with float(), stopping at a refusal."""
+    refused = np.zeros(len(cells), dtype=bool)
+    try:
+        return np.array(cells, dtype=float), refused
+    except ValueError:
+        values, rest = [], iter(cells)
+        while True:
+            try:
+                values.extend(map(float, rest))  # keeps the values before a refusal
+                return np.array(values), refused
+            except ValueError:
+                refused[len(values)] = True
+                values.append(math.nan)
 
 
-def _text_value(row, key: str) -> str:
-    if not key:
-        raise DataError("empty article id")
-    return row[2]
-
-
-def _score_value(row, key: str) -> float:
-    if not key:
-        raise DataError("empty article id")
-    return float(row[2])
-
-
-@dataclass(frozen=True)
-class _ArticleFormat:
-    """How the value fields of an id,date,... file become one
-    ArticleTable column."""
-
-    header: Sequence[str]
-    column: str
-    #: (row, stripped id) -> the row's value. Raises the rejection
-    #: reason: a ValueError when a field does not convert, a DataError
-    #: for an empty id; the checks run in the order this function makes
-    #: them, after the field count and the date.
-    value: Callable
-    #: list of values -> the column.
-    stack: Callable
+def _rejection(column: str, width: int, line: int, row: list[str]) -> Rejection:
+    """Why a row that failed a check on its block is rejected: the first
+    check it fails, in the order of its format (see _read_table)."""
+    try:
+        if len(row) != width:
+            raise DataError(f"expected {width} fields, got {len(row)}")
+        _dt.date.fromisoformat(row[1].strip())
+        if column == "probs":
+            SentimentProbs(*map(float, row[2:]))
+        if not row[0].strip():
+            raise DataError("empty article id")
+        if column == "scores":
+            float(row[2])
+    except (DataError, ValueError) as exc:
+        return Rejection(line, str(exc))
+    raise AssertionError(f"line {line} fails a block check but no row check")
 
 
 def _read_table(
-    path: str | Path, fmt: _ArticleFormat, strict: bool
+    path: str | Path, header: Sequence[str], column: str, strict: bool
 ) -> tuple[ArticleTable, list[Rejection]]:
-    """The articles of a file as columns, in one pass over its rows.
-
-    A row is rejected for its field count, then its date, then for what
-    fmt.value raises, then for a value ArticleTable refuses (checked on
-    the whole column, with COLUMN_CHECKS). The orders that result:
+    """The articles of a file, the values after id and date as the named
+    column. Each block is checked a column at a time, each distinct date
+    text parsed once, and _rejection words the rows that fail; then the
+    whole column passes COLUMN_CHECKS. The orders of checks that result:
     probabilities: field count, date, floats, probability rule, id;
     text: field count, date, id; scored: field count, date, id, float,
     score range. Strict mode raises the first rejection, with its line,
-    and reads no row after one that fails to convert.
-    """
-    known: dict[str, int] = {}
-    ids: list[str] = []
-    dates: list[int] = []
-    values: list = []
-    lines: list[int] = []
-    rejections: list[Rejection] = []
-    width = len(fmt.header)
-    for line_num, row in _read_rows(path, fmt.header):
-        try:
-            if len(row) != width:
-                raise DataError(f"expected {width} fields, got {len(row)}")
-            date = known.get(row[1])
-            if date is None:
-                parsed = _dt.date.fromisoformat(row[1].strip())
-                date = known[row[1]] = parsed.toordinal() - _EPOCH_DAY
-            key = row[0].strip()
-            value = fmt.value(row, key)
-        except (DataError, ValueError) as exc:
-            rejections.append(Rejection(line_num, str(exc)))
-            if strict:
-                break
-            continue
-        ids.append(key)
-        dates.append(date)
-        values.append(value)
-        lines.append(line_num)
-    column = fmt.stack(values)
-    if fmt.column in COLUMN_CHECKS:
-        refused, reason = COLUMN_CHECKS[fmt.column]
-        bad = refused(column)
-        if bad.any():
-            for i in np.flatnonzero(bad).tolist():
-                rejections.append(Rejection(lines[i], reason(column[i].tolist())))
-            rejections.sort(key=attrgetter("line"))
-            good = (~bad).tolist()
-            ids, dates = (list(itertools.compress(c, good)) for c in (ids, dates))
-            column = column[~bad]
+    and reads no block after one that holds a rejected row."""
+    width = len(header)
+    known: dict[str, int] = {}  # date text -> day number, or NaT
+    parts, failed = [], []
+    for lines, fields, misfits in _read_blocks(path, header):
+        cells = [fields[k::width] for k in range(width)]
+        keys = list(map(str.strip, cells[0]))
+        for text in set(cells[1]).difference(known):
+            try:
+                day = _dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH_DAY
+            except ValueError:
+                day = _NAT
+            known[text] = day
+        days = np.fromiter(map(known.__getitem__, cells[1]), np.int64, len(keys))
+        rejected = (days == _NAT) | np.fromiter(map(not_, keys), bool, len(keys))
+        if column == "texts":
+            values = np.array(cells[2], dtype=object)
+        else:
+            values, unread = zip(*map(_floats, cells[2:]))
+            values = np.column_stack(values) if column == "probs" else values[0]
+            rejected |= np.logical_or.reduce(unread)
+        failed += misfits
+        for i in np.flatnonzero(rejected).tolist():
+            failed.append((int(lines[i]), [c[i] for c in cells]))
+        keep = ~rejected
+        ids = np.array(keys, dtype=object)
+        parts.append((lines[keep], ids[keep], days[keep], values[keep]))
+        if strict and failed:
+            break
+    rejections = [_rejection(column, width, line, row) for line, row in failed]
+    lines, ids, days, values = map(np.concatenate, zip(*parts))
+    if column == "texts":
+        values = values.tolist()  # texts are a list of str
+    if column in COLUMN_CHECKS:
+        refused, reason = COLUMN_CHECKS[column]
+        bad = refused(values)
+        for i in np.flatnonzero(bad).tolist():
+            rejections.append(Rejection(int(lines[i]), reason(values[i].tolist())))
+        ids, days, values = ids[~bad], days[~bad], values[~bad]
+    rejections.sort(key=attrgetter("line"))
     if strict and rejections:
         first = rejections[0]
         raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
-    table = ArticleTable(
-        ids, np.array(dates, dtype="datetime64[D]"), **{fmt.column: column}
-    )
+    table = ArticleTable(ids.tolist(), days.view("datetime64[D]"), **{column: values})
     return table, rejections
-
-
-_PROBS = _ArticleFormat(
-    PROBS_HEADER,
-    "probs",
-    _probability_value,
-    stack=lambda values: np.array(values, dtype=float).reshape(-1, 3),
-)
-_TEXT = _ArticleFormat(TEXT_HEADER, "texts", _text_value, list)
-_SCORED = _ArticleFormat(
-    SCORED_HEADER,
-    "scores",
-    _score_value,
-    stack=lambda values: np.array(values, dtype=float),
-)
 
 
 def read_probability_articles(
     path: str | Path, strict: bool = True
 ) -> tuple[ArticleTable, list[Rejection]]:
     """Load `id,date,p_down,p_neutral,p_up` rows (date YYYY-MM-DD)."""
-    return _read_table(path, _PROBS, strict)
+    return _read_table(path, PROBS_HEADER, "probs", strict)
 
 
 def read_text_articles(
     path: str | Path, strict: bool = True
 ) -> tuple[ArticleTable, list[Rejection]]:
     """Load `id,date,text` rows (date YYYY-MM-DD, text quoted)."""
-    return _read_table(path, _TEXT, strict)
+    return _read_table(path, TEXT_HEADER, "texts", strict)
 
 
 def read_scored_articles(
     path: str | Path, strict: bool = True
 ) -> tuple[ArticleTable, list[Rejection]]:
     """Load `id,date,score` rows written by the score command."""
-    return _read_table(path, _SCORED, strict)
+    return _read_table(path, SCORED_HEADER, "scores", strict)
 
 
 def write_probability_articles(
@@ -379,19 +413,25 @@ def write_scored_articles(
 
 
 def _write_articles(table: ArticleTable, header, columns, path, comment) -> None:
-    """Rows of id, date and the float columns, written with repr. Each
-    distinct date is formatted once."""
+    """Rows of id, date and the float columns (written with repr), made
+    a block at a time, each distinct date formatted once. csv.writer
+    writes them if an id needs quotes: it holds a comma, quote, LF or CR."""
     # numpy finds the distinct values of int64 faster than of datetime64.
     days, at = np.unique(table.dates.view(np.int64), return_inverse=True)
-    text = np.datetime_as_string(days.view("datetime64[D]")).astype(object)
-    values = (map(repr, column.tolist()) for column in columns)
-    write_rows(
-        header,
-        zip(table.ids, text[at].tolist(), *values),
-        path,
-        comment,
-        quote_all="\r" in "".join(table.ids),
+    dates = np.datetime_as_string(days.view("datetime64[D]")).astype(object)[at]
+    ids = table.ids
+    blocks = (
+        zip(ids[b], dates[b].tolist(), *(map(repr, c[b].tolist()) for c in columns))
+        for b in (slice(i, i + _BLOCK_ROWS) for i in range(0, len(ids), _BLOCK_ROWS))
     )
+    joined = "".join(ids)
+    if any(c in joined for c in ',"\n\r'):
+        rows = itertools.chain.from_iterable(blocks)
+        return write_rows(header, rows, path, comment, quote_all="\r" in joined)
+    with _output(path, comment) as handle:
+        print(",".join(header), file=handle)
+        for rows in blocks:
+            print("\n".join(map(",".join, rows)), file=handle)
 
 
 def write_rejections(

@@ -17,10 +17,11 @@ import math
 import re
 from collections import Counter
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newscast import (
@@ -97,7 +98,12 @@ HEADLINES = st.lists(
     ]),
     max_size=10,
 ).map(" ".join)
-JUNK_NUMBERS = ("nan", "NaN", "inf", "-inf", "1_0", "0_5", "", "x", " 0.5 ", "-0.0")
+# What float() accepts and refuses, non-ASCII digits, padding, underflow
+# and overflow included; the readers must agree with it on each.
+JUNK_NUMBERS = (
+    "nan", "NaN", "inf", "-inf", "1_0", "0_5", "", "x", " 0.5 ", "-0.0",
+    "\u0660.\u0665", "\uff11", "1e-400", "1e400", "4.9e-324", "\t0.5\n",
+)
 
 
 @st.composite
@@ -325,6 +331,76 @@ class TestReadersMatchPerRowParse:
             nio.Rejection(7, "p_down=10.0 outside [0, 1]"),
         ]
         with pytest.raises(SeriesFormatError, match="line 2: .*day is out of range"):
+            read_probability_articles(path)
+
+
+@pytest.fixture(scope="class", params=[1, 50])
+def small_blocks(request):
+    """Readers that read a block of 1 or 50 characters at a time, then on
+    to the end of the line: blocks of one line, or of one to three."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nio, "_BLOCK_CHARS", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReadersAcrossBlocks(TestReadersMatchPerRowParse):
+    """The same reads in small blocks, so that block ends fall between
+    rows, after quoted fields and CRLF lines, and inside quoted fields."""
+
+
+BOUNDARY_FILE = (
+    b"id,date,p_down,p_neutral,p_up\n"
+    b"a,2020-02-30,0.2,0.3,0.5\n"
+    b"b,2020-01-05,0.2,0.3,0.5\n"
+    b"c,2020-01-05,0.2,0.3,x\n"
+    b"d,2020-01-06,0.2,0.3,0.5\n"
+    b'"e,1",2020-01-06,0.2,0.3,0.5\n'
+    b'"f\n'  # a quoted id over two lines
+    b'g",2020-01-07,0.2,0.3,0.5\n'
+    b"h,2020-01-08,0.2,0.3\n"
+    b"i,2020-01-08,0.2,0.3,0.5\n"
+    b" ,2020-01-08,0.2,0.3,0.5\n"
+    b"j,2020-01-09,0.2,0.3,0.5\r\n"
+    b"k,2020-01-09,0.9,0.9,0.9\r\n"
+    b"l,2020-01-10,0.2,0.3,0.5\r\n"
+    b"m,2020-01-11,0.2,0.3,0.5"
+)
+
+
+@pytest.mark.parametrize("size", range(1, 80, 3))
+def test_rows_on_block_boundaries(tmp_path, size):
+    """Plain lines, quoted rows and CRLF lines, malformed rows among them;
+    over the block sizes, each row is first and last in some block."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(BOUNDARY_FILE)
+    with mock.patch.object(nio, "_BLOCK_CHARS", size):
+        table, rejections = read_probability_articles(path, strict=False)
+        assert table.ids == ["b", "d", "e,1", "f\ng", "i", "j", "l", "m"]
+        assert rejections == [
+            nio.Rejection(2, "day is out of range for month"),
+            nio.Rejection(4, "could not convert string to float: 'x'"),
+            nio.Rejection(9, "expected 5 fields, got 4"),
+            nio.Rejection(11, "empty article id"),
+            nio.Rejection(13, "probabilities sum to 2.7, not 1 within 1e-06"),
+        ]
+        want = oracle_read(path, nio.PROBS_HEADER, oracle_probability_row, False)
+        assert outcome(read_probability_articles, path, "probs", False) == want
+        with pytest.raises(SeriesFormatError, match="line 2: .*day is out of range"):
+            read_probability_articles(path)
+        # Mend the rows before line 13 and break the date of line 14: the
+        # first rejection is then one that the probability rule finds on
+        # the whole column, before a row that fails to convert.
+        text = BOUNDARY_FILE
+        for bad, mended in (
+            (b"30,", b"05,"), (b",x", b",0.5"), (b"0.3\n", b"0.3,0.5\n"),
+            (b" ,", b"n,"), (b"01-10", b"13-10"),
+        ):
+            text = text.replace(bad, mended)
+        path.write_bytes(text)
+        _, rejections = read_probability_articles(path, strict=False)
+        assert [r.line for r in rejections] == [13, 14]
+        with pytest.raises(SeriesFormatError, match="line 13: .*sum to 2.7"):
             read_probability_articles(path)
 
 
@@ -566,6 +642,64 @@ class TestRoundTrip:
         before = path.read_bytes()
         write_scored_articles(back, path)
         assert path.read_bytes() == before
+
+
+WRITER_IDS = st.one_of(
+    st.sampled_from(["a,b", 'say "hi"', "multi\nline", "cr\rinside", "crlf\r\n", "é"]),
+    st.text(st.sampled_from(list(',"\n\r \tax\u00e9\u20ac')), max_size=5),
+)
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308])
+EDGE_PROBS = st.sampled_from([(5e-324, 0.5, 0.5), (0.0, -0.0, 1.0), (1e-310, 1.0, 0.0)])
+
+
+def csv_writer_bytes(header, drawn):
+    """The (id, date, value or values) draws as csv.writer writes them:
+    minimal quoting, or every field quoted when an id holds a CR (which
+    minimal quoting leaves bare when it is not beside an LF)."""
+    buffer = io.StringIO()
+    ids = "".join(key for key, _, _ in drawn)
+    quoting = csv.QUOTE_ALL if "\r" in ids else csv.QUOTE_MINIMAL
+    writer = csv.writer(buffer, lineterminator="\n", quoting=quoting)
+    writer.writerow(header)
+    for key, day, value in drawn:
+        values = value if isinstance(value, tuple) else (value,)
+        writer.writerow([key, day.isoformat(), *map(repr, values)])
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestWriterBytes:
+    """The article writers give csv.writer's bytes, for any block size."""
+
+    @example(drawn=[], block=16_384)  # an empty table: the header alone
+    @SETTINGS
+    @given(
+        st.lists(
+            st.tuples(WRITER_IDS, ANY_DAY, st.one_of(valid_probs(), EDGE_PROBS)),
+            max_size=8,
+        ),
+        st.sampled_from([1, 2, 3, 16_384]),
+    )
+    def test_probability_articles(self, scratch, drawn, block):
+        path = scratch / "pw.csv"
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            write_probability_articles(drawn_table(drawn, "probs"), path)
+        assert path.read_bytes() == csv_writer_bytes(nio.PROBS_HEADER, drawn)
+
+    @example(drawn=[], block=16_384)  # an empty table: the header alone
+    @SETTINGS
+    @given(
+        st.lists(
+            st.tuples(WRITER_IDS, ANY_DAY, st.one_of(st.floats(-1, 1), EDGE_FLOATS)),
+            max_size=8,
+        ),
+        st.sampled_from([1, 2, 3, 16_384]),
+    )
+    def test_scored_articles(self, scratch, drawn, block):
+        path = scratch / "sw.csv"
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            write_scored_articles(drawn_table(drawn, "scores"), path, comment="# c")
+        want = b"# c\n" + csv_writer_bytes(nio.SCORED_HEADER, drawn)
+        assert path.read_bytes() == want
 
 
 ORDINALS = st.integers(0, 9999 * 12 + 11)

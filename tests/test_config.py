@@ -227,10 +227,21 @@ class TestValidation:
             "baseline_gain = \u0661.\u0665",
             "truncation_lag = \uff10",
             "seed = \u0661",
+            # Nor the '_' digit separators they accept.
+            "window = 1_2",
+            "day_cutoff = 1_5",
+            "baseline_cap = 1_0",
+            "baseline_gain = 1_0",
+            "baseline_gain = 0.5_0",
+            "truncation_lag = 0_1",
+            "seed = 4_2",
         ):
             key = override.split("=")[0].strip()
             with pytest.raises(ConfigError, match=key):
                 load_config(path, overrides=(override,))
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=("window = 1_2",))
+        assert str(err.value) == "config key 'window': '1_2' is not an integer"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_baseline_gain_names_the_key(self, tmp_path, value):
