@@ -45,7 +45,6 @@ from .io import (
 )
 from .nowcast import (
     MODEL_SPECS,
-    ForecastSeries,
     backtest,
     fit_model,
     nowcast,
@@ -132,12 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_back = sub.add_parser(
-        "backtest", help="nowcast the evaluation window and evaluate"
+        "backtest", help="nowcast the evaluation window into forecasts.csv"
     )
     p_back.add_argument("specs", nargs="*", metavar="SPEC")
 
     sub.add_parser(
-        "evaluate", help="recompute the evaluation report from the forecast file"
+        "evaluate", help="RMSE and Giacomini-White report of the forecast file"
     )
     return parser
 
@@ -310,18 +309,16 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
     bundle = _load_pi_bundle(cfg, names)
     windows = (cfg.train_start, cfg.train_end), (cfg.eval_start, cfg.eval_end)
     forecasts = [backtest(name, bundle, *windows, cfg.scheme) for name in names]
-    write_forecasts(forecasts, cfg.out_path("forecasts.csv"), cfg.provenance())
-    return _evaluate(cfg, forecasts)
+    path = cfg.out_path("forecasts.csv")
+    write_forecasts(forecasts, path, cfg.provenance())
+    months = len(forecasts[0].months)
+    print(f"backtested {len(names)} models over {months} months -> {path}")
+    return EXIT_OK
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _evaluate(cfg, read_forecasts(_upstream(cfg, "forecasts")))
-
-
-def _evaluate(cfg: RunConfig, forecasts: Sequence[ForecastSeries]) -> int:
-    """Write and print the evaluation report of the forecasts."""
     report = evaluate_forecasts(
-        forecasts,
+        read_forecasts(_upstream(cfg, "forecasts")),
         variant=cfg.gw_variant,
         unit=cfg.rmse_unit,
         truncation_lag=cfg.truncation_lag,
@@ -343,7 +340,7 @@ COMMANDS: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
     "build-index": (cmd_build_index, ("news_index.csv", "news_index_meta.csv")),
     "fit": (cmd_fit, ("regression.txt", "regression.csv")),
     "nowcast": (cmd_nowcast, ("nowcast.csv",)),
-    "backtest": (cmd_backtest, ("forecasts.csv", "evaluation.txt", "evaluation.csv")),
+    "backtest": (cmd_backtest, ("forecasts.csv",)),
     "evaluate": (cmd_evaluate, ("evaluation.txt", "evaluation.csv")),
 }
 

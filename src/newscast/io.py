@@ -87,16 +87,16 @@ def _plain_lines(text: str, width: int) -> int | None:
 
 
 def _read_blocks(path: str | Path, header: Sequence[str]):
-    """Yield (lines, fields, misfits) per block of data lines, and an
+    """Yield (lines, columns, misfits) per block of data lines, and an
     empty block last: the int64 line numbers of the rows with len(header)
-    fields, their fields in one list, and (line, row) of the other rows
-    that are not blank. Leading comment ('#') and blank lines are
-    skipped; the first real line must be the exact expected header. Lines
-    end only at LF, CR or CRLF, so line numbers count physical lines; a
-    row has the number of its last line. A block is split at its commas
-    where csv.reader would split it so (see _plain_lines); otherwise
-    csv.reader reads as many rows as it has lines, reading on where a
-    quoted field holds a line end."""
+    fields, their fields as len(header) columns, and (line, row) of the
+    other rows that are not blank. Leading comment ('#') and blank lines
+    are skipped; the first real line must be the exact expected header.
+    Lines end only at LF, CR or CRLF, so line numbers count physical
+    lines; a row has the number of its last line. A block is split at
+    its commas where csv.reader would split it so (see _plain_lines);
+    otherwise csv.reader reads as many rows as it has lines, reading on
+    where a quoted field holds a line end."""
     path = Path(path)
     width = len(header)
     line = 0  # physical lines before the next one read
@@ -120,7 +120,8 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
                 text = handle.read(_BLOCK_CHARS) + handle.readline()
                 if count := _plain_lines(text, width):
                     fields = text.replace("\n", ",").split(",")[:-1]
-                    yield np.arange(line + 1, line + 1 + count), fields, []
+                    columns = [fields[k::width] for k in range(width)]
+                    yield np.arange(line + 1, line + 1 + count), columns, []
                     line += count
                 else:
                     block = io.StringIO(text, newline="").readlines()
@@ -133,8 +134,8 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
                         elif len(row) > 1 or "".join(row).strip():  # not blank
                             misfits.append((line + reader.line_num, row))
                     line += reader.line_num
-                    fields = list(itertools.chain(*rows))
-                    yield np.array(ends, dtype=np.int64), fields, misfits
+                    columns = list(zip(*rows)) or [()] * width
+                    yield np.array(ends, dtype=np.int64), columns, misfits
                 if not text:
                     return
     except (OSError, UnicodeDecodeError) as exc:
@@ -215,8 +216,8 @@ def _month_rows(path: Path, header: Sequence[str], keyed: bool):
     line number."""
     latest: dict[str, MonthKey] = {}
     first = 2 if keyed else 1
-    for lines, fields, misfits in _read_blocks(path, header):
-        rows = zip(lines.tolist(), zip(*[iter(fields)] * len(header)))
+    for lines, columns, misfits in _read_blocks(path, header):
+        rows = zip(lines.tolist(), zip(*columns))
         for line_num, row in heapq.merge(rows, misfits, key=itemgetter(0)):
             try:
                 if len(row) != len(header):
@@ -283,7 +284,7 @@ _EPOCH_DAY = _dt.date(1970, 1, 1).toordinal()
 _NAT = np.iinfo(np.int64).min
 
 
-def _floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The cells read with float(), and True where it refuses one (NaN).
     numpy reads a list of str with float(), stopping at a refusal."""
     refused = np.zeros(len(cells), dtype=bool)
@@ -324,7 +325,8 @@ def _read_table(
     """The articles of a file, the values after id and date as the named
     column. Each block is checked a column at a time, each distinct date
     text parsed once, and _rejection words the rows that fail; then the
-    whole column passes COLUMN_CHECKS. The orders of checks that result:
+    whole column passes COLUMN_CHECKS, which the table built from it
+    does not repeat. The orders of checks that result:
     probabilities: field count, date, floats, probability rule, id;
     text: field count, date, id; scored: field count, date, id, float,
     score range. Strict mode raises the first rejection, with its line,
@@ -332,8 +334,7 @@ def _read_table(
     width = len(header)
     known: dict[str, int] = {}  # date text -> day number, or NaT
     parts, failed = [], []
-    for lines, fields, misfits in _read_blocks(path, header):
-        cells = [fields[k::width] for k in range(width)]
+    for lines, cells, misfits in _read_blocks(path, header):
         keys = list(map(str.strip, cells[0]))
         for text in set(cells[1]).difference(known):
             try:
@@ -371,7 +372,8 @@ def _read_table(
     if strict and rejections:
         first = rejections[0]
         raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
-    table = ArticleTable(ids.tolist(), days.view("datetime64[D]"), **{column: values})
+    table = ArticleTable(ids.tolist(), days.view("datetime64[D]"))
+    table = table._with({column: values})  # values passed COLUMN_CHECKS above
     return table, rejections
 
 

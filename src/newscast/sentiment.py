@@ -16,7 +16,6 @@ values are checked.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ DEFAULT_LEXICON = (
 )
 
 PROB_SUM_TOL = 1e-6
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,7 @@ class ArticleTable:
 
 
 def normalize_whitespace(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def _phrases(lexicon: Iterable[str]) -> list[str]:

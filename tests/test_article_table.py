@@ -49,6 +49,7 @@ from newscast.sentiment import (
     DEFAULT_DOWN_LEXICON,
     DEFAULT_LEXICON,
     DEFAULT_UP_LEXICON,
+    COLUMN_CHECKS,
     baseline_probabilities,
     lexicon_mask,
 )
@@ -777,3 +778,31 @@ def test_score_and_build_index_build_no_article_objects(tmp_path, monkeypatch):
     assert counts["SentimentProbs"] == 0
     # Months of the index and the config, not one per article.
     assert 0 < counts["MonthKey"] < 150
+
+
+def test_each_column_check_runs_once_per_read(tmp_path, monkeypatch):
+    # The reader filters on COLUMN_CHECKS and the table it builds trusts
+    # that: one call per check and read, and refused rows still rejected.
+    counts = Counter()
+    for name, (refused, reason) in COLUMN_CHECKS.items():
+        def counted(column, name=name, refused=refused):
+            counts[name] += 1
+            return refused(column)
+
+        monkeypatch.setitem(COLUMN_CHECKS, name, (counted, reason))
+    cases = (
+        (read_probability_articles, nio.PROBS_HEADER, "0.2,0.3,0.5", "0.9,0.9,0.9",
+         {"dates": 1, "probs": 1}),
+        (read_scored_articles, nio.SCORED_HEADER, "0.5", "5.0",
+         {"dates": 1, "scores": 1}),
+        (read_text_articles, nio.TEXT_HEADER, "calm", "calm", {"dates": 1}),
+    )
+    path = tmp_path / "articles.csv"
+    for read, header, good, bad, calls in cases:
+        rows = [",".join(header), f"a,2020-01-02,{good}", f"b,2020-01-03,{bad}"]
+        path.write_text("\n".join(rows) + "\n")
+        counts.clear()
+        table, rejections = read(path, strict=False)
+        assert counts == calls
+        assert table.ids == (["a"] if rejections else ["a", "b"])
+        assert [r.line for r in rejections] == ([3] if good != bad else [])

@@ -53,7 +53,7 @@ def read_csv_after_provenance(path):
 def toy_run(tmp_path_factory):
     """One full pipeline run on the bundled config, shared read-only."""
     out = tmp_path_factory.mktemp("toy-out")
-    for command in ("score", "build-index", "fit", "backtest"):
+    for command in ("score", "build-index", "fit", "backtest", "evaluate"):
         assert run("--config", "toy", "--out", out, command) == 0
     return out
 
@@ -415,15 +415,35 @@ class TestBacktestAndEvaluate:
         assert rows[2][0] == "fed+news" and rows[2][5] == "unconditional"
         assert 0.0 <= float(rows[2][4]) <= 1.0
 
-    def test_evaluate_reproduces_backtest_report(self, tmp_path, capsys):
+    def test_only_evaluate_reports(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run("--config", "toy", "--out", out, "score") == 0
-        assert run("--config", "toy", "--out", out, "build-index") == 0
-        assert run("--config", "toy", "--out", out, "backtest") == 0
-        first = (out / "evaluation.csv").read_bytes()
-        assert run("--config", "toy", "--out", out, "evaluate") == 0
-        assert (out / "evaluation.csv").read_bytes() == first
+        for command in ("score", "build-index"):
+            assert run("--config", "toy", "--out", out, command) == 0
         capsys.readouterr()
+        assert run("--config", "toy", "--out", out, "backtest") == 0
+        assert capsys.readouterr().out == (
+            f"backtested 2 models over 48 months -> {out / 'forecasts.csv'}\n"
+        )
+        assert not list(out.glob("evaluation.*"))
+        assert run("--config", "toy", "--out", out, "evaluate") == 0
+        text = (out / "evaluation.txt").read_text()
+        assert capsys.readouterr().out == text.split("\n", 1)[1]
+
+    def test_unevaluable_backtest_keeps_its_forecasts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        one_month = ("--set", "eval_start=2020-01", "--set", "eval_end=2020-01")
+        for command in ("score", "build-index", "backtest"):
+            assert run("--config", "toy", "--out", out, *one_month, command) == 0
+        rows = read_csv_after_provenance(out / "forecasts.csv")
+        assert [r[:2] for r in rows[1:]] == [
+            ["2020-01", "fed"], ["2020-01", "fed+news"]
+        ]
+        capsys.readouterr()
+        assert run("--config", "toy", "--out", out, *one_month, "evaluate") == 3
+        assert capsys.readouterr().err == (
+            "error: models 'fed' and 'fed+news' share 1 months; need at least 2\n"
+        )
+        assert (out / "forecasts.csv").exists()
 
     def test_failed_rerun_leaves_no_stale_forecasts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -431,8 +451,7 @@ class TestBacktestAndEvaluate:
             assert run("--config", "toy", "--out", out, command) == 0
         assert run("--config", "toy", "--out", out,
                    "--set", "eval_end=2030-12", "backtest", "all") == 3
-        for name in ("forecasts.csv", "evaluation.txt", "evaluation.csv"):
-            assert not (out / name).exists()
+        assert not (out / "forecasts.csv").exists()
         capsys.readouterr()
         assert run("--config", "toy", "--out", out, "evaluate") == 3
         assert "backtest command first" in capsys.readouterr().err
@@ -466,6 +485,7 @@ class TestBacktestAndEvaluate:
         assert run("--config", "toy", "--out", out, "score") == 0
         assert run("--config", "toy", "--out", out, "build-index") == 0
         assert run("--config", "toy", "--out", out, "backtest", "fed+news") == 0
+        assert run("--config", "toy", "--out", out, "evaluate") == 0
         capsys.readouterr()
         rows = read_csv_after_provenance(out / "evaluation.csv")
         assert len(rows) == 2
@@ -577,7 +597,7 @@ class TestExitCodes:
 def toy_chain(tmp_path_factory):
     """Outputs of every command's clean toy run, shared read-only."""
     out = tmp_path_factory.mktemp("toy-chain")
-    for command in ("score", "build-index", "fit", "nowcast", "backtest"):
+    for command in COMMANDS:
         assert run("--config", "toy", "--out", out, command) == 0
     return out
 
@@ -594,6 +614,16 @@ FORECAST_TEXT = (
 class TestCommandTable:
     """Each command writes only its COMMANDS files under --out, and a
     failed command removes them."""
+
+    def test_readme_table_is_the_command_table(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        table = readme[readme.index("| command "):]
+        rows = [line.split("|")[1:3] for line in table.split("\n\n")[0].splitlines()]
+        listed = {
+            command.strip(" `"): tuple(re.findall(r"`([^`]+)`", files))
+            for command, files in rows[2:]
+        }
+        assert listed == {name: outputs for name, (_, outputs) in COMMANDS.items()}
 
     @pytest.mark.parametrize(
         "argv, inputs, code, message",

@@ -1,9 +1,12 @@
 """Probability vectors, scoring rules, lexicon gate, keyword baseline, F1."""
 
+import re
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from newscast import (
     ArticleTable,
@@ -193,6 +196,16 @@ class TestLexiconFilter:
     def test_normalize_whitespace(self):
         assert normalize_whitespace("  a\t b\n\nc ") == "a b c"
         assert normalize_whitespace("") == ""
+
+    # Every character str.split() or the regex \s treats as whitespace,
+    # among letters; "İ" grows when lowercased, which comes after.
+    @given(st.text(st.sampled_from(
+        " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029"
+        "\u3000abİ"
+    )))
+    @example("\x1c a \u3000")
+    def test_normalize_whitespace_matches_the_regex(self, text):
+        assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 
 
 class TestBaselineClassify:
