@@ -17,6 +17,7 @@ from .errors import (
     MissingMonthsError,
     NewscastError,
     NumericError,
+    OverflowMonthsError,
     SeriesFormatError,
     SingularDesignError,
     UnitError,
@@ -153,6 +154,7 @@ __all__ = [
     "ConfigError",
     "DataError",
     "NumericError",
+    "OverflowMonthsError",
     "SeriesFormatError",
     "MissingMonthsError",
     "InvalidProbabilityError",

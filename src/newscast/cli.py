@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .config import RunConfig, load_config, toy_config_path
-from .errors import ConfigError, DataError, NewscastError, NumericError
+from .errors import ConfigError, DataError, NewscastError
 from .evaluation import evaluate_forecasts
 from .index import build_news_index, monthly_aggregate, news_pi
 from .io import (
@@ -45,6 +45,7 @@ from .io import (
 )
 from .nowcast import (
     MODEL_SPECS,
+    annualized,
     backtest,
     fit_model,
     nowcast,
@@ -63,13 +64,8 @@ from .sentiment import (
     lexicon_filter,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
     lexicon_mask,
 )
-from .timeseries import MonthKey, MonthlySeries, annualize, pct_change
+from .timeseries import MonthKey, MonthlySeries, pct_change
 from .version import __version__
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 # Fraction of malformed input rows above which score refuses to run.
 MAX_REJECTED_FRACTION = 0.10
@@ -226,7 +222,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"({len(rejections)} rejected, {filtered_out} filtered out) "
         f"-> {scored_path}"
     )
-    return EXIT_OK
+    return 0
 
 
 def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -244,7 +240,7 @@ def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
         f"built NEWS index over {len(index.series)} months "
         f"({gaps} gap months) -> {cfg.out_path('news_index.csv')}"
     )
-    return EXIT_OK
+    return 0
 
 
 def _load_pi_bundle(
@@ -281,7 +277,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
         comment,
     )
     print(text, end="")
-    return EXIT_OK
+    return 0
 
 
 def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -297,11 +293,11 @@ def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> int:
             name, bundle, cfg.train_start, cfg.train_end, robust=cfg.robust
         )
         value = nowcast(name, fitted, bundle, t)
-        annual = annualize(value)
+        (annual,) = annualized(name, "nowcast", t, [value])
         rows.append([str(t), name, repr(value), repr(annual)])
         print(f"{name}: {t} nowcast {value:.4f} (annualized {annual:.4f})")
     write_rows(NOWCAST_HEADER, rows, cfg.out_path("nowcast.csv"), cfg.provenance())
-    return EXIT_OK
+    return 0
 
 
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -313,7 +309,7 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
     write_forecasts(forecasts, path, cfg.provenance())
     months = len(forecasts[0].months)
     print(f"backtested {len(names)} models over {months} months -> {path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -330,7 +326,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         *evaluation_table_delimited(report), cfg.out_path("evaluation.csv"), comment
     )
     print(text, end="")
-    return EXIT_OK
+    return 0
 
 
 #: Each command's handler, called with (cfg, args), and the files it
@@ -343,14 +339,6 @@ COMMANDS: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
     "backtest": (cmd_backtest, ("forecasts.csv",)),
     "evaluate": (cmd_evaluate, ("evaluation.txt", "evaluation.csv")),
 }
-
-#: Error families and their exit codes; any other NewscastError exits 1.
-EXIT_CODES = (
-    (ConfigError, EXIT_CONFIG),
-    (NumericError, EXIT_NUMERIC),
-    (DataError, EXIT_DATA),
-)
-
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
@@ -368,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 with suppress(OSError):
                     cfg.out_path(name).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), 1)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,26 +1,34 @@
 """Exception hierarchy.
 
-Three top-level families map onto the CLI exit codes: configuration
-problems (exit 2), data problems (exit 3), and numerical problems
-(exit 4). Library code raises the specific subclasses; the CLI maps
-families to codes.
+Three top-level families carry the CLI exit code as exit_code:
+configuration problems 2, data problems 3, numerical problems 4; any
+other package error exits 1. Library code raises the specific
+subclasses, and the CLI exits with the exit_code of the error.
 """
 
 
 class NewscastError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ConfigError(NewscastError):
     """Invalid configuration: unknown keys, bad values, missing files."""
+
+    exit_code = 2
 
 
 class DataError(NewscastError):
     """Invalid or insufficient input data."""
 
+    exit_code = 3
+
 
 class NumericError(NewscastError):
     """Numerically ill-posed computation."""
+
+    exit_code = 4
 
 
 class SeriesFormatError(DataError):
@@ -64,6 +72,11 @@ class DomainError(NumericError):
 class ZeroDenominatorError(_ListsMonths, NumericError):
     """Percent change hit zero (or, for the sentiment index,
     sign-crossing) denominators. Carries the offending months."""
+
+
+class OverflowMonthsError(_ListsMonths, NumericError):
+    """A transform's result overflowed to infinity. Carries the
+    offending months."""
 
 
 class SingularDesignError(NumericError):

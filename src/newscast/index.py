@@ -20,11 +20,11 @@ from .errors import ConfigError, DataError, ZeroDenominatorError
 from .sentiment import ArticleTable
 from .timeseries import (
     INDEX_LEVEL,
-    PERCENT,
     MonthKey,
     MonthlySeries,
     months_where,
     pct_change,
+    percent_series,
 )
 
 INDEX_NAME = "NEWS"
@@ -128,9 +128,7 @@ def build_news_index(monthly: Sequence[MonthlySentiment]) -> NewsIndex:
     # bincount adds each mean to 0.0 and cumsum accumulates in order, so
     # the levels are exactly the running sum from 0.0 (gaps add 0.0).
     levels = np.cumsum(np.bincount(offsets, [m.mean_score for m in monthly]))
-    series = MonthlySeries.from_arrays(
-        INDEX_NAME, start, levels, np.ones(len(levels), dtype=bool), INDEX_LEVEL
-    )
+    series = MonthlySeries.from_arrays(INDEX_NAME, start, levels, INDEX_LEVEL)
     return NewsIndex(series=series, counts=counts)
 
 
@@ -149,16 +147,20 @@ def news_pi(
     emitting plain level differences (P_t - P_{t-window}); because mean
     scores live in [-1, 1] the differences are on a comparable small
     scale and serve as a rate proxy, labeled percent for uniformity.
+    Either mode raises OverflowMonthsError listing months that overflow.
     """
     series = index.series if isinstance(index, NewsIndex) else index
     if mode not in PI_MODES:
         raise ConfigError(f"mode must be one of {PI_MODES}, got {mode!r}")
     out_name = f"pi-{series.name}"
-    start, now, then, both = series.lagged(window)
+    start, now, then = series.lagged(window)
     if mode == "level-diff":
-        return MonthlySeries.from_arrays(out_name, start, now - then, both, PERCENT)
-    zero = months_where(start, both & (then == 0.0))
-    crossing = months_where(start, both & (now * then < 0.0))
+        what = f"level-diff of the {series.name!r} index (window {window})"
+        with np.errstate(over="ignore"):
+            return percent_series(out_name, start, now - then, what)
+    zero = months_where(start, (then == 0.0) & ~np.isnan(now))
+    # Signs, not the product now * then, which can overflow or underflow.
+    crossing = months_where(start, np.sign(now) * np.sign(then) < 0.0)
     if zero or crossing:
         parts = []
         if zero:

@@ -37,7 +37,7 @@ from .errors import DataError, NewscastError, SeriesFormatError
 from .index import NewsIndex
 from .nowcast import ForecastSeries
 from .sentiment import COLUMN_CHECKS, ArticleTable, SentimentProbs
-from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries
+from .timeseries import MonthKey, MonthlySeries
 from .version import __version__
 
 SERIES_HEADER = ["date", "value"]
@@ -249,12 +249,8 @@ def _finite(name: str, cell: str, month: MonthKey) -> float:
     return value
 
 
-def read_series(
-    path: str | Path,
-    name: str | None = None,
-    unit: str = INDEX_LEVEL,
-) -> MonthlySeries:
-    """Load a `date,value` file into a MonthlySeries.
+def read_series(path: str | Path, name: str | None = None) -> MonthlySeries:
+    """Load a `date,value` file into an index-level MonthlySeries.
 
     Month keys must be strictly increasing; duplicates, unparseable
     dates, and non-numeric or non-finite values are rejected with their
@@ -265,7 +261,7 @@ def read_series(
     pairs = [(month, value) for month, _, (value,) in rows]
     if not pairs:
         raise DataError(f"{path} contains no series rows")
-    return MonthlySeries(name or path.stem, pairs, unit)
+    return MonthlySeries(name or path.stem, pairs)
 
 
 def write_series(

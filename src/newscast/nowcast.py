@@ -20,11 +20,11 @@ month. A ForecastSeries holds int64 month ordinals and float64 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError
 from .ols import RegressionResult, fit_ols, solve_ols
 from .timeseries import (
     MonthKey,
@@ -162,12 +162,10 @@ def nowcast(
     fitted: RegressionResult,
     data: Mapping[str, MonthlySeries],
     t: MonthKey,
-    *,
-    lags: int = 12,
 ) -> float:
     """Nowcast of the target percent change for month t.
 
-    Price regressors are imputed with the moving average of their lags
+    Price regressors are imputed with the moving average of their LAGS
     preceding values; the news regressor uses its exact value at t.
     """
     spec = resolve_spec(spec)
@@ -177,7 +175,7 @@ def nowcast(
             f"fitted coefficients {fitted.names} do not match model "
             f"{spec.name!r} ({expected})"
         )
-    columns = _regressor_columns(spec, data, t, t, lags)
+    columns = _regressor_columns(spec, data, t, t)
     return _nowcasts(fitted.estimates[None, :], columns).item()
 
 
@@ -186,18 +184,17 @@ def _regressor_columns(
     data: Mapping[str, MonthlySeries],
     start: MonthKey,
     end: MonthKey,
-    lags: int,
 ) -> list[np.ndarray]:
     """Each regressor's values at nowcast time for every month of
     [start, end], in spec order: the news values themselves, and the
-    moving average of each price index's lags preceding values."""
+    moving average of each price index's LAGS preceding values."""
     columns = []
     for key in spec.regressors:
         series = _bundle_series(data, key)
         if key == NEWS_KEY:
             columns.append(series.window(start, end))
         else:
-            columns.append(moving_averages(series, start, end, lags))
+            columns.append(moving_averages(series, start, end))
     return columns
 
 
@@ -250,8 +247,6 @@ def backtest(
     train_window: tuple[MonthKey, MonthKey],
     eval_window: tuple[MonthKey, MonthKey],
     scheme: str = "fixed",
-    *,
-    lags: int = 12,
 ) -> ForecastSeries:
     """Nowcast every month of eval_window and pair with realizations.
 
@@ -293,7 +288,7 @@ def backtest(
     else:
         y, X = _design(spec, data, eval_start.shift(-n), eval_end.shift(-1))
         starts = range(len(realized))
-    columns = _regressor_columns(spec, data, eval_start, eval_end, lags)
+    columns = _regressor_columns(spec, data, eval_start, eval_end)
     betas = np.array(
         [solve_ols(y[i : i + n], X[i : i + n], names).beta for i in starts]
     )
@@ -302,7 +297,21 @@ def backtest(
         model=spec.name,
         months=np.arange(eval_start.ordinal, eval_end.ordinal + 1),
         nowcasts=casts,
-        nowcasts_annualized=list(map(annualize, casts.tolist())),
+        nowcasts_annualized=annualized(spec.name, "nowcast", eval_start, casts),
         realized=realized,
-        realized_annualized=list(map(annualize, realized.tolist())),
+        realized_annualized=annualized(spec.name, "realized", eval_start, realized),
     )
+
+
+def annualized(
+    model: str, column: str, start: MonthKey, values: Iterable[float]
+) -> list[float]:
+    """annualize of a model's column (nowcast or realized) of values from
+    month start on; a DomainError names the model, column and month."""
+    out: list[float] = []
+    try:
+        out.extend(map(annualize, map(float, values)))
+    except DomainError as exc:
+        month = start.shift(len(out))
+        raise DomainError(f"model {model!r}, {column} for {month}: {exc}") from None
+    return out

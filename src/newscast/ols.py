@@ -212,7 +212,7 @@ def _inference(
     robust: bool,
 ) -> RegressionResult:
     """fit_ols's diagnostics around a solved fit."""
-    from scipy import linalg, special
+    from scipy import special
 
     beta, R, pivot = solution
     n, k = X.shape
@@ -221,11 +221,12 @@ def _inference(
     ssr = float(residuals @ residuals)
     sigma2 = ssr / df_residual
 
-    # (X'X)^{-1} from the QR factors, undoing the column pivot.
-    r_inv = linalg.solve_triangular(R, np.eye(k))
-    xtx_inv_pivoted = r_inv @ r_inv.T
+    # (X'X)^{-1} from the QR factors, undoing the column pivot. R^{-1} is
+    # solved as solve_triangular solves it for a C-ordered R (solve_ols).
+    *_, trtrs = _routines()
+    r_inv = trtrs(R.T, np.eye(k), lower=1, trans=1)[0]
     xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(pivot, pivot)] = xtx_inv_pivoted
+    xtx_inv[np.ix_(pivot, pivot)] = r_inv @ r_inv.T
 
     if robust:
         # HC1: small-sample scaled sandwich estimator.

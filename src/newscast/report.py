@@ -56,9 +56,7 @@ def _column(result: RegressionResult, term: str) -> tuple[str, str]:
 
 
 def regression_table(
-    results: Sequence[RegressionResult],
-    model_names: Sequence[str],
-    dependent: str = DEPENDENT_LABEL,
+    results: Sequence[RegressionResult], model_names: Sequence[str]
 ) -> str:
     """Multi-column text table of one or more fitted models."""
     if not results or len(results) != len(model_names):
@@ -95,7 +93,7 @@ def regression_table(
     rule = "-" * total
     double_rule = "=" * total
     lines = [double_rule]
-    lines.append(f"Dependent variable: {dependent}".center(total).rstrip())
+    lines.append(f"Dependent variable: {DEPENDENT_LABEL}".center(total).rstrip())
     lines.append(line("", model_names))
     lines.append(line("", [f"({j + 1})" for j in range(n_models)]))
     lines.append(rule)

@@ -6,11 +6,12 @@ pure functions: they emit values only on months where their inputs
 exist and surface gaps explicitly instead of interpolating.
 
 A MonthlySeries stores its month axis as one start ordinal (months
-since year 0) and two arrays over the calendar span from its first to
-its last month: float64 values and a boolean presence mask. Months
-inside the span that the series lacks are False in the mask (their
-value slot holds NaN). Transforms and window reads are slices of these
-arrays; MonthKey objects appear only at the API and file boundary.
+since year 0) and one read-only float64 array over the calendar span
+from its first to its last month. A month inside the span that the
+series lacks holds NaN; every month it has holds a finite value.
+Transforms and window reads compute on slices of that array and let
+NaN carry absence; a transform whose result overflows raises, naming
+the months. MonthKey objects appear only at the API and file boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     DataError,
     DomainError,
     MissingMonthsError,
+    OverflowMonthsError,
     UnitError,
     ZeroDenominatorError,
 )
@@ -33,6 +35,9 @@ from .errors import (
 INDEX_LEVEL = "index-level"
 PERCENT = "percent"
 UNITS = (INDEX_LEVEL, PERCENT)
+
+#: Months of history a moving average of a percent series covers.
+LAGS = 12
 
 # [0-9]: \d would also match the digits date.fromisoformat refuses.
 _MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")
@@ -92,65 +97,57 @@ def months_where(start: int, mask: np.ndarray) -> list[MonthKey]:
     return [MonthKey.from_ordinal(start + i) for i in np.flatnonzero(mask).tolist()]
 
 
-_ABSENT = object()
-
-
 class MonthlySeries:
     """Named, chronologically ordered month -> value map.
 
-    Keys must be strictly increasing; contiguity is not required.
+    Months must be strictly increasing and values finite; contiguity is
+    not required. The values live in one read-only float64 array from
+    the first month to the last, NaN where the series lacks a month.
     Instances are immutable after construction.
     """
 
-    __slots__ = ("_name", "_unit", "_start", "_values", "_present")
+    __slots__ = ("_name", "_unit", "_start", "_values")
 
     def __init__(
         self,
         name: str,
-        points: Iterable[tuple[MonthKey, float]] | Mapping[MonthKey, float],
+        points: Iterable[tuple[MonthKey, float]],
         unit: str = INDEX_LEVEL,
     ):
-        if isinstance(points, Mapping):
-            pairs = list(points.items())
-        else:
-            pairs = list(points)
-        previous: MonthKey | None = None
-        for month, _ in pairs:
+        pairs = [(month, float(value)) for month, value in points]
+        for i, (month, value) in enumerate(pairs):
             if not isinstance(month, MonthKey):
                 raise DataError(f"series keys must be MonthKey, got {month!r}")
-            if previous is not None and month <= previous:
-                kind = "duplicate" if month == previous else "non-monotone"
+            if i and month <= pairs[i - 1][0]:
+                kind = "duplicate" if month == pairs[i - 1][0] else "non-monotone"
                 raise DataError(f"{kind} month {month} in series {name!r}")
-            previous = month
+            if not math.isfinite(value):
+                raise DataError(f"series {name!r}: {value!r} at {month} is not finite")
         start = pairs[0][0].ordinal if pairs else 0
-        offsets = [month.ordinal - start for month, _ in pairs]
-        present = np.zeros(offsets[-1] + 1 if pairs else 0, dtype=bool)
-        present[offsets] = True
-        values = np.full(len(present), np.nan)
-        values[offsets] = [float(value) for _, value in pairs]
-        self._set(name, unit, start, values, present)
+        values = np.full(pairs[-1][0].ordinal - start + 1 if pairs else 0, np.nan)
+        values[[month.ordinal - start for month, _ in pairs]] = [v for _, v in pairs]
+        self._set(name, unit, start, values)
 
     @classmethod
     def from_arrays(
-        cls, name: str, start: int, values: np.ndarray, present: np.ndarray, unit: str
+        cls, name: str, start: int, values: np.ndarray, unit: str
     ) -> MonthlySeries:
-        """Series taking values[i] at month ordinal start + i where present[i]."""
+        """Series taking values[i] at month ordinal start + i, absent where
+        NaN. Unchecked: the transforms below make values finite or NaN."""
         series = cls.__new__(cls)
-        series._set(name, unit, start, values, present)
+        series._set(name, unit, start, values)
         return series
 
-    def _set(self, name, unit, start, values, present) -> None:
+    def _set(self, name, unit, start, values) -> None:
         if unit not in UNITS:
             raise DataError(f"unit must be one of {UNITS}, got {unit!r}")
         # Trim absent months off both ends so the span runs first..last.
-        where = np.flatnonzero(present)
+        where = np.flatnonzero(~np.isnan(values))
         lo, hi = (int(where[0]), int(where[-1]) + 1) if where.size else (0, 0)
         self._name = str(name)
         self._unit = unit
         self._start = start + lo
-        self._present = np.array(present[lo:hi], dtype=bool)
-        self._values = np.where(self._present, values[lo:hi], np.nan)
-        self._present.flags.writeable = False
+        self._values = np.array(values[lo:hi], dtype=float)
         self._values.flags.writeable = False
 
     @property
@@ -162,40 +159,33 @@ class MonthlySeries:
         return self._unit
 
     def months(self) -> tuple[MonthKey, ...]:
-        return tuple(months_where(self._start, self._present))
+        return tuple(months_where(self._start, ~np.isnan(self._values)))
 
     def values(self) -> tuple[float, ...]:
-        return tuple(self._values[self._present].tolist())
+        return tuple(self._values[~np.isnan(self._values)].tolist())
 
     def items(self) -> Iterator[tuple[MonthKey, float]]:
         return zip(self.months(), self.values())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._present))
+        return int(np.count_nonzero(~np.isnan(self._values)))
 
     def __contains__(self, month: MonthKey) -> bool:
-        return self.get(month, _ABSENT) is not _ABSENT
+        i = month.ordinal - self._start if isinstance(month, MonthKey) else -1
+        return 0 <= i < len(self._values) and not math.isnan(self._values[i])
 
     def __getitem__(self, month: MonthKey) -> float:
-        value = self.get(month, _ABSENT)
-        if value is _ABSENT:
+        if month not in self:
             raise MissingMonthsError(f"series {self._name!r} has no value", [month])
-        return value
-
-    def get(self, month: MonthKey, default=None):
-        if isinstance(month, MonthKey):
-            i = month.ordinal - self._start
-            if 0 <= i < len(self._present) and self._present[i]:
-                return float(self._values[i])
-        return default
+        return float(self._values[month.ordinal - self._start])
 
     def first_month(self) -> MonthKey:
-        if not len(self._present):
+        if not len(self._values):
             raise DataError(f"series {self._name!r} is empty")
         return MonthKey.from_ordinal(self._start)
 
     def last_month(self) -> MonthKey:
-        return self.first_month().shift(len(self._present) - 1)
+        return self.first_month().shift(len(self._values) - 1)
 
     def window(self, start: MonthKey, end: MonthKey) -> np.ndarray:
         """Read-only values of every month in [start, end], in order.
@@ -204,32 +194,23 @@ class MonthlySeries:
         """
         lo = start.ordinal - self._start
         hi = end.ordinal - self._start + 1
-        if 0 <= lo and hi <= len(self._present) and self._present[lo:hi].all():
-            return self._values[lo:hi]
+        if 0 <= lo and hi <= len(self._values):
+            if not np.isnan(self._values[lo:hi]).any():
+                return self._values[lo:hi]
         raise MissingMonthsError(
             f"series {self._name!r} lacks months of {start}..{end}",
-            self.missing_months(month_range(start, end)),
+            [m for m in month_range(start, end) if m not in self],
         )
 
-    def lagged(self, lag: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """(start, now, then, both): from ordinal start on, the values at
-        each month t and at t - lag, and where both exist (else NaN)."""
+    def lagged(self, lag: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(start, now, then): from ordinal start on, the values at each
+        month t and at t - lag, NaN where the series lacks the month."""
         if not isinstance(lag, int) or lag < 1:
             raise DataError(f"window must be a positive integer, got {lag!r}")
-        return (
-            self._start + lag,
-            self._values[lag:],
-            self._values[:-lag],
-            self._present[lag:] & self._present[:-lag],
-        )
-
-    def missing_months(self, months: Iterable[MonthKey]) -> list[MonthKey]:
-        return [m for m in months if m not in self]
+        return self._start + lag, self._values[lag:], self._values[:-lag]
 
     def with_name(self, name: str) -> MonthlySeries:
-        return MonthlySeries.from_arrays(
-            name, self._start, self._values, self._present, self._unit
-        )
+        return MonthlySeries.from_arrays(name, self._start, self._values, self._unit)
 
     def __repr__(self) -> str:
         span = f"{self.first_month()}..{self.last_month()}" if len(self) else "empty"
@@ -244,23 +225,33 @@ def pct_change(series: MonthlySeries, window: int = 12) -> MonthlySeries:
 
     Output is defined exactly on months t where both P_t and
     P_{t-window} exist. Months whose denominator is zero are collected
-    and raised as ZeroDenominatorError.
+    and raised as ZeroDenominatorError, months whose ratio overflows as
+    OverflowMonthsError.
     """
     if series.unit != INDEX_LEVEL:
         raise UnitError(
             f"pct_change expects an index-level series, got {series.unit!r}"
         )
-    start, now, then, both = series.lagged(window)
-    zero = both & (then == 0.0)
+    what = f"pct_change of {series.name!r} (window {window})"
+    start, now, then = series.lagged(window)
+    zero = (then == 0.0) & ~np.isnan(now)
     if zero.any():
         raise ZeroDenominatorError(
-            f"pct_change of {series.name!r} (window {window}) hit zero "
-            "denominators",
-            months_where(start, zero),
+            f"{what} hit zero denominators", months_where(start, zero)
         )
-    out = np.full(len(both), np.nan)
-    out[both] = 100.0 * (now[both] / then[both] - 1.0)
-    return MonthlySeries.from_arrays(series.name, start, out, both, PERCENT)
+    with np.errstate(over="ignore"):
+        return percent_series(series.name, start, 100.0 * (now / then - 1.0), what)
+
+
+def percent_series(
+    name: str, start: int, values: np.ndarray, what: str
+) -> MonthlySeries:
+    """The percent series a transform (what) computed, NaN where an input
+    month is absent. OverflowMonthsError lists the months it overflowed."""
+    overflow = np.isinf(values)
+    if overflow.any():
+        raise OverflowMonthsError(f"{what} overflows", months_where(start, overflow))
+    return MonthlySeries.from_arrays(name, start, values, PERCENT)
 
 
 def annualize(pi: float) -> float:
@@ -269,7 +260,10 @@ def annualize(pi: float) -> float:
     growth = pi / 100.0 + 1.0
     if growth <= 0.0:
         raise DomainError(f"cannot annualize rate {pi} <= -100")
-    return 100.0 * (growth**12 - 1.0)
+    try:
+        return 100.0 * (growth**12 - 1.0)
+    except OverflowError:
+        raise DomainError(f"annualizing rate {pi} overflows") from None
 
 
 def deannualize(pi_ann: float) -> float:
@@ -281,26 +275,22 @@ def deannualize(pi_ann: float) -> float:
 
 
 def moving_averages(
-    pi_series: MonthlySeries, start: MonthKey, end: MonthKey, lags: int = 12
+    pi_series: MonthlySeries, start: MonthKey, end: MonthKey
 ) -> np.ndarray:
-    """For each month t of [start, end], in order, the mean of the lags
+    """For each month t of [start, end], in order, the mean of the LAGS
     values preceding t (t itself excluded).
 
     Used to stand in for not-yet-released percent changes. One window
     read covers every lag month of the span, so the MissingMonthsError
     for absent lags names the span and every month it lacks.
     """
-    if not isinstance(lags, int) or lags < 1:
-        raise DataError(f"lags must be a positive integer, got {lags!r}")
-    values = pi_series.window(start.shift(-lags), end.shift(-1)).tolist()
+    values = pi_series.window(start.shift(-LAGS), end.shift(-1)).tolist()
     # fsum: exactly rounded, so each mean is order-independent.
     return np.array(
-        [math.fsum(values[i : i + lags]) / lags for i in range(len(values) - lags + 1)]
+        [math.fsum(values[i : i + LAGS]) / LAGS for i in range(len(values) - LAGS + 1)]
     )
 
 
-def moving_average_predictor(
-    pi_series: MonthlySeries, t: MonthKey, lags: int = 12
-) -> float:
+def moving_average_predictor(pi_series: MonthlySeries, t: MonthKey) -> float:
     """moving_averages for the single month t."""
-    return float(moving_averages(pi_series, t, t, lags)[0])
+    return float(moving_averages(pi_series, t, t)[0])

@@ -8,8 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from newscast import load_config, toy_config_path
-from newscast.cli import COMMANDS, _upstream, main
+from newscast import (
+    ConfigError,
+    DataError,
+    NewscastError,
+    NumericError,
+    load_config,
+    toy_config_path,
+)
+from newscast.cli import COMMANDS, EPILOG, _upstream, main
 from newscast.nowcast import MODEL_SPECS
 
 TOY_DIR = toy_config_path().parent
@@ -495,7 +502,76 @@ class TestBacktestAndEvaluate:
         assert "(--)" in text
 
 
+def edited_series(tmp_path, key, levels):
+    """A copy of the toy series file key with the months of levels (a
+    YYYY-MM -> text dict) set to those levels."""
+    lines = (TOY_DIR / f"{key}.csv").read_text().splitlines()
+    for i, line in enumerate(lines):
+        month = line.split(",")[0]
+        if month in levels:
+            lines[i] = f"{month},{levels[month]}"
+    path = tmp_path / f"{key}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestExitCodes:
+    def test_each_family_exits_with_its_documented_code(self):
+        documented = dict(re.findall(r"^  (\d)  (\w+)", EPILOG, re.M))
+        for family, word in (
+            (ConfigError, "configuration"),
+            (DataError, "data"),
+            (NumericError, "numerical"),
+        ):
+            assert documented[str(family.exit_code)] == word
+        assert NewscastError.exit_code == 1
+        assert "1" not in documented
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    def test_overflowing_percent_change_names_series_and_month(
+        self, tmp_path, capsys, command
+    ):
+        gas = {"2015-02": "1e-300", "2015-03": "1e300"}
+        cfg = write_config(tmp_path, gas=edited_series(tmp_path, "gas", gas))
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, command, "fed") == 4
+        assert capsys.readouterr().err == (
+            "error: pct_change of 'gas' (window 1) overflows: 2015-03\n"
+        )
+
+    @pytest.mark.parametrize("month, level, reason", [
+        ("2021-06", "1e50", "annualizing rate 3.7469350071641404e+49 overflows"),
+        ("2021-05", "1e-50", "cannot annualize rate -100.0 <= -100"),
+    ])
+    def test_annualizing_error_names_model_column_and_month(
+        self, tmp_path, capsys, month, level, reason
+    ):
+        cpi = edited_series(tmp_path, "cpi", {month: level})
+        cfg = write_config(tmp_path, cpi=cpi)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "backtest", "fed") == 4
+        assert capsys.readouterr().err == (
+            f"error: model 'fed', realized for {month}: {reason}\n"
+        )
+
+    def test_annualizing_error_of_a_nowcast_names_model_and_month(
+        self, tmp_path, capsys
+    ):
+        # pi-Gasoline of 2021-05 is about 5.5e299, and the 2021-07 nowcast
+        # imputes gas with a moving average over it.
+        gas = edited_series(tmp_path, "gas", {"2021-05": "1e300"})
+        cfg = write_config(tmp_path, gas=gas)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out,
+                   "nowcast", "fed", "--month", "2021-07") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: model 'fed', nowcast for 2021-07: annualizing rate "
+        )
+        assert err.endswith(" overflows\n")
+        assert err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("--config", tmp_path / "no.cfg", "fit") == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from newscast import (
     MonthKey,
     MonthlySentiment,
     MonthlySeries,
+    OverflowMonthsError,
     ZeroDenominatorError,
     build_news_index,
     monthly_aggregate,
@@ -237,6 +238,35 @@ class TestNewsPi:
     def test_invalid_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             news_pi(self._index([0.5, 0.5]), window=1, mode="diff")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_named_in_both_modes(self):
+        start = MonthKey(2020, 1)
+
+        def news(*values):
+            return MonthlySeries(
+                "NEWS", [(start.shift(i), v) for i, v in enumerate(values)]
+            )
+
+        with pytest.raises(OverflowMonthsError) as err:
+            news_pi(news(1e-300, 1e300, 1.0), window=1)
+        assert err.value.months == (MonthKey(2020, 2),)
+        assert str(err.value) == "pct_change of 'NEWS' (window 1) overflows: 2020-02"
+        with pytest.raises(OverflowMonthsError) as err:
+            news_pi(news(-1e308, 1e308, 1e308), window=1, mode="level-diff")
+        assert str(err.value) == (
+            "level-diff of the 'NEWS' index (window 1) overflows: 2020-02"
+        )
+
+    def test_sign_crossing_of_tiny_levels_collected(self):
+        # The product of the two levels underflows to -0.0; their signs
+        # still differ.
+        s = MonthlySeries(
+            "NEWS", [(MonthKey(2020, 1), 1e-200), (MonthKey(2020, 2), -1e-200)]
+        )
+        with pytest.raises(ZeroDenominatorError, match="sign-crossing") as err:
+            news_pi(s, window=1)
+        assert err.value.months == (MonthKey(2020, 2),)
 
     def test_accepts_bare_series(self):
         s = MonthlySeries(

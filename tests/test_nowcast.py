@@ -11,6 +11,7 @@ from newscast import (
     MODEL_SPECS,
     ConfigError,
     DataError,
+    DomainError,
     MissingMonthsError,
     ModelSpec,
     MonthKey,
@@ -26,7 +27,7 @@ from newscast import (
     nowcast,
     resolve_spec,
 )
-from newscast.nowcast import BACKTEST_SCHEMES
+from newscast.nowcast import BACKTEST_SCHEMES, annualized
 
 BETA = (0.5, 1.5, -0.25, 0.1, 0.02)  # const, ccpi, fcpi, gas, news
 
@@ -302,6 +303,22 @@ class TestBacktest:
         for monthly, annual in zip(fs.nowcasts, fs.nowcasts_annualized):
             assert annual == annualize(monthly)
 
+    @pytest.mark.parametrize("bad, reason", [
+        (-100.0, "cannot annualize rate -100.0 <= -100"),
+        (1e300, "annualizing rate 1e+300 overflows"),
+    ])
+    def test_annualizing_error_names_model_column_and_month(self, rng, bad, reason):
+        data = make_bundle(rng, noise=0.2)
+        t = month("2019-05")
+        data["cpi"] = MonthlySeries(
+            "pi-CPI",
+            [(m, bad if m == t else v) for m, v in data["cpi"].items()],
+            "percent",
+        )
+        with pytest.raises(DomainError) as err:
+            backtest("fed", data, self.TRAIN, self.EVAL)
+        assert str(err.value) == f"model 'fed', realized for 2019-05: {reason}"
+
     def test_overlap_rejected(self, rng):
         data = make_bundle(rng)
         with pytest.raises(DataError, match="overlaps"):
@@ -328,8 +345,7 @@ class TestBacktest:
         assert fs.model == "fed+news"
 
 
-def per_window_backtest(spec, data, train, evaluation, scheme, lags=12,
-                        robust=False):
+def per_window_backtest(spec, data, train, evaluation, scheme, robust=False):
     """The backtest loop written out: a full fit_model (coefficients and
     inference) per window and the public nowcast, then the annualized
     columns in the order backtest computes them."""
@@ -337,16 +353,17 @@ def per_window_backtest(spec, data, train, evaluation, scheme, lags=12,
     fitted = None
     if scheme == "fixed":
         fitted = fit_model(spec, data, *train, robust=robust)
-    realized = data["cpi"].window(*evaluation).tolist()
+    realized = data["cpi"].window(*evaluation)
     casts = []
     for t in month_range(*evaluation):
         if scheme == "rolling":
             fitted = fit_model(
                 spec, data, t.shift(-length), t.shift(-1), robust=robust
             )
-        casts.append(nowcast(spec, fitted, data, t, lags=lags))
-    list(map(annualize, casts))
-    list(map(annualize, realized))
+        casts.append(nowcast(spec, fitted, data, t))
+    model = resolve_spec(spec).name
+    annualized(model, "nowcast", evaluation[0], casts)
+    annualized(model, "realized", evaluation[0], realized)
     return casts
 
 
@@ -441,16 +458,15 @@ def gapless_cases(draw):
     window and every moving-average lag exists."""
     spec = resolve_spec(draw(st.sampled_from(list(MODEL_SPECS))))
     scheme = draw(st.sampled_from(BACKTEST_SCHEMES))
-    lags = draw(st.integers(1, 12))
     length = draw(st.integers(len(spec.regressors) + 2, 24))
     n_eval = draw(st.integers(1, 12))
     gap = draw(st.integers(0, 3))
     start = MonthKey.from_ordinal(draw(st.integers(2000 * 12, 2001 * 12)))
-    eval_start = start.shift(length + gap + lags)
+    eval_start = start.shift(length + gap + 12)
     train_end = eval_start.shift(-1 - gap)
     train = (train_end.shift(1 - length), train_end)
     evaluation = (eval_start, eval_start.shift(n_eval - 1))
-    n = length + gap + lags + n_eval
+    n = length + gap + 12 + n_eval
     # Small integers make exactly dependent columns common.
     values = st.one_of(
         st.integers(-3, 3).map(float),
@@ -461,19 +477,15 @@ def gapless_cases(draw):
                         draw(st.lists(values, min_size=n, max_size=n)))
         for key in ("cpi",) + spec.regressors
     }
-    return spec, data, train, evaluation, scheme, lags
+    return spec, data, train, evaluation, scheme
 
 
 @settings(max_examples=150, deadline=None)
 @given(gapless_cases(), st.booleans())
 def test_backtest_matches_per_window_fits(case, robust):
-    spec, data, train, evaluation, scheme, lags = case
-    got = outcome(
-        lambda: backtest(spec, data, train, evaluation, scheme, lags=lags).nowcasts
-    )
+    spec, data, train, evaluation, scheme = case
+    got = outcome(lambda: backtest(spec, data, train, evaluation, scheme).nowcasts)
     expected = outcome(
-        lambda: per_window_backtest(
-            spec, data, train, evaluation, scheme, lags, robust
-        )
+        lambda: per_window_backtest(spec, data, train, evaluation, scheme, robust)
     )
     assert got == expected

@@ -267,6 +267,31 @@ def test_solve_matches_scipy_bitwise(case):
     assert solved(solve_ols, y, X, names) == solved(scipy_solve, y, X, names)
 
 
+# HC1 variances of a nearly dependent design can round below zero.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@settings(max_examples=300, deadline=None)
+@given(designs(), st.booleans())
+def test_standard_errors_match_scipy_bitwise(case, robust):
+    # (X'X)^{-1} from the public solve_triangular, undoing the pivot.
+    y, X, names = case
+    try:
+        fit = fit_ols(y, X, names, robust=robust)
+    except NewscastError:
+        return
+    beta, R, pivot = solve_ols(y, X, names)
+    n, k = X.shape
+    r_inv = linalg.solve_triangular(R, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(pivot, pivot)] = r_inv @ r_inv.T
+    residuals = y - X @ beta
+    if robust:
+        meat = (X * residuals[:, None] ** 2).T @ X
+        cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
+    else:
+        cov = float(residuals @ residuals) / (n - k) * xtx_inv
+    assert fit.standard_errors.tobytes() == np.sqrt(np.diag(cov)).tobytes()
+
+
 class TestEdgesAndValidation:
     def test_intercept_only_f_is_nan(self):
         res = fit_ols([1.0, 2.0, 3.0, 4.0], np.ones((4, 1)), ("const",))
