@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateLossError
+from .errors import DataError, DegenerateLossError, NumericError, OverflowMonthsError
 from .nowcast import ForecastSeries
+from .timeseries import MonthKey
 
 GW_VARIANTS = ("unconditional", "conditional-lag1")
 #: Each RMSE unit and the factor that takes percent values to it.
@@ -33,7 +34,25 @@ def rmse(forecasts: Sequence[float], realized: Sequence[float]) -> float:
         )
     if forecasts.size == 0:
         raise DataError("rmse of empty vectors is undefined")
-    return float(np.sqrt(np.mean((forecasts - realized) ** 2)))
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean((forecasts - realized) ** 2)))
+    if np.isinf(value):
+        raise NumericError("rmse overflows: the squared errors sum past float64")
+    return value
+
+
+def squared_errors(series: ForecastSeries) -> np.ndarray:
+    """Squared annualized forecast errors of series. OverflowMonthsError
+    names the model and every month whose square overflows."""
+    with np.errstate(over="ignore"):
+        squares = series.errors() ** 2
+    overflow = np.isinf(squares)
+    if overflow.any():
+        raise OverflowMonthsError(
+            f"model {series.model!r}: squared forecast error overflows",
+            map(MonthKey.from_ordinal, series.months[overflow].tolist()),
+        )
+    return squares
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +80,7 @@ def loss_differential(a: ForecastSeries, b: ForecastSeries) -> LossDifferential:
             f"models {a.model!r} and {b.model!r} share {len(common)} "
             "months; need at least 2"
         )
-    return LossDifferential(common, a.errors()[in_a] ** 2 - b.errors()[in_b] ** 2)
+    return LossDifferential(common, squared_errors(a)[in_a] - squared_errors(b)[in_b])
 
 
 def _unit_scale(unit: str) -> float:
@@ -128,7 +147,12 @@ def giacomini_white(
         raise DataError(
             f"truncation_lag must be in 0..{n - 1}, got {truncation_lag}"
         )
-    d = a**2 - b**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a**2 - b**2
+        # Bounds the variances and the statistic below, so they stay finite.
+        sum_of_squares = float(d @ d)
+    if not np.isfinite(sum_of_squares):
+        raise NumericError("loss differential's sum of squares is not finite")
     dbar = float(d.mean())
 
     if np.all(d == d[0]):
@@ -230,6 +254,7 @@ def evaluate_forecasts(
                 f"model {series.model!r} covers different months than the "
                 f"baseline {baseline.model!r}"
             )
+        squared_errors(series)  # names the months whose square overflows
         predicted = series.nowcasts_annualized * scale
         actual = series.realized_annualized * scale
         gw = None

@@ -572,6 +572,21 @@ class TestExitCodes:
         assert err.endswith(" overflows\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_squared_error_names_model_and_month(
+        self, toy_run, tmp_path, capsys
+    ):
+        lines = (toy_run / "forecasts.csv").read_text().splitlines()
+        row = next(i for i, x in enumerate(lines) if x.startswith("2020-01,fed,"))
+        lines[row] = ",".join([*lines[row].split(",")[:5], "1e200"])
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text("\n".join(lines) + "\n")
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", f"forecasts={forecasts}", "evaluate") == 4
+        assert capsys.readouterr().err == (
+            "error: model 'fed': squared forecast error overflows: 2020-01\n"
+        )
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("--config", tmp_path / "no.cfg", "fit") == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from newscast import (
     ForecastSeries,
     GWResult,
     MonthKey,
+    NumericError,
+    OverflowMonthsError,
     annualize,
     evaluate_forecasts,
     giacomini_white,
@@ -307,6 +309,61 @@ class TestGwFromForecasts:
         res = gw_from_forecasts(long, short)
         assert res.n == 12
         assert res == giacomini_white(long.errors()[2:] * 0.01, short.errors() * 0.01)
+
+
+def huge_fs(model, realized, nowcasts=None):
+    """A series from 2020-01 whose monthly and annualized columns are
+    both realized and nowcasts (zeros by default)."""
+    m0 = MonthKey.parse("2020-01").ordinal
+    nowcasts = [0.0] * len(realized) if nowcasts is None else nowcasts
+    return ForecastSeries(
+        model, range(m0, m0 + len(realized)), nowcasts, nowcasts, realized, realized
+    )
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    def test_squared_error_names_model_and_months(self):
+        fed = huge_fs("fed", [1e200, 1.0, -1e160, 2.0] * 3)
+        news = huge_fs("news", [1.0] * 12)
+        message = (
+            "model 'fed': squared forecast error overflows: "
+            "2020-01, 2020-03, 2020-05, 2020-07, 2020-09, 2020-11"
+        )
+        for call in (
+            lambda: evaluate_forecasts([fed]),
+            lambda: evaluate_forecasts([news, fed]),
+            lambda: loss_differential(news, fed),
+        ):
+            with pytest.raises(OverflowMonthsError) as caught:
+                call()
+            assert str(caught.value) == message
+            assert caught.value.months[0] == MonthKey(2020, 1)
+
+    def test_overflowing_error_difference_is_named(self):
+        # realized - nowcast = 1e308 - -1e308 overflows before the square.
+        fed = huge_fs("fed", [1.0, 1e308], nowcasts=[0.0, -1e308])
+        with pytest.raises(OverflowMonthsError, match="'fed'.*: 2020-02$"):
+            evaluate_forecasts([fed])
+
+    def test_gw_refuses_a_differential_whose_squares_overflow(self):
+        # Each squared error (1e200) is finite; their squares are not.
+        a = [1e100] + [1.0] * 11
+        for variant in ("unconditional", "conditional-lag1"):
+            with pytest.raises(NumericError, match="sum of squares is not finite"):
+                giacomini_white(a, [0.5] * 12, variant)
+        with pytest.raises(NumericError, match="sum of squares is not finite"):
+            evaluate_forecasts([huge_fs("fed", [1.0] * 12), huge_fs("news", a)])
+
+    def test_rmse_refuses_a_sum_that_overflows(self):
+        with pytest.raises(NumericError, match="rmse overflows"):
+            rmse([1e154, 1e154], [0.0, 0.0])
+
+    def test_large_finite_losses_still_test(self):
+        a = [1e70, 2.0, 1.0, 3.0] * 3
+        result = giacomini_white(a, [1.0] * 12)
+        assert math.isfinite(result.statistic) and 0.0 < result.p_value < 1.0
+        assert math.isfinite(rmse(a, [0.0] * 12))
 
 
 class TestEvaluateForecasts:

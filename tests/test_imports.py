@@ -117,6 +117,50 @@ def test_traced_toy_chain_runs(tmp_path, capsys, monkeypatch):
     assert [s.name for s in tracer.spans].count("sentiment.score") == 2
 
 
+#: Packages whose import costs a command ≈0.2 s (scipy.linalg's array-API
+#: layer) or ≈1 s (scipy.stats) for functions the package does without.
+HEAVY = ("scipy.linalg", "scipy.stats")
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement anywhere in source names,
+    "from a import b" counting as both a and a.b."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def heavy_imports(source: str) -> list[str]:
+    return sorted(
+        m for m in imported_modules(source)
+        if any(m == h or m.startswith(h + ".") for h in HEAVY)
+    )
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_no_module_imports_scipy_linalg_or_stats(path):
+    assert heavy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_heavy_import_checker_sees_every_form():
+    source = (
+        "import scipy.stats as st\nfrom scipy import linalg\n"
+        "def f():\n    from scipy.linalg.lapack import dgeqp3\n"
+        "from scipy import special\nimport scipy.linalgx\n"
+    )
+    assert heavy_imports(source) == [
+        "scipy.linalg", "scipy.linalg.lapack", "scipy.linalg.lapack.dgeqp3",
+        "scipy.stats",
+    ]
+
+
 def definitions(tree: ast.Module) -> list[str]:
     """Names a module's top-level def, class and assignment statements
     bind, dunders excepted."""

@@ -1,11 +1,13 @@
 """Least-squares fitting against a high-precision normal-equations oracle."""
 
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from newscast import (
     fit_ols,
     significance_stars,
 )
-from newscast.ols import RANK_TOLERANCE, solve_ols
+from newscast.ols import RANK_TOLERANCE, _routines, solve_ols
 
 # Fixed 10x3 fixture (intercept, x1, x2); every value is dyadic so the
 # float64 design is exact. Expected values were computed independently
@@ -384,6 +386,44 @@ def scipy_modules_after(out, *commands):
     return modules
 
 
+class TestLapackLoader:
+    @pytest.mark.parametrize("first", ["loader", "scipy.linalg"])
+    def test_routines_are_the_ones_scipy_linalg_returns(self, first):
+        code = (
+            "import sys, numpy as np\n"
+            "from newscast.ols import _routines\n"
+            "loaded = _routines() if sys.argv[1] == 'loader' else None\n"
+            "from scipy.linalg import lapack\n"
+            "loaded = loaded or _routines()\n"
+            "expected = lapack.get_lapack_funcs(('geqp3', 'orgqr', 'trtrs'),\n"
+            "                                   (np.empty(0),))\n"
+            "print([a is b for a, b in zip(loaded, expected, strict=True)])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, first], env=package_env(),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[True, True, True]"
+
+    def test_missing_extension_names_module_and_directory(self, monkeypatch):
+        searched = []
+
+        def find_spec(name, path):
+            searched.append((name, path))
+
+        stub = SimpleNamespace(find_spec=find_spec)
+        monkeypatch.setattr("newscast.ols.PathFinder", stub)
+        _routines.cache_clear()
+        with pytest.raises(ImportError) as caught:
+            _routines()
+        scipy = Path(importlib.util.find_spec("scipy").origin).parent
+        directory = str(scipy / "linalg")
+        assert searched == [("scipy.linalg._flapack", [directory])]
+        assert str(caught.value) == (
+            f"no module scipy.linalg._flapack in {directory}"
+        )
+
+
 class TestTailProbabilities:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second of import time and is not needed.
@@ -399,11 +439,14 @@ class TestTailProbabilities:
         out = str(tmp_path / "out")
         assert scipy_modules_after(out) == []  # import newscast.cli alone
         assert scipy_modules_after(out, "score", "build-index") == []
-        # backtest solves through scipy.linalg's LAPACK and tests nothing.
-        loaded = scipy_modules_after(out, "backtest")
-        assert [m for m in loaded if m.startswith("scipy.linalg")]
-        assert not [m for m in loaded if m.startswith("scipy.special")]
+        # backtest solves through scipy's LAPACK extension and tests nothing.
+        assert scipy_modules_after(out, "backtest") == ["scipy.linalg._flapack"]
         assert not list(Path(out).glob("evaluation.*"))
+        loaded = scipy_modules_after(out, "fit")
+        assert [m for m in loaded if m.startswith("scipy.linalg")] == [
+            "scipy.linalg._flapack"
+        ]
+        assert "scipy.special" in loaded
         loaded = scipy_modules_after(out, "evaluate")
         assert "scipy.special" in loaded
         assert not [m for m in loaded if m.startswith("scipy.linalg")]
