@@ -24,9 +24,9 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .evaluation import (
-    EvaluationReport,
     GWResult,
     LossDifferential,
+    ModelEvaluation,
     evaluate_forecasts,
     giacomini_white,
     gw_from_forecasts,
@@ -54,7 +54,6 @@ from .io import (
 from .nowcast import (
     MODEL_SPECS,
     ForecastSeries,
-    ModelSpec,
     backtest,
     fit_model,
     nowcast,
@@ -118,7 +117,6 @@ __all__ = [
     # regression and nowcasting
     "MODEL_SPECS",
     "ForecastSeries",
-    "ModelSpec",
     "RegressionResult",
     "backtest",
     "fit_model",
@@ -137,9 +135,9 @@ __all__ = [
     "write_scored_articles",
     "write_series",
     # evaluation
-    "EvaluationReport",
     "GWResult",
     "LossDifferential",
+    "ModelEvaluation",
     "evaluate_forecasts",
     "giacomini_white",
     "gw_from_forecasts",

@@ -249,7 +249,7 @@ def _load_pi_bundle(
     """Percent-change series for the target and every needed regressor."""
     needed = {"cpi"}
     for name in spec_names:
-        needed.update(resolve_spec(name).regressors)
+        needed.update(MODEL_SPECS[name])
     bundle: dict[str, MonthlySeries] = {}
     for key in ("cpi", "ccpi", "fcpi", "gas"):  # the series' config keys
         if key in needed:
@@ -289,9 +289,8 @@ def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> int:
     bundle = _load_pi_bundle(cfg, names)
     rows = []
     for name in names:
-        fitted = fit_model(
-            name, bundle, cfg.train_start, cfg.train_end, robust=cfg.robust
-        )
+        # nowcast reads only the coefficients, so the fit skips HC1.
+        fitted = fit_model(name, bundle, cfg.train_start, cfg.train_end)
         value = nowcast(name, fitted, bundle, t)
         (annual,) = annualized(name, "nowcast", t, [value])
         rows.append([str(t), name, repr(value), repr(annual)])
@@ -313,17 +312,17 @@ def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    report = evaluate_forecasts(
+    rows = evaluate_forecasts(
         read_forecasts(_upstream(cfg, "forecasts")),
         variant=cfg.gw_variant,
         unit=cfg.rmse_unit,
         truncation_lag=cfg.truncation_lag,
     )
     comment = cfg.provenance()
-    text = evaluation_table(report)
+    text = evaluation_table(rows)
     write_table(text, cfg.out_path("evaluation.txt"), comment)
     write_rows(
-        *evaluation_table_delimited(report), cfg.out_path("evaluation.csv"), comment
+        *evaluation_table_delimited(rows), cfg.out_path("evaluation.csv"), comment
     )
     print(text, end="")
     return 0

@@ -214,25 +214,15 @@ class ModelEvaluation:
     gw: GWResult | None  # None for the baseline row
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Per-model RMSE plus each model's GW comparison to the baseline."""
-
-    entries: tuple[ModelEvaluation, ...]
-    baseline: str
-    variant: str
-    unit: str
-    n_months: int
-
-
 def evaluate_forecasts(
     forecasts: Sequence[ForecastSeries],
     *,
     variant: str = "unconditional",
     unit: str = "fraction",
     truncation_lag: int = 0,
-) -> EvaluationReport:
-    """RMSE per model and GW tests of each model against the first.
+) -> tuple[ModelEvaluation, ...]:
+    """RMSE per model and GW tests of each model against the first, as
+    one row per model in the order given; the first row is the baseline.
 
     Every model must cover exactly the baseline's months, so RMSE and
     GW see the same months. RMSE is computed on annualized values;
@@ -269,10 +259,4 @@ def evaluate_forecasts(
         entries.append(
             ModelEvaluation(model=series.model, rmse=rmse(predicted, actual), gw=gw)
         )
-    return EvaluationReport(
-        entries=tuple(entries),
-        baseline=baseline.model,
-        variant=variant,
-        unit=unit,
-        n_months=len(baseline),
-    )
+    return tuple(entries)

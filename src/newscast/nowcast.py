@@ -1,7 +1,8 @@
 """Inflation nowcasting models: specification, fitting, backtesting.
 
-A model regresses the monthly CPI percent change on percent changes of
-other indices over a training window. At nowcast time the regressors
+A model is a name that MODEL_SPECS maps to its regressors. It regresses
+the monthly CPI percent change on an intercept and the regressors'
+percent changes over a training window. At nowcast time the regressors
 that are not yet released (the price components) are imputed with the
 mean of their previous 12 values; the news sentiment regressor is
 observable in real time and enters with its exact value for the target
@@ -13,14 +14,14 @@ backtest builds each model's design once over every month its windows
 cover and runs the solve core alone on each window's rows. Nowcasts are
 columns over a span of months: each regressor is read as one array (the
 news values, or a price index's moving averages) and b0 + b1*x1 + ...
-is added in spec order, so each nowcast equals the scalar sum for its
+is added in design order, so each nowcast equals the scalar sum for its
 month. A ForecastSeries holds int64 month ordinals and float64 arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,53 +50,29 @@ DEPENDENT_LABEL = "CPI"
 INTERCEPT_LABEL = "const"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Named regressor set; an intercept is always included."""
-
-    name: str
-    regressors: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.regressors:
-            raise ConfigError(f"model {self.name!r} needs at least one regressor")
-        unknown = [r for r in self.regressors if r not in REGRESSOR_LABELS]
-        if unknown:
-            raise ConfigError(
-                f"model {self.name!r} has unknown regressors {unknown}; "
-                f"known: {sorted(REGRESSOR_LABELS)}"
-            )
-        if len(set(self.regressors)) != len(self.regressors):
-            raise ConfigError(f"model {self.name!r} repeats a regressor")
-
-    @property
-    def coefficient_names(self) -> tuple[str, ...]:
-        return (INTERCEPT_LABEL,) + tuple(
-            REGRESSOR_LABELS[r] for r in self.regressors
-        )
-
-
-MODEL_SPECS: dict[str, ModelSpec] = {
-    spec.name: spec
-    for spec in (
-        ModelSpec("fed", ("ccpi", "fcpi", "gas")),
-        ModelSpec("news", ("news",)),
-        ModelSpec("fed+news", ("ccpi", "fcpi", "gas", "news")),
-        ModelSpec("fed-gas+news", ("ccpi", "fcpi", "news")),
-        ModelSpec("ccpi+news", ("ccpi", "news")),
-    )
+#: Each model's regressors, in design order after the intercept.
+MODEL_SPECS: dict[str, tuple[str, ...]] = {
+    "fed": ("ccpi", "fcpi", "gas"),
+    "news": ("news",),
+    "fed+news": ("ccpi", "fcpi", "gas", "news"),
+    "fed-gas+news": ("ccpi", "fcpi", "news"),
+    "ccpi+news": ("ccpi", "news"),
 }
 
 
-def resolve_spec(spec: str | ModelSpec) -> ModelSpec:
-    if isinstance(spec, ModelSpec):
-        return spec
+def resolve_spec(model: str) -> tuple[str, ...]:
+    """The named model's regressors; ConfigError for an unknown name."""
     try:
-        return MODEL_SPECS[spec]
+        return MODEL_SPECS[model]
     except KeyError:
         raise ConfigError(
-            f"unknown model spec {spec!r}; known: {sorted(MODEL_SPECS)}"
+            f"unknown model spec {model!r}; known: {sorted(MODEL_SPECS)}"
         ) from None
+
+
+def coefficient_names(regressors: Sequence[str]) -> tuple[str, ...]:
+    """Table labels of the [1, regressors...] design's coefficients."""
+    return (INTERCEPT_LABEL, *(REGRESSOR_LABELS[r] for r in regressors))
 
 
 def _bundle_series(
@@ -109,21 +86,21 @@ def _bundle_series(
         ) from None
 
 
-def _window_length(spec: ModelSpec, start: MonthKey, end: MonthKey) -> int:
-    """Months in [start, end], checked to be enough to fit the spec."""
+def _window_length(model: str, start: MonthKey, end: MonthKey) -> int:
+    """Months in [start, end], checked to be enough to fit the model."""
     if end < start:
         raise DataError(f"training window {start}..{end} is reversed")
     n = months_between(start, end) + 1
-    if n < len(spec.regressors) + 2:
+    if n < len(MODEL_SPECS[model]) + 2:
         raise DataError(
             f"window {start}..{end} has {n} months; "
-            f"model {spec.name!r} needs at least {len(spec.regressors) + 2}"
+            f"model {model!r} needs at least {len(MODEL_SPECS[model]) + 2}"
         )
     return n
 
 
 def _design(
-    spec: ModelSpec,
+    regressors: Sequence[str],
     data: Mapping[str, MonthlySeries],
     start: MonthKey,
     end: MonthKey,
@@ -132,33 +109,33 @@ def _design(
     y = _bundle_series(data, TARGET_KEY).window(start, end)
     X = np.column_stack(
         [np.ones(len(y))]
-        + [_bundle_series(data, key).window(start, end) for key in spec.regressors]
+        + [_bundle_series(data, key).window(start, end) for key in regressors]
     )
     return y, X
 
 
 def fit_model(
-    spec: str | ModelSpec,
+    model: str,
     data: Mapping[str, MonthlySeries],
     train_start: MonthKey,
     train_end: MonthKey,
     *,
     robust: bool = False,
 ) -> RegressionResult:
-    """OLS fit of the spec over [train_start, train_end] inclusive.
+    """OLS fit of the named model over [train_start, train_end] inclusive.
 
     data maps series identifiers (cpi, ccpi, fcpi, gas, news) to
     percent-change series; every regressor and the target must cover
     the whole window.
     """
-    spec = resolve_spec(spec)
-    _window_length(spec, train_start, train_end)
-    y, X = _design(spec, data, train_start, train_end)
-    return fit_ols(y, X, names=spec.coefficient_names, robust=robust)
+    regressors = resolve_spec(model)
+    _window_length(model, train_start, train_end)
+    y, X = _design(regressors, data, train_start, train_end)
+    return fit_ols(y, X, names=coefficient_names(regressors), robust=robust)
 
 
 def nowcast(
-    spec: str | ModelSpec,
+    model: str,
     fitted: RegressionResult,
     data: Mapping[str, MonthlySeries],
     t: MonthKey,
@@ -168,28 +145,28 @@ def nowcast(
     Price regressors are imputed with the moving average of their LAGS
     preceding values; the news regressor uses its exact value at t.
     """
-    spec = resolve_spec(spec)
-    expected = spec.coefficient_names
+    regressors = resolve_spec(model)
+    expected = coefficient_names(regressors)
     if fitted.names != expected:
         raise DataError(
             f"fitted coefficients {fitted.names} do not match model "
-            f"{spec.name!r} ({expected})"
+            f"{model!r} ({expected})"
         )
-    columns = _regressor_columns(spec, data, t, t)
+    columns = _regressor_columns(regressors, data, t, t)
     return _nowcasts(fitted.estimates[None, :], columns).item()
 
 
 def _regressor_columns(
-    spec: ModelSpec,
+    regressors: Sequence[str],
     data: Mapping[str, MonthlySeries],
     start: MonthKey,
     end: MonthKey,
 ) -> list[np.ndarray]:
     """Each regressor's values at nowcast time for every month of
-    [start, end], in spec order: the news values themselves, and the
+    [start, end], in design order: the news values themselves, and the
     moving average of each price index's LAGS preceding values."""
     columns = []
-    for key in spec.regressors:
+    for key in regressors:
         series = _bundle_series(data, key)
         if key == NEWS_KEY:
             columns.append(series.window(start, end))
@@ -199,7 +176,7 @@ def _regressor_columns(
 
 
 def _nowcasts(betas: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
-    """b0 + b1*x1 + b2*x2 + ..., added in spec order, for each row of
+    """b0 + b1*x1 + b2*x2 + ..., added in design order, for each row of
     betas (one row, or one per month) against the regressor columns."""
     casts = betas[:, 0]
     for j, x in enumerate(columns, 1):
@@ -242,7 +219,7 @@ BACKTEST_SCHEMES = ("fixed", "rolling")
 
 
 def backtest(
-    spec: str | ModelSpec,
+    model: str,
     data: Mapping[str, MonthlySeries],
     train_window: tuple[MonthKey, MonthKey],
     eval_window: tuple[MonthKey, MonthKey],
@@ -264,7 +241,7 @@ def backtest(
     names the span and every month it lacks, before any window can
     raise SingularDesignError.
     """
-    spec = resolve_spec(spec)
+    regressors = resolve_spec(model)
     if scheme not in BACKTEST_SCHEMES:
         raise ConfigError(
             f"scheme must be one of {BACKTEST_SCHEMES}, got {scheme!r}"
@@ -278,28 +255,28 @@ def backtest(
             f"training window {train_start}..{train_end} overlaps or "
             f"follows evaluation window {eval_start}..{eval_end}"
         )
-    n = _window_length(spec, train_start, train_end)
-    names = spec.coefficient_names
+    n = _window_length(model, train_start, train_end)
+    names = coefficient_names(regressors)
 
     realized = _bundle_series(data, TARGET_KEY).window(eval_start, eval_end)
     if scheme == "fixed":
-        y, X = _design(spec, data, train_start, train_end)
+        y, X = _design(regressors, data, train_start, train_end)
         starts = range(1)
     else:
-        y, X = _design(spec, data, eval_start.shift(-n), eval_end.shift(-1))
+        y, X = _design(regressors, data, eval_start.shift(-n), eval_end.shift(-1))
         starts = range(len(realized))
-    columns = _regressor_columns(spec, data, eval_start, eval_end)
+    columns = _regressor_columns(regressors, data, eval_start, eval_end)
     betas = np.array(
         [solve_ols(y[i : i + n], X[i : i + n], names).beta for i in starts]
     )
     casts = _nowcasts(betas, columns)
     return ForecastSeries(
-        model=spec.name,
+        model=model,
         months=np.arange(eval_start.ordinal, eval_end.ordinal + 1),
         nowcasts=casts,
-        nowcasts_annualized=annualized(spec.name, "nowcast", eval_start, casts),
+        nowcasts_annualized=annualized(model, "nowcast", eval_start, casts),
         realized=realized,
-        realized_annualized=annualized(spec.name, "realized", eval_start, realized),
+        realized_annualized=annualized(model, "realized", eval_start, realized),
     )
 
 

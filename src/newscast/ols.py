@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, SingularDesignError
+from .errors import DataError, NumericError, SingularDesignError
 
 # Relative pivot-magnitude tolerance below which a column counts as
 # linearly dependent on the ones before it.
@@ -189,8 +189,9 @@ def fit_ols(
     heteroskedasticity-consistent estimator.
 
     Raises SingularDesignError when a column is (numerically) a linear
-    combination of the others, and DataError when observations do not
-    exceed coefficients.
+    combination of the others, DataError when observations do not
+    exceed coefficients, and NumericError, naming the coefficients,
+    when an HC1 variance rounds below zero.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -244,6 +245,10 @@ def _inference(
         cov = xtx_inv @ meat @ xtx_inv * (n / df_residual)
     else:
         cov = sigma2 * xtx_inv
+    # Only HC1 of a nearly dependent design can round a variance below 0.
+    negative = [names[j] for j in np.flatnonzero(np.diag(cov) < 0.0)]
+    if negative:
+        raise NumericError(f"HC1 variance rounds below zero: {', '.join(negative)}")
     std_errors = np.sqrt(np.diag(cov))
 
     with np.errstate(divide="ignore", invalid="ignore"):

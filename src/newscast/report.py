@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DataError
-from .evaluation import EvaluationReport
+from .evaluation import ModelEvaluation
 from .nowcast import DEPENDENT_LABEL, INTERCEPT_LABEL, REGRESSOR_LABELS
 from .ols import RegressionResult, significance_stars
 
@@ -144,11 +144,11 @@ def regression_table_delimited(
     return ["term", "statistic", *model_names], rows
 
 
-def evaluation_table(report: EvaluationReport) -> str:
+def evaluation_table(evaluations: Sequence[ModelEvaluation]) -> str:
     """Text table of per-model RMSE with GW p-values in parentheses."""
-    label_width = max(len(e.model) for e in report.entries) + 2
+    label_width = max(len(e.model) for e in evaluations) + 2
     value_cells = []
-    for entry in report.entries:
+    for entry in evaluations:
         stars = significance_stars(entry.gw.p_value) if entry.gw else ""
         value_cells.append(f"{entry.rmse:.4f}{stars}")
     value_width = max(len("RMSE"), *(len(c) for c in value_cells)) + 2
@@ -156,7 +156,7 @@ def evaluation_table(report: EvaluationReport) -> str:
     lines = ["=" * total]
     lines.append("RMSE".rjust(total))
     lines.append("-" * total)
-    for entry, cell in zip(report.entries, value_cells):
+    for entry, cell in zip(evaluations, value_cells):
         lines.append(entry.model.upper().ljust(label_width) + cell.rjust(value_width))
         p = "(--)" if entry.gw is None else f"({entry.gw.p_value:.2f})"
         lines.append(" " * label_width + p.rjust(value_width))
@@ -166,7 +166,7 @@ def evaluation_table(report: EvaluationReport) -> str:
 
 
 def evaluation_table_delimited(
-    report: EvaluationReport,
+    evaluations: Sequence[ModelEvaluation],
 ) -> tuple[list[str], list[list[str]]]:
     """CSV mirror of the evaluation table, as its header and rows."""
     header = [
@@ -174,7 +174,7 @@ def evaluation_table_delimited(
         "stars",
     ]
     rows = []
-    for entry in report.entries:
+    for entry in evaluations:
         gw = entry.gw
         tests = [""] * 5 if gw is None else [
             repr(gw.statistic), str(gw.df), repr(gw.p_value), gw.variant,

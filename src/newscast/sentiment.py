@@ -321,7 +321,7 @@ def baseline_probabilities(
     cap: int = DEFAULT_BASELINE_CAP,
 ) -> np.ndarray:
     """baseline_classify of every text, as an n x 3 matrix of
-    (p_down, p_neutral, p_up) rows."""
+    (p_down, p_neutral, p_up) rows; ConfigError if the odds overflow."""
     if not 0 < gain < math.inf:
         raise ConfigError(f"baseline gain must be positive and finite, got {gain}")
     if cap < 1:
@@ -339,9 +339,12 @@ def baseline_probabilities(
         # enter numpy.
         return np.minimum(counts, min(cap, len(phrases)))
 
-    odds_up = gain * hits(up_lexicon)
-    odds_down = gain * hits(down_lexicon)
-    z = 1.0 + odds_up + odds_down
+    with np.errstate(over="ignore"):
+        odds_up = gain * hits(up_lexicon)
+        odds_down = gain * hits(down_lexicon)
+        z = 1.0 + odds_up + odds_down
+    if np.isinf(z).any():
+        raise ConfigError(f"baseline gain {gain} with cap {cap} overflows the odds")
     probs = np.column_stack([odds_down / z, 1.0 / z, odds_up / z])
     invalid = np.flatnonzero(invalid_probabilities(probs))
     if invalid.size:

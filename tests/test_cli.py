@@ -587,6 +587,15 @@ class TestExitCodes:
             "error: model 'fed': squared forecast error overflows: 2020-01\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_keyword_odds_exit_2(self, tmp_path, capsys):
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", "news_probs=", "--set", "baseline_gain=1e308",
+                   "score") == 2
+        assert capsys.readouterr().err == (
+            "error: baseline gain 1e+308 with cap 8 overflows the odds\n"
+        )
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("--config", tmp_path / "no.cfg", "fit") == 2
         assert "cannot read config" in capsys.readouterr().err

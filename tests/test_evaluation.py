@@ -376,16 +376,15 @@ class TestEvaluateForecasts:
 
     def test_report_structure(self, rng):
         report = evaluate_forecasts(self._forecasts(rng))
-        assert report.baseline == "fed"
-        assert report.n_months == 24
-        assert [e.model for e in report.entries] == ["fed", "fed+news"]
-        assert report.entries[0].gw is None
-        assert isinstance(report.entries[1].gw, GWResult)
+        assert [e.model for e in report] == ["fed", "fed+news"]
+        assert report[0].gw is None
+        assert isinstance(report[1].gw, GWResult)
+        assert report[1].gw.n == 24
 
     def test_rmse_matches_direct_computation(self, rng):
         forecasts = self._forecasts(rng)
         report = evaluate_forecasts(forecasts, unit="fraction")
-        for fs, entry in zip(forecasts, report.entries):
+        for fs, entry in zip(forecasts, report):
             expected = rmse(
                 fs.nowcasts_annualized * 0.01, fs.realized_annualized * 0.01
             )
@@ -395,13 +394,13 @@ class TestEvaluateForecasts:
         forecasts = self._forecasts(rng)
         frac = evaluate_forecasts(forecasts, unit="fraction")
         pct = evaluate_forecasts(forecasts, unit="percent")
-        for ef, ep in zip(frac.entries, pct.entries):
+        for ef, ep in zip(frac, pct):
             assert ef.rmse == pytest.approx(ep.rmse / 100.0, rel=1e-12)
 
     def test_single_model_report(self, rng):
         report = evaluate_forecasts(self._forecasts(rng)[:1])
-        assert len(report.entries) == 1
-        assert report.entries[0].gw is None
+        assert len(report) == 1
+        assert report[0].gw is None
 
     def test_validation(self, rng):
         with pytest.raises(DataError, match="at least one"):

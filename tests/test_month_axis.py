@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newscast import (
+    MODEL_SPECS,
     DataError,
     MissingMonthsError,
     MonthKey,
@@ -26,8 +27,8 @@ from newscast import (
     moving_average_predictor,
     news_pi,
     pct_change,
-    resolve_spec,
 )
+from newscast.nowcast import coefficient_names
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -146,11 +147,11 @@ def outcome(call):
 
 @st.composite
 def bundles(draw):
-    spec = resolve_spec(draw(st.sampled_from(["news", "ccpi+news", "fed"])))
+    spec = draw(st.sampled_from(["news", "ccpi+news", "fed"]))
     start = draw(st.integers(2000 * 12, 2001 * 12))
     n = draw(st.integers(6, 30))
     points = {}
-    for key in ("cpi",) + spec.regressors:
+    for key in ("cpi",) + MODEL_SPECS[spec]:
         holes = draw(st.sets(st.integers(0, n - 1), max_size=1))
         values = draw(st.lists(VALUES, min_size=n, max_size=n))
         points[key] = {
@@ -174,16 +175,16 @@ def test_fit_model_design_matches_reference(drawn):
     months = range(lo, hi + 1)
 
     def reference():
-        if len(months) < len(spec.regressors) + 2:
+        if len(months) < len(MODEL_SPECS[spec]) + 2:
             raise DataError(f"window has {len(months)} months")
         columns = []
-        for key in ("cpi",) + spec.regressors:
+        for key in ("cpi",) + MODEL_SPECS[spec]:
             absent = [o for o in months if o not in points[key]]
             if absent:
                 raise MissingMonthsError(key, map(MonthKey.from_ordinal, absent))
             columns.append([points[key][o] for o in months])
         X = np.column_stack([np.ones(len(months))] + columns[1:])
-        return fit_ols(columns[0], X, names=spec.coefficient_names)
+        return fit_ols(columns[0], X, names=coefficient_names(MODEL_SPECS[spec]))
 
     got = outcome(
         lambda: fit_model(

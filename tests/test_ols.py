@@ -20,6 +20,7 @@ import newscast
 from newscast import (
     DataError,
     NewscastError,
+    NumericError,
     SingularDesignError,
     fit_ols,
     significance_stars,
@@ -80,6 +81,19 @@ class TestAgainstOracle:
         plain = fit_ols(y, X, names)
         np.testing.assert_array_equal(res.estimates, plain.estimates)
         assert res.r_squared == plain.r_squared
+
+    def test_hc1_of_nearly_dependent_designs_is_finite_or_refused(self):
+        # [1, x, x + 1e-8 noise] passes the rank test, and its HC1
+        # sandwich often rounds a variance below zero.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            x = rng.normal(size=40)
+            X = np.column_stack([np.ones(40), x, x + 1e-8 * rng.normal(size=40)])
+            try:
+                res = fit_ols(rng.normal(size=40), X, robust=True)
+            except NumericError:
+                continue
+            assert np.isfinite(res.standard_errors).all()
 
     def test_oracle_stars(self):
         y, X, names = fixture_design()
@@ -269,18 +283,15 @@ def test_solve_matches_scipy_bitwise(case):
     assert solved(solve_ols, y, X, names) == solved(scipy_solve, y, X, names)
 
 
-# HC1 variances of a nearly dependent design can round below zero.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
 @settings(max_examples=300, deadline=None)
 @given(designs(), st.booleans())
 def test_standard_errors_match_scipy_bitwise(case, robust):
     # (X'X)^{-1} from the public solve_triangular, undoing the pivot.
     y, X, names = case
     try:
-        fit = fit_ols(y, X, names, robust=robust)
+        beta, R, pivot = solve_ols(y, X, names)
     except NewscastError:
         return
-    beta, R, pivot = solve_ols(y, X, names)
     n, k = X.shape
     r_inv = linalg.solve_triangular(R, np.eye(k))
     xtx_inv = np.empty((k, k))
@@ -291,6 +302,13 @@ def test_standard_errors_match_scipy_bitwise(case, robust):
         cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
     else:
         cov = float(residuals @ residuals) / (n - k) * xtx_inv
+    # HC1 variances of a nearly dependent design can round below zero.
+    negative = [names[j] for j in np.flatnonzero(np.diag(cov) < 0.0)]
+    if negative:
+        with pytest.raises(NumericError, match=f"below zero: {', '.join(negative)}$"):
+            fit_ols(y, X, names, robust=robust)
+        return
+    fit = fit_ols(y, X, names, robust=robust)
     assert fit.standard_errors.tobytes() == np.sqrt(np.diag(cov)).tobytes()
 
 

@@ -181,14 +181,14 @@ class TestEvaluationTable:
         assert p_cell != "(--)"
         rendered = float(p_cell.strip("()"))
         assert rendered == pytest.approx(
-            report.entries[1].gw.p_value, abs=5e-3
+            report[1].gw.p_value, abs=5e-3
         )
 
     def test_rmse_rendering(self, fitted_pair):
         report = self._report(fitted_pair)
         lines = evaluation_table(report).splitlines()
         fed_line = next(l for l in lines if l.startswith("FED "))
-        assert f"{report.entries[0].rmse:.4f}" in fed_line
+        assert f"{report[0].rmse:.4f}" in fed_line
 
     def test_delimited_mirror(self, fitted_pair):
         report = self._report(fitted_pair)
@@ -200,7 +200,7 @@ class TestEvaluationTable:
         ]
         assert rows[1][0] == "fed"
         assert rows[1][2] == ""  # baseline has no GW columns
-        assert float(rows[1][1]) == report.entries[0].rmse
+        assert float(rows[1][1]) == report[0].rmse
         assert rows[2][0] == "fed+news"
-        assert float(rows[2][4]) == report.entries[1].gw.p_value
+        assert float(rows[2][4]) == report[1].gw.p_value
         assert rows[2][5] == "unconditional"

@@ -276,6 +276,13 @@ class TestBaselineClassify:
         with pytest.raises(ConfigError, match="positive and finite"):
             baseline_probabilities(["prices rose"], gain=gain)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_odds_refused(self):
+        # 1 + gain*u + gain*d overflows for u = d = 1, not for u = 1, d = 0.
+        assert baseline_probabilities(["prices rose"], gain=1e308)[0, 2] == 1.0
+        with pytest.raises(ConfigError, match=r"^baseline gain 1e\+308 with cap 8 "):
+            baseline_probabilities(["gas rose while food fell"], gain=1e308)
+
     def test_output_is_valid_probability_vector(self, rng):
         vocab = ("rose", "fell", "surged", "cooled", "spiked", "slowing",
                  "flat", "steady", "report", "index")
