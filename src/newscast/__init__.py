@@ -59,7 +59,8 @@ from .nowcast import (
     nowcast,
     resolve_spec,
 )
-from .ols import RegressionResult, fit_ols, significance_stars
+from .ols import RegressionResult, fit_ols
+from .report import significance_stars
 from .sentiment import (
     DEFAULT_LEXICON,
     ArticleTable,

@@ -17,6 +17,7 @@ the input files, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -161,7 +162,7 @@ def _upstream(cfg: RunConfig, key: str) -> Path:
     neither exists, a DataError names the command to run and the key."""
     what, filename = UPSTREAM[key]
     path = getattr(cfg, key) or cfg.out_path(filename)
-    if not path.exists():
+    if not os.path.exists(path):  # False too for a name too long to look up
         command = next(c for c, (_, outs) in COMMANDS.items() if filename in outs)
         raise DataError(
             f"{what} file {path} does not exist; run the {command} command "

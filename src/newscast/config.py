@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -62,7 +63,8 @@ def _input(required: bool):
                 raise ConfigError(f"config key {key!r} is required")
             return None
         resolved = config_dir / raw
-        if not resolved.exists():
+        # False too where the name cannot be looked up (too long, say).
+        if not os.path.exists(resolved):
             raise ConfigError(f"config key {key!r}: file {resolved} does not exist")
         return resolved
 
@@ -231,19 +233,20 @@ def load_config(
 ) -> RunConfig:
     """Parse, override, validate, and freeze a run configuration.
 
-    overrides are `key=value` strings applied on top of the file;
-    out_override replaces the output directory.
+    overrides are `key=value` strings, one key each, applied on top of
+    the file; out_override replaces the output directory. The file and
+    both must be UTF-8 text.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = _parse_pairs(text, str(path))
     for item in overrides:
         pair = _parse_pairs(item, "--set")
-        if not pair:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
+        if len(pair) != 1:
+            raise ConfigError(f"--set needs one key=value, got {item!r}")
         values.update(pair)
     if out_override is not None:
         values["out"] = out_override
@@ -257,8 +260,14 @@ def load_config(
     effective = {**KEY_DEFAULTS, **values}
 
     canonical = "\n".join(f"{k}={effective[k]}" for k in sorted(effective))
+    try:
+        encoded = canonical.encode("utf-8")
+    except UnicodeEncodeError:  # command-line bytes that are not UTF-8
+        key = next(k for k, v in sorted(values.items())
+                   if any("\ud800" <= c <= "\udfff" for c in v))
+        raise ConfigError(f"config key {key!r}: {values[key]!r} is not UTF-8") from None
     cfg = RunConfig(
-        digest=hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12],
+        digest=hashlib.sha256(encoded).hexdigest()[:12],
         **{
             f.name: f.metadata["parse"](effective[f.name], f.name, path.parent)
             for f in _KEYS

@@ -224,11 +224,12 @@ def evaluate_forecasts(
     """RMSE per model and GW tests of each model against the first, as
     one row per model in the order given; the first row is the baseline.
 
-    Every model must cover exactly the baseline's months, so RMSE and
-    GW see the same months. RMSE is computed on annualized values;
-    unit "fraction" divides percent values by 100 (so an RMSE printed
-    as 0.0409 means 4.09 percentage points of annualized inflation),
-    "percent" leaves them as-is.
+    Every model must cover exactly the baseline's months, with the same
+    realized values bit for bit, so RMSE and GW score the same outcomes.
+    RMSE is computed on annualized values; unit "fraction" divides
+    percent values by 100 (so an RMSE printed as 0.0409 means 4.09
+    percentage points of annualized inflation), "percent" leaves them
+    as-is.
     """
     if not forecasts:
         raise DataError("evaluate_forecasts needs at least one model")
@@ -245,6 +246,17 @@ def evaluate_forecasts(
                 f"baseline {baseline.model!r}"
             )
         squared_errors(series)  # names the months whose square overflows
+        ours, theirs = (
+            np.stack([s.realized, s.realized_annualized]).view(np.int64)
+            for s in (series, baseline)
+        )
+        differs = (ours != theirs).any(axis=0)  # bit for bit
+        if differs.any():
+            months = map(MonthKey.from_ordinal, series.months[differs].tolist())
+            raise DataError(
+                f"model {series.model!r} has different realized values than "
+                f"the baseline {baseline.model!r}: {', '.join(map(str, months))}"
+            )
         predicted = series.nowcasts_annualized * scale
         actual = series.realized_annualized * scale
         gw = None

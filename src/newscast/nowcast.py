@@ -46,7 +46,6 @@ REGRESSOR_LABELS = {
     "gas": "pi-Gasoline",
     "news": "pi-NEWS",
 }
-DEPENDENT_LABEL = "CPI"
 INTERCEPT_LABEL = "const"
 
 

@@ -1,5 +1,7 @@
 """Ordinary least squares with classical inference diagnostics.
 
+This module computes numbers only; report turns them into tables.
+
 Built directly on a column-pivoted QR factorization so rank problems
 fail loudly with the names of the offending columns instead of
 producing a silently unstable solve.
@@ -43,22 +45,11 @@ from .errors import DataError, NumericError, SingularDesignError
 # linearly dependent on the ones before it.
 RANK_TOLERANCE = 1e-10
 
-STAR_THRESHOLDS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
-
-
-def significance_stars(p_value: float) -> str:
-    """Star tier for a p-value: * p<0.1, ** p<0.05, *** p<0.01."""
-    if np.isnan(p_value):
-        return ""
-    for threshold, stars in STAR_THRESHOLDS:
-        if p_value < threshold:
-            return stars
-    return ""
-
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """Coefficients with full inferential diagnostics.
+    """A fit's coefficients with their inferential diagnostics, as
+    numbers: report renders them.
 
     Arrays are aligned with names. F statistic tests all non-intercept
     coefficients jointly and is NaN for an intercept-only design.
@@ -78,16 +69,6 @@ class RegressionResult:
     df_residual: int
     robust: bool
     residuals: np.ndarray = field(repr=False)
-
-    @property
-    def stars(self) -> tuple[str, ...]:
-        return tuple(significance_stars(p) for p in self.p_values)
-
-    def coefficient(self, name: str) -> float:
-        try:
-            return float(self.estimates[self.names.index(name)])
-        except ValueError:
-            raise DataError(f"no coefficient named {name!r}; have {self.names}")
 
 
 class Solution(NamedTuple):

@@ -1,9 +1,10 @@
 """Plain-text and delimited rendering of regression and evaluation tables.
 
-The text layouts follow the journal convention: one column per model,
+The one owner of presentation: star tiers, legend, labels and layouts.
+Text layouts follow the journal convention: one column per model,
 coefficient estimates with significance stars and the standard error
 parenthesized on the following line, then a diagnostics block, then the
-star legend.
+star legend. Both forms of a table render from one row declaration.
 """
 
 from __future__ import annotations
@@ -12,65 +13,70 @@ from typing import Sequence
 
 from .errors import DataError
 from .evaluation import ModelEvaluation
-from .nowcast import DEPENDENT_LABEL, INTERCEPT_LABEL, REGRESSOR_LABELS
-from .ols import RegressionResult, significance_stars
+from .nowcast import INTERCEPT_LABEL, REGRESSOR_LABELS
+from .ols import RegressionResult
 
-NOTE_LINE = "Note: *p<0.1; **p<0.05; ***p<0.01"
+#: Strictest first: a p-value strictly below a threshold earns its stars.
+STAR_THRESHOLDS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
+NOTE_LINE = "Note: " + "; ".join(f"{s}p<{t}" for t, s in reversed(STAR_THRESHOLDS))
+DEPENDENT_LABEL = "CPI"
 
 #: Canonical display order of coefficient rows across model columns.
 COEFFICIENT_ORDER = (INTERCEPT_LABEL, *REGRESSOR_LABELS.values())
 
-DIAGNOSTIC_ROWS = (
-    ("Observations", lambda r: f"{r.n_obs:d}"),
-    ("R2", lambda r: f"{r.r_squared:.3f}"),
-    ("Adjusted R2", lambda r: f"{r.adjusted_r_squared:.3f}"),
-    ("Residual Std. Error", lambda r: f"{r.residual_std_error:.3f}"),
-    (
-        "F Statistic",
-        lambda r: f"{r.f_statistic:.3f}{significance_stars(r.f_p_value)}",
-    ),
+#: Each regression diagnostic: its label, its RegressionResult field and
+#: its text cell as a format of the value and of {stars}, the F test's
+#: tier. The CSV mirror writes every value's repr; None keeps a row out
+#: of the text table.
+DIAGNOSTICS = (
+    ("Observations", "n_obs", "{:d}"),
+    ("R2", "r_squared", "{:.3f}"),
+    ("Adjusted R2", "adjusted_r_squared", "{:.3f}"),
+    ("Residual Std. Error", "residual_std_error", "{:.3f}"),
+    ("F Statistic", "f_statistic", "{:.3f}{stars}"),
+    ("F p-value", "f_p_value", None),
 )
 
 
-def _coefficient_rows(results: Sequence[RegressionResult]) -> list[str]:
-    present = set()
-    for result in results:
-        present.update(result.names)
-    rows = [name for name in COEFFICIENT_ORDER if name in present]
-    # Anything outside the canonical set keeps first-seen order.
-    for result in results:
-        for name in result.names:
-            if name not in rows:
-                rows.append(name)
-    return rows
+def significance_stars(p_value: float) -> str:
+    """Star tier of a p-value under STAR_THRESHOLDS; none for NaN."""
+    return next((s for t, s in STAR_THRESHOLDS if p_value < t), "")
 
 
-def _column(result: RegressionResult, term: str) -> tuple[str, str]:
-    """(estimate-with-stars, parenthesized se) or empty cells."""
-    if term not in result.names:
-        return "", ""
-    i = result.names.index(term)
-    est = f"{result.estimates[i]:.3f}{result.stars[i]}"
-    se = f"({result.standard_errors[i]:.3f})"
-    return est, se
+def _terms(
+    results: Sequence[RegressionResult], model_names: Sequence[str]
+) -> list[tuple[str, list[int | None]]]:
+    """Each coefficient term, COEFFICIENT_ORDER first and then any other
+    in first-seen order, with its index in each result (None if absent)."""
+    if not results or len(results) != len(model_names):
+        raise DataError("need one model name per regression result")
+    seen = dict.fromkeys(name for r in results for name in r.names)
+    terms = [t for t in COEFFICIENT_ORDER if t in seen]
+    terms += [t for t in seen if t not in COEFFICIENT_ORDER]
+    return [(t, [r.names.index(t) if t in r.names else None for r in results])
+            for t in terms]
 
 
 def regression_table(
     results: Sequence[RegressionResult], model_names: Sequence[str]
 ) -> str:
     """Multi-column text table of one or more fitted models."""
-    if not results or len(results) != len(model_names):
-        raise DataError("need one model name per regression result")
-    terms = _coefficient_rows(results)
-
     # Assemble all cells first so column widths can be computed.
     body: list[tuple[str, list[str]]] = []
-    for term in terms:
-        cells = [_column(r, term) for r in results]
-        body.append((term, [c[0] for c in cells]))
-        body.append(("", [c[1] for c in cells]))
-    diag: list[tuple[str, list[str]]] = [
-        (label, [fmt(r) for r in results]) for label, fmt in DIAGNOSTIC_ROWS
+    for term, columns in _terms(results, model_names):
+        at = list(zip(results, columns))
+        body.append((term, [
+            "" if i is None
+            else f"{r.estimates[i]:.3f}{significance_stars(r.p_values[i])}"
+            for r, i in at
+        ]))
+        body.append(("", [
+            "" if i is None else f"({r.standard_errors[i]:.3f})" for r, i in at
+        ]))
+    diag = [
+        (label, [fmt.format(getattr(r, name), stars=significance_stars(r.f_p_value))
+                 for r in results])
+        for label, name, fmt in DIAGNOSTICS if fmt
     ]
 
     label_width = max(
@@ -113,33 +119,21 @@ def regression_table_delimited(
 ) -> tuple[list[str], list[list[str]]]:
     """CSV mirror of the table, as its header and rows:
     term,statistic,<model per column>."""
-    if not results or len(results) != len(model_names):
-        raise DataError("need one model name per regression result")
-
-    def cells(term: str, pick) -> list[str]:
-        return [
-            pick(r, r.names.index(term)) if term in r.names else "" for r in results
-        ]
-
     statistics = (
         ("estimate", lambda r, i: repr(float(r.estimates[i]))),
         ("std_error", lambda r, i: repr(float(r.standard_errors[i]))),
         ("p_value", lambda r, i: repr(float(r.p_values[i]))),
-        ("stars", lambda r, i: r.stars[i]),
+        ("stars", lambda r, i: significance_stars(r.p_values[i])),
     )
     rows = [
-        [term, statistic, *cells(term, pick)]
-        for term in _coefficient_rows(results)
+        [term, statistic, *("" if i is None else pick(r, i)
+                            for r, i in zip(results, columns))]
+        for term, columns in _terms(results, model_names)
         for statistic, pick in statistics
     ]
     rows += [
-        ["Observations", "value", *[str(r.n_obs) for r in results]],
-        ["R2", "value", *[repr(r.r_squared) for r in results]],
-        ["Adjusted R2", "value", *[repr(r.adjusted_r_squared) for r in results]],
-        ["Residual Std. Error", "value",
-         *[repr(r.residual_std_error) for r in results]],
-        ["F Statistic", "value", *[repr(r.f_statistic) for r in results]],
-        ["F p-value", "value", *[repr(r.f_p_value) for r in results]],
+        [label, "value", *(repr(getattr(r, name)) for r in results)]
+        for label, name, _ in DIAGNOSTICS
     ]
     return ["term", "statistic", *model_names], rows
 

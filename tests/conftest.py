@@ -2,8 +2,15 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from newscast import ArticleTable, MonthKey, MonthlySeries
+
+# Every run draws the same examples and keeps no example database, so a
+# failure reproduces from the commit alone. Tests keep their own
+# max_examples and deadline.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -587,6 +587,21 @@ class TestExitCodes:
             "error: model 'fed': squared forecast error overflows: 2020-01\n"
         )
 
+    def test_models_scored_against_other_realizations_exit_3(
+        self, toy_run, tmp_path, capsys
+    ):
+        lines = (toy_run / "forecasts.csv").read_text().splitlines()
+        row = next(i for i, x in enumerate(lines) if x.startswith("2020-01,fed+news,"))
+        lines[row] = ",".join([*lines[row].split(",")[:4], "9.0", "200.0"])
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text("\n".join(lines) + "\n")
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", f"forecasts={forecasts}", "evaluate") == 3
+        assert capsys.readouterr().err == (
+            "error: model 'fed+news' has different realized values than the "
+            "baseline 'fed': 2020-01\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_keyword_odds_exit_2(self, tmp_path, capsys):
         assert run("--config", "toy", "--out", tmp_path / "out",
@@ -599,6 +614,38 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("--config", tmp_path / "no.cfg", "fit") == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"cpi = x\xff\n")
+        assert run("--config", bad, "score") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {bad}: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    def test_override_value_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # Command-line bytes that are not UTF-8 arrive as lone surrogates.
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", "lexicon=\udcff", "score") == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'lexicon': '\\udcff' is not UTF-8\n"
+        )
+        assert run("--config", "toy", "--out", tmp_path / "\udcff", "fit") == 2
+        assert capsys.readouterr().err.startswith("error: config key 'out': ")
+
+    def test_input_name_too_long_names_the_key(self, tmp_path, capsys):
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", "cpi=" + "a" * 300, "fit", "fed") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'cpi': file ")
+        assert err.endswith("a" * 300 + " does not exist\n")
+
+    def test_out_name_too_long_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / ("a" * 300)
+        assert run("--config", "toy", "--out", out, "evaluate") == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: forecast file {out / 'forecasts.csv'} does not exist; "
+        )
 
     def test_unknown_override_key(self, capsys, tmp_path):
         assert run("--config", "toy", "--out", tmp_path / "out",

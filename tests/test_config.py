@@ -152,6 +152,12 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="key=value"):
             load_config(path, overrides=("",))
 
+    def test_one_override_sets_one_key(self, tmp_path):
+        path = write_minimal_config(tmp_path)
+        for item in ("window=2\nscore=argmax", "window=2\u2028score=argmax"):
+            with pytest.raises(ConfigError, match="--set needs one key=value"):
+                load_config(path, overrides=(item,))
+
     def test_unknown_override_key(self, tmp_path):
         path = write_minimal_config(tmp_path)
         with pytest.raises(ConfigError, match="unknown key"):

@@ -1,5 +1,6 @@
 """RMSE and the equal-predictive-ability test."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -352,8 +353,11 @@ class TestOverflow:
         for variant in ("unconditional", "conditional-lag1"):
             with pytest.raises(NumericError, match="sum of squares is not finite"):
                 giacomini_white(a, [0.5] * 12, variant)
+        # Shared realizations; news's first nowcast misses by 1e100.
+        fed = huge_fs("fed", [1.0] * 12)
+        news = huge_fs("news", [1.0] * 12, nowcasts=[-1e100] + [0.0] * 11)
         with pytest.raises(NumericError, match="sum of squares is not finite"):
-            evaluate_forecasts([huge_fs("fed", [1.0] * 12), huge_fs("news", a)])
+            evaluate_forecasts([fed, news])
 
     def test_rmse_refuses_a_sum_that_overflows(self):
         with pytest.raises(NumericError, match="rmse overflows"):
@@ -418,3 +422,25 @@ class TestEvaluateForecasts:
         forecasts.append(make_fs("news", "2020-02", [0.1] * 24, [0.2] * 24))
         with pytest.raises(DataError, match="'news' covers different months"):
             evaluate_forecasts(forecasts)
+
+    @pytest.mark.parametrize("column, rows, months", [
+        ("realized", [1, 4], "2020-02, 2020-05"),
+        ("realized_annualized", [0], "2020-01"),
+    ])
+    def test_mismatched_realizations_rejected(self, rng, column, rows, months):
+        # Each model would be scored against outcomes of its own.
+        fed, news = self._forecasts(rng)
+        values = getattr(news, column).copy()
+        values[rows] += 1.0
+        news = dataclasses.replace(news, **{column: values})
+        with pytest.raises(DataError) as caught:
+            evaluate_forecasts([fed, news])
+        assert str(caught.value) == (
+            "model 'fed+news' has different realized values than the "
+            f"baseline 'fed': {months}"
+        )
+
+    def test_realizations_compared_bit_for_bit(self):
+        zeros = huge_fs("fed", [0.0] * 12)
+        with pytest.raises(DataError, match="realized values .*: 2020-03$"):
+            evaluate_forecasts([zeros, huge_fs("news", [0.0, 0.0, -0.0] + [0.0] * 9)])

@@ -141,8 +141,9 @@ class TestFitModel:
         y = np.array([data["cpi"][m] for m in months])
         slope = ((x - x.mean()) * (y - y.mean())).sum() / ((x - x.mean()) ** 2).sum()
         intercept = y.mean() - slope * x.mean()
-        assert res.coefficient("pi-NEWS") == pytest.approx(slope, rel=1e-10)
-        assert res.coefficient("const") == pytest.approx(intercept, rel=1e-10)
+        assert res.names == ("const", "pi-NEWS")
+        assert res.estimates[1] == pytest.approx(slope, rel=1e-10)
+        assert res.estimates[0] == pytest.approx(intercept, rel=1e-10)
 
     def test_missing_month_named(self, rng):
         data = make_bundle(rng)

@@ -1,21 +1,34 @@
 """Rendering of regression and evaluation tables, text and delimited."""
 
+import re
+
 import pytest
 
 from newscast import (
+    MODEL_SPECS,
     DataError,
     MonthKey,
     MonthlySeries,
+    SentimentScorer,
     backtest,
+    build_news_index,
     evaluate_forecasts,
     fit_model,
+    monthly_aggregate,
+    news_pi,
+    pct_change,
+    read_probability_articles,
+    read_series,
+    toy_config_path,
 )
 from newscast.report import (
     NOTE_LINE,
+    STAR_THRESHOLDS,
     evaluation_table,
     evaluation_table_delimited,
     regression_table,
     regression_table_delimited,
+    significance_stars,
 )
 
 
@@ -111,7 +124,8 @@ class TestRegressionTable:
             l for l in text.splitlines() if l.startswith("pi-CCPI")
         )
         i = fed.names.index("pi-CCPI")
-        assert f"{fed.estimates[i]:.3f}{fed.stars[i]}" in ccpi_line
+        stars = significance_stars(fed.p_values[i])
+        assert f"{fed.estimates[i]:.3f}{stars}" in ccpi_line
 
     def test_name_count_mismatch(self, fitted_pair):
         _, fed, _ = fitted_pair
@@ -130,7 +144,7 @@ class TestRegressionTableDelimited:
         by_key = {(r[0], r[1]): r[2:] for r in rows[1:]}
         # Full precision: the estimate round-trips bit for bit.
         est = float(by_key[("pi-CCPI", "estimate")][0])
-        assert est == fed.coefficient("pi-CCPI")
+        assert est == fed.estimates[fed.names.index("pi-CCPI")]
         # A term absent from a model renders as an empty cell.
         assert by_key[("pi-NEWS", "estimate")][0] == ""
         assert by_key[("pi-NEWS", "estimate")][1] != ""
@@ -143,7 +157,53 @@ class TestRegressionTableDelimited:
         rows = [header, *body]
         by_key = {(r[0], r[1]): r[2:] for r in rows[1:]}
         i = fed.names.index("pi-CCPI")
-        assert by_key[("pi-CCPI", "stars")][0] == fed.stars[i]
+        assert by_key[("pi-CCPI", "stars")][0] == significance_stars(fed.p_values[i])
+
+
+@pytest.fixture(scope="module")
+def toy_fits():
+    """Every model fitted on the bundled toy data, as `fit all` fits it."""
+    toy = toy_config_path().parent
+    articles, _ = read_probability_articles(toy / "news_probs.csv")
+    scored = SentimentScorer("polarity").fit_transform(articles)
+    index = build_news_index(monthly_aggregate(scored, day_cutoff=15))
+    data = {k: pct_change(read_series(toy / f"{k}.csv"), window=1)
+            for k in ("cpi", "ccpi", "fcpi", "gas")}
+    data["news"] = news_pi(index.series, window=1)
+    names = list(MODEL_SPECS)
+    window = MonthKey(2015, 1), MonthKey(2019, 12)
+    return [fit_model(name, data, *window) for name in names], names
+
+
+class TestTablesAgree:
+    def test_csv_mirror_lists_the_text_rows_in_order(self, toy_fits):
+        text = regression_table(*toy_fits)
+        _, rows = regression_table_delimited(*toy_fits)
+        # Row labels of the text table: the labelled lines between the
+        # rule under the model header and the closing double rule.
+        lines = text.splitlines()
+        rules = [i for i, line in enumerate(lines) if set(line) in ({"-"}, {"="})]
+        labels = [
+            re.split(r"\s{2,}", line)[0]
+            for line in lines[rules[1] + 1:rules[-1]]
+            if line and not line[0].isspace() and set(line) != {"-"}
+        ]
+        mirrored = list(dict.fromkeys(row[0] for row in rows))
+        assert labels == [t for t in mirrored if t != "F p-value"]
+        assert labels[:6] == ["const", "pi-CCPI", "pi-FCPI", "pi-Gasoline",
+                              "pi-NEWS", "Observations"]
+        assert mirrored[-1] == "F p-value"
+
+    def test_note_line_lists_every_tier_in_order(self):
+        legend = NOTE_LINE.removeprefix("Note: ").split("; ")
+        tiers = [(float(entry.split("p<")[1]), entry.split("p<")[0])
+                 for entry in legend]
+        # From the loosest tier to the strictest, each the tier that
+        # significance_stars gives just below its threshold.
+        assert tiers == sorted(STAR_THRESHOLDS, reverse=True)
+        for threshold, stars in tiers:
+            assert significance_stars(threshold * 0.999) == stars
+            assert significance_stars(threshold) != stars
 
 
 class TestEvaluationTable:
