@@ -25,7 +25,6 @@ from .errors import (
 )
 from .evaluation import (
     GWResult,
-    LossDifferential,
     ModelEvaluation,
     evaluate_forecasts,
     giacomini_white,
@@ -137,7 +136,6 @@ __all__ = [
     "write_series",
     # evaluation
     "GWResult",
-    "LossDifferential",
     "ModelEvaluation",
     "evaluate_forecasts",
     "giacomini_white",

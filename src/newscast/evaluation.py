@@ -3,8 +3,9 @@
 Losses are squared errors throughout. The Giacomini-White test works
 on the loss differential d_t = e_A(t)^2 - e_B(t)^2: the unconditional
 variant asks whether its mean is zero, the conditional variant whether
-yesterday's differential predicts today's. Two models' forecasts are
-lined up on the month ordinals both cover.
+yesterday's differential predicts today's. Two models are compared
+only on the same months and the same realized inflation:
+loss_differential holds that rule, and every comparison goes through it.
 """
 
 from __future__ import annotations
@@ -55,32 +56,29 @@ def squared_errors(series: ForecastSeries) -> np.ndarray:
     return squares
 
 
-@dataclass(frozen=True, eq=False)
-class LossDifferential:
-    """Squared-error loss differences of two models on common months,
-    given as int64 month ordinals."""
-
-    months: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        if len(self.months) != len(self.d):
-            raise DataError("months and d lengths differ")
-        if len(self.d) < 2:
-            raise DataError("loss differential needs at least 2 months")
-
-
-def loss_differential(a: ForecastSeries, b: ForecastSeries) -> LossDifferential:
-    """d_t = e_A(t)^2 - e_B(t)^2 on the months both series cover."""
-    common, in_a, in_b = np.intersect1d(
-        a.months, b.months, assume_unique=True, return_indices=True
-    )
-    if len(common) < 2:
+def loss_differential(a: ForecastSeries, b: ForecastSeries) -> np.ndarray:
+    """d_t = e_A(t)^2 - e_B(t)^2, month by month, under the one rule for
+    comparing two models: b covers exactly a's months (else DataError),
+    both models' squared errors are finite (else OverflowMonthsError),
+    and b's realized values equal a's bit for bit (else DataError naming
+    the months)."""
+    if not np.array_equal(b.months, a.months):
         raise DataError(
-            f"models {a.model!r} and {b.model!r} share {len(common)} "
-            "months; need at least 2"
+            f"model {b.model!r} covers different months than the "
+            f"baseline {a.model!r}"
         )
-    return LossDifferential(common, squared_errors(a)[in_a] - squared_errors(b)[in_b])
+    d = squared_errors(a) - squared_errors(b)
+    ours, theirs = (
+        np.stack([s.realized, s.realized_annualized]).view(np.int64) for s in (b, a)
+    )
+    differs = (ours != theirs).any(axis=0)  # bit for bit
+    if differs.any():
+        months = map(MonthKey.from_ordinal, b.months[differs].tolist())
+        raise DataError(
+            f"model {b.model!r} has different realized values than "
+            f"the baseline {a.model!r}: {', '.join(map(str, months))}"
+        )
+    return d
 
 
 def _unit_scale(unit: str) -> float:
@@ -196,14 +194,12 @@ def gw_from_forecasts(
     unit: str = "fraction",
     truncation_lag: int = 0,
 ) -> GWResult:
-    """giacomini_white on the aligned annualized errors of two series."""
+    """giacomini_white on the annualized errors of two series that
+    loss_differential finds comparable."""
     scale = _unit_scale(unit)
-    months = loss_differential(a, b).months
+    loss_differential(a, b)
     return giacomini_white(
-        a.errors()[np.searchsorted(a.months, months)] * scale,
-        b.errors()[np.searchsorted(b.months, months)] * scale,
-        variant,
-        truncation_lag=truncation_lag,
+        a.errors() * scale, b.errors() * scale, variant, truncation_lag=truncation_lag
     )
 
 
@@ -224,8 +220,8 @@ def evaluate_forecasts(
     """RMSE per model and GW tests of each model against the first, as
     one row per model in the order given; the first row is the baseline.
 
-    Every model must cover exactly the baseline's months, with the same
-    realized values bit for bit, so RMSE and GW score the same outcomes.
+    Each model is compared with the baseline by loss_differential's rule,
+    so RMSE and GW score the same months and outcomes.
     RMSE is computed on annualized values; unit "fraction" divides
     percent values by 100 (so an RMSE printed as 0.0409 means 4.09
     percentage points of annualized inflation), "percent" leaves them
@@ -238,25 +234,9 @@ def evaluate_forecasts(
     if len(set(names)) != len(names):
         raise DataError(f"duplicate model names in evaluation: {names}")
     baseline = forecasts[0]
+    squared_errors(baseline)  # names the months whose square overflows
     entries = []
     for series in forecasts:
-        if not np.array_equal(series.months, baseline.months):
-            raise DataError(
-                f"model {series.model!r} covers different months than the "
-                f"baseline {baseline.model!r}"
-            )
-        squared_errors(series)  # names the months whose square overflows
-        ours, theirs = (
-            np.stack([s.realized, s.realized_annualized]).view(np.int64)
-            for s in (series, baseline)
-        )
-        differs = (ours != theirs).any(axis=0)  # bit for bit
-        if differs.any():
-            months = map(MonthKey.from_ordinal, series.months[differs].tolist())
-            raise DataError(
-                f"model {series.model!r} has different realized values than "
-                f"the baseline {baseline.model!r}: {', '.join(map(str, months))}"
-            )
         predicted = series.nowcasts_annualized * scale
         actual = series.realized_annualized * scale
         gw = None

@@ -210,8 +210,8 @@ def write_table(text: str, path: str | Path, comment: str | None = None) -> None
 
 def _month_rows(path: Path, header: Sequence[str], keyed: bool):
     """Yield (month, model, values) for each row of a month-keyed file:
-    the month in the first field, then the model name if keyed, then
-    the float values. Values must be finite and months strictly
+    the month in the first field, then the non-blank model name if
+    keyed, then the float values. Values must be finite and months strictly
     increasing per model; a row that breaks a rule is rejected with its
     line number."""
     latest: dict[str, MonthKey] = {}
@@ -224,6 +224,8 @@ def _month_rows(path: Path, header: Sequence[str], keyed: bool):
                     raise DataError(f"expected {len(header)} fields, got {len(row)}")
                 month = MonthKey.parse(row[0])
                 model = row[1].strip() if keyed else ""
+                if keyed and not model:
+                    raise DataError("empty model name")
                 values = [
                     _finite(name, cell, month)
                     for name, cell in zip(header[first:], row[first:])
@@ -463,8 +465,8 @@ def write_forecasts(
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:
     """Load a forecast file back into per-model series, in file order.
-    Within a model, months must be strictly increasing; every value
-    must be finite."""
+    Every row names a model; within a model, months must be strictly
+    increasing, then consecutive; every value must be finite."""
     collected: dict[str, list[tuple[int, float, float, float, float]]] = {}
     for month, model, values in _month_rows(Path(path), FORECAST_HEADER, keyed=True):
         collected.setdefault(model, []).append((month.ordinal, *values))

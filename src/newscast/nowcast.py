@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError, DomainError, MissingMonthsError
 from .ols import RegressionResult, fit_ols, solve_ols
 from .timeseries import (
     MonthKey,
@@ -186,8 +186,8 @@ def _nowcasts(betas: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ForecastSeries:
     """Aligned nowcasts and realizations, monthly and annualized: the
-    strictly increasing month ordinals (MonthKey.ordinal) as a read-only
-    int64 array, each value column as a read-only float64 array."""
+    consecutive month ordinals (MonthKey.ordinal) as a read-only int64
+    array, each value column as a read-only float64 array."""
 
     model: str
     months: np.ndarray
@@ -205,6 +205,12 @@ class ForecastSeries:
                 raise DataError(f"{field.name} length differs from months")
         if (np.diff(self.months) <= 0).any():
             raise DataError(f"months of model {self.model!r} are not increasing")
+        if len(self) and self.months[-1] - self.months[0] >= len(self):
+            span = np.arange(self.months[0], self.months[-1] + 1)
+            raise MissingMonthsError(
+                f"months of model {self.model!r} are not consecutive",
+                map(MonthKey.from_ordinal, np.setdiff1d(span, self.months).tolist()),
+            )
 
     def __len__(self) -> int:
         return len(self.months)

@@ -1,8 +1,10 @@
+import tempfile
 from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from newscast import ArticleTable, MonthKey, MonthlySeries
 
@@ -11,6 +13,21 @@ from newscast import ArticleTable, MonthKey, MonthlySeries
 # max_examples and deadline.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+_hypothesis_home = None
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the literals of the tested modules under its
+    # home directory. Pointing that home at a temporary directory keeps the
+    # checkout clean; a fixture would run after the cache is written.
+    global _hypothesis_home
+    _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    _hypothesis_home.cleanup()
 
 
 @pytest.fixture

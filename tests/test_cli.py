@@ -448,7 +448,7 @@ class TestBacktestAndEvaluate:
         capsys.readouterr()
         assert run("--config", "toy", "--out", out, *one_month, "evaluate") == 3
         assert capsys.readouterr().err == (
-            "error: models 'fed' and 'fed+news' share 1 months; need at least 2\n"
+            "error: unconditional variant needs n >= 8, got 1\n"
         )
         assert (out / "forecasts.csv").exists()
 
@@ -600,6 +600,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: model 'fed+news' has different realized values than the "
             "baseline 'fed': 2020-01\n"
+        )
+
+    def test_forecast_months_with_a_gap_exit_3(self, toy_run, tmp_path, capsys):
+        # The conditional variant would take 2020-05 as the lag of 2020-07.
+        lines = (toy_run / "forecasts.csv").read_text().splitlines()
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text(
+            "".join(x + "\n" for x in lines if not x.startswith("2020-06,"))
+        )
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", f"forecasts={forecasts}",
+                   "--set", "gw_variant=conditional-lag1", "evaluate") == 3
+        assert capsys.readouterr().err == (
+            "error: months of model 'fed' are not consecutive: 2020-06\n"
+        )
+
+    def test_forecast_row_with_blank_model_exit_3(self, toy_run, tmp_path, capsys):
+        text = (toy_run / "forecasts.csv").read_text()
+        line = text[: text.index(",fed+news,")].count("\n") + 1
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_text(text.replace(",fed+news,", ", ,"))
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", f"forecasts={forecasts}", "evaluate") == 3
+        assert capsys.readouterr().err == (
+            f"error: line {line}: {forecasts}: empty model name\n"
         )
 
     @pytest.mark.filterwarnings("error")

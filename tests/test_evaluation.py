@@ -12,7 +12,9 @@ from newscast import (
     DegenerateLossError,
     ForecastSeries,
     GWResult,
+    MissingMonthsError,
     MonthKey,
+    NewscastError,
     NumericError,
     OverflowMonthsError,
     annualize,
@@ -78,36 +80,58 @@ class TestRmse:
 
 class TestLossDifferential:
     def test_formula_and_alignment(self):
-        a = make_fs("a", "2020-01", [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        b = make_fs("b", "2020-01", [0.0, 0.0, 0.0], [2.0, 1.0, 3.0])
-        diff = loss_differential(a, b)
-        assert diff.months.tolist() == a.months.tolist()
-        ea = np.array([annualize(v) for v in (1.0, 2.0, 3.0)])
-        eb = np.array([annualize(v) for v in (2.0, 1.0, 3.0)])
-        np.testing.assert_allclose(diff.d, ea**2 - eb**2)
-        assert diff.d[2] == 0.0
+        # Shared realizations; the nowcasts agree only in the last month.
+        realized = [1.0, 2.0, 3.0]
+        a = make_fs("a", "2020-01", [0.0, 2.0, 1.0], realized)
+        b = make_fs("b", "2020-01", [2.0, 0.0, 1.0], realized)
+        d = loss_differential(a, b)
+        ea = np.array([annualize(r) - annualize(f)
+                       for r, f in zip(realized, (0.0, 2.0, 1.0))])
+        eb = np.array([annualize(r) - annualize(f)
+                       for r, f in zip(realized, (2.0, 0.0, 1.0))])
+        np.testing.assert_allclose(d, ea**2 - eb**2)
+        assert d[2] == 0.0
 
-    def test_restricts_to_common_months(self):
-        a = make_fs("a", "2020-01", [0.0] * 4, [1.0, 2.0, 3.0, 4.0])
-        b = make_fs("b", "2020-02", [0.0] * 3, [1.0, 1.0, 1.0])
-        diff = loss_differential(a, b)
-        assert diff.months.tolist() == b.months.tolist()
-        np.testing.assert_array_equal(
-            diff.d, a.errors()[1:] ** 2 - b.errors() ** 2
-        )
-
-    def test_too_few_common_months(self):
-        a = make_fs("a", "2020-01", [0.0, 0.0], [1.0, 2.0])
-        b = make_fs("b", "2021-01", [0.0, 0.0], [1.0, 2.0])
-        with pytest.raises(DataError, match="common|share"):
-            loss_differential(a, b)
+    @pytest.mark.parametrize("mismatch, error, message", [
+        ("offset-months", DataError,
+         "model 'fed+news' covers different months than the baseline 'fed'"),
+        ("realized-differs", DataError,
+         "model 'fed+news' has different realized values than the baseline "
+         "'fed': 2020-04"),
+        ("square-overflows", OverflowMonthsError,
+         "model 'fed+news': squared forecast error overflows: 2020-03"),
+    ], ids=["offset-months", "realized-differs", "square-overflows"])
+    def test_one_rule_three_entry_points(self, rng, mismatch, error, message):
+        realized = rng.uniform(0.1, 0.4, 12)
+        fed = huge_fs("fed", realized, realized + rng.normal(0, 0.1, 12))
+        news = huge_fs("fed+news", realized, realized + rng.normal(0, 0.1, 12))
+        if mismatch == "offset-months":
+            news = dataclasses.replace(news, months=news.months + 1)
+        elif mismatch == "realized-differs":
+            news = dataclasses.replace(news, realized=realized + (np.arange(12) == 3))
+        else:
+            news = dataclasses.replace(
+                news, nowcasts_annualized=np.where(np.arange(12) == 2, -1e200, 0.0)
+            )
+        for call in (loss_differential, gw_from_forecasts,
+                     lambda a, b: evaluate_forecasts([a, b])):
+            with pytest.raises(NewscastError) as caught:
+                call(fed, news)
+            assert (type(caught.value), str(caught.value)) == (error, message)
 
     def test_months_must_increase(self):
-        # Alignment looks months up in sorted order.
         with pytest.raises(DataError, match="'a' are not increasing"):
             ForecastSeries("a", [24241, 24241], *[[0.0, 0.0]] * 4)
         with pytest.raises(DataError, match="'a' are not increasing"):
             ForecastSeries("a", [24242, 24241], *[[0.0, 0.0]] * 4)
+
+    def test_months_must_be_consecutive(self):
+        m0 = MonthKey.parse("2020-01").ordinal
+        with pytest.raises(MissingMonthsError) as caught:
+            ForecastSeries("a", [m0, m0 + 3, m0 + 5], *[[0.0] * 3] * 4)
+        assert str(caught.value) == (
+            "months of model 'a' are not consecutive: 2020-02, 2020-03, 2020-05"
+        )
 
 
 class TestGiacominiWhiteUnconditional:
@@ -299,17 +323,6 @@ class TestGwFromForecasts:
         assert frac.mean_differential == pytest.approx(
             pct.mean_differential * 1e-4, rel=1e-9
         )
-
-    def test_alignment_with_offset_windows(self, rng):
-        long = make_fs("long", "2020-01", [0.1] * 14,
-                       list(rng.uniform(0.0, 0.3, 14)))
-        short = make_fs(
-            "short", "2020-03",
-            list(rng.uniform(0.0, 0.3, 12)), list(rng.uniform(0.0, 0.3, 12)),
-        )
-        res = gw_from_forecasts(long, short)
-        assert res.n == 12
-        assert res == giacomini_white(long.errors()[2:] * 0.01, short.errors() * 0.01)
 
 
 def huge_fs(model, realized, nowcasts=None):
