@@ -119,6 +119,16 @@ class TestLossDifferential:
                 call(fed, news)
             assert (type(caught.value), str(caught.value)) == (error, message)
 
+    def test_restricts_to_common_months(self):
+        # Series on offset windows are refused, not cut to the months both cover.
+        a = make_fs("a", "2020-01", [0.0] * 4, [1.0, 2.0, 3.0, 4.0])
+        b = make_fs("b", "2020-02", [0.0] * 3, [2.0, 3.0, 4.0])
+        with pytest.raises(DataError) as caught:
+            loss_differential(a, b)
+        assert str(caught.value) == (
+            "model 'b' covers different months than the baseline 'a'"
+        )
+
     def test_months_must_increase(self):
         with pytest.raises(DataError, match="'a' are not increasing"):
             ForecastSeries("a", [24241, 24241], *[[0.0, 0.0]] * 4)
@@ -323,6 +333,20 @@ class TestGwFromForecasts:
         assert frac.mean_differential == pytest.approx(
             pct.mean_differential * 1e-4, rel=1e-9
         )
+
+    def test_alignment_with_offset_windows(self, rng):
+        # A long window holding a short one is refused, not aligned.
+        realized = list(rng.uniform(0.0, 0.3, 14))
+        long = make_fs("long", "2020-01", [0.1] * 14, realized)
+        short = make_fs("short", "2020-03", list(rng.uniform(0.0, 0.3, 12)),
+                        realized[2:])
+        for a, b in ((long, short), (short, long)):
+            with pytest.raises(DataError) as caught:
+                gw_from_forecasts(a, b)
+            assert str(caught.value) == (
+                f"model '{b.model}' covers different months than the baseline "
+                f"'{a.model}'"
+            )
 
 
 def huge_fs(model, realized, nowcasts=None):
