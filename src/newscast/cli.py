@@ -3,15 +3,18 @@
 Commands compose through files in the output directory: score writes
 the scored articles that build-index reads, build-index writes the
 index that fit and backtest read, backtest writes the forecasts that
-evaluate reads. A command writes only there: the files COMMANDS lists
-for it, and score also articles_rejected.csv when it rejects rows. The
-`scored`, `news_index` and `forecasts` keys name files read in place of
-an upstream command's output; no command writes them. A command that
-fails removes its COMMANDS files, so an earlier run's output cannot
-pass for its own. score removes an earlier articles_rejected.csv before
-it reads its input, and a refused score keeps the one it wrote, which
-its error names. Every output is a pure function of the config and
-the input files, so reruns are byte-identical.
+evaluate reads. A handler computes and returns: its stdout text, and
+for each file COMMANDS lists for it, the writer and the data it writes.
+main alone writes those files under --out, and prints the text only
+once all of them are written. A command that fails leaves none of its
+COMMANDS files, so an earlier run's output cannot pass for its own.
+The one other file a command writes is score's articles_rejected.csv:
+score removes an earlier one before it reads its input and writes its
+own when it rejects rows, and a refused score keeps it and names it in
+its error. The `scored`, `news_index` and `forecasts` keys name files
+read in place of an upstream command's output; no command writes them.
+Every output is a pure function of the config and the input files, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,19 +47,10 @@ from .io import (
     write_series,
     write_table,
 )
-from .nowcast import (
-    MODEL_SPECS,
-    annualized,
-    backtest,
-    fit_model,
-    nowcast,
-    resolve_spec,
-)
+from .nowcast import MODEL_SPECS, annualized, backtest, fit_model, nowcast, resolve_spec
 from .report import (
-    evaluation_table,
-    evaluation_table_delimited,
-    regression_table,
-    regression_table_delimited,
+    evaluation_table, evaluation_table_delimited,
+    regression_table, regression_table_delimited,
 )
 from .sentiment import (
     SentimentScorer,
@@ -108,33 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"newscast {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("score", help="filter news articles and score their sentiment")
-    sub.add_parser("build-index", help="aggregate scores into the NEWS index")
-
-    p_fit = sub.add_parser("fit", help="fit model specs over the training window")
-    p_fit.add_argument(
-        "specs",
-        nargs="*",
-        metavar="SPEC",
-        help="model names, or 'all' for every spec (default: config specs)",
-    )
-
-    p_now = sub.add_parser("nowcast", help="nowcast one month with fitted models")
-    p_now.add_argument("specs", nargs="*", metavar="SPEC")
-    p_now.add_argument(
-        "--month",
-        help="target month YYYY-MM (default: the month after train_end)",
-    )
-
-    p_back = sub.add_parser(
-        "backtest", help="nowcast the evaluation window into forecasts.csv"
-    )
-    p_back.add_argument("specs", nargs="*", metavar="SPEC")
-
-    sub.add_parser(
-        "evaluate", help="RMSE and Giacomini-White report of the forecast file"
-    )
+    for name, (handler, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=handler.__doc__)
+        if name in ("fit", "nowcast", "backtest"):
+            command.add_argument(
+                "specs", nargs="*", metavar="SPEC",
+                help="model names, or 'all' for every spec (default: config specs)",
+            )
+        if name == "nowcast":
+            command.add_argument(
+                "--month",
+                help="target month YYYY-MM (default: the month after train_end)",
+            )
     return parser
 
 
@@ -171,10 +150,15 @@ def _upstream(cfg: RunConfig, key: str) -> Path:
     return path
 
 
-def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
+#: What a handler returns: its stdout text, and for each file COMMANDS
+#: lists for it, in that order, the writer and the data it writes.
+Result = tuple[str, list[tuple]]
+
+
+def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    """filter news articles and score their sentiment"""
     # Only this run's rejections may stand beside its output.
-    rejected_path = cfg.out_path("articles_rejected.csv")
-    remove_output(rejected_path)
+    remove_output(cfg.out_path("articles_rejected.csv"))
     if cfg.news_probs is not None:
         source = cfg.news_probs
         articles, rejections = read_probability_articles(source, strict=False)
@@ -193,16 +177,11 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
         )
     else:
-        raise ConfigError(
-            "score needs a news_probs or news_text file in the config"
-        )
+        raise ConfigError("score needs a news_probs or news_text file in the config")
     filtered_out = len(articles) - len(retained)
 
-    comment = cfg.provenance()
-    probs_path = cfg.out_path("articles_probs.csv")
-    scored_path = cfg.out_path("articles_scored.csv")
     if rejections:
-        write_rejections(rejections, rejected_path, comment)
+        _write(cfg, "articles_rejected.csv", write_rejections, rejections)
         total = len(articles) + len(rejections)
         if len(rejections) > MAX_REJECTED_FRACTION * total:
             raise DataError(
@@ -211,37 +190,33 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
 
     scored = SentimentScorer(cfg.score).fit_transform(retained)
-    write_probability_articles(retained, probs_path, comment)
-    write_scored_articles(scored, scored_path, comment)
-
     if not len(articles):
         print(f"warning: {source} contains no articles", file=sys.stderr)
     elif not len(scored):
         print("warning: no articles passed the lexicon filter", file=sys.stderr)
-    print(
+    text = (
         f"scored {len(scored)} articles "
         f"({len(rejections)} rejected, {filtered_out} filtered out) "
-        f"-> {scored_path}"
+        f"-> {cfg.out_path('articles_scored.csv')}\n"
     )
-    return 0
+    return text, [
+        (write_probability_articles, retained), (write_scored_articles, scored)
+    ]
 
 
-def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_build_index(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    """aggregate scores into the NEWS index"""
     path = _upstream(cfg, "scored")
     scored, _ = read_scored_articles(path)
     if not len(scored):
         raise DataError(f"{path} contains no scored articles")
     monthly = monthly_aggregate(scored, day_cutoff=cfg.day_cutoff)
     index = build_news_index(monthly)
-    comment = cfg.provenance()
-    write_series(index.series, cfg.out_path("news_index.csv"), comment)
-    write_index_metadata(index, cfg.out_path("news_index_meta.csv"), comment)
-    gaps = len(index.gap_months)
-    print(
+    text = (
         f"built NEWS index over {len(index.series)} months "
-        f"({gaps} gap months) -> {cfg.out_path('news_index.csv')}"
+        f"({len(index.gap_months)} gap months) -> {cfg.out_path('news_index.csv')}\n"
     )
-    return 0
+    return text, [(write_series, index.series), (write_index_metadata, index)]
 
 
 def _load_pi_bundle(
@@ -262,76 +237,67 @@ def _load_pi_bundle(
     return bundle
 
 
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
-    names = _resolve_spec_names(cfg, args.specs)
-    bundle = _load_pi_bundle(cfg, names)
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    """fit model specs over the training window"""
+    bundle = _load_pi_bundle(cfg, args.specs)
     results = [
         fit_model(name, bundle, cfg.train_start, cfg.train_end, robust=cfg.robust)
-        for name in names
+        for name in args.specs
     ]
-    text = regression_table(results, names)
-    comment = cfg.provenance()
-    write_table(text, cfg.out_path("regression.txt"), comment)
-    write_rows(
-        *regression_table_delimited(results, names),
-        cfg.out_path("regression.csv"),
-        comment,
-    )
-    print(text, end="")
-    return 0
+    text = regression_table(results, args.specs)
+    return text, [
+        (write_table, text),
+        (write_rows, *regression_table_delimited(results, args.specs)),
+    ]
 
 
-def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> int:
-    names = _resolve_spec_names(cfg, args.specs)
+def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    """nowcast one month with fitted models"""
     try:
         t = MonthKey.parse(args.month) if args.month else cfg.train_end.shift(1)
     except DataError as exc:
         raise ConfigError(f"--month: {exc}") from None
-    bundle = _load_pi_bundle(cfg, names)
-    rows = []
-    for name in names:
+    bundle = _load_pi_bundle(cfg, args.specs)
+    rows, lines = [], []
+    for name in args.specs:
         # nowcast reads only the coefficients, so the fit skips HC1.
         fitted = fit_model(name, bundle, cfg.train_start, cfg.train_end)
         value = nowcast(name, fitted, bundle, t)
         (annual,) = annualized(name, "nowcast", t, [value])
         rows.append([str(t), name, repr(value), repr(annual)])
-        print(f"{name}: {t} nowcast {value:.4f} (annualized {annual:.4f})")
-    write_rows(NOWCAST_HEADER, rows, cfg.out_path("nowcast.csv"), cfg.provenance())
-    return 0
+        lines.append(f"{name}: {t} nowcast {value:.4f} (annualized {annual:.4f})\n")
+    return "".join(lines), [(write_rows, NOWCAST_HEADER, rows)]
 
 
-def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    names = _resolve_spec_names(cfg, args.specs)
-    bundle = _load_pi_bundle(cfg, names)
+def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    """nowcast the evaluation window into forecasts.csv"""
+    bundle = _load_pi_bundle(cfg, args.specs)
     windows = (cfg.train_start, cfg.train_end), (cfg.eval_start, cfg.eval_end)
-    forecasts = [backtest(name, bundle, *windows, cfg.scheme) for name in names]
-    path = cfg.out_path("forecasts.csv")
-    write_forecasts(forecasts, path, cfg.provenance())
-    months = len(forecasts[0].months)
-    print(f"backtested {len(names)} models over {months} months -> {path}")
-    return 0
+    forecasts = [backtest(name, bundle, *windows, cfg.scheme) for name in args.specs]
+    text = (
+        f"backtested {len(forecasts)} models over {len(forecasts[0].months)} "
+        f"months -> {cfg.out_path('forecasts.csv')}\n"
+    )
+    return text, [(write_forecasts, forecasts)]
 
 
-def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> Result:
+    """RMSE and Giacomini-White report of the forecast file"""
     rows = evaluate_forecasts(
         read_forecasts(_upstream(cfg, "forecasts")),
         variant=cfg.gw_variant,
         unit=cfg.rmse_unit,
         truncation_lag=cfg.truncation_lag,
     )
-    comment = cfg.provenance()
     text = evaluation_table(rows)
-    write_table(text, cfg.out_path("evaluation.txt"), comment)
-    write_rows(
-        *evaluation_table_delimited(rows), cfg.out_path("evaluation.csv"), comment
-    )
-    print(text, end="")
-    return 0
+    return text, [
+        (write_table, text), (write_rows, *evaluation_table_delimited(rows))
+    ]
 
 
 #: Each command's handler, called with (cfg, args), and the files it
-#: writes under --out.
-COMMANDS: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
+#: writes under --out. The handler's docstring is its --help line.
+COMMANDS: dict[str, tuple[Callable[..., Result], tuple[str, ...]]] = {
     "score": (cmd_score, ("articles_probs.csv", "articles_scored.csv")),
     "build-index": (cmd_build_index, ("news_index.csv", "news_index_meta.csv")),
     "fit": (cmd_fit, ("regression.txt", "regression.csv")),
@@ -340,6 +306,13 @@ COMMANDS: dict[str, tuple[Callable[..., int], tuple[str, ...]]] = {
     "evaluate": (cmd_evaluate, ("evaluation.txt", "evaluation.csv")),
 }
 
+
+def _write(cfg: RunConfig, name: str, writer: Callable[..., None], *data) -> None:
+    """Write data with writer to the file name under --out, after the
+    run's provenance line."""
+    writer(*data, cfg.out_path(name), cfg.provenance())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler, outputs = COMMANDS[args.command]
@@ -347,7 +320,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config_path = toy_config_path() if args.config == "toy" else args.config
         cfg = load_config(config_path, args.overrides, args.out)
-        return handler(cfg, args)
+        if "specs" in args:
+            args.specs = _resolve_spec_names(cfg, args.specs)
+        text, files = handler(cfg, args)
+        for name, file in zip(outputs, files, strict=True):
+            _write(cfg, name, *file)
     except NewscastError as exc:
         # An earlier run's outputs would pass for this run's. A failed
         # removal is ignored, so the error reported is the command's.
@@ -357,6 +334,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     cfg.out_path(name).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    print(text, end="")
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ line and one reason, in a fixed order of checks per format (see
 _read_table); `score` writes them to articles_rejected.csv as
 `line,reason` rows, and refuses to run above 10% rejected. Dates become
 one datetime64[D] column, months ordinals in memory and YYYY-MM text in
-files. Writers quote an id only when it needs it.
+files. Writers quote a field only when it needs it, and every field of
+a file when one holds a CR.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ FORECAST_HEADER = [
 ]
 NOWCAST_HEADER = FORECAST_HEADER[:4]
 INDEX_META_HEADER = ["month", "article_count", "gap"]
+REJECTION_HEADER = ["line", "reason"]
 
 
 def provenance_line(digest: str) -> str:
@@ -184,15 +186,17 @@ def write_rows(
     rows: Iterable[Sequence[str]],
     path: str | Path,
     comment: str | None = None,
-    quote_all: bool = False,
 ) -> None:
     """CSV rows of strings under a header, after the comment.
 
-    Fields are quoted only where needed, unless quote_all is set:
-    minimal quoting leaves a field with a lone CR bare, and a reader
-    would end the row there.
+    Fields are quoted only where needed, unless a field holds a CR:
+    minimal quoting leaves a lone CR bare, and a reader would end the
+    row there, so then every field of the file is quoted. The rows are
+    gathered before the first is written, to make that choice.
     """
-    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    rows = list(rows)
+    cr = any("\r" in field for row in rows for field in row)
+    quoting = csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL
     with _output(path, comment) as handle:
         writer = csv.writer(handle, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
@@ -414,7 +418,7 @@ def write_scored_articles(
 
 def _write_articles(table: ArticleTable, header, columns, path, comment) -> None:
     """Rows of id, date and the float columns (written with repr), made
-    a block at a time, each distinct date formatted once. csv.writer
+    a block at a time, each distinct date formatted once. write_rows
     writes them if an id needs quotes: it holds a comma, quote, LF or CR."""
     # numpy finds the distinct values of int64 faster than of datetime64.
     days, at = np.unique(table.dates.view(np.int64), return_inverse=True)
@@ -426,8 +430,7 @@ def _write_articles(table: ArticleTable, header, columns, path, comment) -> None
     )
     joined = "".join(ids)
     if any(c in joined for c in ',"\n\r'):
-        rows = itertools.chain.from_iterable(blocks)
-        return write_rows(header, rows, path, comment, quote_all="\r" in joined)
+        return write_rows(header, itertools.chain.from_iterable(blocks), path, comment)
     with _output(path, comment) as handle:
         print(",".join(header), file=handle)
         for rows in blocks:
@@ -438,7 +441,7 @@ def write_rejections(
     rejections: Sequence[Rejection], path: str | Path, comment: str | None = None
 ) -> None:
     rows = ([str(r.line), r.reason] for r in rejections)
-    write_rows(["line", "reason"], rows, path, comment)
+    write_rows(REJECTION_HEADER, rows, path, comment)
 
 
 # -------------------------------------------------------------- forecasts

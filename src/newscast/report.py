@@ -20,6 +20,9 @@ from .ols import RegressionResult
 STAR_THRESHOLDS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
 NOTE_LINE = "Note: " + "; ".join(f"{s}p<{t}" for t, s in reversed(STAR_THRESHOLDS))
 DEPENDENT_LABEL = "CPI"
+EVALUATION_HEADER = [
+    "model", "rmse", "gw_statistic", "gw_df", "gw_p_value", "gw_variant", "stars"
+]
 
 #: Canonical display order of coefficient rows across model columns.
 COEFFICIENT_ORDER = (INTERCEPT_LABEL, *REGRESSOR_LABELS.values())
@@ -57,12 +60,43 @@ def _terms(
             for t in terms]
 
 
+Row = tuple[str, Sequence[str]]
+
+
+def _text_table(
+    label_width: int, head: Sequence[Row], sections: Sequence[Sequence[Row]],
+    title: str = "",
+) -> str:
+    """The text layout of both tables: between double rules, the title
+    centered, the head rows, and each section of rows under a rule; then
+    the star legend. Labels are left-aligned in label_width; each column
+    of cells is right-aligned, two wider than its widest cell."""
+    rows = [*head, *(row for section in sections for row in section)]
+    columns = zip(*(cells for _, cells in rows))
+    cell_widths = [2 + max(map(len, column)) for column in columns]
+    total = label_width + sum(cell_widths)
+
+    def line(label: str, cells: Sequence[str]) -> str:
+        cells = "".join(c.rjust(w) for c, w in zip(cells, cell_widths))
+        return (label.ljust(label_width) + cells).rstrip()
+
+    lines = ["=" * total]
+    if title:
+        lines.append(title.center(total).rstrip())
+    lines += [line(*row) for row in head]
+    for section in sections:
+        lines.append("-" * total)
+        lines += [line(*row) for row in section]
+    lines += ["=" * total, NOTE_LINE]
+    return "\n".join(lines) + "\n"
+
+
 def regression_table(
     results: Sequence[RegressionResult], model_names: Sequence[str]
 ) -> str:
     """Multi-column text table of one or more fitted models."""
     # Assemble all cells first so column widths can be computed.
-    body: list[tuple[str, list[str]]] = []
+    body: list[Row] = []
     for term, columns in _terms(results, model_names):
         at = list(zip(results, columns))
         body.append((term, [
@@ -79,38 +113,10 @@ def regression_table(
         for label, name, fmt in DIAGNOSTICS if fmt
     ]
 
-    label_width = max(
-        len(row[0]) for row in body + diag + [("", [])] + [(n, []) for n in model_names]
-    )
-    n_models = len(results)
-    col_widths = []
-    for j in range(n_models):
-        cells = [model_names[j], f"({j + 1})"]
-        cells += [row[1][j] for row in body + diag]
-        col_widths.append(max(len(c) for c in cells) + 2)
-
-    def line(label: str, cells: Sequence[str]) -> str:
-        out = label.ljust(label_width)
-        for j, cell in enumerate(cells):
-            out += cell.rjust(col_widths[j])
-        return out.rstrip()
-
-    total = label_width + sum(col_widths)
-    rule = "-" * total
-    double_rule = "=" * total
-    lines = [double_rule]
-    lines.append(f"Dependent variable: {DEPENDENT_LABEL}".center(total).rstrip())
-    lines.append(line("", model_names))
-    lines.append(line("", [f"({j + 1})" for j in range(n_models)]))
-    lines.append(rule)
-    for label, cells in body:
-        lines.append(line(label, cells))
-    lines.append(rule)
-    for label, cells in diag:
-        lines.append(line(label, cells))
-    lines.append(double_rule)
-    lines.append(NOTE_LINE)
-    return "\n".join(lines) + "\n"
+    label_width = max(map(len, [*model_names, *(label for label, _ in body + diag)]))
+    head = [("", model_names), ("", [f"({j + 1})" for j in range(len(results))])]
+    title = f"Dependent variable: {DEPENDENT_LABEL}"
+    return _text_table(label_width, head, [body, diag], title)
 
 
 def regression_table_delimited(
@@ -141,32 +147,18 @@ def regression_table_delimited(
 def evaluation_table(evaluations: Sequence[ModelEvaluation]) -> str:
     """Text table of per-model RMSE with GW p-values in parentheses."""
     label_width = max(len(e.model) for e in evaluations) + 2
-    value_cells = []
+    rows = []
     for entry in evaluations:
         stars = significance_stars(entry.gw.p_value) if entry.gw else ""
-        value_cells.append(f"{entry.rmse:.4f}{stars}")
-    value_width = max(len("RMSE"), *(len(c) for c in value_cells)) + 2
-    total = label_width + value_width
-    lines = ["=" * total]
-    lines.append("RMSE".rjust(total))
-    lines.append("-" * total)
-    for entry, cell in zip(evaluations, value_cells):
-        lines.append(entry.model.upper().ljust(label_width) + cell.rjust(value_width))
         p = "(--)" if entry.gw is None else f"({entry.gw.p_value:.2f})"
-        lines.append(" " * label_width + p.rjust(value_width))
-    lines.append("=" * total)
-    lines.append(NOTE_LINE)
-    return "\n".join(lines) + "\n"
+        rows += [(entry.model.upper(), [f"{entry.rmse:.4f}{stars}"]), ("", [p])]
+    return _text_table(label_width, [("", ["RMSE"])], [rows])
 
 
 def evaluation_table_delimited(
     evaluations: Sequence[ModelEvaluation],
 ) -> tuple[list[str], list[list[str]]]:
     """CSV mirror of the evaluation table, as its header and rows."""
-    header = [
-        "model", "rmse", "gw_statistic", "gw_df", "gw_p_value", "gw_variant",
-        "stars",
-    ]
     rows = []
     for entry in evaluations:
         gw = entry.gw
@@ -175,4 +167,4 @@ def evaluation_table_delimited(
             significance_stars(gw.p_value),
         ]
         rows.append([entry.model, repr(entry.rmse), *tests])
-    return header, rows
+    return EVALUATION_HEADER, rows

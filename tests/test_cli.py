@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import re
 import shutil
 from pathlib import Path
@@ -17,7 +18,18 @@ from newscast import (
     toy_config_path,
 )
 from newscast.cli import COMMANDS, EPILOG, _upstream, main
+from newscast.io import (
+    FORECAST_HEADER,
+    INDEX_META_HEADER,
+    NOWCAST_HEADER,
+    PROBS_HEADER,
+    REJECTION_HEADER,
+    SCORED_HEADER,
+    SERIES_HEADER,
+    TEXT_HEADER,
+)
 from newscast.nowcast import MODEL_SPECS
+from newscast.report import EVALUATION_HEADER
 
 TOY_DIR = toy_config_path().parent
 
@@ -364,6 +376,19 @@ class TestNowcast:
         exec(re.search(r"```python\n(.*?)```", library, re.S).group(1), {})
         assert capsys.readouterr().out == f"{rows[1][2]}\n"
 
+    def test_failed_model_prints_no_earlier_model(self, tmp_path, toy_chain, capsys):
+        # ccpi+news nowcasts 2021-07; fed then fails on the gas level.
+        gas = edited_series(tmp_path, "gas", {"2021-05": "1e300"})
+        index = toy_chain / "news_index.csv"
+        cfg = write_config(tmp_path, gas=gas, news_index=index)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out,
+                   "nowcast", "ccpi+news", "fed", "--month", "2021-07") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model 'fed', nowcast for 2021-07: ")
+        assert not (out / "nowcast.csv").exists()
+
 
 class TestUpstream:
     """Each upstream file is the one its config key names, else the
@@ -392,6 +417,22 @@ class TestUpstream:
 
 
 class TestBacktestAndEvaluate:
+    def test_model_name_with_a_cr_keeps_its_row(self, toy_chain, tmp_path, capsys):
+        # Minimal quoting would write the CR bare, and a reader would end
+        # the model's row there.
+        text = (toy_chain / "forecasts.csv").read_text()
+        forecasts = tmp_path / "forecasts.csv"
+        forecasts.write_bytes(text.replace(",fed+news,", ',"fed\r+news",').encode())
+        out = tmp_path / "out"
+        assert run("--config", "toy", "--out", out,
+                   "--set", f"forecasts={forecasts}", "evaluate") == 0
+        capsys.readouterr()
+        with open(out / "evaluation.csv", newline="", encoding="utf-8") as handle:
+            comment, *rows = csv.reader(handle)
+        assert comment[0].startswith("# newscast ")
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert [row[0] for row in rows] == ["model", "fed", "fed\r+news"]
+
     def test_forecast_file_shape(self, toy_run):
         rows = read_csv_after_provenance(toy_run / "forecasts.csv")
         assert rows[0] == [
@@ -797,6 +838,48 @@ class TestCommandTable:
         }
         assert listed == {name: outputs for name, (_, outputs) in COMMANDS.items()}
 
+    def test_readme_file_formats_list_every_file_with_its_header(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        section = readme[readme.index("\n## File formats\n"):]
+        bullets = section.split("\n\n")[2].replace("\n  ", " ").splitlines()
+        listed = {}
+        for bullet in bullets:
+            names, header = re.match(r"- [\w ]+ \((.*?)\): `([^`]+)`", bullet).groups()
+            for name in re.findall(r"`([^`]+)`", names):
+                listed[name] = header.split(",")
+        assert listed == {
+            **dict.fromkeys(
+                ("cpi", "ccpi", "fcpi", "gas", "news_index", "news_index.csv"),
+                SERIES_HEADER,
+            ),
+            "news_probs": PROBS_HEADER,
+            "articles_probs.csv": PROBS_HEADER,
+            "news_text": TEXT_HEADER,
+            "scored": SCORED_HEADER,
+            "articles_scored.csv": SCORED_HEADER,
+            "articles_rejected.csv": REJECTION_HEADER,
+            "news_index_meta.csv": INDEX_META_HEADER,
+            "nowcast.csv": NOWCAST_HEADER,
+            "forecasts": FORECAST_HEADER,
+            "forecasts.csv": FORECAST_HEADER,
+            "regression.csv": ["term", "statistic"],  # then a column per model
+            "evaluation.csv": EVALUATION_HEADER,
+        }
+        written = {name for _, outputs in COMMANDS.values() for name in outputs}
+        for name in written - set(listed):
+            assert name.endswith(".txt") and f"`{name}`" in section
+
+    def test_a_handler_must_return_each_of_its_files(self, tmp_path, monkeypatch):
+        handler, outputs = COMMANDS["fit"]
+
+        def one_short(cfg, args):
+            text, files = handler(cfg, args)
+            return text, files[:-1]
+
+        monkeypatch.setitem(COMMANDS, "fit", (one_short, outputs))
+        with pytest.raises(ValueError, match="shorter"):
+            run("--config", "toy", "--out", tmp_path / "out", "fit", "fed")
+
     @pytest.mark.parametrize(
         "argv, inputs, code, message",
         [
@@ -901,3 +984,80 @@ class TestCommandTable:
         assert f"cannot write {taken / 'forecasts.csv'}" in err
         assert "cannot remove" not in err
         assert taken.read_text() == "not a directory\n"
+
+
+PUBLISHED = Path(__file__).parent / "data" / "published"
+#: Settings that reach HC1 and the conditional GW test.
+ROLLING = ("--set", "scheme=rolling", "--set", "robust=true",
+           "--set", "gw_variant=conditional-lag1")
+#: Outputs no BLAS kernel moves, compared byte for byte.
+EXACT = {
+    "articles_probs.csv", "articles_scored.csv", "news_index.csv",
+    "news_index_meta.csv", "regression.txt", "evaluation.txt",
+}
+#: The relative bound on a published number: about 27 times the largest
+#: difference measured between OpenBLAS kernels on these chains
+#: (3.7e-14, in regression.csv). A kernel passes; a moved number fails.
+RELATIVE = 1e-12
+
+
+def same_cell(found: str, published: str) -> bool:
+    """Equal text, or two numbers within RELATIVE of each other."""
+    if found == published:
+        return True
+    try:
+        return math.isclose(float(found), float(published), rel_tol=RELATIVE)
+    except ValueError:
+        return False
+
+
+def assert_published(out, *published):
+    """Each file under out holds the body (all but the provenance line)
+    of the same file in the first published directory that has it."""
+    for path in sorted(out.iterdir()):
+        body = path.read_bytes().split(b"\n", 1)[1]
+        expected = next(d / path.name for d in published if (d / path.name).exists())
+        if path.name in EXACT:
+            assert body == expected.read_bytes(), path.name
+            continue
+        rows = list(csv.reader(io.StringIO(body.decode())))
+        wanted = list(csv.reader(io.StringIO(expected.read_text())))
+        assert list(map(len, rows)) == list(map(len, wanted)), path.name
+        moved = [
+            (i, found, cell)
+            for i, (row, want) in enumerate(zip(rows, wanted))
+            for found, cell in zip(row, want) if not same_cell(found, cell)
+        ]
+        assert moved == [], path.name
+
+
+class TestPublishedNumbers:
+    """The toy chain's outputs are the published ones under
+    tests/data/published: toy/ holds the ten outputs of the toy config
+    as shipped, rolling/ those that move under ROLLING. A change that
+    moves a published number re-records these files."""
+
+    def test_toy_chain(self, toy_chain):
+        assert sorted(p.name for p in toy_chain.iterdir()) == sorted(
+            p.name for p in (PUBLISHED / "toy").iterdir()
+        )
+        assert_published(toy_chain, PUBLISHED / "toy")
+
+    def test_rolling_chain(self, toy_chain, tmp_path, capsys):
+        out = tmp_path / "out"
+        index = toy_chain / "news_index.csv"
+        for command in ("fit", "nowcast", "backtest", "evaluate"):
+            assert run("--config", "toy", "--out", out, *ROLLING,
+                       "--set", f"news_index={index}", command) == 0
+        capsys.readouterr()
+        assert_published(out, PUBLISHED / "rolling", PUBLISHED / "toy")
+
+    def test_a_number_moved_by_1e_9_fails(self, toy_chain, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        text = (toy_chain / "forecasts.csv").read_text()
+        row = text.splitlines()[2].split(",")
+        moved = ",".join([*row[:2], repr(float(row[2]) * (1 + 1e-9)), *row[3:]])
+        (out / "forecasts.csv").write_text(text.replace(",".join(row), moved, 1))
+        with pytest.raises(AssertionError, match="forecasts.csv"):
+            assert_published(out, PUBLISHED / "toy")

@@ -167,6 +167,20 @@ class TestRankDeficiency:
         with pytest.raises(SingularDesignError):
             fit_ols(np.ones(5), np.zeros((5, 2)), ("const", "x"))
 
+    def test_pivot_ratio_between_tolerances_solves(self, monkeypatch):
+        # The smallest |R_jj|/|R_00| of this design is 1.08e-8: it solves
+        # at RANK_TOLERANCE (1e-10), and a tolerance of 1e-6 refuses it.
+        rng = np.random.default_rng(0)
+        x, z = rng.standard_normal((2, 40))
+        X = np.column_stack([np.ones(40), x, x + 1e-8 * z])
+        y = rng.standard_normal(40)
+        names = ("const", "x", "x + 1e-8 z")
+        diag = np.abs(solve_ols(y, X, names).r.diagonal())
+        assert 1e-10 < diag.min() / diag[0] < 1e-6
+        monkeypatch.setattr("newscast.ols.RANK_TOLERANCE", 1e-6)
+        with pytest.raises(SingularDesignError, match="rank 2 of 3"):
+            solve_ols(y, X, names)
+
     def test_nearly_collinear_but_full_rank_passes(self, rng):
         n = 50
         x = rng.normal(size=n)
