@@ -7,6 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from newscast import ArticleTable, MonthKey, MonthlySeries
+from newscast import io as nio
 
 # Every run draws the same examples and keeps no example database, so a
 # failure reproduces from the commit alone. Tests keep their own
@@ -60,3 +61,12 @@ def make_articles(ids, dates, texts=None, probs=None, scores=None) -> ArticleTab
         probs=None if probs is None else np.array(probs, dtype=float).reshape(-1, 3),
         scores=None if scores is None else np.array(scores, dtype=float),
     )
+
+
+@pytest.fixture(scope="class", params=[1, 50])
+def small_blocks(request):
+    """Readers that read a block of 1 or 50 characters at a time, then on
+    to the end of the line: blocks of one line, or of one to three."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nio, "_BLOCK_CHARS", request.param)
+        yield request.param

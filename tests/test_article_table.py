@@ -335,15 +335,6 @@ class TestReadersMatchPerRowParse:
             read_probability_articles(path)
 
 
-@pytest.fixture(scope="class", params=[1, 50])
-def small_blocks(request):
-    """Readers that read a block of 1 or 50 characters at a time, then on
-    to the end of the line: blocks of one line, or of one to three."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nio, "_BLOCK_CHARS", request.param)
-        yield request.param
-
-
 @pytest.mark.usefixtures("small_blocks")
 class TestReadersAcrossBlocks(TestReadersMatchPerRowParse):
     """The same reads in small blocks, so that block ends fall between
