@@ -13,6 +13,14 @@ class NewscastError(Exception):
     exit_code = 1
 
 
+def error_text(call, *args) -> str | None:
+    """The message of the package error or ValueError call(*args) raises."""
+    try:
+        call(*args)
+    except (NewscastError, ValueError) as exc:
+        return str(exc)
+
+
 class ConfigError(NewscastError):
     """Invalid configuration: unknown keys, bad values, missing files."""
 

@@ -1,44 +1,41 @@
 """File formats: series, article, forecast, and metadata CSVs.
 
-Every file is UTF-8, comma-delimited, with a fixed header row. Files
-written by this package start with one comment line (prefixed '#')
-carrying the tool version and the config digest; readers skip leading
-comment and blank lines, so pipeline outputs feed back in cleanly.
-Errors carry 1-based physical line numbers.
+Every file is UTF-8, comma-delimited, with a fixed header row; a leading
+byte-order mark is skipped. Files written by this package start with one
+comment line (prefixed '#') carrying the tool version and the config
+digest; readers skip leading comment and blank lines, so pipeline
+outputs feed back in cleanly. Errors carry 1-based physical line numbers.
 
-Article files are read into an ArticleTable a block of lines at a
-time. A date is any text date.fromisoformat takes after stripping, and
-a value any text float() takes. A malformed row is rejected with its
-line and one reason, in a fixed order of checks per format (see
-_read_table); `score` writes them to articles_rejected.csv as
-`line,reason` rows, and refuses to run above 10% rejected. Dates become
-one datetime64[D] column, months ordinals in memory and YYYY-MM text in
-files. Writers quote a field only when it needs it, and every field of
-a file when one holds a CR.
+Every input file is read a block of lines at a time, a column at a time,
+by the checks its entry in FORMATS declares. A rejected row is named by
+its line and one reason; series and forecast files are refused at their
+first, and `score` writes those of article files to
+articles_rejected.csv. Dates become one datetime64[D] column, months
+ordinals in memory and YYYY-MM text in files. Writers quote a field
+only when it needs it, and every field of a file when one holds a CR.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
-import heapq
 import io
 import itertools
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter, not_
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DataError, NewscastError, SeriesFormatError
+from .errors import DataError, SeriesFormatError, error_text
 from .index import NewsIndex
 from .nowcast import ForecastSeries
-from .sentiment import COLUMN_CHECKS, ArticleTable, SentimentProbs
-from .timeseries import MonthKey, MonthlySeries
+from .sentiment import COLUMN_CHECKS, ArticleTable
+from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries
 from .version import __version__
 
 SERIES_HEADER = ["date", "value"]
@@ -66,6 +63,9 @@ class Rejection:
     reason: str
 
 
+_Articles = tuple[ArticleTable, list[Rejection]]
+
+
 #: Characters a reader takes at a time (then on to the end of the line),
 #: and rows an article writer formats at a time: blocks of ~1,000 rows.
 _BLOCK_CHARS = 1 << 16
@@ -91,9 +91,10 @@ def _plain_lines(text: str, width: int) -> int | None:
 def _read_blocks(path: str | Path, header: Sequence[str]):
     """Yield (lines, columns, misfits) per block of data lines, and an
     empty block last: the int64 line numbers of the rows with len(header)
-    fields, their fields as len(header) columns, and (line, row) of the
-    other rows that are not blank. Leading comment ('#') and blank lines
-    are skipped; the first real line must be the exact expected header.
+    fields, their fields as len(header) columns, and the Rejection of
+    each other row that is not blank, for its number of fields. Leading
+    comment ('#') and blank lines are skipped; the first real line must
+    be the exact expected header.
     Lines end only at LF, CR or CRLF, so line numbers count physical
     lines; a row has the number of its last line. A block is split at
     its commas where csv.reader would split it so (see _plain_lines);
@@ -103,7 +104,7 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
     width = len(header)
     line = 0  # physical lines before the next one read
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             for first in handle:
                 if first.strip() and not first.lstrip().startswith("#"):
                     break
@@ -134,7 +135,10 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
                             rows.append(row)
                             ends.append(line + reader.line_num)
                         elif len(row) > 1 or "".join(row).strip():  # not blank
-                            misfits.append((line + reader.line_num, row))
+                            misfits.append(Rejection(
+                                line + reader.line_num,
+                                f"expected {width} fields, got {len(row)}",
+                            ))
                     line += reader.line_num
                     columns = list(zip(*rows)) or [()] * width
                     yield np.array(ends, dtype=np.int64), columns, misfits
@@ -146,6 +150,160 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
         raise SeriesFormatError(
             f"{path}: {exc}", line=line + reader.line_num
         ) from None
+
+
+# ---------------------------------------------------------------- reading
+
+
+#: NaT as an int64: the key of a date or month that does not parse.
+_NAT = np.iinfo(np.int64).min
+_EPOCH = _dt.date(1970, 1, 1).toordinal()  # where datetime64[D] counts from
+
+
+def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells read with float(), and True where it refuses one (NaN).
+    numpy reads a list of str with float(), stopping at a refusal."""
+    refused = np.zeros(len(cells), dtype=bool)
+    try:
+        return np.array(cells, dtype=float), refused
+    except ValueError:
+        values, rest = [], iter(cells)
+        while True:
+            try:
+                values.extend(map(float, rest))  # keeps the values before a refusal
+                return np.array(values), refused
+            except ValueError:
+                refused[len(values)] = True
+                values.append(math.nan)
+
+
+def _day(text: str) -> int:
+    return _dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH
+
+
+def _columns(header, cells, known, latest) -> dict[str, np.ndarray]:
+    """A block's columns: names (ids or model names, stripped), keys
+    (days since 1970-01-01 in article files, whose header starts with
+    id, else month ordinals; NaT where refused, each text parsed once a
+    read), values (floats, NaN where unread, or text) and, in
+    month-keyed files, previous: the month on the last earlier row of
+    each row's model, NaT on its first; latest carries each model's last
+    month on to the next block."""
+    dated, keyed = header[0] == "id", "model" in header
+    texts = cells[1] if dated else cells[0]
+    for text in set(texts).difference(known):
+        try:
+            known[text] = _day(text) if dated else MonthKey.parse(text).ordinal
+        except (ValueError, DataError):
+            known[text] = _NAT
+    keys = np.fromiter(map(known.__getitem__, texts), np.int64, len(texts))
+    names = cells[0] if dated else cells[1] if keyed else [""] * len(texts)
+    names = np.array(list(map(str.strip, names)), dtype=object)
+    columns, rest = {"names": names, "keys": keys}, cells[1 + (dated or keyed) :]
+    if header[-1] == "text":
+        columns["values"] = np.array(rest[0], dtype=object)
+    else:
+        values, unread = zip(*map(_floats, rest))
+        columns["unread"] = np.column_stack(unread)
+        one = header == SCORED_HEADER  # scores are one column
+        columns["values"] = values[0] if one else np.column_stack(values)
+    if not dated:
+        previous = columns["previous"] = np.empty_like(keys)
+        for name in dict.fromkeys(names.tolist()):
+            at = np.flatnonzero(names == name)
+            previous[at] = [latest.get(name, _NAT), *keys[at[:-1]].tolist()]
+            latest[name] = int(keys[at[-1]])
+    return columns
+
+
+def _month_checks(header: Sequence[str]) -> list:
+    """A month-keyed format's checks: the month, the model name if the
+    file has one, each value a number and then finite, column by column,
+    and each month later than its model's last."""
+    keyed = header[1] == "model"
+
+    def month(row):
+        return MonthKey.parse(row[0])
+
+    checks = [
+        ("month", lambda c: c["keys"] == _NAT, lambda r: error_text(month, r)),
+        ("model", lambda c: c["names"] == "", lambda r: "empty model name"),
+    ][: 1 + keyed]
+    for k, (at, name) in enumerate(enumerate(header[1 + keyed:], 1 + keyed)):
+        checks += [
+            ("number", lambda c, k=k: c["unread"][:, k],
+             lambda r, at=at, n=name: f"{n} {r[at]!r} is not a number"),
+            ("finite", lambda c, k=k: ~np.isfinite(c["values"][:, k]),
+             lambda r, at=at, n=name: f"{n} {r[at]!r} at {month(r)} is not finite"),
+        ]
+    owner = " for model {!r}".format if keyed else lambda model: ""
+    for kind, refused in (
+        ("duplicate month", lambda c: c["keys"] == c["previous"]),
+        ("non-monotone month", lambda c: c["keys"] < c["previous"]),
+    ):
+        checks.append((kind, refused, lambda r, kind=kind:
+                       f"{kind} {month(r)}{owner(r[1].strip())}"))
+    return checks
+
+
+_DATE = ("date", lambda c: c["keys"] == _NAT, lambda r: error_text(_day, r[1]))
+_ID = ("id", lambda c: c["names"] == "", lambda r: "empty article id")
+_NUMBER = (
+    "number",
+    lambda c: c["unread"].any(axis=1),
+    lambda r: error_text(list, map(float, r[2:])),
+)
+
+#: Each input format: its header and the checks of a row with as many
+#: fields, in order. A check is its name, the mask of the rows it
+#: refuses from a block's _columns, and the reason for one from its
+#: cells. ArticleTable's COLUMN_CHECKS are looked up as they run.
+FORMATS = {
+    "series": (SERIES_HEADER, _month_checks(SERIES_HEADER)),
+    "forecasts": (FORECAST_HEADER, _month_checks(FORECAST_HEADER)),
+    "probs": (PROBS_HEADER, [
+        _DATE,
+        _NUMBER,
+        ("probability rule", lambda c: COLUMN_CHECKS["probs"][0](c["values"]),
+         lambda r: COLUMN_CHECKS["probs"][1]([*map(float, r[2:])])),
+        _ID,
+    ]),
+    "texts": (TEXT_HEADER, [_DATE, _ID]),
+    "scores": (SCORED_HEADER, [
+        _DATE,
+        _ID,
+        _NUMBER,
+        ("score range", lambda c: COLUMN_CHECKS["scores"][0](c["values"]),
+         lambda r: COLUMN_CHECKS["scores"][1](float(r[2]))),
+    ]),
+}
+
+
+def _read(path: str | Path, kind: str, strict: bool = True):
+    """The _columns of the rows of a FORMATS[kind] file that pass every
+    check, and the Rejection of each other row, by line: for its number
+    of fields, or the reason of the first check it fails. Strict mode
+    raises the first rejection and reads no block after it."""
+    header, checks = FORMATS[kind]
+    known, latest, parts, rejections = {}, {}, [], []
+    for lines, cells, misfits in _read_blocks(path, header):
+        rejections += misfits
+        columns = _columns(header, cells, known, latest)
+        kept = np.ones(len(lines), dtype=bool)
+        for _, refused, reason in checks if len(lines) else ():  # the last is empty
+            for i in np.flatnonzero(kept & refused(columns)).tolist():
+                kept[i] = False
+                row = [column[i] for column in cells]
+                rejections.append(Rejection(int(lines[i]), reason(row)))
+        parts.append({name: column[kept] for name, column in columns.items()})
+        if strict and rejections:
+            break
+    rejections.sort(key=attrgetter("line"))
+    if strict and rejections:
+        first = rejections[0]
+        raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    return columns, rejections
 
 
 @contextmanager
@@ -212,62 +370,19 @@ def write_table(text: str, path: str | Path, comment: str | None = None) -> None
 # ---------------------------------------------------------------- series
 
 
-def _month_rows(path: Path, header: Sequence[str], keyed: bool):
-    """Yield (month, model, values) for each row of a month-keyed file:
-    the month in the first field, then the non-blank model name if
-    keyed, then the float values. Values must be finite and months strictly
-    increasing per model; a row that breaks a rule is rejected with its
-    line number."""
-    latest: dict[str, MonthKey] = {}
-    first = 2 if keyed else 1
-    for lines, columns, misfits in _read_blocks(path, header):
-        rows = zip(lines.tolist(), zip(*columns))
-        for line_num, row in heapq.merge(rows, misfits, key=itemgetter(0)):
-            try:
-                if len(row) != len(header):
-                    raise DataError(f"expected {len(header)} fields, got {len(row)}")
-                month = MonthKey.parse(row[0])
-                model = row[1].strip() if keyed else ""
-                if keyed and not model:
-                    raise DataError("empty model name")
-                values = [
-                    _finite(name, cell, month)
-                    for name, cell in zip(header[first:], row[first:])
-                ]
-                previous = latest.get(model)
-                if previous is not None and month <= previous:
-                    kind = "duplicate" if month == previous else "non-monotone"
-                    owner = f" for model {model!r}" if keyed else ""
-                    raise DataError(f"{kind} month {month}{owner}")
-            except NewscastError as exc:
-                raise SeriesFormatError(f"{path}: {exc}", line=line_num) from None
-            latest[model] = month
-            yield month, model, values
-
-
-def _finite(name: str, cell: str, month: MonthKey) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"{name} {cell!r} is not a number") from None
-    if not math.isfinite(value):
-        raise DataError(f"{name} {cell!r} at {month} is not finite")
-    return value
-
-
 def read_series(path: str | Path, name: str | None = None) -> MonthlySeries:
-    """Load a `date,value` file into an index-level MonthlySeries.
-
-    Month keys must be strictly increasing; duplicates, unparseable
-    dates, and non-numeric or non-finite values are rejected with their
-    line number. A file without data rows is refused.
-    """
+    """Load a `date,value` file into an index-level MonthlySeries, named
+    name or the file's stem. The checks are FORMATS["series"]; a file
+    without data rows is refused."""
     path = Path(path)
-    rows = _month_rows(path, SERIES_HEADER, keyed=False)
-    pairs = [(month, value) for month, _, (value,) in rows]
-    if not pairs:
+    columns, _ = _read(path, "series")
+    months = columns["keys"]
+    if not len(months):
         raise DataError(f"{path} contains no series rows")
-    return MonthlySeries(name or path.stem, pairs)
+    start = int(months[0])
+    values = np.full(months[-1] - start + 1, np.nan)
+    values[months - start] = columns["values"][:, 0]
+    return MonthlySeries.from_arrays(name or path.stem, start, values, INDEX_LEVEL)
 
 
 def write_series(
@@ -280,124 +395,29 @@ def write_series(
 # --------------------------------------------------------------- articles
 
 
-#: date.toordinal of 1970-01-01, where datetime64[D] counts from.
-_EPOCH_DAY = _dt.date(1970, 1, 1).toordinal()
-#: NaT as an int64: the day of a date that date.fromisoformat refuses.
-_NAT = np.iinfo(np.int64).min
+def _read_articles(path: str | Path, column: str, strict: bool) -> _Articles:
+    """The articles of a FORMATS[column] file, with the values after id
+    and date as that column, which _read has checked, and the rejections."""
+    columns, rejections = _read(path, column, strict)
+    days, values = columns["keys"].view("datetime64[D]"), columns["values"]
+    table = ArticleTable(columns["names"].tolist(), days)
+    values = values.tolist() if column == "texts" else values
+    return table._with({column: values}), rejections
 
 
-def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The cells read with float(), and True where it refuses one (NaN).
-    numpy reads a list of str with float(), stopping at a refusal."""
-    refused = np.zeros(len(cells), dtype=bool)
-    try:
-        return np.array(cells, dtype=float), refused
-    except ValueError:
-        values, rest = [], iter(cells)
-        while True:
-            try:
-                values.extend(map(float, rest))  # keeps the values before a refusal
-                return np.array(values), refused
-            except ValueError:
-                refused[len(values)] = True
-                values.append(math.nan)
-
-
-def _rejection(column: str, width: int, line: int, row: list[str]) -> Rejection:
-    """Why a row that failed a check on its block is rejected: the first
-    check it fails, in the order of its format (see _read_table)."""
-    try:
-        if len(row) != width:
-            raise DataError(f"expected {width} fields, got {len(row)}")
-        _dt.date.fromisoformat(row[1].strip())
-        if column == "probs":
-            SentimentProbs(*map(float, row[2:]))
-        if not row[0].strip():
-            raise DataError("empty article id")
-        if column == "scores":
-            float(row[2])
-    except (DataError, ValueError) as exc:
-        return Rejection(line, str(exc))
-    raise AssertionError(f"line {line} fails a block check but no row check")
-
-
-def _read_table(
-    path: str | Path, header: Sequence[str], column: str, strict: bool
-) -> tuple[ArticleTable, list[Rejection]]:
-    """The articles of a file, the values after id and date as the named
-    column. Each block is checked a column at a time, each distinct date
-    text parsed once, and _rejection words the rows that fail; then the
-    whole column passes COLUMN_CHECKS, which the table built from it
-    does not repeat. The orders of checks that result:
-    probabilities: field count, date, floats, probability rule, id;
-    text: field count, date, id; scored: field count, date, id, float,
-    score range. Strict mode raises the first rejection, with its line,
-    and reads no block after one that holds a rejected row."""
-    width = len(header)
-    known: dict[str, int] = {}  # date text -> day number, or NaT
-    parts, failed = [], []
-    for lines, cells, misfits in _read_blocks(path, header):
-        keys = list(map(str.strip, cells[0]))
-        for text in set(cells[1]).difference(known):
-            try:
-                day = _dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH_DAY
-            except ValueError:
-                day = _NAT
-            known[text] = day
-        days = np.fromiter(map(known.__getitem__, cells[1]), np.int64, len(keys))
-        rejected = (days == _NAT) | np.fromiter(map(not_, keys), bool, len(keys))
-        if column == "texts":
-            values = np.array(cells[2], dtype=object)
-        else:
-            values, unread = zip(*map(_floats, cells[2:]))
-            values = np.column_stack(values) if column == "probs" else values[0]
-            rejected |= np.logical_or.reduce(unread)
-        failed += misfits
-        for i in np.flatnonzero(rejected).tolist():
-            failed.append((int(lines[i]), [c[i] for c in cells]))
-        keep = ~rejected
-        ids = np.array(keys, dtype=object)
-        parts.append((lines[keep], ids[keep], days[keep], values[keep]))
-        if strict and failed:
-            break
-    rejections = [_rejection(column, width, line, row) for line, row in failed]
-    lines, ids, days, values = map(np.concatenate, zip(*parts))
-    if column == "texts":
-        values = values.tolist()  # texts are a list of str
-    if column in COLUMN_CHECKS:
-        refused, reason = COLUMN_CHECKS[column]
-        bad = refused(values)
-        for i in np.flatnonzero(bad).tolist():
-            rejections.append(Rejection(int(lines[i]), reason(values[i].tolist())))
-        ids, days, values = ids[~bad], days[~bad], values[~bad]
-    rejections.sort(key=attrgetter("line"))
-    if strict and rejections:
-        first = rejections[0]
-        raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
-    table = ArticleTable(ids.tolist(), days.view("datetime64[D]"))
-    table = table._with({column: values})  # values passed COLUMN_CHECKS above
-    return table, rejections
-
-
-def read_probability_articles(
-    path: str | Path, strict: bool = True
-) -> tuple[ArticleTable, list[Rejection]]:
+def read_probability_articles(path: str | Path, strict: bool = True) -> _Articles:
     """Load `id,date,p_down,p_neutral,p_up` rows (date YYYY-MM-DD)."""
-    return _read_table(path, PROBS_HEADER, "probs", strict)
+    return _read_articles(path, "probs", strict)
 
 
-def read_text_articles(
-    path: str | Path, strict: bool = True
-) -> tuple[ArticleTable, list[Rejection]]:
+def read_text_articles(path: str | Path, strict: bool = True) -> _Articles:
     """Load `id,date,text` rows (date YYYY-MM-DD, text quoted)."""
-    return _read_table(path, TEXT_HEADER, "texts", strict)
+    return _read_articles(path, "texts", strict)
 
 
-def read_scored_articles(
-    path: str | Path, strict: bool = True
-) -> tuple[ArticleTable, list[Rejection]]:
+def read_scored_articles(path: str | Path, strict: bool = True) -> _Articles:
     """Load `id,date,score` rows written by the score command."""
-    return _read_table(path, SCORED_HEADER, "scores", strict)
+    return _read_articles(path, "scores", strict)
 
 
 def write_probability_articles(
@@ -452,15 +472,11 @@ def write_forecasts(
     path: str | Path,
     comment: str | None = None,
 ) -> None:
-    rows = (
+    rows = (  # a row holds the fields of ForecastSeries in order
         [str(MonthKey.from_ordinal(month)), series.model, *map(repr, values)]
         for series in series_list
         for month, *values in zip(
-            series.months.tolist(),
-            series.nowcasts.tolist(),
-            series.nowcasts_annualized.tolist(),
-            series.realized.tolist(),
-            series.realized_annualized.tolist(),
+            *(getattr(series, column.name).tolist() for column in fields(series)[1:])
         )
     )
     write_rows(FORECAST_HEADER, rows, path, comment)
@@ -468,15 +484,17 @@ def write_forecasts(
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:
     """Load a forecast file back into per-model series, in file order.
-    Every row names a model; within a model, months must be strictly
-    increasing, then consecutive; every value must be finite."""
-    collected: dict[str, list[tuple[int, float, float, float, float]]] = {}
-    for month, model, values in _month_rows(Path(path), FORECAST_HEADER, keyed=True):
-        collected.setdefault(model, []).append((month.ordinal, *values))
-    if not collected:
+    The checks are FORMATS["forecasts"]; ForecastSeries then refuses a
+    model whose months are not consecutive."""
+    columns, _ = _read(path, "forecasts")
+    models = columns["names"]
+    if not len(models):
         raise DataError(f"{path} contains no forecast rows")
-    # Row fields follow ForecastSeries' fields after model: transpose.
-    return [ForecastSeries(model, *zip(*rows)) for model, rows in collected.items()]
+    return [
+        ForecastSeries(model, columns["keys"][at], *columns["values"][at].T)
+        for model in dict.fromkeys(models.tolist())
+        for at in [models == model]
+    ]
 
 
 # ----------------------------------------------------------- index sidecar

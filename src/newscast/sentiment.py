@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidProbabilityError
+from .errors import ConfigError, DataError, InvalidProbabilityError, error_text
 
 LABELS = (-1, 0, 1)
 
@@ -75,15 +75,6 @@ def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
     return ~in_range | (np.abs(total - 1.0) > PROB_SUM_TOL)
 
 
-def _probability_reason(row) -> str:
-    """Why SentimentProbs refuses a row that invalid_probabilities flags."""
-    try:
-        SentimentProbs(*row)
-    except InvalidProbabilityError as exc:
-        return str(exc)
-    raise AssertionError(f"SentimentProbs accepts a refused row {row}")
-
-
 #: The dates an article file can hold.
 DATE_RANGE = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
 
@@ -94,7 +85,7 @@ COLUMN_CHECKS = {
         lambda dates: ~((dates >= DATE_RANGE[0]) & (dates <= DATE_RANGE[1])),
         lambda day: f"date {np.datetime64(day, 'D')} outside years 1..9999",
     ),
-    "probs": (invalid_probabilities, _probability_reason),
+    "probs": (invalid_probabilities, lambda row: error_text(SentimentProbs, *row)),
     "scores": (
         lambda scores: ~((scores >= -1.0) & (scores <= 1.0)),
         "score {} outside [-1, 1]".format,
