@@ -235,11 +235,11 @@ def load_config(
 
     overrides are `key=value` strings, one key each, applied on top of
     the file; out_override replaces the output directory. The file and
-    both must be UTF-8 text.
+    both must be UTF-8 text; a leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = _parse_pairs(text, str(path))

@@ -50,14 +50,25 @@ class SeriesFormatError(DataError):
         super().__init__(message)
 
 
+def month_runs(months) -> str:
+    """The months as text, in the order given, with each run of months
+    that follow one another written first..last."""
+    runs = []
+    for month in months:
+        if runs and month.ordinal == runs[-1][-1].ordinal + 1:
+            runs[-1][1:] = [month]
+        else:
+            runs.append([month])
+    return ", ".join("..".join(map(str, run)) for run in runs)
+
+
 class _ListsMonths:
     """Carries the offending months and appends them to the message."""
 
     def __init__(self, message: str, months=()):
         self.months = tuple(months)
         if self.months:
-            listing = ", ".join(str(m) for m in self.months)
-            message = f"{message}: {listing}"
+            message = f"{message}: {month_runs(self.months)}"
         super().__init__(message)
 
 

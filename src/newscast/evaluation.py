@@ -15,7 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateLossError, NumericError, OverflowMonthsError
+from .errors import (
+    DataError,
+    DegenerateLossError,
+    NumericError,
+    OverflowMonthsError,
+    month_runs,
+)
 from .nowcast import ForecastSeries
 from .timeseries import MonthKey
 
@@ -76,7 +82,7 @@ def loss_differential(a: ForecastSeries, b: ForecastSeries) -> np.ndarray:
         months = map(MonthKey.from_ordinal, b.months[differs].tolist())
         raise DataError(
             f"model {b.model!r} has different realized values than "
-            f"the baseline {a.model!r}: {', '.join(map(str, months))}"
+            f"the baseline {a.model!r}: {month_runs(months)}"
         )
     return d
 

@@ -133,7 +133,8 @@ class MonthlySeries:
         cls, name: str, start: int, values: np.ndarray, unit: str
     ) -> MonthlySeries:
         """Series taking values[i] at month ordinal start + i, absent where
-        NaN. Unchecked: the transforms below make values finite or NaN."""
+        NaN. Unchecked: callers pass finite or NaN values, as the
+        transforms below compute them and read_series checks them."""
         series = cls.__new__(cls)
         series._set(name, unit, start, values)
         return series

@@ -20,6 +20,7 @@ from newscast import (
 from newscast.cli import COMMANDS, EPILOG, _upstream, main
 from newscast.io import (
     FORECAST_HEADER,
+    FORMATS,
     INDEX_META_HEADER,
     NOWCAST_HEADER,
     PROBS_HEADER,
@@ -518,7 +519,23 @@ class TestBacktestAndEvaluate:
         assert run("--config", cfg, "--out", tmp_path / "out",
                    "backtest", "fed") == 3
         err = capsys.readouterr().err
-        assert "'gas' lacks months" in err and "2020-05, 2020-06" in err
+        assert "'gas' lacks months" in err and "2020-05..2020-06" in err
+
+    @pytest.mark.parametrize("setting, command, message", [
+        ("train_start=0001-01", "fit", "0001-01..2019-12: 0001-01..2013-01"),
+        ("eval_end=9999-12", "backtest", "2020-01..9999-12: 2024-01..9999-12"),
+    ])
+    def test_missing_months_are_listed_as_runs(
+        self, tmp_path, capsys, setting, command, message
+    ):
+        # Listed one by one, these months made stderr lines of 217 kB
+        # and 861 kB.
+        out = tmp_path / "out"
+        assert run("--config", "toy", "--out", out, "--set", setting, command,
+                   "fed") == 3
+        assert capsys.readouterr().err == (
+            f"error: series 'cpi' lacks months of {message}\n"
+        )
 
     def test_evaluate_requires_forecasts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -868,6 +885,20 @@ class TestCommandTable:
         written = {name for _, outputs in COMMANDS.values() for name in outputs}
         for name in written - set(listed):
             assert name.endswith(".txt") and f"`{name}`" in section
+        # Each input format's order of checks, as FORMATS declares it; a
+        # check repeated for each value column is listed once.
+        own = section[:section.index("\n## ", 1)]
+        orders = re.findall(r"^- ([a-z ]+): ([a-z ,-]+)$", own, re.MULTILINE)
+        kinds = {
+            "series": "series", "forecasts": "forecasts",
+            "article probabilities": "probs", "article text": "texts",
+            "scored articles": "scores",
+        }
+        assert [label for label, _ in orders] == list(kinds)
+        for label, names in orders:
+            _, checks = FORMATS[kinds[label]]
+            assert names.split(", ") == list(dict.fromkeys(c[0] for c in checks))
+        assert sorted(kinds.values()) == sorted(FORMATS)
 
     def test_a_handler_must_return_each_of_its_files(self, tmp_path, monkeypatch):
         handler, outputs = COMMANDS["fit"]

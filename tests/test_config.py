@@ -123,6 +123,15 @@ class TestDigest:
         assert a.digest != b.digest
         assert a.out.name == "out-a"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Before, the mark made the first line "\ufeffcpi = cpi.csv".
+        path = write_minimal_config(tmp_path, extra="# a comment\n")
+        text = path.read_text(encoding="utf-8")
+        for first in (text, "# a comment\n" + text):
+            marked = tmp_path / "marked.cfg"
+            marked.write_text(first, encoding="utf-8-sig")
+            assert load_config(marked).digest == load_config(path).digest
+
     def test_toy_digest_is_pinned(self):
         assert load_config(toy_config_path()).digest == "30cc1019ae69"
 

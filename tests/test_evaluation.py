@@ -140,7 +140,7 @@ class TestLossDifferential:
         with pytest.raises(MissingMonthsError) as caught:
             ForecastSeries("a", [m0, m0 + 3, m0 + 5], *[[0.0] * 3] * 4)
         assert str(caught.value) == (
-            "months of model 'a' are not consecutive: 2020-02, 2020-03, 2020-05"
+            "months of model 'a' are not consecutive: 2020-02..2020-03, 2020-05"
         )
 
 
@@ -463,6 +463,7 @@ class TestEvaluateForecasts:
     @pytest.mark.parametrize("column, rows, months", [
         ("realized", [1, 4], "2020-02, 2020-05"),
         ("realized_annualized", [0], "2020-01"),
+        ("realized", [2, 3, 4, 7], "2020-03..2020-05, 2020-08"),
     ])
     def test_mismatched_realizations_rejected(self, rng, column, rows, months):
         # Each model would be scored against outcomes of its own.

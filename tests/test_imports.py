@@ -3,6 +3,9 @@ and every top-level name the package defines is read or exported."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +118,23 @@ def test_traced_toy_chain_runs(tmp_path, capsys, monkeypatch):
     # The trace times scoring through cli.SentimentScorer: one span per
     # score command, or sentiment.score_s reads 0.
     assert [s.name for s in tracer.spans].count("sentiment.score") == 2
+
+
+def test_import_loads_only_the_standard_library_numpy_and_newscast():
+    # Every command, and the benchmark's setup_s, pays for a fresh
+    # `import newscast`; a third-party import there would be paid by all.
+    code = (
+        "import sys; before = set(sys.modules); import newscast; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    ).stdout.split()
+    allowed = {*sys.stdlib_module_names, "numpy", "newscast"}
+    assert "newscast.io" in loaded
+    assert [m for m in loaded if m.partition(".")[0] not in allowed] == []
 
 
 #: Packages whose import costs a command ≈0.2 s (scipy.linalg's array-API

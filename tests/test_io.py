@@ -1,5 +1,6 @@
 """File formats: series, article variants, forecasts, rejections."""
 
+import pickle
 from datetime import date
 
 import numpy as np
@@ -197,6 +198,34 @@ class TestTextArticles:
         assert len(articles) == 0
         assert len(rejections) == 1
         assert rejections[0].line == 2
+
+
+BOM_FILES = {
+    "series": (read_series, "# c\ndate,value\n2020-01,1.5\n2020-02,2.5\n"),
+    "forecasts": (
+        read_forecasts,
+        "date,model,nowcast,nowcast_annualized,realized,realized_annualized\n"
+        "2020-01,fed,0.1,1.2,0.2,2.4\n",
+    ),
+    "probs": (
+        read_probability_articles,
+        "id,date,p_down,p_neutral,p_up\na,2020-01-05,0.2,0.3,0.5\n",
+    ),
+    "text": (read_text_articles, "\nid,date,text\na,2020-01-05,Inflation\n"),
+    "scored": (read_scored_articles, "id,date,score\na,2020-01-05,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("kind", BOM_FILES)
+def test_byte_order_mark_is_skipped(tmp_path, kind):
+    # A file saved as "UTF-8 with BOM" reads as the same file without it.
+    read, text = BOM_FILES[kind]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked" / "plain.csv"
+    marked.parent.mkdir()
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert pickle.dumps(read(marked)) == pickle.dumps(read(plain))
 
 
 class TestPhysicalLines:

@@ -380,3 +380,28 @@ class TestMovingAverages:
         else:
             got = moving_averages(series, start, end)
             assert got.tobytes() == np.array(expected).tobytes()
+
+
+class TestMonthLists:
+    """Errors that list months word each run of months that follow one
+    another, in the order listed, as first..last, and keep every month."""
+
+    def test_runs_are_taken_in_the_order_listed(self):
+        # news_pi lists its zero months, then its crossing months.
+        months = [MonthKey(2020, m) for m in (3, 4, 5, 1, 2, 9)]
+        err = ZeroDenominatorError("news_pi hit", months)
+        assert str(err) == "news_pi hit: 2020-03..2020-05, 2020-01..2020-02, 2020-09"
+        assert err.months == tuple(months)
+
+    def test_a_run_crosses_years_and_a_repeat_starts_a_new_one(self):
+        months = [MonthKey(2019, 12), MonthKey(2020, 1), MonthKey(2020, 1)]
+        err = MissingMonthsError("gap", months)
+        assert str(err) == "gap: 2019-12..2020-01, 2020-01"
+        assert len(err.months) == 3
+
+    def test_a_long_gap_is_one_run(self, series_factory):
+        s = series_factory("2020-01", [1.0, 2.0])
+        with pytest.raises(MissingMonthsError) as err:
+            s.window(MonthKey(1, 1), MonthKey(2020, 2))
+        assert str(err.value).endswith(": 0001-01..2019-12")
+        assert len(err.value.months) == 2019 * 12
