@@ -8,11 +8,11 @@ outputs feed back in cleanly. Errors carry 1-based physical line numbers.
 
 Every input file is read a block of lines at a time, a column at a time,
 by the checks its entry in FORMATS declares. A rejected row is named by
-its line and one reason; series and forecast files are refused at their
+its line and one reason: series and forecast files are refused at the
 first, and `score` writes those of article files to
 articles_rejected.csv. Dates become one datetime64[D] column, months
-ordinals in memory and YYYY-MM text in files. Writers quote a field
-only when it needs it, and every field of a file when one holds a CR.
+ordinals in memory and YYYY-MM text in files. Writers quote a field only
+when it needs it, and every field of a file when one holds a CR.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -91,16 +91,14 @@ def _plain_lines(text: str, width: int) -> int | None:
 def _read_blocks(path: str | Path, header: Sequence[str]):
     """Yield (lines, columns, misfits) per block of data lines, and an
     empty block last: the int64 line numbers of the rows with len(header)
-    fields, their fields as len(header) columns, and the Rejection of
-    each other row that is not blank, for its number of fields. Leading
-    comment ('#') and blank lines are skipped; the first real line must
-    be the exact expected header.
-    Lines end only at LF, CR or CRLF, so line numbers count physical
-    lines; a row has the number of its last line. A block is split at
-    its commas where csv.reader would split it so (see _plain_lines);
-    otherwise csv.reader reads as many rows as it has lines, reading on
-    where a quoted field holds a line end."""
-    path = Path(path)
+    fields, their fields as len(header) columns, and (line, field count)
+    of the other rows that are not blank. Leading comment ('#') and blank
+    lines are skipped; the first real line must be the exact expected
+    header. Lines end only at LF, CR or CRLF, so line numbers count
+    physical lines; a row has the number of its last line. A block is
+    split at its commas where csv.reader would split it so (see
+    _plain_lines); otherwise csv.reader reads as many rows as it has
+    lines, reading on where a quoted field holds a line end."""
     width = len(header)
     line = 0  # physical lines before the next one read
     try:
@@ -122,8 +120,8 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
             while True:
                 text = handle.read(_BLOCK_CHARS) + handle.readline()
                 if count := _plain_lines(text, width):
-                    fields = text.replace("\n", ",").split(",")[:-1]
-                    columns = [fields[k::width] for k in range(width)]
+                    cells = text.replace("\n", ",").split(",")[:-1]
+                    columns = [cells[k::width] for k in range(width)]
                     yield np.arange(line + 1, line + 1 + count), columns, []
                     line += count
                 else:
@@ -135,10 +133,7 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
                             rows.append(row)
                             ends.append(line + reader.line_num)
                         elif len(row) > 1 or "".join(row).strip():  # not blank
-                            misfits.append(Rejection(
-                                line + reader.line_num,
-                                f"expected {width} fields, got {len(row)}",
-                            ))
+                            misfits.append((line + reader.line_num, len(row)))
                     line += reader.line_num
                     columns = list(zip(*rows)) or [()] * width
                     yield np.array(ends, dtype=np.int64), columns, misfits
@@ -150,9 +145,6 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
         raise SeriesFormatError(
             f"{path}: {exc}", line=line + reader.line_num
         ) from None
-
-
-# ---------------------------------------------------------------- reading
 
 
 #: NaT as an int64: the key of a date or month that does not parse.
@@ -184,11 +176,10 @@ def _day(text: str) -> int:
 def _columns(header, cells, known, latest) -> dict[str, np.ndarray]:
     """A block's columns: names (ids or model names, stripped), keys
     (days since 1970-01-01 in article files, whose header starts with
-    id, else month ordinals; NaT where refused, each text parsed once a
-    read), values (floats, NaN where unread, or text) and, in
-    month-keyed files, previous: the month on the last earlier row of
-    each row's model, NaT on its first; latest carries each model's last
-    month on to the next block."""
+    id, else month ordinals; NaT where refused), values (floats, NaN
+    where unread, or text) and, in month-keyed files, previous (the
+    month of the row's model on its last earlier row, NaT on its first).
+    known and latest carry the keys of texts and models to later blocks."""
     dated, keyed = header[0] == "id", "model" in header
     texts = cells[1] if dated else cells[0]
     for text in set(texts).difference(known):
@@ -221,6 +212,7 @@ def _month_checks(header: Sequence[str]) -> list:
     file has one, each value a number and then finite, column by column,
     and each month later than its model's last."""
     keyed = header[1] == "model"
+    first = 1 + keyed  # the cell of the first value
 
     def month(row):
         return MonthKey.parse(row[0])
@@ -228,36 +220,34 @@ def _month_checks(header: Sequence[str]) -> list:
     checks = [
         ("month", lambda c: c["keys"] == _NAT, lambda r: error_text(month, r)),
         ("model", lambda c: c["names"] == "", lambda r: "empty model name"),
-    ][: 1 + keyed]
-    for k, (at, name) in enumerate(enumerate(header[1 + keyed:], 1 + keyed)):
+    ][:first]
+    for at, name in enumerate(header[first:], first):
         checks += [
-            ("number", lambda c, k=k: c["unread"][:, k],
+            ("number", lambda c, at=at: c["unread"][:, at - first],
              lambda r, at=at, n=name: f"{n} {r[at]!r} is not a number"),
-            ("finite", lambda c, k=k: ~np.isfinite(c["values"][:, k]),
+            ("finite", lambda c, at=at: ~np.isfinite(c["values"][:, at - first]),
              lambda r, at=at, n=name: f"{n} {r[at]!r} at {month(r)} is not finite"),
         ]
-    owner = " for model {!r}".format if keyed else lambda model: ""
+    owner = " for model {!r}" if keyed else ""
     for kind, refused in (
         ("duplicate month", lambda c: c["keys"] == c["previous"]),
         ("non-monotone month", lambda c: c["keys"] < c["previous"]),
     ):
-        checks.append((kind, refused, lambda r, kind=kind:
-                       f"{kind} {month(r)}{owner(r[1].strip())}"))
+        checks.append((kind, refused, lambda r, k=kind:
+                       f"{k} {month(r)}" + owner.format(r[1].strip())))
     return checks
 
 
 _DATE = ("date", lambda c: c["keys"] == _NAT, lambda r: error_text(_day, r[1]))
 _ID = ("id", lambda c: c["names"] == "", lambda r: "empty article id")
 _NUMBER = (
-    "number",
-    lambda c: c["unread"].any(axis=1),
+    "number", lambda c: c["unread"].any(axis=1),
     lambda r: error_text(list, map(float, r[2:])),
 )
 
 #: Each input format: its header and the checks of a row with as many
-#: fields, in order. A check is its name, the mask of the rows it
-#: refuses from a block's _columns, and the reason for one from its
-#: cells. ArticleTable's COLUMN_CHECKS are looked up as they run.
+#: fields, in order: (name, mask of the rows a block's _columns refuse,
+#: reason for one from its cells). COLUMN_CHECKS are looked up as they run.
 FORMATS = {
     "series": (SERIES_HEADER, _month_checks(SERIES_HEADER)),
     "forecasts": (FORECAST_HEADER, _month_checks(FORECAST_HEADER)),
@@ -287,14 +277,16 @@ def _read(path: str | Path, kind: str, strict: bool = True):
     header, checks = FORMATS[kind]
     known, latest, parts, rejections = {}, {}, [], []
     for lines, cells, misfits in _read_blocks(path, header):
-        rejections += misfits
+        rejections += [
+            Rejection(at, f"expected {len(header)} fields, got {n}")
+            for at, n in misfits
+        ]
         columns = _columns(header, cells, known, latest)
         kept = np.ones(len(lines), dtype=bool)
-        for _, refused, reason in checks if len(lines) else ():  # the last is empty
+        for _, refused, why in checks if len(lines) else ():  # the last is empty
             for i in np.flatnonzero(kept & refused(columns)).tolist():
                 kept[i] = False
-                row = [column[i] for column in cells]
-                rejections.append(Rejection(int(lines[i]), reason(row)))
+                rejections.append(Rejection(int(lines[i]), why([c[i] for c in cells])))
         parts.append({name: column[kept] for name, column in columns.items()})
         if strict and rejections:
             break
@@ -302,8 +294,7 @@ def _read(path: str | Path, kind: str, strict: bool = True):
     if strict and rejections:
         first = rejections[0]
         raise SeriesFormatError(f"{path}: {first.reason}", line=first.line)
-    columns = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
-    return columns, rejections
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}, rejections
 
 
 @contextmanager
@@ -472,11 +463,15 @@ def write_forecasts(
     path: str | Path,
     comment: str | None = None,
 ) -> None:
-    rows = (  # a row holds the fields of ForecastSeries in order
+    rows = (
         [str(MonthKey.from_ordinal(month)), series.model, *map(repr, values)]
         for series in series_list
         for month, *values in zip(
-            *(getattr(series, column.name).tolist() for column in fields(series)[1:])
+            series.months.tolist(),
+            series.nowcasts.tolist(),
+            series.nowcasts_annualized.tolist(),
+            series.realized.tolist(),
+            series.realized_annualized.tolist(),
         )
     )
     write_rows(FORECAST_HEADER, rows, path, comment)

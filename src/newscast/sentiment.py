@@ -106,11 +106,9 @@ class ArticleTable:
     reads the months (int64 MonthKey ordinals) and the days of month
     from the dates. The constructor checks that every column holds one
     entry per article, that dates is a datetime64[D] array, and that
-    each entry passes COLUMN_CHECKS: dates in years 1..9999 (never
-    NaT), probability rows that SentimentProbs accepts, scores in
-    [-1, 1]. A failure raises DataError naming the column or the first
-    offending article. replace checks only the columns it replaces, and
-    take only selects rows.
+    each entry passes COLUMN_CHECKS; a failure raises DataError naming
+    the column or the first offending article. replace checks only the
+    columns it replaces, and take only selects rows.
     """
 
     __slots__ = ("ids", "dates", "texts", "probs", "scores")

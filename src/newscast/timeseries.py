@@ -133,8 +133,8 @@ class MonthlySeries:
         cls, name: str, start: int, values: np.ndarray, unit: str
     ) -> MonthlySeries:
         """Series taking values[i] at month ordinal start + i, absent where
-        NaN. Unchecked: callers pass finite or NaN values, as the
-        transforms below compute them and read_series checks them."""
+        NaN. Unchecked: the transforms below and read_series pass it
+        values that are finite or NaN."""
         series = cls.__new__(cls)
         series._set(name, unit, start, values)
         return series
