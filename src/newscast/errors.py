@@ -40,8 +40,8 @@ class NumericError(NewscastError):
 
 
 class SeriesFormatError(DataError):
-    """Malformed series file (bad header, bad row, duplicate or
-    non-monotone months). Carries the offending line number."""
+    """Malformed input file: a bad header, or a row a reader refuses.
+    Carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -147,9 +147,10 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
         ) from None
 
 
+#: date.toordinal of 1970-01-01, where datetime64[D] counts from.
+_EPOCH_DAY = _dt.date(1970, 1, 1).toordinal()
 #: NaT as an int64: the key of a date or month that does not parse.
 _NAT = np.iinfo(np.int64).min
-_EPOCH = _dt.date(1970, 1, 1).toordinal()  # where datetime64[D] counts from
 
 
 def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +171,10 @@ def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _day(text: str) -> int:
-    return _dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH
+    return _dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH_DAY
 
 
-def _columns(header, cells, known, latest) -> dict[str, np.ndarray]:
+def _columns(header: Sequence[str], cells: list, known: dict, latest: dict) -> dict:
     """A block's columns: names (ids or model names, stripped), keys
     (days since 1970-01-01 in article files, whose header starts with
     id, else month ordinals; NaT where refused), values (floats, NaN
@@ -217,6 +218,9 @@ def _month_checks(header: Sequence[str]) -> list:
     def month(row):
         return MonthKey.parse(row[0])
 
+    def owner(row):
+        return f" for model {row[1].strip()!r}" if keyed else ""
+
     checks = [
         ("month", lambda c: c["keys"] == _NAT, lambda r: error_text(month, r)),
         ("model", lambda c: c["names"] == "", lambda r: "empty model name"),
@@ -228,20 +232,19 @@ def _month_checks(header: Sequence[str]) -> list:
             ("finite", lambda c, at=at: ~np.isfinite(c["values"][:, at - first]),
              lambda r, at=at, n=name: f"{n} {r[at]!r} at {month(r)} is not finite"),
         ]
-    owner = " for model {!r}" if keyed else ""
     for kind, refused in (
         ("duplicate month", lambda c: c["keys"] == c["previous"]),
         ("non-monotone month", lambda c: c["keys"] < c["previous"]),
     ):
-        checks.append((kind, refused, lambda r, k=kind:
-                       f"{k} {month(r)}" + owner.format(r[1].strip())))
+        checks.append((kind, refused, lambda r, k=kind: f"{k} {month(r)}{owner(r)}"))
     return checks
 
 
 _DATE = ("date", lambda c: c["keys"] == _NAT, lambda r: error_text(_day, r[1]))
 _ID = ("id", lambda c: c["names"] == "", lambda r: "empty article id")
 _NUMBER = (
-    "number", lambda c: c["unread"].any(axis=1),
+    "number",
+    lambda c: c["unread"].any(axis=1),
     lambda r: error_text(list, map(float, r[2:])),
 )
 
@@ -283,7 +286,7 @@ def _read(path: str | Path, kind: str, strict: bool = True):
         ]
         columns = _columns(header, cells, known, latest)
         kept = np.ones(len(lines), dtype=bool)
-        for _, refused, why in checks if len(lines) else ():  # the last is empty
+        for _, refused, why in checks if len(lines) else ():  # rows to check
             for i in np.flatnonzero(kept & refused(columns)).tolist():
                 kept[i] = False
                 rejections.append(Rejection(int(lines[i]), why([c[i] for c in cells])))

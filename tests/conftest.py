@@ -1,3 +1,4 @@
+import csv
 import tempfile
 from datetime import date
 
@@ -70,3 +71,28 @@ def small_blocks(request):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nio, "_BLOCK_CHARS", request.param)
         yield request.param
+
+
+# What float() accepts and refuses, non-ASCII digits, padding, underflow
+# and overflow included; the readers must agree with it on each.
+JUNK_NUMBERS = (
+    "nan", "NaN", "inf", "-inf", "1_0", "0_5", "", "x", " 0.5 ", "-0.0",
+    "\u0660.\u0665", "\uff11", "1e-400", "1e400", "4.9e-324", "\t0.5\n",
+)
+
+
+def oracle_rows(path):
+    """(physical line, row) of each data row, as csv reads them: leading
+    comment and blank lines skipped, then the header, then every
+    non-blank row. The per-row oracles of the reader tests start here."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        lines = list(handle)
+    skipped = next(
+        i for i, line in enumerate(lines)
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+    reader = csv.reader(lines[skipped:])
+    next(reader)
+    for row in reader:
+        if row and not (len(row) == 1 and not row[0].strip()):
+            yield skipped + reader.line_num, row

@@ -54,7 +54,7 @@ from newscast.sentiment import (
     lexicon_mask,
 )
 
-from conftest import make_articles
+from conftest import JUNK_NUMBERS, make_articles, oracle_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -99,12 +99,6 @@ HEADLINES = st.lists(
     ]),
     max_size=10,
 ).map(" ".join)
-# What float() accepts and refuses, non-ASCII digits, padding, underflow
-# and overflow included; the readers must agree with it on each.
-JUNK_NUMBERS = (
-    "nan", "NaN", "inf", "-inf", "1_0", "0_5", "", "x", " 0.5 ", "-0.0",
-    "\u0660.\u0665", "\uff11", "1e-400", "1e400", "4.9e-324", "\t0.5\n",
-)
 
 
 @st.composite
@@ -174,22 +168,6 @@ def write_file(path, header, spec):
 
 
 # ----------------------------------------------------------------- oracle
-
-
-def oracle_rows(path):
-    """(physical line, row) of each data row: leading comment and blank
-    lines skipped, then the header, then every non-blank row."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        lines = list(handle)
-    skipped = next(
-        i for i, line in enumerate(lines)
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-    reader = csv.reader(lines[skipped:])
-    next(reader)
-    for row in reader:
-        if row and not (len(row) == 1 and not row[0].strip()):
-            yield skipped + reader.line_num, row
 
 
 def oracle_date(field):

@@ -26,7 +26,7 @@ from newscast import (
 )
 from newscast import io as nio
 
-from test_article_table import JUNK_NUMBERS, oracle_rows
+from conftest import JUNK_NUMBERS, oracle_rows
 
 SETTINGS = settings(max_examples=70, deadline=None)
 
