@@ -89,10 +89,10 @@ def _plain_lines(text: str, width: int) -> int | None:
 
 
 def _read_blocks(path: str | Path, header: Sequence[str]):
-    """Yield (lines, columns, misfits) per block of data lines, and an
-    empty block last: the int64 line numbers of the rows with len(header)
-    fields, their fields as len(header) columns, and (line, field count)
-    of the other rows that are not blank. Leading comment ('#') and blank
+    """Yield (lines, columns, misfits) per block of data lines: the int64
+    line numbers of the rows with len(header) fields, their fields as
+    len(header) columns, and (line, field count) of the other rows that
+    are not blank. Leading comment ('#') and blank
     lines are skipped; the first real line must be the exact expected
     header. Lines end only at LF, CR or CRLF, so line numbers count
     physical lines; a row has the number of its last line. A block is
@@ -117,8 +117,7 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
                     line=line + 1,
                 )
             line += reader.line_num
-            while True:
-                text = handle.read(_BLOCK_CHARS) + handle.readline()
+            while text := handle.read(_BLOCK_CHARS) + handle.readline():
                 if count := _plain_lines(text, width):
                     cells = text.replace("\n", ",").split(",")[:-1]
                     columns = [cells[k::width] for k in range(width)]
@@ -137,8 +136,6 @@ def _read_blocks(path: str | Path, header: Sequence[str]):
                     line += reader.line_num
                     columns = list(zip(*rows)) or [()] * width
                     yield np.array(ends, dtype=np.int64), columns, misfits
-                if not text:
-                    return
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
@@ -278,7 +275,8 @@ def _read(path: str | Path, kind: str, strict: bool = True):
     of fields, or the reason of the first check it fails. Strict mode
     raises the first rejection and reads no block after it."""
     header, checks = FORMATS[kind]
-    known, latest, parts, rejections = {}, {}, [], []
+    known, latest, rejections = {}, {}, []
+    parts = [_columns(header, [()] * len(header), known, latest)]  # no rows
     for lines, cells, misfits in _read_blocks(path, header):
         rejections += [
             Rejection(at, f"expected {len(header)} fields, got {n}")
@@ -286,7 +284,7 @@ def _read(path: str | Path, kind: str, strict: bool = True):
         ]
         columns = _columns(header, cells, known, latest)
         kept = np.ones(len(lines), dtype=bool)
-        for _, refused, why in checks if len(lines) else ():  # rows to check
+        for _, refused, why in checks:
             for i in np.flatnonzero(kept & refused(columns)).tolist():
                 kept[i] = False
                 rejections.append(Rejection(int(lines[i]), why([c[i] for c in cells])))
