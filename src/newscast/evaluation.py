@@ -16,7 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DataError, DegenerateLossError, NumericError, OverflowMonthsError, month_runs
+    DataError,
+    DegenerateLossError,
+    NumericError,
+    OverflowMonthsError,
+    month_runs,
 )
 from .nowcast import ForecastSeries
 from .timeseries import MonthKey
