@@ -198,11 +198,19 @@ def _columns(header: Sequence[str], cells: list, known: dict, latest: dict) -> d
         columns["values"] = values[0] if one else np.column_stack(values)
     if not dated:
         previous = columns["previous"] = np.empty_like(keys)
-        for name in dict.fromkeys(names.tolist()):
-            at = np.flatnonzero(names == name)
+        for name, at in _rows_of(names).items():
             previous[at] = [latest.get(name, _NAT), *keys[at[:-1]].tolist()]
             latest[name] = int(keys[at[-1]])
     return columns
+
+
+def _rows_of(names: np.ndarray) -> dict[str, list[int]]:
+    """The rows of each distinct name, in the order names first appear;
+    numpy would compare names with "a\\0" as with "a"."""
+    rows: dict[str, list[int]] = {}
+    for i, name in enumerate(names.tolist()):
+        rows.setdefault(name, []).append(i)
+    return rows
 
 
 def _month_checks(header: Sequence[str]) -> list:
@@ -483,13 +491,11 @@ def read_forecasts(path: str | Path) -> list[ForecastSeries]:
     The checks are FORMATS["forecasts"]; ForecastSeries then refuses a
     model whose months are not consecutive."""
     columns, _ = _read(path, "forecasts")
-    models = columns["names"]
-    if not len(models):
+    if not len(columns["names"]):
         raise DataError(f"{path} contains no forecast rows")
     return [
         ForecastSeries(model, columns["keys"][at], *columns["values"][at].T)
-        for model in dict.fromkeys(models.tolist())
-        for at in [models == model]
+        for model, at in _rows_of(columns["names"]).items()
     ]
 
 

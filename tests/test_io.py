@@ -334,6 +334,18 @@ class TestForecastFiles:
                 got, want = getattr(loaded, name), getattr(original, name)
                 assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
+    def test_models_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
+        # numpy compares an array with "fed\0" as with "fed".
+        path = tmp_path / "forecasts.csv"
+        path.write_text(
+            "date,model,nowcast,nowcast_annualized,realized,realized_annualized\n"
+            "2020-01,fed,0.1,1.2,0.2,2.4\n"
+            "2020-01,fed\0,0.1,1.2,0.2,2.4\n"
+            "2020-02,fed\0,0.1,1.2,0.2,2.4\n"
+        )
+        back = read_forecasts(path)
+        assert [(fs.model, len(fs)) for fs in back] == [("fed", 1), ("fed\0", 2)]
+
     def test_model_order_is_file_order(self, tmp_path):
         path = tmp_path / "forecasts.csv"
         write_forecasts([self._series("b"), self._series("a")], path)

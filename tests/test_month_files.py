@@ -66,7 +66,9 @@ def month_rows(draw, keyed):
         elif fault == "order":
             row[0] = str(MonthKey.from_ordinal(draw(st.integers(FIRST, FIRST + 8))))
         elif fault == "model" and keyed:
-            row[1] = draw(st.sampled_from(["", "  ", " fed ", "news\t", "x,y", "a\nb"]))
+            row[1] = draw(st.sampled_from(
+                ["", "  ", " fed ", "news\t", "x,y", "a\nb", "fed\x00", "\x00"]
+            ))
         elif fault == "value":
             row[draw(st.integers(1 + keyed, len(row) - 1))] = draw(
                 st.sampled_from(JUNK_NUMBERS)
