@@ -43,6 +43,9 @@ from newscast import (
     write_scored_articles,
 )
 from newscast import io as nio
+from newscast.index import NewsIndex
+from newscast.nowcast import ForecastSeries
+from newscast.timeseries import INDEX_LEVEL, MonthlySeries
 from newscast.cli import main
 from newscast.io import write_probability_articles
 from newscast.sentiment import (
@@ -622,19 +625,45 @@ EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014
 EDGE_PROBS = st.sampled_from([(5e-324, 0.5, 0.5), (0.0, -0.0, 1.0), (1e-310, 1.0, 0.0)])
 
 
-def csv_writer_bytes(header, drawn):
-    """The (id, date, value or values) draws as csv.writer writes them:
-    minimal quoting, or every field quoted when an id holds a CR (which
+# Fields csv.writer quotes, or must not: commas, quotes, LF, CR, NUL,
+# U+2028 (a line break to str.splitlines, not to csv) and a leading '#'.
+FIELDS = st.one_of(
+    st.sampled_from([
+        "fed", "a,b", 'say "hi"', "multi\nline", "cr\rinside", "crlf\r\n",
+        "nul\0", "line\u2028sep", "#lead", "",
+    ]),
+    st.text(st.sampled_from(list(',"\n\r\0\u2028# ax\u00e9')), max_size=5),
+)
+BLOCKS = st.sampled_from([1, 2, 3, 16_384])
+MONTHS = st.integers(MonthKey(1, 1).ordinal, MonthKey(9999, 12).ordinal)
+ANY_FLOAT = st.one_of(st.floats(), EDGE_FLOATS)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
+
+
+def csv_bytes(header, rows):
+    """The rows of str under the header as csv.writer writes them:
+    minimal quoting, or every field quoted when a field holds a CR (which
     minimal quoting leaves bare when it is not beside an LF)."""
     buffer = io.StringIO()
-    ids = "".join(key for key, _, _ in drawn)
-    quoting = csv.QUOTE_ALL if "\r" in ids else csv.QUOTE_MINIMAL
+    cr = any("\r" in field for row in rows for field in row)
+    quoting = csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL
     writer = csv.writer(buffer, lineterminator="\n", quoting=quoting)
     writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def csv_writer_bytes(header, drawn):
+    """The (id, date, value or values) draws as csv.writer writes them."""
+    rows = []
     for key, day, value in drawn:
         values = value if isinstance(value, tuple) else (value,)
-        writer.writerow([key, day.isoformat(), *map(repr, values)])
-    return buffer.getvalue().encode("utf-8")
+        rows.append([key, day.isoformat(), *map(repr, values)])
+    return csv_bytes(header, rows)
+
+
+def month(ordinal):
+    return str(MonthKey.from_ordinal(ordinal))
 
 
 class TestWriterBytes:
@@ -670,6 +699,103 @@ class TestWriterBytes:
             write_scored_articles(drawn_table(drawn, "scores"), path, comment="# c")
         want = b"# c\n" + csv_writer_bytes(nio.SCORED_HEADER, drawn)
         assert path.read_bytes() == want
+
+    @example(drawn={}, block=16_384)
+    @SETTINGS
+    @given(st.dictionaries(MONTHS, FINITE, max_size=8), BLOCKS)
+    def test_series(self, scratch, drawn, block):
+        path = scratch / "series.csv"
+        months = sorted(drawn)
+        points = [(MonthKey.from_ordinal(m), drawn[m]) for m in months]
+        series = MonthlySeries("s", points)
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            nio.write_series(series, path, comment="# c")
+        rows = [[month(m), repr(drawn[m])] for m in months]
+        assert path.read_bytes() == b"# c\n" + csv_bytes(nio.SERIES_HEADER, rows)
+
+    @example(drawn=[], block=16_384)
+    @SETTINGS
+    @given(
+        st.lists(
+            st.tuples(
+                FIELDS,
+                MONTHS,
+                st.lists(st.tuples(*[ANY_FLOAT] * 4), max_size=4),
+            ),
+            max_size=4,
+        ),
+        BLOCKS,
+    )
+    def test_forecasts(self, scratch, drawn, block):
+        path = scratch / "forecasts.csv"
+        series = [
+            ForecastSeries(
+                model,
+                np.arange(start, start + len(values)),
+                *np.array(values, dtype=float).reshape(-1, 4).T,
+            )
+            for model, start, values in drawn
+        ]
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            nio.write_forecasts(series, path)
+        rows = [
+            [month(start + i), model, *map(repr, value)]
+            for model, start, values in drawn
+            for i, value in enumerate(values)
+        ]
+        assert path.read_bytes() == csv_bytes(nio.FORECAST_HEADER, rows)
+
+    @example(drawn=[], start=0, block=16_384)
+    @SETTINGS
+    @given(
+        st.lists(st.tuples(FINITE, st.integers(0, 10**6)), max_size=8), MONTHS, BLOCKS
+    )
+    def test_index_metadata(self, scratch, drawn, start, block):
+        path = scratch / "meta.csv"
+        levels, counts = zip(*drawn) if drawn else ((), ())
+        index = NewsIndex(
+            MonthlySeries.from_arrays(
+                "NEWS", start, np.array(levels, dtype=float), INDEX_LEVEL
+            ),
+            np.array(counts, dtype=np.int64),
+        )
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            nio.write_index_metadata(index, path)
+        rows = [
+            [month(start + i), str(count), "0" if count else "1"]
+            for i, count in enumerate(counts)
+        ]
+        assert path.read_bytes() == csv_bytes(nio.INDEX_META_HEADER, rows)
+
+    @example(drawn=[], block=16_384)
+    @SETTINGS
+    @given(st.lists(st.tuples(st.integers(1, 10**9), FIELDS), max_size=8), BLOCKS)
+    def test_rejections(self, scratch, drawn, block):
+        path = scratch / "rejected.csv"
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            nio.write_rejections([nio.Rejection(*r) for r in drawn], path)
+        rows = [[str(line), reason] for line, reason in drawn]
+        assert path.read_bytes() == csv_bytes(nio.REJECTION_HEADER, rows)
+
+    @example(table=(["a", "b"], []), block=16_384)
+    @SETTINGS
+    @given(
+        st.integers(2, 4).flatmap(lambda width: st.tuples(
+            st.lists(
+                FIELDS.filter(lambda f: "\r" not in f),
+                min_size=width,
+                max_size=width,
+            ),
+            st.lists(st.lists(FIELDS, min_size=width, max_size=width), max_size=6),
+        )),
+        BLOCKS,
+    )
+    def test_rows(self, scratch, table, block):
+        path = scratch / "rows.csv"
+        header, rows = table
+        with mock.patch.object(nio, "_BLOCK_ROWS", block):
+            nio.write_rows(header, iter(rows), path, comment="# c")
+        assert path.read_bytes() == b"# c\n" + csv_bytes(header, rows)
 
 
 ORDINALS = st.integers(0, 9999 * 12 + 11)
