@@ -26,7 +26,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .config import RunConfig, load_config, toy_config_path
+from .config import RunConfig, checked_specs, load_config, toy_config_path
 from .errors import ConfigError, DataError, NewscastError
 from .evaluation import evaluate_forecasts
 from .index import build_news_index, monthly_aggregate, news_pi
@@ -47,7 +47,7 @@ from .io import (
     write_series,
     write_table,
 )
-from .nowcast import MODEL_SPECS, annualized, backtest, fit_model, nowcast, resolve_spec
+from .nowcast import MODEL_SPECS, annualized, backtest, fit_model, nowcast
 from .report import (
     evaluation_table, evaluation_table_delimited,
     regression_table, regression_table_delimited,
@@ -122,9 +122,7 @@ def _resolve_spec_names(cfg: RunConfig, names: Sequence[str]) -> list[str]:
         return list(cfg.specs)
     if list(names) == ["all"]:
         return list(MODEL_SPECS)
-    for name in names:
-        resolve_spec(name)
-    return list(dict.fromkeys(names))
+    return list(checked_specs(list(names), "argument SPEC"))
 
 
 #: Each config key that names a file read in place of an upstream

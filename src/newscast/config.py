@@ -146,15 +146,21 @@ def _phrases(raw: str, key: str, _) -> tuple[str, ...]:
     return parts
 
 
-def _specs(raw: str, key: str, _) -> tuple[str, ...]:
-    specs = tuple(s.strip() for s in raw.split(",") if s.strip())
-    if not specs:
-        raise ConfigError(f"config key {key!r} must list at least one model")
-    for i, name in enumerate(specs):
+def checked_specs(names: list[str], where: str) -> tuple[str, ...]:
+    """The model names, each known and named once, else a ConfigError
+    that says where they were given."""
+    if not names:
+        raise ConfigError(f"{where} must list at least one model")
+    for i, name in enumerate(names):
         resolve_spec(name)  # raises ConfigError on unknown names
-        if name in specs[:i]:
-            raise ConfigError(f"config key {key!r} names model {name!r} twice")
-    return specs
+        if name in names[:i]:
+            raise ConfigError(f"{where} names model {name!r} twice")
+    return tuple(names)
+
+
+def _specs(raw: str, key: str, _) -> tuple[str, ...]:
+    specs = [s.strip() for s in raw.split(",") if s.strip()]
+    return checked_specs(specs, f"config key {key!r}")
 
 
 def _key(default: object, parse) -> object:

@@ -143,10 +143,12 @@ def news_pi(
     The cumulative index can touch or cross zero, which makes the
     ratio-based transform meaningless for the affected months. In the
     default pct-change mode those months raise ZeroDenominatorError
-    listing every offender. The level-diff mode sidesteps the ratio by
-    emitting plain level differences (P_t - P_{t-window}); because mean
-    scores live in [-1, 1] the differences are on a comparable small
-    scale and serve as a rate proxy, labeled percent for uniformity.
+    listing every offender once: the count of each kind, then the zero
+    denominators' months and the sign-crossing ones. The level-diff
+    mode sidesteps the ratio by emitting plain level differences
+    (P_t - P_{t-window}); because mean scores live in [-1, 1] the
+    differences are on a comparable small scale and serve as a rate
+    proxy, labeled percent for uniformity.
     Either mode raises OverflowMonthsError listing months that overflow.
     """
     series = index.series if isinstance(index, NewsIndex) else index
@@ -162,17 +164,11 @@ def news_pi(
     # Signs, not the product now * then, which can overflow or underflow.
     crossing = months_where(start, np.sign(now) * np.sign(then) < 0.0)
     if zero or crossing:
-        parts = []
-        if zero:
-            parts.append(f"zero denominators at {[str(m) for m in zero]}")
-        if crossing:
-            parts.append(
-                f"sign-crossing ratios at {[str(m) for m in crossing]}"
-            )
+        kinds = (("zero denominators", zero), ("sign-crossing ratios", crossing))
+        counts = [f"{kind} ({len(months)})" for kind, months in kinds if months]
         raise ZeroDenominatorError(
             f"pct-change of the {series.name!r} index is ill-defined: "
-            + "; ".join(parts)
-            + "; use level-diff mode or repair the index",
+            f"{', then '.join(counts)}; use level-diff mode or repair the index",
             zero + crossing,
         )
     return pct_change(series, window).with_name(out_name)

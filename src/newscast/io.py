@@ -11,8 +11,9 @@ by the checks its entry in FORMATS declares. A rejected row is named by
 its line and one reason: series and forecast files are refused at the
 first, and `score` writes those of article files to
 articles_rejected.csv. Dates become one datetime64[D] column, months
-ordinals in memory and YYYY-MM text in files. Writers quote a field only
-when it needs it, and every field of a file when one holds a CR.
+ordinals in memory and YYYY-MM text in files. Every output file is
+written by write_columns: floats with repr, a field quoted only when it
+holds a comma, quote, LF or CR, and every field when one holds a CR.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -67,7 +68,7 @@ _Articles = tuple[ArticleTable, list[Rejection]]
 
 
 #: Characters a reader takes at a time (then on to the end of the line),
-#: and rows an article writer formats at a time: blocks of ~1,000 rows.
+#: and rows a writer formats at a time: blocks of ~1,000 rows.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 4096
 #: Characters that make csv.reader split a line other than at its commas.
@@ -339,26 +340,50 @@ def remove_output(path: str | Path) -> None:
         raise DataError(f"cannot remove {path}: {exc}") from exc
 
 
+def write_columns(
+    header: Sequence[str], columns: list, path: str | Path, comment: str | None = None
+) -> None:
+    """CSV rows of equally long columns under a header, after the
+    comment: float64 arrays by repr, other columns as str. Unless the
+    header or a str column holds a comma, quote, LF or CR, a row is its
+    fields joined by commas, as csv.writer writes two or more; else
+    csv.writer quotes where needed, or every field if one holds a CR,
+    which minimal quoting leaves bare. Columns are scanned, and rows
+    formatted and written, _BLOCK_ROWS at a time."""
+    flagged = [(c, getattr(c, "dtype", None) == np.float64) for c in columns]
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, len(columns[0]), _BLOCK_ROWS)]
+    texts = (c[b] for b in blocks for c, f in flagged if not f)
+    joined = map("".join, itertools.chain([header], texts))
+    held = {c for text in joined for c in ',"\n\r' if c in text}
+    with _output(path, comment) as handle:
+        if held:
+            quoting = csv.QUOTE_ALL if "\r" in held else csv.QUOTE_MINIMAL
+            write = csv.writer(handle, lineterminator="\n", quoting=quoting).writerows
+        else:
+            def write(rows):
+                print("\n".join(map(",".join, rows)), file=handle)
+        write([header])
+        for b in blocks:
+            write(zip(*[map(repr, c[b].tolist()) if f else c[b] for c, f in flagged]))
+
+
+def _iso(values: np.ndarray) -> list[str]:
+    """ISO text of each datetime64 value, each distinct value formatted once."""
+    # numpy finds the distinct values of int64 faster than of datetime64.
+    distinct, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.datetime_as_string(distinct.view(values.dtype)).astype(object)
+    return texts[at].tolist()
+
+
 def write_rows(
     header: Sequence[str],
     rows: Iterable[Sequence[str]],
     path: str | Path,
     comment: str | None = None,
 ) -> None:
-    """CSV rows of strings under a header, after the comment.
-
-    Fields are quoted only where needed, unless a field holds a CR:
-    minimal quoting leaves a lone CR bare, and a reader would end the
-    row there, so then every field of the file is quoted. The rows are
-    gathered before the first is written, to make that choice.
-    """
-    rows = list(rows)
-    cr = any("\r" in field for row in rows for field in row)
-    quoting = csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL
-    with _output(path, comment) as handle:
-        writer = csv.writer(handle, lineterminator="\n", quoting=quoting)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """CSV rows of strings, written by write_columns as their columns."""
+    columns = list(zip(*rows, strict=True)) or [()] * len(header)
+    write_columns(header, columns, path, comment)
 
 
 def write_table(text: str, path: str | Path, comment: str | None = None) -> None:
@@ -388,8 +413,8 @@ def read_series(path: str | Path, name: str | None = None) -> MonthlySeries:
 def write_series(
     series: MonthlySeries, path: str | Path, comment: str | None = None
 ) -> None:
-    rows = ([str(month), repr(value)] for month, value in series.items())
-    write_rows(SERIES_HEADER, rows, path, comment)
+    months = [str(month) for month in series.months()]
+    write_columns(SERIES_HEADER, [months, np.array(series.values())], path, comment)
 
 
 # --------------------------------------------------------------- articles
@@ -425,7 +450,8 @@ def write_probability_articles(
 ) -> None:
     if articles.probs is None:
         raise DataError("the articles have no probabilities to write")
-    _write_articles(articles, PROBS_HEADER, articles.probs.T, path, comment)
+    columns = [articles.ids, _iso(articles.dates), *articles.probs.T]
+    write_columns(PROBS_HEADER, columns, path, comment)
 
 
 def write_scored_articles(
@@ -433,57 +459,31 @@ def write_scored_articles(
 ) -> None:
     if articles.scores is None:
         raise DataError("the articles have no scores to write")
-    _write_articles(articles, SCORED_HEADER, [articles.scores], path, comment)
-
-
-def _write_articles(table: ArticleTable, header, columns, path, comment) -> None:
-    """Rows of id, date and the float columns (written with repr), made
-    a block at a time, each distinct date formatted once. write_rows
-    writes them if an id needs quotes: it holds a comma, quote, LF or CR."""
-    # numpy finds the distinct values of int64 faster than of datetime64.
-    days, at = np.unique(table.dates.view(np.int64), return_inverse=True)
-    dates = np.datetime_as_string(days.view("datetime64[D]")).astype(object)[at]
-    ids = table.ids
-    blocks = (
-        zip(ids[b], dates[b].tolist(), *(map(repr, c[b].tolist()) for c in columns))
-        for b in (slice(i, i + _BLOCK_ROWS) for i in range(0, len(ids), _BLOCK_ROWS))
-    )
-    joined = "".join(ids)
-    if any(c in joined for c in ',"\n\r'):
-        return write_rows(header, itertools.chain.from_iterable(blocks), path, comment)
-    with _output(path, comment) as handle:
-        print(",".join(header), file=handle)
-        for rows in blocks:
-            print("\n".join(map(",".join, rows)), file=handle)
+    columns = [articles.ids, _iso(articles.dates), articles.scores]
+    write_columns(SCORED_HEADER, columns, path, comment)
 
 
 def write_rejections(
     rejections: Sequence[Rejection], path: str | Path, comment: str | None = None
 ) -> None:
-    rows = ([str(r.line), r.reason] for r in rejections)
-    write_rows(REJECTION_HEADER, rows, path, comment)
+    columns = [[str(r.line) for r in rejections], [r.reason for r in rejections]]
+    write_columns(REJECTION_HEADER, columns, path, comment)
 
 
 # -------------------------------------------------------------- forecasts
 
 
 def write_forecasts(
-    series_list: Sequence[ForecastSeries],
-    path: str | Path,
-    comment: str | None = None,
+    series_list: Sequence[ForecastSeries], path: str | Path, comment: str | None = None
 ) -> None:
-    rows = (
-        [str(MonthKey.from_ordinal(month)), series.model, *map(repr, values)]
-        for series in series_list
-        for month, *values in zip(
-            series.months.tolist(),
-            series.nowcasts.tolist(),
-            series.nowcasts_annualized.tolist(),
-            series.realized.tolist(),
-            series.realized_annualized.tolist(),
-        )
+    models = [s.model for s in series_list for _ in range(len(s))]
+    months, *values = (
+        np.concatenate([np.empty(0, t), *(getattr(s, f.name) for s in series_list)])
+        for f, t in zip(fields(ForecastSeries)[1:], (np.int64, *[float] * 4))
     )
-    write_rows(FORECAST_HEADER, rows, path, comment)
+    # Month ordinals count from 0000-01.
+    columns = [_iso(np.datetime64("0000-01") + months), models, *values]
+    write_columns(FORECAST_HEADER, columns, path, comment)
 
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:
@@ -506,8 +506,7 @@ def write_index_metadata(
     index: NewsIndex, path: str | Path, comment: str | None = None
 ) -> None:
     """Sidecar `month,article_count,gap` rows for a NEWS index."""
-    rows = (
-        [str(month), str(count), "0" if count else "1"]
-        for month, count in zip(index.series.months(), index.counts.tolist())
-    )
-    write_rows(INDEX_META_HEADER, rows, path, comment)
+    months = [str(month) for month in index.series.months()]
+    counts = list(map(str, index.counts.tolist()))
+    gaps = ["1" if count == "0" else "0" for count in counts]
+    write_columns(INDEX_META_HEADER, [months, counts, gaps], path, comment)

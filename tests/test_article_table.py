@@ -797,6 +797,11 @@ class TestWriterBytes:
             nio.write_rows(header, iter(rows), path, comment="# c")
         assert path.read_bytes() == b"# c\n" + csv_bytes(header, rows)
 
+    def test_a_cr_in_the_header_alone_quotes_every_field(self, scratch):
+        path = scratch / "cr.csv"
+        nio.write_rows(["a\rb", "c"], [["1", "x,y"]], path)
+        assert path.read_bytes() == b'"a\rb","c"\n"1","x,y"\n'
+
 
 ORDINALS = st.integers(0, 9999 * 12 + 11)
 

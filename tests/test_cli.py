@@ -315,6 +315,15 @@ class TestFit:
         assert run("--config", "toy", "--out", toy_run, "fit", "fed+tweets") == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_repeated_spec_argument_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for specs in (["fed", "fed"], ["fed", "news", "fed"]):
+            assert run("--config", "toy", "--out", out, "fit", *specs) == 2
+            assert capsys.readouterr().err == (
+                "error: argument SPEC names model 'fed' twice\n"
+            )
+            assert not (out / "regression.csv").exists()
+
     def test_news_spec_requires_index_file(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("--config", "toy", "--out", out, "fit") == 3

@@ -215,6 +215,24 @@ class TestNewsPi:
         assert err.value.months == (MonthKey(2020, 2),)
         assert "level-diff" in str(err.value)
 
+    def test_each_offending_month_is_named_once(self):
+        # Levels 1, -1, 1, 0, 0, 0, 2, 3, 4: 2020-02 and 2020-03 cross
+        # zero, and 2020-05..2020-07 divide by a zero level.
+        levels = [1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 3.0, 4.0]
+        s = MonthlySeries(
+            "NEWS", [(MonthKey(2020, 1).shift(i), v) for i, v in enumerate(levels)]
+        )
+        with pytest.raises(ZeroDenominatorError) as err:
+            news_pi(s, window=1)
+        assert str(err.value) == (
+            "pct-change of the 'NEWS' index is ill-defined: zero denominators "
+            "(3), then sign-crossing ratios (2); use level-diff mode or repair "
+            "the index: 2020-05..2020-07, 2020-02..2020-03"
+        )
+        assert err.value.months == tuple(
+            MonthKey(2020, m) for m in (5, 6, 7, 2, 3)
+        )
+
     def test_level_diff_mode_never_raises(self):
         index = self._index([0.5, -1.0, 0.5])  # levels 0.5, -0.5, 0.0
         out = news_pi(index, window=1, mode="level-diff")
