@@ -152,7 +152,10 @@ def checked_specs(names: list[str], where: str) -> tuple[str, ...]:
     if not names:
         raise ConfigError(f"{where} must list at least one model")
     for i, name in enumerate(names):
-        resolve_spec(name)  # raises ConfigError on unknown names
+        try:
+            resolve_spec(name)
+        except ConfigError as error:
+            raise ConfigError(f"{where}: {error}") from None
         if name in names[:i]:
             raise ConfigError(f"{where} names model {name!r} twice")
     return tuple(names)

@@ -23,6 +23,7 @@ from .errors import (
     month_runs,
 )
 from .nowcast import ForecastSeries
+from .ols import tail_ufuncs
 from .timeseries import MonthKey
 
 GW_VARIANTS = ("unconditional", "conditional-lag1")
@@ -186,8 +187,7 @@ def giacomini_white(
         r2_uncentered = 1.0 - ssr / tss if tss > 0.0 else 0.0
         statistic = (n - 1) * r2_uncentered
         df = 2
-    from scipy.special import chdtrc  # here, so importing newscast loads no scipy
-
+    *_, chdtrc = tail_ufuncs()
     p_value = float(chdtrc(df, statistic))
     return GWResult(float(statistic), df, p_value, variant, n, dbar)
 

@@ -22,19 +22,22 @@ public scipy functions, without their per-call argument validation,
 array conversion and workspace queries. The routines are looked up
 once, and each workspace size once per design shape.
 
-They come from scipy's LAPACK extension, scipy.linalg._flapack, loaded
-from its file on first use: the scipy.linalg package would add ≈0.2 s
-and ≈300 modules (its array-API layer). So importing this module, or a
-command that fits nothing, loads no scipy module.
+They and the t, F and chi-square tails come from scipy.linalg._flapack
+and scipy.special._ufuncs, loaded from their files on first use, as
+either package adds 0.2–0.3 s and ≈300 modules. So import, score and
+build-index load no scipy, backtest _flapack, evaluate the tails, and
+fit and nowcast both.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import sys
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from importlib.machinery import PathFinder
 from pathlib import Path
+from types import ModuleType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,17 +83,36 @@ class Solution(NamedTuple):
     pivot: np.ndarray
 
 
+def _from_file(package: str, module: str, *attributes: str) -> tuple:
+    """The attributes of scipy.<package>.<module>, imported from its file
+    unless loaded already. Meanwhile a stand-in that holds only the
+    directory replaces an unloaded scipy.<package>, so the import finds
+    the module, and the module its siblings, without the package."""
+    name, parent = f"scipy.{package}.{module}", f"scipy.{package}"
+    directory = str(Path(importlib.util.find_spec("scipy").origin).with_name(package))
+    if PathFinder.find_spec(name, [directory]) is None:
+        raise ImportError(f"no module {name} in {directory}")
+    standin = ModuleType(parent)
+    standin.__path__ = [directory]
+    sys.modules.setdefault(parent, standin)
+    try:
+        loaded = importlib.import_module(name)
+    finally:
+        if sys.modules[parent] is standin:
+            del sys.modules[parent]
+    return tuple(getattr(loaded, a) for a in attributes)
+
+
 @cache
 def _routines():
     """The float64 LAPACK routines geqp3, orgqr and trtrs."""
-    name, scipy = "scipy.linalg._flapack", importlib.util.find_spec("scipy")
-    directory = str(Path(scipy.origin).with_name("linalg"))
-    spec = PathFinder.find_spec(name, [directory])
-    if spec is None:
-        raise ImportError(f"no module {name} in {directory}")
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dgeqp3, flapack.dorgqr, flapack.dtrtrs
+    return _from_file("linalg", "_flapack", "dgeqp3", "dorgqr", "dtrtrs")
+
+
+@cache
+def tail_ufuncs():
+    """The t, F and chi-square tail ufuncs stdtr, fdtrc and chdtrc."""
+    return _from_file("special", "_ufuncs", "stdtr", "fdtrc", "chdtrc")
 
 
 @lru_cache(maxsize=64)
@@ -204,8 +226,6 @@ def _inference(
     robust: bool,
 ) -> RegressionResult:
     """fit_ols's diagnostics around a solved fit."""
-    from scipy import special
-
     beta, R, pivot = solution
     n, k = X.shape
     residuals = y - X @ beta
@@ -234,7 +254,8 @@ def _inference(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = beta / std_errors
-    p_values = 2.0 * special.stdtr(df_residual, -np.abs(t_stats))
+    stdtr, fdtrc, _ = tail_ufuncs()
+    p_values = 2.0 * stdtr(df_residual, -np.abs(t_stats))
 
     sst = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ssr / sst if sst > 0.0 else 1.0
@@ -243,7 +264,7 @@ def _inference(
 
     if k > 1 and r_squared < 1.0:
         f_stat = (r_squared / (k - 1)) / ((1.0 - r_squared) / df_residual)
-        f_p = float(special.fdtrc(k - 1, df_residual, f_stat))
+        f_p = float(fdtrc(k - 1, df_residual, f_stat))
     elif k > 1:
         f_stat, f_p = float("inf"), 0.0
     else:

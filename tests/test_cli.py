@@ -1,12 +1,18 @@
-"""End-to-end command-line behavior, run in-process."""
+"""End-to-end command-line behavior, run in-process unless a test says
+otherwise."""
 
 import csv
 import io
+import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newscast import (
@@ -314,6 +320,19 @@ class TestFit:
     def test_unknown_spec_is_config_error(self, toy_run, capsys):
         assert run("--config", "toy", "--out", toy_run, "fit", "fed+tweets") == 2
         assert "unknown model" in capsys.readouterr().err
+
+    def test_unknown_spec_says_where_it_was_given(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        known = sorted(MODEL_SPECS)
+        for args, where in (
+            (["--set", "specs=fed,bogus", "fit"], "config key 'specs'"),
+            (["fit", "fed", "bogus"], "argument SPEC"),
+        ):
+            assert run("--config", "toy", "--out", out, *args) == 2
+            assert capsys.readouterr().err == (
+                f"error: {where}: unknown model spec 'bogus'; known: {known}\n"
+            )
+            assert not (out / "regression.csv").exists()
 
     def test_repeated_spec_argument_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1071,11 +1090,42 @@ def assert_published(out, *published):
         assert moved == [], path.name
 
 
+def rolling_chain(out, index):
+    """The argument lists of the ROLLING chain into out, reading the toy
+    chain's news index."""
+    return [
+        ["--config", "toy", "--out", str(out), *ROLLING,
+         "--set", f"news_index={index}", command]
+        for command in ("fit", "nowcast", "backtest", "evaluate")
+    ]
+
+
+def fixed_openblas_kernel() -> str:
+    """Why OPENBLAS_CORETYPE cannot choose the BLAS kernel here, or ""
+    when it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        cpu = np._core._multiarray_umath.__cpu_features__
+    except (AttributeError, KeyError, TypeError) as error:
+        return f"numpy does not report its BLAS and CPU features: {error!r}"
+    if "openblas" not in blas["name"]:
+        return f"numpy's BLAS is {blas['name']}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's OpenBLAS is built for one kernel"
+    if not cpu.get("AVX2"):
+        return "the Sandybridge and Haswell kernels need an x86-64 CPU with AVX2"
+    return ""
+
+
+FIXED_KERNEL = fixed_openblas_kernel()
+
+
 class TestPublishedNumbers:
     """The toy chain's outputs are the published ones under
     tests/data/published: toy/ holds the ten outputs of the toy config
-    as shipped, rolling/ those that move under ROLLING. A change that
-    moves a published number re-records these files."""
+    as shipped, rolling/ those that move under ROLLING. They hold in
+    process and in fresh interpreters under other OpenBLAS kernels. A
+    change that moves a published number re-records these files."""
 
     def test_toy_chain(self, toy_chain):
         assert sorted(p.name for p in toy_chain.iterdir()) == sorted(
@@ -1085,12 +1135,37 @@ class TestPublishedNumbers:
 
     def test_rolling_chain(self, toy_chain, tmp_path, capsys):
         out = tmp_path / "out"
-        index = toy_chain / "news_index.csv"
-        for command in ("fit", "nowcast", "backtest", "evaluate"):
-            assert run("--config", "toy", "--out", out, *ROLLING,
-                       "--set", f"news_index={index}", command) == 0
+        for args in rolling_chain(out, toy_chain / "news_index.csv"):
+            assert main(args) == 0
         capsys.readouterr()
         assert_published(out, PUBLISHED / "rolling", PUBLISHED / "toy")
+
+    @pytest.mark.skipif(bool(FIXED_KERNEL), reason=FIXED_KERNEL)
+    @pytest.mark.parametrize("kernel", ["Sandybridge", "Haswell"])
+    def test_both_chains_in_a_fresh_interpreter_under_kernel(self, kernel, tmp_path):
+        # Fresh, so the run loads scipy's extensions from their files.
+        toy, rolling = tmp_path / "toy", tmp_path / "rolling"
+        chain = [["--config", "toy", "--out", str(toy), c] for c in COMMANDS]
+        chain += rolling_chain(rolling, toy / "news_index.csv")
+        code = (
+            "import json, sys\nfrom newscast.cli import main\n"
+            "sys.exit(not all(main(args) == 0 for args in json.loads(sys.argv[1])))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+               "OPENBLAS_CORETYPE": kernel, "OPENBLAS_VERBOSE": "2"}
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(chain)], env=env,
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        # numpy's OpenBLAS and scipy's each report the kernel they run.
+        cores = re.findall(r"^Core: (\S+)$", result.stderr, re.MULTILINE)
+        assert set(cores) == {kernel}
+        assert sorted(p.name for p in toy.iterdir()) == sorted(
+            p.name for p in (PUBLISHED / "toy").iterdir()
+        )
+        assert_published(toy, PUBLISHED / "toy")
+        assert_published(rolling, PUBLISHED / "rolling", PUBLISHED / "toy")
 
     def test_a_number_moved_by_1e_9_fails(self, toy_chain, tmp_path):
         out = tmp_path / "out"

@@ -138,8 +138,9 @@ def test_import_loads_only_the_standard_library_numpy_and_newscast():
 
 
 #: Packages whose import costs a command ≈0.2 s (scipy.linalg's array-API
-#: layer) or ≈1 s (scipy.stats) for functions the package does without.
-HEAVY = ("scipy.linalg", "scipy.stats")
+#: layer), ≈0.3 s (scipy.special's namespace) or ≈1 s (scipy.stats) for
+#: functions the package loads from their extension files or does without.
+HEAVY = ("scipy.linalg", "scipy.special", "scipy.stats")
 
 
 def imported_modules(source: str) -> set[str]:
@@ -173,11 +174,12 @@ def test_heavy_import_checker_sees_every_form():
     source = (
         "import scipy.stats as st\nfrom scipy import linalg\n"
         "def f():\n    from scipy.linalg.lapack import dgeqp3\n"
+        "    from scipy.special import chdtrc\n"
         "from scipy import special\nimport scipy.linalgx\n"
     )
     assert heavy_imports(source) == [
         "scipy.linalg", "scipy.linalg.lapack", "scipy.linalg.lapack.dgeqp3",
-        "scipy.stats",
+        "scipy.special", "scipy.special.chdtrc", "scipy.stats",
     ]
 
 

@@ -25,7 +25,7 @@ from newscast import (
     fit_ols,
     significance_stars,
 )
-from newscast.ols import RANK_TOLERANCE, _routines, solve_ols
+from newscast.ols import RANK_TOLERANCE, _routines, solve_ols, tail_ufuncs
 
 # Fixed 10x3 fixture (intercept, x1, x2); every value is dyadic so the
 # float64 design is exact. Expected values were computed independently
@@ -450,6 +450,105 @@ class TestLapackLoader:
         )
 
 
+#: The scipy.special modules the tails load: the ufunc extension and the
+#: sibling extensions it imports, and not the package.
+TAIL_MODULES = [
+    "scipy.special._ellip_harm_2",
+    "scipy.special._gufuncs",
+    "scipy.special._special_ufuncs",
+    "scipy.special._ufuncs",
+    "scipy.special._ufuncs_cxx",
+]
+
+#: A fresh interpreter's tails before and after importing scipy.special,
+#: on a grid of degrees of freedom and arguments, as raw bytes.
+TAILS_BEFORE_AND_AFTER_SCIPY_SPECIAL = """
+import json, sys
+import numpy as np
+from newscast.ols import tail_ufuncs
+
+def values(stdtr, fdtrc, chdtrc):
+    x = np.r_[np.linspace(-40.0, 40.0, 321), 0.0, np.inf, -np.inf, np.nan]
+    df = np.arange(1.0, 501.0)[:, None]
+    return [
+        stdtr(df, x).tobytes().hex(),
+        # fdtrc(k - 1, df_residual, F): the fitted models have 1 to 4
+        # non-intercept coefficients; chdtrc(1 or 2, GW statistic).
+        fdtrc(np.arange(1.0, 5.0)[:, None, None], df, x).tobytes().hex(),
+        chdtrc(np.array([1.0, 2.0])[:, None], x).tobytes().hex(),
+    ]
+
+before = "scipy.special" in sys.modules
+loaded = tail_ufuncs()
+standin = "scipy.special" in sys.modules
+tails = values(*loaded)
+import scipy.special
+print(json.dumps({
+    "package loaded before": before,
+    "package left loaded": standin,
+    "same objects": [a is b for a, b in zip(
+        loaded, (scipy.special.stdtr, scipy.special.fdtrc, scipy.special.chdtrc)
+    )],
+    "same bytes": values(scipy.special.stdtr, scipy.special.fdtrc,
+                         scipy.special.chdtrc) == tails,
+}))
+"""
+
+
+class TestTailLoader:
+    """tail_ufuncs loads scipy.special's ufunc extension from its file.
+    In process scipy.special is usually imported already, so the file
+    path runs only in a fresh interpreter."""
+
+    def test_fresh_interpreter_tails_are_scipy_specials(self):
+        result = subprocess.run(
+            [sys.executable, "-c", TAILS_BEFORE_AND_AFTER_SCIPY_SPECIAL],
+            env=package_env(), capture_output=True, text=True, check=True,
+        )
+        assert json.loads(result.stdout) == {
+            "package loaded before": False,
+            "package left loaded": False,
+            "same objects": [True, True, True],
+            "same bytes": True,
+        }
+
+    def test_failed_load_leaves_no_stand_in(self):
+        code = (
+            "import importlib, sys\n"
+            "from newscast.ols import tail_ufuncs\n"
+            "def refuse(name): raise ImportError(name)\n"
+            "importlib.import_module = refuse\n"
+            "try:\n"
+            "    tail_ufuncs()\n"
+            "except ImportError as error:\n"
+            "    print(error, 'scipy.special' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=package_env(),
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout == "scipy.special._ufuncs False\n"
+
+    def test_missing_extension_names_module_and_directory(self, monkeypatch):
+        searched = []
+
+        def find_spec(name, path):
+            searched.append((name, path))
+
+        monkeypatch.setattr(
+            "newscast.ols.PathFinder", SimpleNamespace(find_spec=find_spec)
+        )
+        tail_ufuncs.cache_clear()
+        with pytest.raises(ImportError) as caught:
+            tail_ufuncs()
+        scipy = Path(importlib.util.find_spec("scipy").origin).parent
+        directory = str(scipy / "special")
+        assert searched == [("scipy.special._ufuncs", [directory])]
+        assert str(caught.value) == (
+            f"no module scipy.special._ufuncs in {directory}"
+        )
+
+
 class TestTailProbabilities:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second of import time and is not needed.
@@ -468,14 +567,21 @@ class TestTailProbabilities:
         # backtest solves through scipy's LAPACK extension and tests nothing.
         assert scipy_modules_after(out, "backtest") == ["scipy.linalg._flapack"]
         assert not list(Path(out).glob("evaluation.*"))
-        loaded = scipy_modules_after(out, "fit")
-        assert [m for m in loaded if m.startswith("scipy.linalg")] == [
-            "scipy.linalg._flapack"
-        ]
-        assert "scipy.special" in loaded
-        loaded = scipy_modules_after(out, "evaluate")
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.linalg")]
+        # The tails come from scipy.special's ufunc extension and the
+        # sibling extensions it imports, never from the scipy.special or
+        # scipy.linalg packages.
+        for command, linalg_modules in (
+            ("fit", ["scipy.linalg._flapack"]),
+            ("nowcast", ["scipy.linalg._flapack"]),
+            ("evaluate", []),
+        ):
+            loaded = scipy_modules_after(out, command)
+            assert [m for m in loaded if m.startswith("scipy.linalg")] == (
+                linalg_modules
+            ), command
+            assert [m for m in loaded if m.startswith("scipy.special")] == (
+                TAIL_MODULES
+            ), command
 
     def test_p_values_match_scipy_stats_bitwise(self, rng):
         for robust in (False, True):
