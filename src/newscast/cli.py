@@ -54,8 +54,7 @@ from .report import (
 )
 from .sentiment import (
     SentimentScorer,
-    baseline_classify,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
-    baseline_probabilities,
+    baseline_classify,
     lexicon_filter,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
     lexicon_mask,
 )
@@ -166,7 +165,7 @@ def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> Result:
         articles, rejections = read_text_articles(source, strict=False)
         retained = articles.take(lexicon_mask(articles.texts, cfg.lexicon))
         retained = retained.replace(
-            probs=baseline_probabilities(
+            probs=baseline_classify(
                 retained.texts,
                 up_lexicon=cfg.baseline_up_lexicon,
                 down_lexicon=cfg.baseline_down_lexicon,

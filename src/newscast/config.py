@@ -288,6 +288,11 @@ def load_config(
             f"<= eval_end; got {cfg.train_start}..{cfg.train_end} and "
             f"{cfg.eval_start}..{cfg.eval_end}"
         )
+    if cfg.truncation_lag and cfg.gw_variant != "unconditional":
+        raise ConfigError(
+            f"truncation_lag {cfg.truncation_lag} applies only to gw_variant "
+            f"unconditional, got gw_variant {cfg.gw_variant}"
+        )
     return cfg
 
 

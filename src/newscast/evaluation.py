@@ -129,7 +129,9 @@ def giacomini_white(
     long-run variance (truncation_lag 0 suits one-step forecasts whose
     differential is serially uncorrelated under the null), chi-square
     with 1 df. conditional-lag1: regress d_t on (1, d_{t-1}); statistic
-    is (n-1) times the uncentered R-squared, chi-square with 2 df.
+    is (n-1) times the uncentered R-squared, chi-square with 2 df. The
+    truncation lag applies only to the unconditional variant; the
+    conditional one checks its range and does not read it further.
 
     A differential with zero variance is degenerate: it means the two
     error sequences are copies (statistic 0, p 1) or differ by a

@@ -11,6 +11,9 @@ scores; month ordinals and days of month are derived from the dates. It
 is the one article type: readers return it, filtering, classifying and
 scoring work on its columns, and its constructor is where an article's
 values are checked.
+
+Raw text gets its probabilities from baseline_classify, a keyword
+heuristic that maps a batch of texts to one probability row per text.
 """
 
 from __future__ import annotations
@@ -60,9 +63,6 @@ class SentimentProbs:
             raise InvalidProbabilityError(
                 f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}"
             )
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p_down, self.p_neutral, self.p_up)
 
 
 def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -301,7 +301,7 @@ DEFAULT_BASELINE_GAIN = 1.0
 DEFAULT_BASELINE_CAP = 8
 
 
-def baseline_probabilities(
+def baseline_classify(
     texts: Sequence[str],
     *,
     up_lexicon: Iterable[str] = DEFAULT_UP_LEXICON,
@@ -309,8 +309,18 @@ def baseline_probabilities(
     gain: float = DEFAULT_BASELINE_GAIN,
     cap: int = DEFAULT_BASELINE_CAP,
 ) -> np.ndarray:
-    """baseline_classify of every text, as an n x 3 matrix of
-    (p_down, p_neutral, p_up) rows; ConfigError if the odds overflow."""
+    """Deterministic keyword-polarity heuristic, as an n x 3 matrix of
+    (p_down, p_neutral, p_up) rows, one per text.
+
+    Counts distinct up- and down-lexicon phrases present in each text
+    (same matching rule as lexicon_filter) and maps the two counts
+    through a bounded odds transform: with u and d the capped counts,
+
+        (p_down, p_neutral, p_up) = (gain*d, 1, gain*u) / (1 + gain*u + gain*d)
+
+    No evidence yields exactly (0, 1, 0); probabilities never reach 1.
+    Raises ConfigError if the odds overflow.
+    """
     if not 0 < gain < math.inf:
         raise ConfigError(f"baseline gain must be positive and finite, got {gain}")
     if cap < 1:
@@ -334,35 +344,7 @@ def baseline_probabilities(
         z = 1.0 + odds_up + odds_down
     if np.isinf(z).any():
         raise ConfigError(f"baseline gain {gain} with cap {cap} overflows the odds")
-    probs = np.column_stack([odds_down / z, 1.0 / z, odds_up / z])
-    invalid = np.flatnonzero(invalid_probabilities(probs))
-    if invalid.size:
-        SentimentProbs(*probs[invalid[0]].tolist())  # raises the reason
-    return probs
-
-
-def baseline_classify(
-    text: str,
-    *,
-    up_lexicon: Iterable[str] = DEFAULT_UP_LEXICON,
-    down_lexicon: Iterable[str] = DEFAULT_DOWN_LEXICON,
-    gain: float = DEFAULT_BASELINE_GAIN,
-    cap: int = DEFAULT_BASELINE_CAP,
-) -> SentimentProbs:
-    """Deterministic keyword-polarity heuristic.
-
-    Counts distinct up- and down-lexicon phrases present in the text
-    (same matching rule as lexicon_filter) and maps the two counts
-    through a bounded odds transform: with u and d the capped counts,
-
-        (p_down, p_neutral, p_up) = (gain*d, 1, gain*u) / (1 + gain*u + gain*d)
-
-    No evidence yields exactly (0, 1, 0); probabilities never reach 1.
-    """
-    probs = baseline_probabilities(
-        [text], up_lexicon=up_lexicon, down_lexicon=down_lexicon, gain=gain, cap=cap
-    )
-    return SentimentProbs(*probs[0].tolist())
+    return np.column_stack([odds_down / z, 1.0 / z, odds_up / z])
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from newscast.sentiment import (
     DEFAULT_LEXICON,
     DEFAULT_UP_LEXICON,
     COLUMN_CHECKS,
-    baseline_probabilities,
     lexicon_mask,
 )
 
@@ -441,11 +440,12 @@ class TestScoringMatchesPerArticle:
             mask = lexicon_mask(texts, lexicon).tolist()
             assert mask == [reference_hits(t, lexicon) > 0 for t in texts]
             assert [lexicon_filter(t, lexicon) for t in texts] == mask
-        probs = baseline_probabilities(texts, gain=0.7, cap=2)
+        probs = baseline_classify(texts, gain=0.7, cap=2)
         want = [reference_baseline(t, gain=0.7, cap=2) for t in texts]
         assert [tuple(p.hex() for p in row) for row in probs.tolist()] == want
+        # No row depends on the other texts of its batch.
         assert [
-            tuple(p.hex() for p in baseline_classify(t, gain=0.7, cap=2).as_tuple())
+            tuple(p.hex() for p in baseline_classify([t], gain=0.7, cap=2)[0].tolist())
             for t in texts
         ] == want
 
@@ -491,6 +491,12 @@ class TestArticleTable:
         table = two_articles(texts=["x", "y"])
         with pytest.raises(DataError, match="no probabilities to score"):
             SentimentScorer().fit_transform(table)
+
+    def test_writer_refuses_a_table_without_scores(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(DataError, match="^the articles have no scores to write$"):
+            write_scored_articles(two_articles(probs=[[0.0, 1.0, 0.0]] * 2), path)
+        assert not path.exists()
 
     def test_columns_must_be_equally_long(self, tmp_path):
         with pytest.raises(DataError, match="at article 'b'.* scores 1"):

@@ -722,6 +722,19 @@ class TestExitCodes:
             "error: baseline gain 1e+308 with cap 8 overflows the odds\n"
         )
 
+    def test_truncation_lag_under_the_conditional_variant_exits_2(
+        self, tmp_path, capsys
+    ):
+        # The conditional variant has no long-run variance: the lag would
+        # change the digest and nothing in evaluation.csv.
+        assert run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", "gw_variant=conditional-lag1",
+                   "--set", "truncation_lag=5", "evaluate") == 2
+        assert capsys.readouterr().err == (
+            "error: truncation_lag 5 applies only to gw_variant unconditional, "
+            "got gw_variant conditional-lag1\n"
+        )
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("--config", tmp_path / "no.cfg", "fit") == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -258,6 +258,35 @@ class TestValidation:
             load_config(path, overrides=("window = 1_2",))
         assert str(err.value) == "config key 'window': '1_2' is not an integer"
 
+    def test_empty_required_key_names_the_key(self, tmp_path):
+        path = write_minimal_config(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=("cpi =",))
+        assert str(err.value) == "config key 'cpi' is required"
+
+    @pytest.mark.parametrize(
+        "key", ["lexicon", "baseline_up_lexicon", "baseline_down_lexicon"]
+    )
+    def test_empty_phrase_list_names_the_key(self, tmp_path, key):
+        path = write_minimal_config(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=(f"{key} = ; ;",))
+        assert str(err.value) == f"config key {key!r} must list at least one phrase"
+
+    def test_truncation_lag_needs_the_unconditional_variant(self, tmp_path):
+        # The conditional variant has no long-run variance to truncate.
+        path = write_minimal_config(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=(
+                "gw_variant = conditional-lag1", "truncation_lag = 5",
+            ))
+        assert str(err.value) == (
+            "truncation_lag 5 applies only to gw_variant unconditional, "
+            "got gw_variant conditional-lag1"
+        )
+        load_config(path, overrides=("gw_variant = conditional-lag1",))
+        assert load_config(path, overrides=("truncation_lag = 5",)).truncation_lag == 5
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_baseline_gain_names_the_key(self, tmp_path, value):
         path = write_minimal_config(tmp_path)

@@ -143,6 +143,12 @@ class TestLossDifferential:
             "months of model 'a' are not consecutive: 2020-02..2020-03, 2020-05"
         )
 
+    def test_columns_must_match_the_months(self):
+        m0 = MonthKey.parse("2020-01").ordinal
+        with pytest.raises(DataError, match="^realized length differs from months$"):
+            ForecastSeries("a", [m0, m0 + 1], [0.0, 0.0], [0.0, 0.0], [0.0],
+                           [0.0, 0.0])
+
 
 class TestGiacominiWhiteUnconditional:
     def test_scripted_statistic(self):
@@ -258,6 +264,12 @@ class TestGiacominiWhiteDegenerate:
         with pytest.raises(DegenerateLossError, match="constant"):
             giacomini_white([2.0] * 8, [1.0] * 8)
 
+    def test_variance_that_underflows_raises(self):
+        # The differentials (k * 1e-100)^2 differ, but their centered
+        # squares underflow to 0, so the long-run variance is 0.
+        with pytest.raises(DegenerateLossError, match="variance .* not positive"):
+            giacomini_white([k * 1e-100 for k in range(1, 9)], [0.0] * 8)
+
     def test_sign_flips_are_not_degenerate(self):
         # Squared losses ignore signs, so sign-flipped copies are
         # exact-copy degenerate too.
@@ -299,8 +311,13 @@ class TestBartlettVariance:
 
 class TestGwValidation:
     def test_variant_names(self):
-        with pytest.raises(DataError, match="variant"):
+        # Not the n >= 9 of a variant other than unconditional.
+        with pytest.raises(DataError) as caught:
             giacomini_white([1.0] * 8, [1.0] * 8, "two-sided")
+        assert str(caught.value) == (
+            "variant must be one of ('unconditional', 'conditional-lag1'), "
+            "got 'two-sided'"
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):

@@ -117,6 +117,25 @@ class TestMonthlyAggregate:
         with pytest.raises(DataError, match="at least one"):
             monthly_aggregate(scored([]))
 
+    def test_table_without_scores_refused(self):
+        articles = make_articles(["a"], ["2020-01-01"], texts=["x"])
+        with pytest.raises(DataError, match="^the articles have no scores to aggregate"):
+            monthly_aggregate(articles)
+
+
+class TestMonthlySentiment:
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_must_be_positive(self, count):
+        with pytest.raises(DataError, match="^article_count must be positive"):
+            mean("2020-01", 0.5, count=count)
+
+    @pytest.mark.parametrize("value", [1.5, -1.0000000000000002, float("nan")])
+    def test_mean_must_lie_in_minus_one_to_one(self, value):
+        with pytest.raises(DataError, match=r"outside \[-1, 1\]$"):
+            mean("2020-01", value)
+        mean("2020-01", 1.0)
+        mean("2020-01", -1.0)
+
 
 class TestBuildNewsIndex:
     def test_prefix_sum_matches_accumulate(self, rng):

@@ -335,6 +335,17 @@ class TestBacktest:
                 (month("2018-01"), month("2019-12")),
             )
 
+    def test_reversed_windows_rejected(self, rng):
+        # A reversed training window is caught here, before the fit
+        # would name it, and a reversed evaluation window has no month.
+        data = make_bundle(rng)
+        for train, evaluation in (
+            ((month("2017-12"), month("2013-01")), self.EVAL),
+            (self.TRAIN, (month("2019-12"), month("2018-01"))),
+        ):
+            with pytest.raises(DataError, match="windows must be chronological"):
+                backtest("fed", data, train, evaluation)
+
     def test_scheme_validated(self, rng):
         data = make_bundle(rng)
         with pytest.raises(ConfigError, match="scheme"):

@@ -21,7 +21,7 @@ from newscast import (
     lexicon_filter,
     polarity_score,
 )
-from newscast.sentiment import baseline_probabilities, normalize_whitespace
+from newscast.sentiment import normalize_whitespace
 
 from conftest import make_articles
 
@@ -33,7 +33,7 @@ def probs(d, n, u):
 class TestSentimentProbs:
     def test_valid_vector(self):
         p = probs(0.2, 0.3, 0.5)
-        assert p.as_tuple() == (0.2, 0.3, 0.5)
+        assert (p.p_down, p.p_neutral, p.p_up) == (0.2, 0.3, 0.5)
 
     def test_sum_tolerance_boundary(self):
         # 1e-6 off is accepted, 1e-5 off is not.
@@ -208,88 +208,88 @@ class TestLexiconFilter:
         assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 
 
+def classify(text, **kwargs):
+    """baseline_classify's row for one text: (p_down, p_neutral, p_up)."""
+    return tuple(baseline_classify([text], **kwargs)[0].tolist())
+
+
 class TestBaselineClassify:
     def test_empty_text_is_pure_neutral(self):
-        assert baseline_classify("").as_tuple() == (0.0, 1.0, 0.0)
-        assert baseline_classify("the quick brown fox").as_tuple() == (0.0, 1.0, 0.0)
+        assert classify("") == (0.0, 1.0, 0.0)
+        assert classify("the quick brown fox") == (0.0, 1.0, 0.0)
 
     def test_single_up_word(self):
         # u=1, d=0, gain=1: (0, 1, 1)/2.
-        p = baseline_classify("prices rose in May")
-        assert p.as_tuple() == (0.0, 0.5, 0.5)
+        assert classify("prices rose in May") == (0.0, 0.5, 0.5)
 
     def test_single_down_word(self):
-        p = baseline_classify("prices fell in May")
-        assert p.as_tuple() == (0.5, 0.5, 0.0)
+        assert classify("prices fell in May") == (0.5, 0.5, 0.0)
 
     def test_balanced_evidence(self):
         # One up and one down word: (1, 1, 1)/3.
-        p = baseline_classify("gas rose while food fell")
+        p = SentimentProbs(*classify("gas rose while food fell"))
         assert p.p_up == pytest.approx(1 / 3)
         assert p.p_down == pytest.approx(1 / 3)
         assert polarity_score(p) == pytest.approx(0.0)
 
     def test_distinct_counting_not_occurrences(self):
-        once = baseline_classify("prices rose")
-        thrice = baseline_classify("rose rose rose")
-        assert once.as_tuple() == thrice.as_tuple()
+        assert classify("prices rose") == classify("rose rose rose")
 
     def test_two_distinct_words_beat_one(self):
-        one = baseline_classify("prices rose")
-        two = baseline_classify("prices rose and surged")
-        assert two.p_up > one.p_up
+        one = classify("prices rose")
+        two = classify("prices rose and surged")
+        assert two[2] > one[2]
 
     def test_cap_limits_evidence(self):
         words = ["rose", "surged", "soared", "jumped", "climbed",
                  "accelerated", "spiked", "higher", "hot", "rising"]
-        ten = baseline_classify(" ".join(words))
+        ten = classify(" ".join(words))
         # 10 distinct hits capped at 8: (0, 1, 8)/9.
-        assert ten.p_up == pytest.approx(8 / 9)
-        capped_lower = baseline_classify(" ".join(words), cap=3)
-        assert capped_lower.p_up == pytest.approx(3 / 4)
+        assert ten[2] == pytest.approx(8 / 9)
+        capped_lower = classify(" ".join(words), cap=3)
+        assert capped_lower[2] == pytest.approx(3 / 4)
 
     def test_gain_scales_confidence(self):
-        mild = baseline_classify("prices rose", gain=0.5)
-        strong = baseline_classify("prices rose", gain=4.0)
-        assert mild.p_up == pytest.approx(0.5 / 1.5)
-        assert strong.p_up == pytest.approx(4.0 / 5.0)
-        assert strong.p_up > mild.p_up
+        mild = classify("prices rose", gain=0.5)
+        strong = classify("prices rose", gain=4.0)
+        assert mild[2] == pytest.approx(0.5 / 1.5)
+        assert strong[2] == pytest.approx(4.0 / 5.0)
+        assert strong[2] > mild[2]
 
     def test_deterministic(self):
         text = "Inflation climbed while gasoline prices eased"
-        assert baseline_classify(text).as_tuple() == baseline_classify(text).as_tuple()
+        assert classify(text) == classify(text)
 
     def test_case_insensitive(self):
-        assert (
-            baseline_classify("PRICES ROSE").as_tuple()
-            == baseline_classify("prices rose").as_tuple()
-        )
+        assert classify("PRICES ROSE") == classify("prices rose")
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
-            baseline_classify("x", gain=0.0)
+            baseline_classify(["x"], gain=0.0)
         with pytest.raises(ConfigError):
-            baseline_classify("x", cap=0)
+            baseline_classify(["x"], cap=0)
 
     @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
     def test_non_finite_gain_refused(self, gain):
         with pytest.raises(ConfigError, match="positive and finite"):
-            baseline_probabilities(["prices rose"], gain=gain)
+            baseline_classify(["prices rose"], gain=gain)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_odds_refused(self):
         # 1 + gain*u + gain*d overflows for u = d = 1, not for u = 1, d = 0.
-        assert baseline_probabilities(["prices rose"], gain=1e308)[0, 2] == 1.0
+        assert baseline_classify(["prices rose"], gain=1e308)[0, 2] == 1.0
         with pytest.raises(ConfigError, match=r"^baseline gain 1e\+308 with cap 8 "):
-            baseline_probabilities(["gas rose while food fell"], gain=1e308)
+            baseline_classify(["gas rose while food fell"], gain=1e308)
 
     def test_output_is_valid_probability_vector(self, rng):
         vocab = ("rose", "fell", "surged", "cooled", "spiked", "slowing",
                  "flat", "steady", "report", "index")
-        for _ in range(100):
-            text = " ".join(rng.choice(vocab, size=rng.integers(0, 12)))
-            p = baseline_classify(text)  # constructor enforces the invariants
-            assert abs(sum(p.as_tuple()) - 1.0) <= 1e-9
+        texts = [
+            " ".join(rng.choice(vocab, size=rng.integers(0, 12))) for _ in range(100)
+        ]
+        for row in baseline_classify(texts).tolist():
+            p = SentimentProbs(*row)  # constructor enforces the invariants
+            assert abs(p.p_down + p.p_neutral + p.p_up - 1.0) <= 1e-9
 
 
 class TestClassificationReport:

@@ -54,6 +54,11 @@ class TestMonthKey:
         with pytest.raises(DataError):
             MonthKey(2020, 13)
 
+    @pytest.mark.parametrize("year, month", [(2020, 1.0), ("2020", 1), (2020.0, 1)])
+    def test_fields_must_be_integers(self, year, month):
+        with pytest.raises(DataError, match="^MonthKey fields must be integers"):
+            MonthKey(year, month)
+
     def test_ordering_is_chronological(self):
         assert MonthKey(2019, 12) < MonthKey(2020, 1) < MonthKey(2020, 2)
 
@@ -92,6 +97,10 @@ class TestMonthlySeries:
     def test_non_monotone_rejected(self):
         with pytest.raises(DataError, match="non-monotone"):
             MonthlySeries("s", [(MonthKey(2020, 2), 1.0), (MonthKey(2020, 1), 2.0)])
+
+    def test_keys_must_be_month_keys(self):
+        with pytest.raises(DataError, match="^series keys must be MonthKey, got '2020-01'"):
+            MonthlySeries("s", [("2020-01", 1.0)])
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(DataError, match="unit"):
