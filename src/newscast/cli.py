@@ -67,7 +67,8 @@ MAX_REJECTED_FRACTION = 0.10
 EPILOG = """\
 exit codes:
   0  success
-  2  configuration problem (bad config file or override, unknown model name)
+  2  configuration problem (bad config file or override, unknown model name,
+     unsupported scipy install)
   3  data problem (malformed rows, missing months, missing pipeline files)
   4  numerical problem (singular design, zero denominator, degenerate test)
 

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericError, SingularDesignError
+from .errors import ConfigError, DataError, NumericError, SingularDesignError
 
 # Relative pivot-magnitude tolerance below which a column counts as
 # linearly dependent on the ones before it.
@@ -87,11 +87,19 @@ def _from_file(package: str, module: str, *attributes: str) -> tuple:
     """The attributes of scipy.<package>.<module>, imported from its file
     unless loaded already. Meanwhile a stand-in that holds only the
     directory replaces an unloaded scipy.<package>, so the import finds
-    the module, and the module its siblings, without the package."""
+    the module, and the module its siblings, without the package. This
+    relies on scipy's private file layout: a ConfigError names the
+    module, the directory and the scipy version when the file is not
+    there."""
     name, parent = f"scipy.{package}.{module}", f"scipy.{package}"
     directory = str(Path(importlib.util.find_spec("scipy").origin).with_name(package))
     if PathFinder.find_spec(name, [directory]) is None:
-        raise ImportError(f"no module {name} in {directory}")
+        from importlib.metadata import version
+
+        raise ConfigError(
+            f"unsupported scipy install: no module {name} in {directory} "
+            f"(scipy {version('scipy')})"
+        )
     standin = ModuleType(parent)
     standin.__path__ = [directory]
     sys.modules.setdefault(parent, standin)

@@ -1,10 +1,12 @@
 import csv
+import io
 import tempfile
 from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from newscast import ArticleTable, MonthKey, MonthlySeries
@@ -71,6 +73,41 @@ def small_blocks(request):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nio, "_BLOCK_CHARS", request.param)
         yield request.param
+
+
+def csv_files(rows, quoting=st.just(csv.QUOTE_MINIMAL)):
+    """(preamble, line end, quoting, rows) of a drawn file: optional
+    comment and blank lines before the header, then rows ending in LF or
+    CRLF."""
+    return st.tuples(
+        st.sampled_from(["", "# newscast test\n", "\n# c\n\n"]),
+        st.sampled_from(["\n", "\r\n"]),
+        quoting,
+        rows,
+    )
+
+
+def write_csv(path, header, spec):
+    """A csv_files draw under the header, as csv.writer writes it; a row
+    that is a str is a line of its own (a blank line, say)."""
+    preamble, line_end, quoting, rows = spec
+    buffer = io.StringIO()
+    buffer.write(preamble)
+    writer = csv.writer(buffer, lineterminator=line_end, quoting=quoting)
+    writer.writerow(header)
+    for row in rows:
+        if isinstance(row, str):
+            buffer.write(row + line_end)
+        else:
+            writer.writerow(row)
+    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    return path
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory the tests of one module share."""
+    return tmp_path_factory.mktemp("scratch")
 
 
 # What float() accepts and refuses, non-ASCII digits, padding, underflow

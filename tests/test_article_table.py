@@ -2,11 +2,12 @@
 
 The oracle reads a file with csv, parses each row with datetime and
 float, and words each rejection the way the readers do, in the same
-order of checks per format. It scores with the per-article
-`polarity_score`/`argmax_score` and takes a dict-based monthly mean. On
-random files, malformed rows included, the readers must give the same
-articles bit for bit, the same rejections, and the same strict-mode
-error. Article files must round-trip exactly, the ArticleTable
+order of checks per format. On random files, malformed rows included,
+and at any block size, the readers must give the same articles bit for
+bit, the same rejections, and the same strict-mode error. On drawn
+tables, the scorer must match the per-article
+`polarity_score`/`argmax_score`, and the monthly means a dict-based
+mean. Article files must round-trip exactly, the ArticleTable
 constructor must refuse what an article may not hold, and the score and
 build-index commands must build no per-article object.
 """
@@ -56,9 +57,12 @@ from newscast.sentiment import (
     lexicon_mask,
 )
 
-from conftest import JUNK_NUMBERS, make_articles, oracle_rows
+from conftest import JUNK_NUMBERS, csv_files, make_articles, oracle_rows, write_csv
 
 SETTINGS = settings(max_examples=150, deadline=None)
+#: Each reader oracle runs at three block sizes, so a third of SETTINGS'
+#: examples at each.
+READER_SETTINGS = settings(SETTINGS, max_examples=50)
 
 # ------------------------------------------------------------ strategies
 
@@ -103,6 +107,10 @@ HEADLINES = st.lists(
 ).map(" ".join)
 
 
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308])
+EDGE_PROBS = st.sampled_from([(5e-324, 0.5, 0.5), (0.0, -0.0, 1.0), (1e-310, 1.0, 0.0)])
+
+
 @st.composite
 def valid_probs(draw):
     """(p_down, p_neutral, p_up) that SentimentProbs accepts, ties included."""
@@ -125,13 +133,13 @@ def resize(draw, row):
 
 
 @st.composite
-def probability_rows(draw, days=ANY_DAY):
+def probability_rows(draw):
     if draw(st.booleans()):
         cells = [repr(p) for p in draw(valid_probs())]
     else:
         number = st.one_of(st.sampled_from(JUNK_NUMBERS), st.floats(0, 1).map(repr))
         cells = [draw(number) for _ in range(3)]
-    return resize(draw, [draw(IDS), draw(dates(days)), *cells])
+    return resize(draw, [draw(IDS), draw(dates()), *cells])
 
 
 @st.composite
@@ -140,33 +148,12 @@ def text_rows(draw):
 
 
 @st.composite
-def scored_rows(draw, days=FEW_MONTHS):
+def scored_rows(draw):
     score = st.one_of(
         st.floats(-1.0, 1.0).map(repr),
         st.sampled_from([*JUNK_NUMBERS, "1.5", "-1.0000001", "1", "-1"]),
     )
-    return resize(draw, [draw(IDS), draw(dates(days)), draw(score)])
-
-
-def article_files(rows):
-    """(preamble, line end, rows): optional comment and blank lines
-    before the header, then CSV rows ending in LF or CRLF."""
-    return st.tuples(
-        st.sampled_from(["", "# newscast test\n", "\n# c\n\n"]),
-        st.sampled_from(["\n", "\r\n"]),
-        st.lists(rows, max_size=25),
-    )
-
-
-def write_file(path, header, spec):
-    preamble, line_end, rows = spec
-    buffer = io.StringIO()
-    buffer.write(preamble)
-    writer = csv.writer(buffer, lineterminator=line_end)
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
-    return path
+    return resize(draw, [draw(IDS), draw(dates(FEW_MONTHS)), draw(score)])
 
 
 # ----------------------------------------------------------------- oracle
@@ -262,30 +249,25 @@ READERS = {
 
 def assert_same_reads(column, path, spec):
     read, parse, header = READERS[column]
-    write_file(path, header, spec)
+    write_csv(path, header, spec)
     for strict in (True, False):
         want = oracle_read(path, header, parse, strict)
         assert outcome(read, path, column, strict) == want
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("articles")
-
-
 class TestReadersMatchPerRowParse:
-    @SETTINGS
-    @given(article_files(probability_rows()))
+    @READER_SETTINGS
+    @given(csv_files(st.lists(probability_rows(), max_size=25)))
     def test_probability_file(self, scratch, spec):
         assert_same_reads("probs", scratch / "p.csv", spec)
 
-    @SETTINGS
-    @given(article_files(text_rows()))
+    @READER_SETTINGS
+    @given(csv_files(st.lists(text_rows(), max_size=25)))
     def test_text_file(self, scratch, spec):
         assert_same_reads("texts", scratch / "t.csv", spec)
 
-    @SETTINGS
-    @given(article_files(scored_rows()))
+    @READER_SETTINGS
+    @given(csv_files(st.lists(scored_rows(), max_size=25)))
     def test_scored_file(self, scratch, spec):
         assert_same_reads("scores", scratch / "s.csv", spec)
 
@@ -376,12 +358,12 @@ def test_rows_on_block_boundaries(tmp_path, size):
             read_probability_articles(path)
 
 
-def reference_aggregate(articles, day_cutoff):
-    """Monthly means of the oracle's scored articles."""
+def reference_aggregate(drawn, day_cutoff):
+    """Monthly means of the drawn (id, date, score) articles."""
     retained = {}
-    for _, _, month, day, score in articles:
-        if day_cutoff is None or day <= day_cutoff:
-            retained.setdefault(month, []).append(float.fromhex(score))
+    for _, day, score in drawn:
+        if day_cutoff is None or day.day <= day_cutoff:
+            retained.setdefault(day.year * 12 + day.month - 1, []).append(score)
     if not retained:
         raise DataError(f"no articles on or before day {day_cutoff} of any month")
     return [
@@ -391,40 +373,43 @@ def reference_aggregate(articles, day_cutoff):
 
 
 class TestScoringMatchesPerArticle:
-    @SETTINGS
-    @given(article_files(probability_rows()), st.sampled_from(["polarity", "argmax"]))
-    def test_scorer(self, scratch, spec, score):
-        path = write_file(scratch / "p.csv", nio.PROBS_HEADER, spec)
-        table, _ = read_probability_articles(path, strict=False)
-        articles, _ = oracle_read(
-            path, nio.PROBS_HEADER, oracle_probability_row, strict=False
-        )
-        fn = polarity_score if score == "polarity" else argmax_score
-        want = [
-            (a, float(fn(SentimentProbs(*map(float.fromhex, a[4])))).hex())
-            for a in articles
-        ]
-        scored = SentimentScorer(score).fit_transform(table)
-        got = zip(table_rows(scored, "probs"), table_rows(scored, "scores"))
-        assert [(a, s[4]) for a, s in got] == want
+    """Scoring and aggregation of drawn tables; the reader oracles above
+    check the tables that files give."""
 
     @SETTINGS
     @given(
-        article_files(scored_rows(days=st.dates(date(2020, 1, 1), date(2020, 3, 31)))),
+        st.lists(st.tuples(st.just("a"), ANY_DAY, st.one_of(valid_probs(), EDGE_PROBS)),
+                 max_size=25),
+        st.sampled_from(["polarity", "argmax"]),
+    )
+    def test_scorer(self, drawn, score):
+        table = drawn_table(drawn, "probs")
+        fn = polarity_score if score == "polarity" else argmax_score
+        want = [float(fn(SentimentProbs(*probs))).hex() for _, _, probs in drawn]
+        scored = SentimentScorer(score).fit_transform(table)
+        assert table_rows(scored, "probs") == table_rows(table, "probs")
+        assert [s.hex() for s in scored.scores.tolist()] == want
+
+    @SETTINGS
+    @given(
+        st.lists(
+            st.tuples(
+                st.just("a"),
+                st.dates(date(2020, 1, 1), date(2020, 3, 31)),
+                st.one_of(st.floats(-1.0, 1.0), EDGE_FLOATS),
+            ),
+            max_size=25,
+        ),
         st.one_of(st.none(), st.integers(1, 31)),
     )
-    def test_monthly_aggregate(self, scratch, spec, day_cutoff):
-        path = write_file(scratch / "s.csv", nio.SCORED_HEADER, spec)
-        table, _ = read_scored_articles(path, strict=False)
+    def test_monthly_aggregate(self, drawn, day_cutoff):
+        table = drawn_table(drawn, "scores")
         if not len(table):
             with pytest.raises(DataError, match="at least one article"):
                 monthly_aggregate(table, day_cutoff=day_cutoff)
             return
-        articles, _ = oracle_read(
-            path, nio.SCORED_HEADER, oracle_scored_row, strict=False
-        )
         try:
-            want = reference_aggregate(articles, day_cutoff)
+            want = reference_aggregate(drawn, day_cutoff)
         except DataError as exc:
             with pytest.raises(DataError) as err:
                 monthly_aggregate(table, day_cutoff=day_cutoff)
@@ -627,8 +612,6 @@ WRITER_IDS = st.one_of(
     st.sampled_from(["a,b", 'say "hi"', "multi\nline", "cr\rinside", "crlf\r\n", "é"]),
     st.text(st.sampled_from(list(',"\n\r \tax\u00e9\u20ac')), max_size=5),
 )
-EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308])
-EDGE_PROBS = st.sampled_from([(5e-324, 0.5, 0.5), (0.0, -0.0, 1.0), (1e-310, 1.0, 0.0)])
 
 
 # Fields csv.writer quotes, or must not: commas, quotes, LF, CR, NUL,

@@ -2,6 +2,7 @@
 otherwise."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -10,7 +11,9 @@ import re
 import shutil
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from newscast.io import (
     TEXT_HEADER,
 )
 from newscast.nowcast import MODEL_SPECS
+from newscast.ols import tail_ufuncs
 from newscast.report import EVALUATION_HEADER
 
 TOY_DIR = toy_config_path().parent
@@ -612,6 +616,24 @@ class TestExitCodes:
             assert documented[str(family.exit_code)] == word
         assert NewscastError.exit_code == 1
         assert "1" not in documented
+
+    def test_unsupported_scipy_install_exits_2(
+        self, toy_run, tmp_path, capsys, monkeypatch
+    ):
+        # The tails are loaded from a file of scipy's private layout; where
+        # that file is missing, evaluate names it and exits 2.
+        out = tmp_path / "out"
+        hidden = SimpleNamespace(find_spec=lambda name, path: None)
+        monkeypatch.setattr("newscast.ols.PathFinder", hidden)
+        tail_ufuncs.cache_clear()  # a failed load is not cached
+        code = run("--config", "toy", "--out", out,
+                   "--set", f"forecasts={toy_run / 'forecasts.csv'}", "evaluate")
+        directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unsupported scipy install: no module scipy.special._ufuncs in "
+            f"{directory} (scipy {version('scipy')})\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["fit", "backtest"])

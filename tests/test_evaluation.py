@@ -241,6 +241,11 @@ class TestGiacominiWhiteConditional:
             math.exp(-res.statistic / 2.0), rel=1e-12
         )
 
+    def test_differential_zero_after_the_first_month(self):
+        # The response d[1:] is all zero: its R-squared is 0, not 0/0.
+        res = giacomini_white([1.0] + [0.0] * 8, [0.0] * 9, "conditional-lag1")
+        assert (res.statistic, res.p_value, res.df) == (0.0, 1.0, 2)
+
     def test_minimum_sample_size(self):
         with pytest.raises(DataError, match="n >= 9"):
             giacomini_white(COND_A[:8], COND_B[:8], "conditional-lag1")
@@ -266,9 +271,18 @@ class TestGiacominiWhiteDegenerate:
 
     def test_variance_that_underflows_raises(self):
         # The differentials (k * 1e-100)^2 differ, but their centered
-        # squares underflow to 0, so the long-run variance is 0.
-        with pytest.raises(DegenerateLossError, match="variance .* not positive"):
-            giacomini_white([k * 1e-100 for k in range(1, 9)], [0.0] * 8)
+        # squares underflow to 0, so the long-run variance is 0. No lag
+        # helps at lag 0; above it, a smaller lag may.
+        errors = [k * 1e-100 for k in range(1, 9)]
+        with pytest.raises(DegenerateLossError) as lag_0:
+            giacomini_white(errors, [0.0] * 8)
+        assert str(lag_0.value) == "variance of the loss differential underflows to 0"
+        with pytest.raises(DegenerateLossError) as lag_1:
+            giacomini_white(errors, [0.0] * 8, truncation_lag=1)
+        assert str(lag_1.value) == (
+            "long-run variance of the loss differential is not positive; "
+            "try a smaller truncation lag"
+        )
 
     def test_sign_flips_are_not_degenerate(self):
         # Squared losses ignore signs, so sign-flipped copies are

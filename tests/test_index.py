@@ -217,6 +217,7 @@ class TestNewsPi:
         index = self._index([1.0] + [0.0] * 11 + [1.0])
         out = news_pi(index, window=12)
         assert out[MonthKey(2021, 1)] == pytest.approx(100.0)
+        assert list(news_pi(index).items()) == list(out.items())  # the default
 
     def test_zero_denominator_collects_months(self):
         # Levels: 0.5, 0.0 (zero), -0.5 (crossing vs 0.5 later).

@@ -9,7 +9,6 @@ same error with the same line.
 """
 
 import csv
-import io
 import math
 
 import pytest
@@ -26,9 +25,11 @@ from newscast import (
 )
 from newscast import io as nio
 
-from conftest import JUNK_NUMBERS, oracle_rows
+from conftest import JUNK_NUMBERS, csv_files, oracle_rows, write_csv
 
-SETTINGS = settings(max_examples=70, deadline=None)
+#: Each reader oracle runs at three block sizes, so about a third of the
+#: 70 examples it would draw at one size.
+SETTINGS = settings(max_examples=24, deadline=None)
 
 FIRST = MonthKey(2019, 11).ordinal
 BAD_MONTHS = (
@@ -36,6 +37,7 @@ BAD_MONTHS = (
     "2020-01-05", "202001", "", "soon",
 )
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+QUOTINGS = st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
 #: A fault is drawn for one row; "fields" comes last, as it may drop a value.
 FAULTS = ("month", "padded month", "order", "model", "value", "fields")
 
@@ -78,33 +80,6 @@ def month_rows(draw, keyed):
     for at in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
         rows.insert(at, draw(st.sampled_from(["", "  "])))  # a blank line
     return rows
-
-
-def month_files(keyed):
-    """(preamble, line end, quoting, rows): optional comment and blank
-    lines before the header, then rows ending in LF or CRLF, with every
-    field quoted or only where needed."""
-    return st.tuples(
-        st.sampled_from(["", "# newscast test\n", "\n# c\n\n"]),
-        st.sampled_from(["\n", "\r\n"]),
-        st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
-        month_rows(keyed),
-    )
-
-
-def write_file(path, header, spec):
-    preamble, line_end, quoting, rows = spec
-    buffer = io.StringIO()
-    buffer.write(preamble)
-    writer = csv.writer(buffer, lineterminator=line_end, quoting=quoting)
-    writer.writerow(header)
-    for row in rows:
-        if isinstance(row, str):
-            buffer.write(row + line_end)
-        else:
-            writer.writerow(row)
-    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
-    return path
 
 
 # ----------------------------------------------------------------- oracle
@@ -193,23 +168,18 @@ def oracle_forecasts(path):
     )
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("months")
-
-
 class TestReadersMatchPerRowParse:
     @SETTINGS
-    @given(month_files(keyed=False))
+    @given(csv_files(month_rows(keyed=False), QUOTINGS))
     @example(("", "\r\n", csv.QUOTE_ALL, [["2020-01", "1"], ["2020-01", "2"]]))
     @example(("", "\n", csv.QUOTE_MINIMAL, [["2020-01", "1"], ["2020-02", "nan"]]))
     def test_series_file(self, scratch, spec):
-        path = write_file(scratch / "cpi.csv", nio.SERIES_HEADER, spec)
+        path = write_csv(scratch / "cpi.csv", nio.SERIES_HEADER, spec)
         got = outcome(lambda: series_values(read_series(path)))
         assert got == outcome(oracle_series, path)
 
     @SETTINGS
-    @given(month_files(keyed=True))
+    @given(csv_files(month_rows(keyed=True), QUOTINGS))
     @example(("", "\n", csv.QUOTE_MINIMAL, [
         ["2020-01", "fed", "1", "2", "3", "4"],
         ["2020-01", "news", "1", "2", "3", "4"],
@@ -220,7 +190,7 @@ class TestReadersMatchPerRowParse:
         ["2020-02", "fed", "1", "-inf", "3", "4"],
     ]))
     def test_forecast_file(self, scratch, spec):
-        path = write_file(scratch / "forecasts.csv", nio.FORECAST_HEADER, spec)
+        path = write_csv(scratch / "forecasts.csv", nio.FORECAST_HEADER, spec)
         got = outcome(lambda: forecast_values(read_forecasts(path)))
         assert got == outcome(oracle_forecasts, path)
 

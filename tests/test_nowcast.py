@@ -158,8 +158,10 @@ class TestFitModel:
 
     def test_window_must_exceed_coefficients(self, rng):
         data = make_bundle(rng)
-        with pytest.raises(DataError, match="at least 5"):
-            fit_model("fed", data, month("2013-01"), month("2013-04"))
+        # A one-month window is too short, not reversed.
+        for end in ("2013-04", "2013-01"):
+            with pytest.raises(DataError, match="at least 5"):
+                fit_model("fed", data, month("2013-01"), month(end))
         # 5 months is enough for 3 regressors + intercept + 1 df.
         fit_model("fed", data, month("2013-01"), month("2013-05"))
 

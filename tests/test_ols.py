@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from scipy import linalg, stats
 import newscast
 
 from newscast import (
+    ConfigError,
     DataError,
     NewscastError,
     NumericError,
@@ -112,6 +114,15 @@ class TestExactFit:
         assert math.isinf(res.f_statistic)
         assert res.f_p_value == 0.0
 
+    def test_constant_response(self):
+        # The total sum of squares is 0: R-squared is 1, not 0/0. The
+        # residuals are exactly 0, and a zero variance is no error.
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        res = fit_ols(np.full(6, 3.0), X)
+        assert (res.r_squared, res.adjusted_r_squared) == (1.0, 1.0)
+        assert math.isinf(res.f_statistic) and res.f_p_value == 0.0
+        assert res.standard_errors.tolist() == [0.0, 0.0]
+
     def test_residual_orthogonality(self, rng):
         n = 40
         X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
@@ -180,6 +191,16 @@ class TestRankDeficiency:
         monkeypatch.setattr("newscast.ols.RANK_TOLERANCE", 1e-6)
         with pytest.raises(SingularDesignError, match="rank 2 of 3"):
             solve_ols(y, X, names)
+
+    def test_pivot_ratio_at_the_tolerance_is_dependent(self):
+        # Axis-aligned columns factor exactly, so |R_11|/|R_00| is
+        # RANK_TOLERANCE itself here, and one ulp above it there.
+        X = np.zeros((4, 2))
+        X[0, 0], X[1, 1] = 1.0, RANK_TOLERANCE
+        with pytest.raises(SingularDesignError, match="rank 1 of 2.*columns: b$"):
+            solve_ols(np.ones(4), X, ("a", "b"))
+        X[1, 1] = np.nextafter(RANK_TOLERANCE, 1.0)
+        assert solve_ols(np.ones(4), X, ("a", "b")).beta[1] == 1.0 / X[1, 1]
 
     def test_nearly_collinear_but_full_rank_passes(self, rng):
         n = 50
@@ -440,13 +461,14 @@ class TestLapackLoader:
         stub = SimpleNamespace(find_spec=find_spec)
         monkeypatch.setattr("newscast.ols.PathFinder", stub)
         _routines.cache_clear()
-        with pytest.raises(ImportError) as caught:
+        with pytest.raises(ConfigError) as caught:
             _routines()
         scipy = Path(importlib.util.find_spec("scipy").origin).parent
         directory = str(scipy / "linalg")
         assert searched == [("scipy.linalg._flapack", [directory])]
         assert str(caught.value) == (
-            f"no module scipy.linalg._flapack in {directory}"
+            f"unsupported scipy install: no module scipy.linalg._flapack in "
+            f"{directory} (scipy {version('scipy')})"
         )
 
 
@@ -539,13 +561,14 @@ class TestTailLoader:
             "newscast.ols.PathFinder", SimpleNamespace(find_spec=find_spec)
         )
         tail_ufuncs.cache_clear()
-        with pytest.raises(ImportError) as caught:
+        with pytest.raises(ConfigError) as caught:
             tail_ufuncs()
         scipy = Path(importlib.util.find_spec("scipy").origin).parent
         directory = str(scipy / "special")
         assert searched == [("scipy.special._ufuncs", [directory])]
         assert str(caught.value) == (
-            f"no module scipy.special._ufuncs in {directory}"
+            f"unsupported scipy install: no module scipy.special._ufuncs in "
+            f"{directory} (scipy {version('scipy')})"
         )
 
 

@@ -67,10 +67,6 @@ class TestMonthKey:
         assert MonthKey(2020, 11).shift(3) == MonthKey(2021, 2)
         assert MonthKey(2020, 6).shift(-18) == MonthKey(2018, 12)
 
-    def test_ordinal_roundtrip(self):
-        m = MonthKey(1999, 7)
-        assert MonthKey.from_ordinal(m.ordinal) == m
-
     def test_months_between(self):
         assert months_between(MonthKey(2020, 1), MonthKey(2020, 1)) == 0
         assert months_between(MonthKey(2019, 11), MonthKey(2020, 2)) == 3
@@ -164,22 +160,12 @@ class TestPctChange:
         assert all(v == 0.0 for v in out.values())
         assert out.unit == "percent"
 
-    def test_direct_substitution(self, series_factory):
-        values = [100.0] * 12 + [108.0]
-        s = series_factory("2019-01", values)
-        out = pct_change(s, 12)
-        assert out[MonthKey(2020, 1)] == pytest.approx(8.0, rel=1e-14)
-
     def test_geometric_series_constant(self, series_factory):
         s = series_factory("2015-01", [100.0 * 1.002**t for t in range(40)])
         out = pct_change(s, 12)
         assert len(out) == 28
         for v in out.values():
             assert v == pytest.approx(GEOMETRIC_PCT, rel=1e-10)
-
-    def test_window_one(self, series_factory):
-        s = series_factory("2020-01", [200.0, 201.0])
-        assert pct_change(s, 1)[MonthKey(2020, 2)] == pytest.approx(0.5)
 
     def test_scale_invariance(self, series_factory, rng):
         values = list(100.0 + rng.uniform(0, 20, size=30))
@@ -189,14 +175,6 @@ class TestPctChange:
         )
         for x, y in zip(a.values(), b.values()):
             assert y == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-    def test_output_only_where_inputs_exist(self):
-        # A hole at t-12 suppresses the output month, never invents one.
-        months = [MonthKey(2019, 1).shift(i) for i in range(25)]
-        pairs = [(m, 100.0) for m in months if m != MonthKey(2019, 3)]
-        out = pct_change(MonthlySeries("s", pairs), 12)
-        assert MonthKey(2020, 3) not in out
-        assert MonthKey(2020, 2) in out
 
     def test_zero_denominator_collected(self, series_factory):
         values = [100.0, 0.0, 100.0] + [100.0] * 12
@@ -280,22 +258,6 @@ class TestMovingAveragePredictor:
         s = series_factory("2019-01", [3.0] * 12, unit="percent")
         assert moving_average_predictor(s, MonthKey(2020, 1)) == 3.0
 
-    def test_arithmetic_series_mean(self):
-        # pi_{t-k} = k for k = 1..12; mean is 6.5.
-        t = MonthKey(2021, 6)
-        s = MonthlySeries(
-            "pi", sorted((t.shift(-k), float(k)) for k in range(1, 13)), "percent"
-        )
-        assert moving_average_predictor(s, t) == 6.5
-
-    def test_matches_brute_force_mean(self, rng):
-        t = MonthKey(2022, 4)
-        values = {t.shift(-k): float(v) for k, v in
-                  zip(range(1, 13), rng.normal(2.0, 1.5, 12))}
-        s = MonthlySeries("pi", sorted(values.items()), "percent")
-        expected = math.fsum(values.values()) / 12
-        assert moving_average_predictor(s, t) == expected
-
     def test_value_at_t_never_used(self, series_factory):
         t = MonthKey(2020, 1)
         with_t = series_factory("2019-01", [2.0] * 12 + [99.0], unit="percent")
@@ -313,29 +275,6 @@ class TestMovingAveragePredictor:
         assert MonthKey(2019, 12) in err.value.months
         assert MonthKey(2019, 11) in err.value.months
         assert err.value.months == tuple(sorted(err.value.months))
-
-    def test_permutation_invariance(self, rng):
-        t = MonthKey(2021, 1)
-        values = list(rng.normal(0, 5, 12))
-        base = None
-        for _ in range(20):
-            rng.shuffle(values)
-            s = MonthlySeries(
-                "pi",
-                sorted((t.shift(-k - 1), values[k]) for k in range(12)),
-                "percent",
-            )
-            got = moving_average_predictor(s, t)
-            base = got if base is None else base
-            assert got == base
-
-    def test_bounded_by_inputs(self, rng):
-        t = MonthKey(2021, 1)
-        values = list(rng.normal(0, 5, 12))
-        s = MonthlySeries(
-            "pi", sorted((t.shift(-k - 1), values[k]) for k in range(12)), "percent"
-        )
-        assert min(values) <= moving_average_predictor(s, t) <= max(values)
 
 
 @st.composite
