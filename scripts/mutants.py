@@ -134,12 +134,21 @@ RECORDED = (
     Mutant("RANK_TOLERANCE 1e-6", OLS,
            "RANK_TOLERANCE = 1e-10", "RANK_TOLERANCE = 1e-6"),
     Mutant("solve on a Fortran copy of R without trans", OLS,
-           "x, info = trtrs(R.T, Q.T @ y, lower=1, trans=1, overwrite_b=1)",
-           "x, info = trtrs(np.asfortranarray(R), Q.T @ y, overwrite_b=1)"),
+           "x, info = trtrs(R.T, Q.T @ y[i : i + n], lower=1, trans=1, overwrite_b=1)",
+           "x, info = trtrs(np.asfortranarray(R), Q.T @ y[i : i + n], overwrite_b=1)"),
     Mutant("stand-in left in sys.modules", OLS,
-           "            del sys.modules[parent]", "            pass"),
+           "                del sys.modules[parent]", "                pass"),
     Mutant("no stand-in package", OLS,
-           "    sys.modules.setdefault(parent, standin)\n", ""),
+           "standins[parent] = sys.modules[parent] = ModuleType(parent)",
+           "standins[parent] = ModuleType(parent)"),
+    Mutant("no stand-ins for scipy and scipy._lib", OLS,
+           '("scipy", root), ("scipy._lib", root / "_lib"), ', ""),
+    Mutant("an extension's ImportError escapes", OLS,
+           "except (ImportError, AttributeError) as error:",
+           "except AttributeError as error:"),
+    Mutant("an extension's AttributeError escapes", OLS,
+           "except (ImportError, AttributeError) as error:",
+           "except ImportError as error:"),
     Mutant("fdtr in place of fdtrc", OLS,
            '"stdtr", "fdtrc", "chdtrc"', '"stdtr", "fdtr", "chdtrc"'),
     Mutant("unknown spec without where it was given", CFG,
@@ -206,6 +215,11 @@ RECORDED = (
 NUMERIC = (
     # ols
     Mutant("ols: pivots left 1-based", OLS, "pivot = jpvt - 1", "pivot = jpvt"),
+    Mutant("ols: window response one row late", OLS,
+           "Q.T @ y[i : i + n]", "Q.T @ y[i + 1 : i + n + 1]"),
+    Mutant("ols: solve_ols drops the last row", OLS,
+           "solve_windows(y, X, names, len(y), [0])",
+           "solve_windows(y, X, names, len(y) - 1, [0])"),
     Mutant("ols: pivot at the tolerance counts", OLS,
            "diag > RANK_TOLERANCE * diag[0]", "diag >= RANK_TOLERANCE * diag[0]"),
     Mutant("ols: rank one short passes", OLS, "if rank < k:", "if rank < k - 1:"),
@@ -293,7 +307,20 @@ NUMERIC = (
     Mutant("timeseries: from_ordinal month off by one", TS,
            "cls(year, month0 + 1)", "cls(year, month0)"),
     Mutant("timeseries: month 13 allowed", TS,
-           "not 1 <= self.month <= 12", "not 1 <= self.month <= 13"),
+           "not 1 <= month <= 12", "not 1 <= month <= 13"),
+    Mutant("timeseries: month 0 allowed", TS,
+           "not 1 <= month <= 12", "not 0 <= month <= 12"),
+    Mutant("timeseries: month text of 8 characters read", TS,
+           "len(s) == 7 and", "len(s) >= 7 and"),
+    Mutant("timeseries: month text separator unchecked", TS,
+           'len(s) == 7 and s[4] == "-" and', "len(s) == 7 and"),
+    Mutant("timeseries: month text of other digits read", TS,
+           "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
+    Mutant("timeseries: month text of year 1 refused", TS,
+           "if year == 0:", "if year <= 1:"),
+    Mutant("timeseries: month text ordinal off by one", TS,
+           "year * 12 + _checked_month(int(s[5:])) - 1",
+           "year * 12 + _checked_month(int(s[5:]))"),
     Mutant("timeseries: repeated series month passes", TS,
            "i and month <= pairs[i - 1][0]", "i and month < pairs[i - 1][0]"),
     Mutant("timeseries: last month trimmed", TS,
@@ -342,7 +369,8 @@ NUMERIC = (
            "eval_start.shift(-n), eval_end.shift(-1)",
            "eval_start.shift(-n - 1), eval_end.shift(-1)"),
     Mutant("nowcast: rolling windows one row short", NOW,
-           "y[i : i + n], X[i : i + n]", "y[i : i + n - 1], X[i : i + n - 1]"),
+           "solve_windows(y, X, names, n, starts)",
+           "solve_windows(y, X, names, n - 1, starts)"),
     Mutant("nowcast: a gap of one month passes", NOW,
            "self.months[-1] - self.months[0] >= len(self)",
            "self.months[-1] - self.months[0] > len(self)"),

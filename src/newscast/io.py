@@ -36,7 +36,7 @@ from .errors import DataError, SeriesFormatError, error_text
 from .index import NewsIndex
 from .nowcast import ForecastSeries
 from .sentiment import COLUMN_CHECKS, ArticleTable
-from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries
+from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries, month_ordinal
 from .version import __version__
 
 SERIES_HEADER = ["date", "value"]
@@ -183,7 +183,7 @@ def _columns(header: Sequence[str], cells: list, known: dict, latest: dict) -> d
     texts = cells[1] if dated else cells[0]
     for text in set(texts).difference(known):
         try:
-            known[text] = _day(text) if dated else MonthKey.parse(text).ordinal
+            known[text] = _day(text) if dated else month_ordinal(text)
         except (ValueError, DataError):
             known[text] = _NAT
     keys = np.fromiter(map(known.__getitem__, texts), np.int64, len(texts))

@@ -11,11 +11,12 @@ month.
 fit_model fits the [1, regressors...] design of one window with
 fit_ols, the solve core plus the inference that the fit command writes.
 backtest builds each model's design once over every month its windows
-cover and runs the solve core alone on each window's rows. Nowcasts are
-columns over a span of months: each regressor is read as one array (the
-news values, or a price index's moving averages) and b0 + b1*x1 + ...
-is added in design order, so each nowcast equals the scalar sum for its
-month. A ForecastSeries holds int64 month ordinals and float64 arrays.
+cover and runs the solve core alone, in one call for all its windows.
+Nowcasts are columns over a span of months: each regressor is read as
+one array (the news values, or a price index's moving averages) and
+b0 + b1*x1 + ... is added in design order, so each nowcast equals the
+scalar sum for its month. A ForecastSeries holds int64 month ordinals
+and float64 arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, MissingMonthsError
-from .ols import RegressionResult, fit_ols, solve_ols
+from .ols import RegressionResult, fit_ols, solve_windows
 from .timeseries import (
     MonthKey,
     MonthlySeries,
@@ -271,9 +272,7 @@ def backtest(
         y, X = _design(regressors, data, eval_start.shift(-n), eval_end.shift(-1))
         starts = range(len(realized))
     columns = _regressor_columns(regressors, data, eval_start, eval_end)
-    betas = np.array(
-        [solve_ols(y[i : i + n], X[i : i + n], names).beta for i in starts]
-    )
+    betas = np.array([s.beta for s in solve_windows(y, X, names, n, starts)])
     casts = _nowcasts(betas, columns)
     return ForecastSeries(
         model=model,

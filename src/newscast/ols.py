@@ -6,12 +6,13 @@ Built directly on a column-pivoted QR factorization so rank problems
 fail loudly with the names of the offending columns instead of
 producing a silently unstable solve.
 
-The work is split in two steps. solve_ols is the core: the finiteness
-and rank checks and the coefficients. fit_ols adds the inference step
-on top of it (covariance, t and F tail probabilities, R-squared).
-The fit command and regression.csv use both steps; the walk-forward
-backtest needs only coefficients and calls solve_ols alone, once per
-rolling window.
+The work is split in two steps. solve_windows is the core: the
+finiteness and rank checks and the coefficients, for one or more
+windows of rows of one design. fit_ols adds the inference step on top
+of solve_ols, the core's one-window case (covariance, t and F tail
+probabilities, R-squared). The fit command and regression.csv use both
+steps; the walk-forward backtest needs only coefficients and calls the
+core once per model, for all its rolling windows.
 
 The core calls the LAPACK routines geqp3, orgqr and trtrs directly,
 exactly as scipy.linalg.qr(mode="economic", pivoting=True) and
@@ -20,13 +21,20 @@ solve_triangular call them: the same workspace sizes, the pivots made
 R.T. So the coefficients, R and the pivot are bit for bit those of the
 public scipy functions, without their per-call argument validation,
 array conversion and workspace queries. The routines are looked up
-once, and each workspace size once per design shape.
+once; the finiteness check, the workspace sizes and the mask below the
+diagonal of R are done once per design, and only the three routines
+run per window.
 
 They and the t, F and chi-square tails come from scipy.linalg._flapack
 and scipy.special._ufuncs, loaded from their files on first use, as
 either package adds 0.2–0.3 s and ≈300 modules. So import, score and
 build-index load no scipy, backtest _flapack, evaluate the tails, and
-fit and nowcast both.
+fit and nowcast both. While an extension loads, path-only stand-ins
+take the place of the scipy, scipy._lib and scipy.linalg or
+scipy.special packages that are not loaded, so no scipy package code
+runs: the tails' sibling extensions import scipy._cyutility and
+scipy._lib._ccallback, and the real scipy/__init__ would import
+subprocess and sysconfig, about 17 ms of the tails' first load.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from functools import cache, lru_cache
 from importlib.machinery import PathFinder
 from pathlib import Path
 from types import ModuleType
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,30 +93,49 @@ class Solution(NamedTuple):
 
 def _from_file(package: str, module: str, *attributes: str) -> tuple:
     """The attributes of scipy.<package>.<module>, imported from its file
-    unless loaded already. Meanwhile a stand-in that holds only the
-    directory replaces an unloaded scipy.<package>, so the import finds
-    the module, and the module its siblings, without the package. This
-    relies on scipy's private file layout: a ConfigError names the
-    module, the directory and the scipy version when the file is not
-    there."""
-    name, parent = f"scipy.{package}.{module}", f"scipy.{package}"
-    directory = str(Path(importlib.util.find_spec("scipy").origin).with_name(package))
-    if PathFinder.find_spec(name, [directory]) is None:
-        from importlib.metadata import version
-
+    unless loaded already. Meanwhile a stand-in that holds only its
+    directory replaces each of scipy, scipy._lib and scipy.<package>
+    that is not loaded, so the import finds the module, and the module
+    its siblings, without running the packages. This relies on scipy's
+    private file layout: a ConfigError names the module and the scipy
+    version when the file is not there or does not load this way, and
+    names scipy when there is none."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
         raise ConfigError(
-            f"unsupported scipy install: no module {name} in {directory} "
-            f"(scipy {version('scipy')})"
+            f"cannot load scipy.{package}.{module}: no scipy package found; "
+            f"fit, nowcast, backtest and evaluate need scipy"
         )
-    standin = ModuleType(parent)
-    standin.__path__ = [directory]
-    sys.modules.setdefault(parent, standin)
+    root = Path(spec.origin).parent
+    name, directory = f"scipy.{package}.{module}", root / package
+    if PathFinder.find_spec(name, [str(directory)]) is None:
+        raise _unsupported(f"no module {name} in {directory}")
+    standins = {}
+    for parent, path in (
+        ("scipy", root), ("scipy._lib", root / "_lib"), (f"scipy.{package}", directory)
+    ):
+        if parent not in sys.modules:
+            standins[parent] = sys.modules[parent] = ModuleType(parent)
+            standins[parent].__path__ = [str(path)]
     try:
         loaded = importlib.import_module(name)
+        return tuple(getattr(loaded, a) for a in attributes)
+    except (ImportError, AttributeError) as error:
+        raise _unsupported(
+            f"{name} in {directory} does not load without the scipy package: {error}"
+        ) from None
     finally:
-        if sys.modules[parent] is standin:
-            del sys.modules[parent]
-    return tuple(getattr(loaded, a) for a in attributes)
+        for parent, standin in standins.items():
+            if sys.modules.get(parent) is standin:
+                del sys.modules[parent]
+
+
+def _unsupported(problem: str) -> ConfigError:
+    from importlib.metadata import version
+
+    return ConfigError(
+        f"unsupported scipy install: {problem} (scipy {version('scipy')})"
+    )
 
 
 @cache
@@ -144,45 +171,59 @@ def _check(routine: str, info: int) -> None:
         )
 
 
-def solve_ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> Solution:
-    """Coefficients of the least-squares fit of y on the columns of X.
+def solve_windows(
+    y: np.ndarray, X: np.ndarray, names: Sequence[str], n: int, starts: Iterable[int]
+) -> list[Solution]:
+    """The least-squares fit of y on the columns of X over rows i to
+    i + n - 1, for each i of starts.
 
-    y and X are float64 arrays of matching, already validated shapes
-    with more rows than columns; names label the columns. Raises
-    DataError for non-finite values and SingularDesignError, naming the
-    dependent columns, when a column is (numerically) a linear
+    y and X are float64 arrays of matching, already validated shapes,
+    and each window holds n rows, more than X has columns; names label
+    the columns. Raises DataError when y or X holds a non-finite value
+    anywhere, and SingularDesignError, naming the dependent columns, at
+    the first window where a column is (numerically) a linear
     combination of the others.
     """
     if not np.isfinite(y).all() or not np.isfinite(X).all():
         raise DataError("design and response must be finite")
     geqp3, orgqr, trtrs = _routines()
-    n, k = X.shape
+    k = X.shape[1]
     geqp3_lwork, orgqr_lwork, below = _workspace(n, k)
-    qr, jpvt, tau, _, info = geqp3(X, lwork=geqp3_lwork)
-    _check("geqp3", info)
-    pivot = jpvt - 1  # LAPACK pivots are 1-based
-    # np.triu(qr[:k]) as a C-ordered copy; orgqr overwrites qr with Q.
-    R = np.where(below, 0.0, qr[:k])
-    diag = np.abs(R.diagonal())
-    if diag[0] == 0.0:
-        raise SingularDesignError("design matrix is zero", list(names))
-    rank = np.count_nonzero(diag > RANK_TOLERANCE * diag[0])
-    if rank < k:
-        dependent = sorted(names[j] for j in pivot[rank:])
-        raise SingularDesignError(
-            f"design is rank deficient (rank {rank} of {k}); dependent columns",
-            dependent,
-        )
-    Q, _, info = orgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
-    _check("orgqr", info)
-    # R x = Q'y solved as solve_triangular solves it for a C-ordered R:
-    # the transposed system on the Fortran-ordered R.T. Every diagonal
-    # entry is nonzero after the rank check, so info is never positive.
-    x, info = trtrs(R.T, Q.T @ y, lower=1, trans=1, overwrite_b=1)
-    _check("trtrs", info)
-    beta = np.empty(k)
-    beta[pivot] = x
-    return Solution(beta, R, pivot)
+    solutions = []
+    for i in starts:
+        qr, jpvt, tau, _, info = geqp3(X[i : i + n], lwork=geqp3_lwork)
+        _check("geqp3", info)
+        pivot = jpvt - 1  # LAPACK pivots are 1-based
+        # np.triu(qr[:k]) as a C-ordered copy; orgqr overwrites qr with Q.
+        R = np.where(below, 0.0, qr[:k])
+        diag = np.abs(R.diagonal())
+        if diag[0] == 0.0:
+            raise SingularDesignError("design matrix is zero", list(names))
+        rank = np.count_nonzero(diag > RANK_TOLERANCE * diag[0])
+        if rank < k:
+            dependent = sorted(names[j] for j in pivot[rank:])
+            raise SingularDesignError(
+                f"design is rank deficient (rank {rank} of {k}); dependent columns",
+                dependent,
+            )
+        Q, _, info = orgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
+        _check("orgqr", info)
+        # R x = Q'y solved as solve_triangular solves it for a C-ordered
+        # R: the transposed system on the Fortran-ordered R.T. Every
+        # diagonal entry is nonzero after the rank check, so info is
+        # never positive.
+        x, info = trtrs(R.T, Q.T @ y[i : i + n], lower=1, trans=1, overwrite_b=1)
+        _check("trtrs", info)
+        beta = np.empty(k)
+        beta[pivot] = x
+        solutions.append(Solution(beta, R, pivot))
+    return solutions
+
+
+def solve_ols(y: np.ndarray, X: np.ndarray, names: Sequence[str]) -> Solution:
+    """Coefficients of the least-squares fit of y on the columns of X:
+    solve_windows of the one window of all rows."""
+    return solve_windows(y, X, names, len(y), [0])[0]
 
 
 def fit_ols(
@@ -242,7 +283,7 @@ def _inference(
     sigma2 = ssr / df_residual
 
     # (X'X)^{-1} from the QR factors, undoing the column pivot. R^{-1} is
-    # solved as solve_triangular solves it for a C-ordered R (solve_ols).
+    # solved as solve_triangular solves it for a C-ordered R (solve_windows).
     *_, trtrs = _routines()
     r_inv = trtrs(R.T, np.eye(k), lower=1, trans=1)[0]
     xtx_inv = np.empty((k, k))

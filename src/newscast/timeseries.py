@@ -17,8 +17,8 @@ the months. MonthKey objects appear only at the API and file boundary.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,8 +39,28 @@ UNITS = (INDEX_LEVEL, PERCENT)
 #: Months of history a moving average of a percent series covers.
 LAGS = 12
 
-# [0-9]: \d would also match the digits date.fromisoformat refuses.
-_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")
+
+def _checked_month(month: int) -> int:
+    if not 1 <= month <= 12:
+        raise DataError(f"month must be in 1..12, got {month}")
+    return month
+
+
+@lru_cache(maxsize=4096)
+def month_ordinal(text: str) -> int:
+    """The ordinal (MonthKey.ordinal) of a YYYY-MM month, surrounding
+    whitespace ignored. Year and month are ASCII digits, as
+    date.fromisoformat takes them in an article date, the year at least
+    1 and the month 1..12; DataError otherwise. Cached: the series files
+    a command reads share their month texts."""
+    s = text.strip()
+    digits = s[:4] + s[5:]
+    if not (len(s) == 7 and s[4] == "-" and digits.isascii() and digits.isdigit()):
+        raise DataError(f"expected YYYY-MM month, got {text!r}")
+    year = int(s[:4])
+    if year == 0:  # article dates cannot hold year 0 either
+        raise DataError(f"month {text!r} is outside years 1..9999")
+    return year * 12 + _checked_month(int(s[5:])) - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -53,17 +73,12 @@ class MonthKey:
     def __post_init__(self):
         if not isinstance(self.year, int) or not isinstance(self.month, int):
             raise DataError(f"MonthKey fields must be integers, got {self!r}")
-        if not 1 <= self.month <= 12:
-            raise DataError(f"month must be in 1..12, got {self.month}")
+        _checked_month(self.month)
 
     @classmethod
     def parse(cls, text: str) -> MonthKey:
-        m = _MONTH_RE.match(text.strip())
-        if not m:
-            raise DataError(f"expected YYYY-MM month, got {text!r}")
-        if m.group(1) == "0000":  # article dates cannot hold year 0 either
-            raise DataError(f"month {text!r} is outside years 1..9999")
-        return cls(int(m.group(1)), int(m.group(2)))
+        """The month of a YYYY-MM text, as month_ordinal reads it."""
+        return cls.from_ordinal(month_ordinal(text))
 
     @classmethod
     def from_ordinal(cls, ordinal: int) -> MonthKey:

@@ -39,7 +39,7 @@ from newscast.io import (
     TEXT_HEADER,
 )
 from newscast.nowcast import MODEL_SPECS
-from newscast.ols import tail_ufuncs
+from newscast.ols import _routines, tail_ufuncs
 from newscast.report import EVALUATION_HEADER
 
 TOY_DIR = toy_config_path().parent
@@ -605,6 +605,10 @@ def edited_series(tmp_path, key, levels):
     return path
 
 
+def refuse_import(name):
+    raise ImportError(name)
+
+
 class TestExitCodes:
     def test_each_family_exits_with_its_documented_code(self):
         documented = dict(re.findall(r"^  (\d)  (\w+)", EPILOG, re.M))
@@ -633,6 +637,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: unsupported scipy install: no module scipy.special._ufuncs in "
             f"{directory} (scipy {version('scipy')})\n"
+        )
+
+    def test_missing_scipy_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        find_spec = importlib.util.find_spec
+
+        def no_scipy(name, *args):
+            return None if name == "scipy" else find_spec(name, *args)
+
+        monkeypatch.setattr("importlib.util.find_spec", no_scipy)
+        _routines.cache_clear()  # a failed load is not cached
+        assert run("--config", "toy", "--out", tmp_path / "out", "fit", "fed") == 2
+        assert capsys.readouterr().err == (
+            "error: cannot load scipy.linalg._flapack: no scipy package found; "
+            "fit, nowcast, backtest and evaluate need scipy\n"
+        )
+
+    @pytest.mark.parametrize("import_module, detail", [
+        (refuse_import, "scipy.special._ufuncs"),
+        (lambda name: SimpleNamespace(),
+         "'types.SimpleNamespace' object has no attribute 'stdtr'"),
+    ], ids=["ImportError", "AttributeError"])
+    def test_extension_that_needs_the_scipy_package_exits_2(
+        self, toy_run, tmp_path, capsys, monkeypatch, import_module, detail
+    ):
+        # A sibling extension that reads the scipy package finds only its
+        # stand-in: the import fails, or the module lacks a name.
+        monkeypatch.setattr("newscast.ols.importlib.import_module", import_module)
+        tail_ufuncs.cache_clear()  # a failed load is not cached
+        code = run("--config", "toy", "--out", tmp_path / "out",
+                   "--set", f"forecasts={toy_run / 'forecasts.csv'}", "evaluate")
+        directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unsupported scipy install: scipy.special._ufuncs in {directory} "
+            f"does not load without the scipy package: {detail} "
+            f"(scipy {version('scipy')})\n"
         )
 
     @pytest.mark.filterwarnings("error")

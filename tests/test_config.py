@@ -1,12 +1,16 @@
 """Config parsing, digests, validation, and path resolution."""
 
+import hashlib
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newscast import ConfigError, MonthKey, RunConfig, load_config, toy_config_path
 from newscast.config import KEY_DEFAULTS
+from newscast.sentiment import SCORES
 
 
 def write_minimal_config(tmp_path, extra="", skip=()):
@@ -100,7 +104,50 @@ class TestParsing:
             load_config(tmp_path / "absent.cfg")
 
 
+def hashlib_digest(path, overrides):
+    """The digest as specified, computed by hashlib: the first 12 hex
+    digits of the SHA-256 of the effective settings' sorted key=value
+    lines, each value stripped."""
+    values = dict(KEY_DEFAULTS)
+    for line in [*Path(path).read_text(encoding="utf-8-sig").splitlines(), *overrides]:
+        if line.strip() and not line.strip().startswith("#"):
+            key, _, value = line.strip().partition("=")
+            values[key.strip()] = value.strip()
+    canonical = "\n".join(f"{k}={values[k]}" for k in sorted(values))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+#: One line of text: no surrogate, control or line-separator character.
+_LINE_TEXT = st.text(
+    st.characters(
+        blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters=";"
+    ),
+    min_size=1, max_size=8,
+)
+#: Valid raw values of some keys, padded as a user may write them.
+OVERRIDES = st.fixed_dictionaries({}, optional={
+    "window": st.integers(1, 10**9).map(str),
+    "day_cutoff": st.one_of(st.integers(1, 31).map(str), st.just(" none ")),
+    "baseline_gain": st.floats(1e-300, 1e300).map(repr),
+    "score": st.sampled_from(sorted(SCORES)),
+    "robust": st.sampled_from(["true", "no", "1"]),
+    "lexicon": st.lists(_LINE_TEXT.filter(str.strip), min_size=1, max_size=3).map(
+        "; ".join
+    ),
+    "out": _LINE_TEXT.filter(str.strip),
+}).map(lambda values: [f"{key} ={value}" for key, value in values.items()])
+
+
 class TestDigest:
+    @settings(max_examples=60, deadline=None)
+    @given(overrides=OVERRIDES)
+    @example(overrides=[])
+    def test_digest_is_hashlibs_sha256_of_the_settings(self, overrides):
+        # The digest hashes with CPython's built-in SHA-256; hashlib is
+        # the oracle on whatever Python runs the tests.
+        toy = toy_config_path()
+        assert load_config(toy, overrides).digest == hashlib_digest(toy, overrides)
+
     def test_override_changes_digest(self, tmp_path):
         path = write_minimal_config(tmp_path)
         base = load_config(path)

@@ -412,25 +412,40 @@ def package_env():
     return env
 
 
-def scipy_modules_after(out, *commands):
-    """The scipy modules a fresh interpreter has loaded after importing
-    newscast.cli and running the commands on the toy config."""
+#: The toy commands, in an order that gives each the files it reads;
+#: "" stands for importing newscast.cli alone.
+COMMANDS = ("", "score", "build-index", "backtest", "fit", "nowcast", "evaluate")
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """For each of COMMANDS, the modules a fresh interpreter has loaded
+    after importing newscast.cli and running it on the toy config, and
+    the names of the files then in the output directory."""
+    out = tmp_path_factory.mktemp("commands") / "out"
     code = (
         "import contextlib, io, json, sys\n"
         "from newscast.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['--config', 'toy', '--out', sys.argv[1], c])\n"
         "             for c in sys.argv[2:]]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-        "                                if m.split('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code, out, *commands], env=package_env(),
-        capture_output=True, text=True, check=True,
-    )
-    codes, modules = json.loads(result.stdout)
-    assert codes == [0] * len(commands)
-    return modules
+    found = {}
+    for command in COMMANDS:
+        commands = [command] if command else []
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(out), *commands], env=package_env(),
+            capture_output=True, text=True, check=True,
+        )
+        codes, modules = json.loads(result.stdout)
+        assert codes == [0] * len(commands), command
+        found[command] = modules, sorted(p.name for p in out.glob("*"))
+    return found
+
+
+def scipy_modules(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 class TestLapackLoader:
@@ -537,19 +552,26 @@ class TestTailLoader:
     def test_failed_load_leaves_no_stand_in(self):
         code = (
             "import importlib, sys\n"
+            "from newscast.errors import ConfigError\n"
             "from newscast.ols import tail_ufuncs\n"
             "def refuse(name): raise ImportError(name)\n"
             "importlib.import_module = refuse\n"
             "try:\n"
             "    tail_ufuncs()\n"
-            "except ImportError as error:\n"
-            "    print(error, 'scipy.special' in sys.modules)\n"
+            "except ConfigError as error:\n"
+            "    print(error)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=package_env(),
             capture_output=True, text=True, check=True,
         )
-        assert result.stdout == "scipy.special._ufuncs False\n"
+        directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
+        assert result.stdout == (
+            f"unsupported scipy install: scipy.special._ufuncs in {directory} does "
+            f"not load without the scipy package: scipy.special._ufuncs "
+            f"(scipy {version('scipy')})\n[]\n"
+        )
 
     def test_missing_extension_names_module_and_directory(self, monkeypatch):
         searched = []
@@ -583,13 +605,14 @@ class TestTailProbabilities:
         )
         assert result.stdout.strip() == "False"
 
-    def test_scipy_is_loaded_only_by_the_commands_that_call_it(self, tmp_path):
-        out = str(tmp_path / "out")
-        assert scipy_modules_after(out) == []  # import newscast.cli alone
-        assert scipy_modules_after(out, "score", "build-index") == []
+    def test_scipy_is_loaded_only_by_the_commands_that_call_it(self, loaded_modules):
+        assert scipy_modules(loaded_modules[""][0]) == []  # newscast.cli alone
+        assert scipy_modules(loaded_modules["score"][0]) == []
+        assert scipy_modules(loaded_modules["build-index"][0]) == []
         # backtest solves through scipy's LAPACK extension and tests nothing.
-        assert scipy_modules_after(out, "backtest") == ["scipy.linalg._flapack"]
-        assert not list(Path(out).glob("evaluation.*"))
+        modules, files = loaded_modules["backtest"]
+        assert scipy_modules(modules) == ["scipy.linalg._flapack"]
+        assert not [f for f in files if f.startswith("evaluation.")]
         # The tails come from scipy.special's ufunc extension and the
         # sibling extensions it imports, never from the scipy.special or
         # scipy.linalg packages.
@@ -598,13 +621,24 @@ class TestTailProbabilities:
             ("nowcast", ["scipy.linalg._flapack"]),
             ("evaluate", []),
         ):
-            loaded = scipy_modules_after(out, command)
+            loaded = scipy_modules(loaded_modules[command][0])
             assert [m for m in loaded if m.startswith("scipy.linalg")] == (
                 linalg_modules
             ), command
             assert [m for m in loaded if m.startswith("scipy.special")] == (
                 TAIL_MODULES
             ), command
+
+    def test_commands_load_neither_openssl_nor_a_scipy_package(self, loaded_modules):
+        # The config digest hashes with CPython's own SHA-256, so no
+        # command loads OpenSSL; the extensions load under stand-ins, so
+        # no scipy package, nor the subprocess its __init__ imports, runs.
+        for command, (modules, _) in loaded_modules.items():
+            assert "_hashlib" not in modules, command
+            if command in ("", "score", "build-index"):
+                assert scipy_modules(modules) == [], command
+            else:
+                assert not {"scipy", "scipy._lib", "subprocess"} & {*modules}, command
 
     def test_p_values_match_scipy_stats_bitwise(self, rng):
         for robust in (False, True):

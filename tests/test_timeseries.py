@@ -1,10 +1,11 @@
 """Month keys, series container, and the arithmetic transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newscast import (
@@ -24,11 +25,30 @@ from newscast import (
     moving_averages,
     pct_change,
 )
+from newscast.timeseries import month_ordinal
 
 # Frozen high-precision oracle values (50-digit arithmetic).
 GEOMETRIC_PCT = 2.4265767945403237503  # 100*(1.002^12 - 1)
 ANNUALIZED_ONE = 12.682503013196972066  # 100*(1.01^12 - 1)
 DEANNUALIZED_TWELVE = 0.9488792934582974126  # 100*(1.12^(1/12) - 1)
+
+
+MONTH_RULE = re.compile(r"^[0-9]{4}-[0-9]{2}$")
+_ASCII_DIGIT = st.characters(min_codepoint=ord("0"), max_codepoint=ord("9"))
+_DIGITS = st.lists(
+    st.one_of(_ASCII_DIGIT, _ASCII_DIGIT, st.characters(whitelist_categories=("Nd",))),
+    min_size=1, max_size=5,
+).map("".join)
+_PAD = st.sampled_from(["", "", " ", "\t", "\n", "\u3000", "\x0b"])
+#: Month texts near the rule: ASCII and other digits, padding, other
+#: separators and lengths, and any text.
+MONTH_TEXTS = st.one_of(
+    st.builds(
+        lambda pad, year, sep, month, end: pad + year + sep + month + end,
+        _PAD, _DIGITS, st.sampled_from(["-", "-", "-", "/", "--", ""]), _DIGITS, _PAD,
+    ),
+    st.text(max_size=9),
+)
 
 
 class TestMonthKey:
@@ -47,6 +67,34 @@ class TestMonthKey:
         ):
             with pytest.raises(DataError):
                 MonthKey.parse(bad)
+
+    @settings(max_examples=120, deadline=None)
+    @given(text=MONTH_TEXTS)
+    @example(text="0000-01")
+    @example(text="2020-13")
+    @example(text="2020-1")
+    @example(text="2020-011")
+    @example(text="2020-00")
+    @example(text="0001-01")
+    @example(text="9999-12")
+    def test_parser_follows_the_month_rule(self, text):
+        # The rule: ^[0-9]{4}-[0-9]{2}$ after stripping, year >= 1 and
+        # month 1..12; each refusal with its own reason.
+        stripped = text.strip()
+        if not MONTH_RULE.match(stripped):
+            expected = f"expected YYYY-MM month, got {text!r}"
+        elif stripped.startswith("0000"):
+            expected = f"month {text!r} is outside years 1..9999"
+        elif not 1 <= int(stripped[5:]) <= 12:
+            expected = f"month must be in 1..12, got {int(stripped[5:])}"
+        else:
+            expected = int(stripped[:4]) * 12 + int(stripped[5:]) - 1
+        for parse in (month_ordinal, lambda t: MonthKey.parse(t).ordinal):
+            try:
+                got = parse(text)
+            except DataError as error:
+                got = str(error)
+            assert got == expected
 
     def test_month_bounds(self):
         with pytest.raises(DataError):
