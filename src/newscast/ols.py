@@ -34,7 +34,10 @@ take the place of the scipy, scipy._lib and scipy.linalg or
 scipy.special packages that are not loaded, so no scipy package code
 runs: the tails' sibling extensions import scipy._cyutility and
 scipy._lib._ccallback, and the real scipy/__init__ would import
-subprocess and sysconfig, about 17 ms of the tails' first load.
+subprocess and sysconfig, about 17 ms of the tails' first load. A
+thread that imports scipy while they are in place would keep a stand-in
+for it, so a program that uses newscast from several threads calls
+fit_ols once, which loads both extensions, before it starts them.
 """
 
 from __future__ import annotations
@@ -98,18 +101,21 @@ def _from_file(package: str, module: str, *attributes: str) -> tuple:
     that is not loaded, so the import finds the module, and the module
     its siblings, without running the packages. This relies on scipy's
     private file layout: a ConfigError names the module and the scipy
-    version when the file is not there or does not load this way, and
-    names scipy when there is none."""
+    version when the file is not there or does not load, and names
+    scipy when there is none. The stand-ins are in sys.modules only
+    while the module loads, so the first call must not run while
+    another thread imports scipy."""
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ConfigError(
-            f"cannot load scipy.{package}.{module}: no scipy package found; "
-            f"fit, nowcast, backtest and evaluate need scipy"
+            f"cannot load scipy.{package}.{module}: no scipy package found"
         )
     root = Path(spec.origin).parent
     name, directory = f"scipy.{package}.{module}", root / package
     if PathFinder.find_spec(name, [str(directory)]) is None:
-        raise _unsupported(f"no module {name} in {directory}")
+        raise _versioned(
+            f"unsupported scipy install: no module {name} in {directory}"
+        )
     standins = {}
     for parent, path in (
         ("scipy", root), ("scipy._lib", root / "_lib"), (f"scipy.{package}", directory)
@@ -121,21 +127,17 @@ def _from_file(package: str, module: str, *attributes: str) -> tuple:
         loaded = importlib.import_module(name)
         return tuple(getattr(loaded, a) for a in attributes)
     except (ImportError, AttributeError) as error:
-        raise _unsupported(
-            f"{name} in {directory} does not load without the scipy package: {error}"
-        ) from None
+        raise _versioned(f"{name} in {directory} does not load: {error}") from None
     finally:
         for parent, standin in standins.items():
             if sys.modules.get(parent) is standin:
                 del sys.modules[parent]
 
 
-def _unsupported(problem: str) -> ConfigError:
+def _versioned(problem: str) -> ConfigError:
     from importlib.metadata import version
 
-    return ConfigError(
-        f"unsupported scipy install: {problem} (scipy {version('scipy')})"
-    )
+    return ConfigError(f"{problem} (scipy {version('scipy')})")
 
 
 @cache

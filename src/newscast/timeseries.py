@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -46,13 +45,11 @@ def _checked_month(month: int) -> int:
     return month
 
 
-@lru_cache(maxsize=4096)
 def month_ordinal(text: str) -> int:
     """The ordinal (MonthKey.ordinal) of a YYYY-MM month, surrounding
     whitespace ignored. Year and month are ASCII digits, as
     date.fromisoformat takes them in an article date, the year at least
-    1 and the month 1..12; DataError otherwise. Cached: the series files
-    a command reads share their month texts."""
+    1 and the month 1..12; DataError otherwise."""
     s = text.strip()
     digits = s[:4] + s[5:]
     if not (len(s) == 7 and s[4] == "-" and digits.isascii() and digits.isdigit()):

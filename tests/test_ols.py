@@ -568,9 +568,8 @@ class TestTailLoader:
         )
         directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
         assert result.stdout == (
-            f"unsupported scipy install: scipy.special._ufuncs in {directory} does "
-            f"not load without the scipy package: scipy.special._ufuncs "
-            f"(scipy {version('scipy')})\n[]\n"
+            f"scipy.special._ufuncs in {directory} does not load: "
+            f"scipy.special._ufuncs (scipy {version('scipy')})\n[]\n"
         )
 
     def test_missing_extension_names_module_and_directory(self, monkeypatch):
