@@ -321,10 +321,16 @@ NUMERIC = (
     Mutant("timeseries: month text ordinal off by one", TS,
            "year * 12 + _checked_month(int(s[5:])) - 1",
            "year * 12 + _checked_month(int(s[5:]))"),
-    Mutant("timeseries: repeated series month passes", TS,
-           "i and month <= pairs[i - 1][0]", "i and month < pairs[i - 1][0]"),
     Mutant("timeseries: last month trimmed", TS,
            "int(where[-1]) + 1)", "int(where[-1]))"),
+    Mutant("timeseries: absent month kept past the last", TS,
+           "int(where[-1]) + 1)", "int(where[-1]) + 2)"),
+    Mutant("timeseries: -inf value passes", TS,
+           "infinite = np.flatnonzero(np.isinf(values))",
+           "infinite = np.flatnonzero(np.isposinf(values))"),
+    Mutant("timeseries: infinite value named a month late", TS,
+           "MonthKey.from_ordinal(start + i)}",
+           "MonthKey.from_ordinal(start + i + 1)}"),
     Mutant("timeseries: first month not contained", TS,
            "0 <= i < len(self._values)", "0 < i < len(self._values)"),
     Mutant("timeseries: window end exclusive", TS,
@@ -355,7 +361,7 @@ NUMERIC = (
            "/ LAGS for i", "/ (LAGS - 1) for i"),
     # nowcast
     Mutant("nowcast: window length one short", NOW,
-           "n = months_between(start, end) + 1", "n = months_between(start, end)"),
+           "n = end.ordinal - start.ordinal + 1", "n = end.ordinal - start.ordinal"),
     Mutant("nowcast: window one month shorter allowed", NOW,
            "if n < len(MODEL_SPECS[model]) + 2:",
            "if n < len(MODEL_SPECS[model]) + 1:"),

@@ -78,7 +78,6 @@ from .timeseries import (
     annualize,
     deannualize,
     month_range,
-    months_between,
     moving_average_predictor,
     moving_averages,
     pct_change,
@@ -93,7 +92,6 @@ __all__ = [
     "annualize",
     "deannualize",
     "month_range",
-    "months_between",
     "moving_average_predictor",
     "moving_averages",
     "pct_change",

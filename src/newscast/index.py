@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, DataError, ZeroDenominatorError
 from .sentiment import ArticleTable
 from .timeseries import (
-    INDEX_LEVEL,
     MonthKey,
     MonthlySeries,
     months_where,
@@ -128,7 +127,7 @@ def build_news_index(monthly: Sequence[MonthlySentiment]) -> NewsIndex:
     # bincount adds each mean to 0.0 and cumsum accumulates in order, so
     # the levels are exactly the running sum from 0.0 (gaps add 0.0).
     levels = np.cumsum(np.bincount(offsets, [m.mean_score for m in monthly]))
-    series = MonthlySeries.from_arrays(INDEX_NAME, start, levels, INDEX_LEVEL)
+    series = MonthlySeries(INDEX_NAME, start, levels)
     return NewsIndex(series=series, counts=counts)
 
 

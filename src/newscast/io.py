@@ -36,7 +36,7 @@ from .errors import DataError, SeriesFormatError, error_text
 from .index import NewsIndex
 from .nowcast import ForecastSeries
 from .sentiment import COLUMN_CHECKS, ArticleTable
-from .timeseries import INDEX_LEVEL, MonthKey, MonthlySeries, month_ordinal
+from .timeseries import MonthKey, MonthlySeries, month_ordinal
 from .version import __version__
 
 SERIES_HEADER = ["date", "value"]
@@ -407,7 +407,7 @@ def read_series(path: str | Path, name: str | None = None) -> MonthlySeries:
     start = int(months[0])
     values = np.full(months[-1] - start + 1, np.nan)
     values[months - start] = columns["values"][:, 0]
-    return MonthlySeries.from_arrays(name or path.stem, start, values, INDEX_LEVEL)
+    return MonthlySeries(name or path.stem, start, values)
 
 
 def write_series(

@@ -32,7 +32,6 @@ from .timeseries import (
     MonthKey,
     MonthlySeries,
     annualize,
-    months_between,
     moving_average_predictor,  # noqa: F401 -- wrapped by name in benchmarks/bench_trace.py
     moving_averages,
 )
@@ -90,7 +89,7 @@ def _window_length(model: str, start: MonthKey, end: MonthKey) -> int:
     """Months in [start, end], checked to be enough to fit the model."""
     if end < start:
         raise DataError(f"training window {start}..{end} is reversed")
-    n = months_between(start, end) + 1
+    n = end.ordinal - start.ordinal + 1
     if n < len(MODEL_SPECS[model]) + 2:
         raise DataError(
             f"window {start}..{end} has {n} months; "

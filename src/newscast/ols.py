@@ -45,7 +45,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from importlib.machinery import PathFinder
 from pathlib import Path
 from types import ModuleType
@@ -152,20 +152,6 @@ def tail_ufuncs():
     return _from_file("special", "_ufuncs", "stdtr", "fdtrc", "chdtrc")
 
 
-@lru_cache(maxsize=64)
-def _workspace(n: int, k: int) -> tuple[int, int, np.ndarray]:
-    """Optimal geqp3 and orgqr workspace sizes for an n x k design, as
-    scipy queries them (they depend on the shape alone), and the mask
-    of the entries below the diagonal of a k x k matrix."""
-    geqp3, orgqr, _ = _routines()
-    probe = np.zeros((n, k), order="F")
-    geqp3_lwork = int(geqp3(probe, lwork=-1)[-2][0])
-    orgqr_lwork = int(orgqr(probe, np.zeros(k), lwork=-1)[-2][0])
-    below = np.tri(k, k, -1, dtype=bool)
-    below.flags.writeable = False
-    return geqp3_lwork, orgqr_lwork, below
-
-
 def _check(routine: str, info: int) -> None:
     if info < 0:
         raise ValueError(
@@ -190,7 +176,12 @@ def solve_windows(
         raise DataError("design and response must be finite")
     geqp3, orgqr, trtrs = _routines()
     k = X.shape[1]
-    geqp3_lwork, orgqr_lwork, below = _workspace(n, k)
+    # The optimal workspace sizes, queried as scipy queries them (they
+    # depend on the shape alone), and the mask below R's diagonal.
+    probe = np.zeros((n, k), order="F")
+    geqp3_lwork = int(geqp3(probe, lwork=-1)[-2][0])
+    orgqr_lwork = int(orgqr(probe, np.zeros(k), lwork=-1)[-2][0])
+    below = np.tri(k, k, -1, dtype=bool)
     solutions = []
     for i in starts:
         qr, jpvt, tau, _, info = geqp3(X[i : i + n], lwork=geqp3_lwork)

@@ -5,20 +5,21 @@ indices, the news sentiment index) and percent changes. Transforms are
 pure functions: they emit values only on months where their inputs
 exist and surface gaps explicitly instead of interpolating.
 
-A MonthlySeries stores its month axis as one start ordinal (months
-since year 0) and one read-only float64 array over the calendar span
-from its first to its last month. A month inside the span that the
-series lacks holds NaN; every month it has holds a finite value.
-Transforms and window reads compute on slices of that array and let
-NaN carry absence; a transform whose result overflows raises, naming
-the months. MonthKey objects appear only at the API and file boundary.
+A MonthlySeries is built, like it is stored, from one start ordinal
+(months since year 0) and one float64 array whose slot i holds month
+start + i, NaN where the series lacks the month; it keeps the read-only
+span from its first to its last month, and every month it has holds a
+finite value. Transforms and window reads compute on slices of that
+array and let NaN carry absence; a transform whose result overflows
+raises, naming the months. MonthKey objects appear only at the API and
+file boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -94,11 +95,6 @@ class MonthKey:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def months_between(start: MonthKey, end: MonthKey) -> int:
-    """Signed month count from start to end."""
-    return end.ordinal - start.ordinal
-
-
 def month_range(start: MonthKey, end: MonthKey) -> list[MonthKey]:
     """Inclusive chronological range; empty when end precedes start."""
     return [MonthKey.from_ordinal(o) for o in range(start.ordinal, end.ordinal + 1)]
@@ -112,55 +108,37 @@ def months_where(start: int, mask: np.ndarray) -> list[MonthKey]:
 class MonthlySeries:
     """Named, chronologically ordered month -> value map.
 
-    Months must be strictly increasing and values finite; contiguity is
-    not required. The values live in one read-only float64 array from
-    the first month to the last, NaN where the series lacks a month.
-    Instances are immutable after construction.
+    values[i] is the value at month ordinal start + i (MonthKey.ordinal)
+    and NaN marks a month the series lacks; contiguity is not required.
+    Absent months are trimmed off both ends, and the values live in one
+    read-only float64 array from the first month to the last. Instances
+    are immutable after construction.
     """
 
     __slots__ = ("_name", "_unit", "_start", "_values")
 
-    def __init__(
-        self,
-        name: str,
-        points: Iterable[tuple[MonthKey, float]],
-        unit: str = INDEX_LEVEL,
-    ):
-        pairs = [(month, float(value)) for month, value in points]
-        for i, (month, value) in enumerate(pairs):
-            if not isinstance(month, MonthKey):
-                raise DataError(f"series keys must be MonthKey, got {month!r}")
-            if i and month <= pairs[i - 1][0]:
-                kind = "duplicate" if month == pairs[i - 1][0] else "non-monotone"
-                raise DataError(f"{kind} month {month} in series {name!r}")
-            if not math.isfinite(value):
-                raise DataError(f"series {name!r}: {value!r} at {month} is not finite")
-        start = pairs[0][0].ordinal if pairs else 0
-        values = np.full(pairs[-1][0].ordinal - start + 1 if pairs else 0, np.nan)
-        values[[month.ordinal - start for month, _ in pairs]] = [v for _, v in pairs]
-        self._set(name, unit, start, values)
-
-    @classmethod
-    def from_arrays(
-        cls, name: str, start: int, values: np.ndarray, unit: str
-    ) -> MonthlySeries:
-        """Series taking values[i] at month ordinal start + i, absent where
-        NaN. Unchecked: the transforms below and read_series pass it
-        values that are finite or NaN."""
-        series = cls.__new__(cls)
-        series._set(name, unit, start, values)
-        return series
-
-    def _set(self, name, unit, start, values) -> None:
+    def __init__(self, name: str, start: int, values, unit: str = INDEX_LEVEL):
         if unit not in UNITS:
-            raise DataError(f"unit must be one of {UNITS}, got {unit!r}")
-        # Trim absent months off both ends so the span runs first..last.
+            raise DataError(f"series {name!r}: unit {unit!r} is not one of {UNITS}")
+        if not isinstance(start, (int, np.integer)):
+            raise DataError(f"series {name!r}: start {start!r} is not a month ordinal")
+        start = int(start)
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise DataError(f"series {name!r}: values of shape {values.shape}, not 1-D")
+        infinite = np.flatnonzero(np.isinf(values))
+        if infinite.size:
+            i = int(infinite[0])
+            raise DataError(
+                f"series {name!r}: {float(values[i])!r} at "
+                f"{MonthKey.from_ordinal(start + i)} is not finite"
+            )
         where = np.flatnonzero(~np.isnan(values))
         lo, hi = (int(where[0]), int(where[-1]) + 1) if where.size else (0, 0)
         self._name = str(name)
         self._unit = unit
         self._start = start + lo
-        self._values = np.array(values[lo:hi], dtype=float)
+        self._values = values[lo:hi].copy()
         self._values.flags.writeable = False
 
     @property
@@ -188,6 +166,8 @@ class MonthlySeries:
         return 0 <= i < len(self._values) and not math.isnan(self._values[i])
 
     def __getitem__(self, month: MonthKey) -> float:
+        if not isinstance(month, MonthKey):
+            raise DataError(f"series {self._name!r} has MonthKey keys, got {month!r}")
         if month not in self:
             raise MissingMonthsError(f"series {self._name!r} has no value", [month])
         return float(self._values[month.ordinal - self._start])
@@ -223,7 +203,7 @@ class MonthlySeries:
         return self._start + lag, self._values[lag:], self._values[:-lag]
 
     def with_name(self, name: str) -> MonthlySeries:
-        return MonthlySeries.from_arrays(name, self._start, self._values, self._unit)
+        return MonthlySeries(name, self._start, self._values, self._unit)
 
     def __repr__(self) -> str:
         span = f"{self.first_month()}..{self.last_month()}" if len(self) else "empty"
@@ -264,7 +244,7 @@ def percent_series(
     overflow = np.isinf(values)
     if overflow.any():
         raise OverflowMonthsError(f"{what} overflows", months_where(start, overflow))
-    return MonthlySeries.from_arrays(name, start, values, PERCENT)
+    return MonthlySeries(name, start, values, PERCENT)
 
 
 def annualize(pi: float) -> float:

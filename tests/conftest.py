@@ -1,7 +1,8 @@
 import csv
 import io
-import tempfile
+import os
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,21 +18,15 @@ from newscast import io as nio
 # max_examples and deadline.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
-
-_hypothesis_home = None
-
-
-def pytest_configure(config):
-    # Hypothesis still caches the literals of the tested modules under its
-    # home directory. Pointing that home at a temporary directory keeps the
-    # checkout clean; a fixture would run after the cache is written.
-    global _hypothesis_home
-    _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
-    set_hypothesis_home_dir(_hypothesis_home.name)
-
-
-def pytest_unconfigure(config):
-    _hypothesis_home.cleanup()
+# Hypothesis still caches its Unicode tables and the literals of the
+# tested modules (under the hash of their source) in its home directory.
+# A fixed per-user directory outside the checkout keeps the checkout
+# clean and the caches warm from one run to the next; neither cache
+# changes what is drawn.
+set_hypothesis_home_dir(
+    Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    / "newscast-hypothesis"
+)
 
 
 @pytest.fixture
@@ -41,10 +36,26 @@ def rng():
 
 def make_series(start: str, values, name="s", unit="index-level") -> MonthlySeries:
     """Contiguous series beginning at start (YYYY-MM)."""
-    first = MonthKey.parse(start)
-    return MonthlySeries(
-        name, [(first.shift(i), v) for i, v in enumerate(values)], unit
-    )
+    return MonthlySeries(name, MonthKey.parse(start).ordinal, values, unit)
+
+
+def series_of(points, name="s", unit="index-level") -> MonthlySeries:
+    """The series of an ordinal -> value dict, absent at the months
+    between its keys that it lacks."""
+    start = min(points, default=0)
+    values = np.full(max(points, default=start - 1) - start + 1, np.nan)
+    values[np.array(list(points), dtype=int) - start] = list(points.values())
+    return MonthlySeries(name, start, values, unit)
+
+
+def edit_series(series: MonthlySeries, changes) -> MonthlySeries:
+    """A gapless series with each month of changes set to its value; NaN
+    makes the month absent."""
+    first = series.first_month()
+    values = series.window(first, series.last_month()).copy()
+    for month, value in changes.items():
+        values[month.ordinal - first.ordinal] = value
+    return MonthlySeries(series.name, first.ordinal, values, series.unit)
 
 
 @pytest.fixture

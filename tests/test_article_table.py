@@ -46,7 +46,7 @@ from newscast import (
 from newscast import io as nio
 from newscast.index import NewsIndex
 from newscast.nowcast import ForecastSeries
-from newscast.timeseries import INDEX_LEVEL, MonthlySeries
+from newscast.timeseries import MonthlySeries
 from newscast.cli import main
 from newscast.io import write_probability_articles
 from newscast.sentiment import (
@@ -57,7 +57,9 @@ from newscast.sentiment import (
     lexicon_mask,
 )
 
-from conftest import JUNK_NUMBERS, csv_files, make_articles, oracle_rows, write_csv
+from conftest import (
+    JUNK_NUMBERS, csv_files, make_articles, oracle_rows, series_of, write_csv,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 #: Each reader oracle runs at three block sizes, so a third of SETTINGS'
@@ -695,8 +697,7 @@ class TestWriterBytes:
     def test_series(self, scratch, drawn, block):
         path = scratch / "series.csv"
         months = sorted(drawn)
-        points = [(MonthKey.from_ordinal(m), drawn[m]) for m in months]
-        series = MonthlySeries("s", points)
+        series = series_of(drawn)
         with mock.patch.object(nio, "_BLOCK_ROWS", block):
             nio.write_series(series, path, comment="# c")
         rows = [[month(m), repr(drawn[m])] for m in months]
@@ -743,9 +744,7 @@ class TestWriterBytes:
         path = scratch / "meta.csv"
         levels, counts = zip(*drawn) if drawn else ((), ())
         index = NewsIndex(
-            MonthlySeries.from_arrays(
-                "NEWS", start, np.array(levels, dtype=float), INDEX_LEVEL
-            ),
+            MonthlySeries("NEWS", start, levels),
             np.array(counts, dtype=np.int64),
         )
         with mock.patch.object(nio, "_BLOCK_ROWS", block):

@@ -13,7 +13,6 @@ from newscast import (
     DataError,
     MonthKey,
     MonthlySentiment,
-    MonthlySeries,
     OverflowMonthsError,
     ZeroDenominatorError,
     build_news_index,
@@ -21,7 +20,7 @@ from newscast import (
     news_pi,
 )
 
-from conftest import make_articles
+from conftest import make_articles, make_series
 
 
 def art(id_, month_str, score, day=1):
@@ -239,9 +238,7 @@ class TestNewsPi:
         # Levels 1, -1, 1, 0, 0, 0, 2, 3, 4: 2020-02 and 2020-03 cross
         # zero, and 2020-05..2020-07 divide by a zero level.
         levels = [1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 3.0, 4.0]
-        s = MonthlySeries(
-            "NEWS", [(MonthKey(2020, 1).shift(i), v) for i, v in enumerate(levels)]
-        )
+        s = make_series("2020-01", levels, name="NEWS")
         with pytest.raises(ZeroDenominatorError) as err:
             news_pi(s, window=1)
         assert str(err.value) == (
@@ -279,12 +276,8 @@ class TestNewsPi:
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_named_in_both_modes(self):
-        start = MonthKey(2020, 1)
-
         def news(*values):
-            return MonthlySeries(
-                "NEWS", [(start.shift(i), v) for i, v in enumerate(values)]
-            )
+            return make_series("2020-01", values, name="NEWS")
 
         with pytest.raises(OverflowMonthsError) as err:
             news_pi(news(1e-300, 1e300, 1.0), window=1)
@@ -299,17 +292,13 @@ class TestNewsPi:
     def test_sign_crossing_of_tiny_levels_collected(self):
         # The product of the two levels underflows to -0.0; their signs
         # still differ.
-        s = MonthlySeries(
-            "NEWS", [(MonthKey(2020, 1), 1e-200), (MonthKey(2020, 2), -1e-200)]
-        )
+        s = make_series("2020-01", [1e-200, -1e-200], name="NEWS")
         with pytest.raises(ZeroDenominatorError, match="sign-crossing") as err:
             news_pi(s, window=1)
         assert err.value.months == (MonthKey(2020, 2),)
 
     def test_accepts_bare_series(self):
-        s = MonthlySeries(
-            "NEWS", [(MonthKey(2020, 1), 1.0), (MonthKey(2020, 2), 2.0)]
-        )
+        s = make_series("2020-01", [1.0, 2.0], name="NEWS")
         out = news_pi(s, window=1)
         assert out[MonthKey(2020, 2)] == pytest.approx(100.0)
 

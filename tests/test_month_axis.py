@@ -17,7 +17,6 @@ from newscast import (
     DataError,
     MissingMonthsError,
     MonthKey,
-    MonthlySeries,
     MonthlySentiment,
     NewscastError,
     ZeroDenominatorError,
@@ -29,6 +28,8 @@ from newscast import (
     pct_change,
 )
 from newscast.nowcast import coefficient_names
+
+from conftest import series_of
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -48,10 +49,7 @@ def gapped(draw, unit="index-level", max_len=40):
     start = draw(st.integers(1990 * 12, 2010 * 12))
     cells = draw(st.lists(st.one_of(st.none(), VALUES, VALUES), max_size=max_len))
     points = {start + i: v for i, v in enumerate(cells) if v is not None}
-    series = MonthlySeries(
-        "s", [(MonthKey.from_ordinal(o), v) for o, v in points.items()], unit
-    )
-    return points, series
+    return points, series_of(points, unit=unit)
 
 
 def bits(series):
@@ -167,10 +165,7 @@ def bundles(draw):
 def test_fit_model_design_matches_reference(drawn):
     spec, points, lo, hi = drawn
     data = {
-        key: MonthlySeries(
-            key, [(MonthKey.from_ordinal(o), v) for o, v in pts.items()], "percent"
-        )
-        for key, pts in points.items()
+        key: series_of(pts, key, "percent") for key, pts in points.items()
     }
     months = range(lo, hi + 1)
 

@@ -19,13 +19,12 @@ from newscast import (
     DataError,
     ForecastSeries,
     MonthKey,
-    MonthlySeries,
     read_forecasts,
     read_series,
 )
 from newscast import io as nio
 
-from conftest import JUNK_NUMBERS, csv_files, oracle_rows, write_csv
+from conftest import JUNK_NUMBERS, csv_files, oracle_rows, series_of, write_csv
 
 #: Each reader oracle runs at three block sizes, so about a third of the
 #: 70 examples it would draw at one size.
@@ -149,9 +148,8 @@ def oracle_series(path):
         return checked
     if not checked:
         return "DataError", f"{path} contains no series rows", None
-    return series_values(
-        MonthlySeries(path.stem, [(month, value) for month, _, (value,) in checked])
-    )
+    points = {month.ordinal: value for month, _, (value,) in checked}
+    return series_values(series_of(points, path.stem))
 
 
 def oracle_forecasts(path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edit_series
 from newscast import (
     MODEL_SPECS,
     ConfigError,
@@ -23,7 +24,6 @@ from newscast import (
     backtest,
     fit_model,
     month_range,
-    months_between,
     nowcast,
     resolve_spec,
 )
@@ -37,10 +37,7 @@ def month(s):
 
 
 def pct_series(name, start, values):
-    m0 = month(start)
-    return MonthlySeries(
-        name, [(m0.shift(i), float(v)) for i, v in enumerate(values)], "percent"
-    )
+    return MonthlySeries(name, month(start).ordinal, values, "percent")
 
 
 def make_bundle(rng, start="2013-01", n=96, noise=0.0):
@@ -148,10 +145,7 @@ class TestFitModel:
     def test_missing_month_named(self, rng):
         data = make_bundle(rng)
         hole = month("2015-06")
-        gas = data["gas"]
-        data["gas"] = MonthlySeries(
-            gas.name, [(m, v) for m, v in gas.items() if m != hole], gas.unit
-        )
+        data["gas"] = edit_series(data["gas"], {hole: np.nan})
         with pytest.raises(MissingMonthsError) as err:
             fit_model("fed", data, month("2013-01"), month("2018-12"))
         assert err.value.months == (hole,)
@@ -313,11 +307,7 @@ class TestBacktest:
     def test_annualizing_error_names_model_column_and_month(self, rng, bad, reason):
         data = make_bundle(rng, noise=0.2)
         t = month("2019-05")
-        data["cpi"] = MonthlySeries(
-            "pi-CPI",
-            [(m, bad if m == t else v) for m, v in data["cpi"].items()],
-            "percent",
-        )
+        data["cpi"] = edit_series(data["cpi"], {t: bad})
         with pytest.raises(DomainError) as err:
             backtest("fed", data, self.TRAIN, self.EVAL)
         assert str(err.value) == f"model 'fed', realized for 2019-05: {reason}"
@@ -363,7 +353,7 @@ def per_window_backtest(spec, data, train, evaluation, scheme, robust=False):
     """The backtest loop written out: a full fit_model (coefficients and
     inference) per window and the public nowcast, then the annualized
     columns in the order backtest computes them."""
-    length = months_between(*train) + 1
+    length = train[1].ordinal - train[0].ordinal + 1
     fitted = None
     if scheme == "fixed":
         fitted = fit_model(spec, data, *train, robust=robust)
@@ -427,11 +417,7 @@ class TestBacktestMatchesPerWindowFits:
     def test_gap_inside_the_rolling_span(self, rng):
         data = make_bundle(rng, noise=0.2)
         gap = month("2016-05")
-        data["ccpi"] = MonthlySeries(
-            "pi-CCPI",
-            [(m, v) for m, v in data["ccpi"].items() if m != gap],
-            "percent",
-        )
+        data["ccpi"] = edit_series(data["ccpi"], {gap: np.nan})
         with pytest.raises(MissingMonthsError) as got:
             backtest("ccpi+news", data, self.TRAIN, self.EVAL, "rolling")
         assert got.value.months == (gap,)
@@ -442,11 +428,7 @@ class TestBacktestMatchesPerWindowFits:
         # averages over the evaluation window need gas through 2019-11.
         data = make_bundle(rng, noise=0.2)
         gaps = (month("2018-06"), month("2019-03"))
-        data["gas"] = MonthlySeries(
-            "pi-Gasoline",
-            [(m, v) for m, v in data["gas"].items() if m not in gaps],
-            "percent",
-        )
+        data["gas"] = edit_series(data["gas"], dict.fromkeys(gaps, np.nan))
         with pytest.raises(MissingMonthsError) as got:
             backtest("fed", data, self.TRAIN, self.EVAL, "fixed")
         assert got.value.months == gaps
@@ -455,11 +437,7 @@ class TestBacktestMatchesPerWindowFits:
     def test_every_missing_news_month_named_at_once(self, rng):
         data = make_bundle(rng, noise=0.2)
         gaps = (month("2018-02"), month("2019-07"))
-        data["news"] = MonthlySeries(
-            "pi-NEWS",
-            [(m, v) for m, v in data["news"].items() if m not in gaps],
-            "percent",
-        )
+        data["news"] = edit_series(data["news"], dict.fromkeys(gaps, np.nan))
         for scheme in BACKTEST_SCHEMES:
             with pytest.raises(MissingMonthsError) as got:
                 backtest("news", data, self.TRAIN, self.EVAL, scheme)

@@ -39,10 +39,7 @@ def fitted_pair(rng):
     start = MonthKey(2013, 1)
 
     def series(name, values):
-        return MonthlySeries(
-            name, [(start.shift(i), float(v)) for i, v in enumerate(values)],
-            "percent",
-        )
+        return MonthlySeries(name, start.ordinal, values, "percent")
 
     ccpi = rng.normal(0.2, 0.1, n)
     fcpi = rng.normal(0.3, 0.2, n)

@@ -20,7 +20,6 @@ from newscast import (
     annualize,
     deannualize,
     month_range,
-    months_between,
     moving_average_predictor,
     moving_averages,
     pct_change,
@@ -115,11 +114,6 @@ class TestMonthKey:
         assert MonthKey(2020, 11).shift(3) == MonthKey(2021, 2)
         assert MonthKey(2020, 6).shift(-18) == MonthKey(2018, 12)
 
-    def test_months_between(self):
-        assert months_between(MonthKey(2020, 1), MonthKey(2020, 1)) == 0
-        assert months_between(MonthKey(2019, 11), MonthKey(2020, 2)) == 3
-        assert months_between(MonthKey(2020, 2), MonthKey(2019, 11)) == -3
-
     def test_month_range_inclusive(self):
         r = month_range(MonthKey(2019, 11), MonthKey(2020, 2))
         assert [str(m) for m in r] == ["2019-11", "2019-12", "2020-01", "2020-02"]
@@ -127,28 +121,36 @@ class TestMonthKey:
 
 
 class TestMonthlySeries:
-    def test_construction_from_pairs(self):
-        pairs = [(MonthKey(2020, 1), 1.0), (MonthKey(2020, 2), 2.0)]
-        a = MonthlySeries("a", pairs)
-        b = MonthlySeries("b", iter(pairs))
-        assert a.values() == b.values() == (1.0, 2.0)
-        assert a.unit == "index-level"
+    def test_construction_from_start_and_values(self):
+        # Absent months are trimmed off both ends; values[i] is at start + i.
+        start = MonthKey(2019, 12).ordinal
+        s = MonthlySeries("s", start, [math.nan, 1.0, math.nan, 3.0, math.nan])
+        assert s.months() == (MonthKey(2020, 1), MonthKey(2020, 3))
+        assert (s.first_month(), s.last_month()) == s.months()
+        assert s.values() == (1.0, 3.0)
+        assert s.unit == "index-level"
 
-    def test_duplicate_month_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
-            MonthlySeries("s", [(MonthKey(2020, 1), 1.0), (MonthKey(2020, 1), 2.0)])
-
-    def test_non_monotone_rejected(self):
-        with pytest.raises(DataError, match="non-monotone"):
-            MonthlySeries("s", [(MonthKey(2020, 2), 1.0), (MonthKey(2020, 1), 2.0)])
-
-    def test_keys_must_be_month_keys(self):
-        with pytest.raises(DataError, match="^series keys must be MonthKey, got '2020-01'"):
-            MonthlySeries("s", [("2020-01", 1.0)])
+    def test_keys_must_be_month_keys(self, series_factory):
+        s = series_factory("2020-01", [1.0])
+        for key in (MonthKey(2020, 1).ordinal, "2020-01"):
+            with pytest.raises(DataError) as err:
+                s[key]
+            assert str(err.value) == f"series 's' has MonthKey keys, got {key!r}"
 
     def test_unknown_unit_rejected(self):
-        with pytest.raises(DataError, match="unit"):
-            MonthlySeries("s", [], unit="furlongs")
+        with pytest.raises(DataError, match="^series 's': unit 'furlongs'"):
+            MonthlySeries("s", 0, [], unit="furlongs")
+
+    @pytest.mark.parametrize("start", [MonthKey(2020, 1), 24240.0])
+    def test_start_must_be_an_ordinal(self, start):
+        with pytest.raises(DataError) as err:
+            MonthlySeries("s", start, [1.0])
+        assert str(err.value) == f"series 's': start {start!r} is not a month ordinal"
+
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(DataError) as err:
+            MonthlySeries("s", 0, [[1.0, 2.0]])
+        assert str(err.value) == "series 's': values of shape (1, 2), not 1-D"
 
     def test_getitem_missing_month(self, series_factory):
         s = series_factory("2020-01", [1.0, 2.0])
@@ -158,9 +160,7 @@ class TestMonthlySeries:
         assert err.value.months == (MonthKey(2021, 1),)
 
     def test_gaps_are_allowed(self):
-        s = MonthlySeries(
-            "s", [(MonthKey(2020, 1), 1.0), (MonthKey(2020, 5), 2.0)]
-        )
+        s = MonthlySeries("s", MonthKey(2020, 1).ordinal, [1.0, *[math.nan] * 3, 2.0])
         assert len(s) == 2
         with pytest.raises(MissingMonthsError) as err:
             s.window(s.first_month(), s.last_month())
@@ -175,19 +175,17 @@ class TestMonthlySeries:
         assert s.name == "other"
         assert s.values() == (1.0,)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_non_finite_value_rejected(self, bad):
-        pairs = [(MonthKey(2020, 1), 1.0), (MonthKey(2020, 3), bad)]
         with pytest.raises(DataError) as err:
-            MonthlySeries("gas", pairs)
+            MonthlySeries("gas", MonthKey(2020, 1).ordinal, [1.0, math.nan, bad, bad])
         assert str(err.value) == (
             f"series 'gas': {bad!r} at 2020-03 is not finite"
         )
 
     def test_one_array_with_nan_for_absent_months(self):
-        s = MonthlySeries(
-            "s", [(MonthKey(2020, 1), 1.0), (MonthKey(2020, 3), 3.0)]
-        )
+        s = MonthlySeries("s", MonthKey(2020, 1).ordinal, [1.0, math.nan, 3.0])
+        assert MonthKey(2020, 2) not in s
         assert "_present" not in MonthlySeries.__slots__
         start, now, then = s.lagged(1)
         assert start == MonthKey(2020, 2).ordinal
@@ -197,7 +195,7 @@ class TestMonthlySeries:
 
     def test_empty_series_first_month_errors(self):
         with pytest.raises(DataError, match="empty"):
-            MonthlySeries("s", []).first_month()
+            MonthlySeries("s", 0, []).first_month()
 
 
 class TestPctChange:
@@ -338,11 +336,8 @@ def lagged_spans(draw):
     if n > 1 and draw(st.booleans()):
         gaps = set(draw(st.lists(st.integers(1, n - 1), max_size=3)))
     origin = MonthKey(2010, 1)
-    series = MonthlySeries(
-        "pi",
-        [(origin.shift(i), v) for i, v in enumerate(values) if i not in gaps],
-        "percent",
-    )
+    values = [math.nan if i in gaps else v for i, v in enumerate(values)]
+    series = MonthlySeries("pi", origin.ordinal, values, "percent")
     first = draw(st.integers(10, n))
     last = draw(st.integers(first, n + 1))
     return series, origin.shift(first), origin.shift(last)
