@@ -49,13 +49,10 @@ def series_of(points, name="s", unit="index-level") -> MonthlySeries:
 
 
 def edit_series(series: MonthlySeries, changes) -> MonthlySeries:
-    """A gapless series with each month of changes set to its value; NaN
-    makes the month absent."""
-    first = series.first_month()
-    values = series.window(first, series.last_month()).copy()
-    for month, value in changes.items():
-        values[month.ordinal - first.ordinal] = value
-    return MonthlySeries(series.name, first.ordinal, values, series.unit)
+    """The series with each month of changes set to its value; NaN makes
+    the month absent."""
+    points = {month.ordinal: v for month, v in (*series.items(), *changes.items())}
+    return series_of(points, series.name, series.unit)
 
 
 @pytest.fixture
