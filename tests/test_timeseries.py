@@ -175,10 +175,17 @@ class TestMonthlySeries:
         assert s.name == "other"
         assert s.values() == (1.0,)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_rejected(self, bad):
+        values = [1.0, math.nan, bad, bad]
+        if math.isnan(bad):
+            # NaN is not refused: it marks an absent month, trimmed at the end.
+            s = MonthlySeries("gas", MonthKey(2020, 1).ordinal, values)
+            assert s.months() == (MonthKey(2020, 1),)
+            assert MonthKey(2020, 3) not in s
+            return
         with pytest.raises(DataError) as err:
-            MonthlySeries("gas", MonthKey(2020, 1).ordinal, [1.0, math.nan, bad, bad])
+            MonthlySeries("gas", MonthKey(2020, 1).ordinal, values)
         assert str(err.value) == (
             f"series 'gas': {bad!r} at 2020-03 is not finite"
         )
