@@ -174,13 +174,9 @@ def giacomini_white(
     if variant == "unconditional":
         variance = _bartlett_variance(d, truncation_lag)
         if variance <= 0.0:
-            # At lag 0 the variance is a mean of squares: only underflow
-            # leaves it at 0 once the constant case is out.
+            # Bartlett: >= 0 at any lag; with d not constant, only underflow gives 0.
             raise DegenerateLossError(
-                "long-run variance of the loss differential is not positive; "
-                "try a smaller truncation lag"
-                if truncation_lag
-                else "variance of the loss differential underflows to 0"
+                "variance of the loss differential underflows to 0"
             )
         statistic = n * dbar**2 / variance
         df = 1

@@ -161,16 +161,20 @@ class MonthlySeries:
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self._values)))
 
+    def _slot(self, month: MonthKey) -> int:
+        """Index of month in the values; DataError for a non-MonthKey key."""
+        if not isinstance(month, MonthKey):
+            raise DataError(f"series {self._name!r} has MonthKey keys, got {month!r}")
+        return month.ordinal - self._start
+
     def __contains__(self, month: MonthKey) -> bool:
-        i = month.ordinal - self._start if isinstance(month, MonthKey) else -1
+        i = self._slot(month)
         return 0 <= i < len(self._values) and not math.isnan(self._values[i])
 
     def __getitem__(self, month: MonthKey) -> float:
-        if not isinstance(month, MonthKey):
-            raise DataError(f"series {self._name!r} has MonthKey keys, got {month!r}")
         if month not in self:
             raise MissingMonthsError(f"series {self._name!r} has no value", [month])
-        return float(self._values[month.ordinal - self._start])
+        return float(self._values[self._slot(month)])
 
     def first_month(self) -> MonthKey:
         if not len(self._values):

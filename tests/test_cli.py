@@ -80,11 +80,19 @@ def read_csv_after_provenance(path):
 
 
 @pytest.fixture(scope="module")
-def toy_run(tmp_path_factory):
-    """One full pipeline run on the bundled config, shared read-only."""
-    out = tmp_path_factory.mktemp("toy-out")
-    for command in ("score", "build-index", "fit", "backtest", "evaluate"):
+def toy_chain(tmp_path_factory):
+    """Outputs of every command's clean toy run, shared read-only."""
+    out = tmp_path_factory.mktemp("toy-chain")
+    for command in COMMANDS:
         assert run("--config", "toy", "--out", out, command) == 0
+    return out
+
+
+@pytest.fixture
+def toy_copy(toy_chain, tmp_path):
+    """A copy of toy_chain for a test that runs a command into it."""
+    out = tmp_path / "toy-copy"
+    shutil.copytree(toy_chain, out)
     return out
 
 
@@ -113,30 +121,30 @@ class TestParser:
 
 
 class TestScore:
-    def test_toy_outputs(self, toy_run):
-        scored = toy_run / "articles_scored.csv"
+    def test_toy_outputs(self, toy_chain):
+        scored = toy_chain / "articles_scored.csv"
         rows = read_csv_after_provenance(scored)
         assert rows[0] == ["id", "date", "score"]
         assert len(rows) > 1000  # every probability row scores
         for row in rows[1:]:
             assert -1.0 <= float(row[2]) <= 1.0
 
-    def test_probs_route_preferred_over_text(self, toy_run):
+    def test_probs_route_preferred_over_text(self, toy_chain):
         # toy.cfg lists both inputs; the probability route wins, so the
         # probs sidecar mirrors the input probabilities.
-        rows = read_csv_after_provenance(toy_run / "articles_probs.csv")
+        rows = read_csv_after_provenance(toy_chain / "articles_probs.csv")
         assert rows[0] == ["id", "date", "p_down", "p_neutral", "p_up"]
         assert len(rows) == 1 + sum(
             1 for _ in open(TOY_DIR / "news_probs.csv")
         ) - 1
 
-    def test_deterministic_outputs(self, tmp_path, toy_run):
+    def test_deterministic_outputs(self, tmp_path, toy_chain):
         # The provenance line carries the config digest, which covers the
         # --out override, so only the payload below it is comparable.
         out2 = tmp_path / "second"
         assert run("--config", "toy", "--out", out2, "score") == 0
         for name in ("articles_scored.csv", "articles_probs.csv"):
-            first = (toy_run / name).read_text().splitlines()[1:]
+            first = (toy_chain / name).read_text().splitlines()[1:]
             second = (out2 / name).read_text().splitlines()[1:]
             assert first == second
 
@@ -263,11 +271,11 @@ class TestScore:
 
 
 class TestBuildIndex:
-    def test_outputs(self, toy_run):
-        index_rows = read_csv_after_provenance(toy_run / "news_index.csv")
+    def test_outputs(self, toy_chain):
+        index_rows = read_csv_after_provenance(toy_chain / "news_index.csv")
         assert index_rows[0] == ["date", "value"]
         assert len(index_rows) == 133  # 2013-01..2023-12, contiguous
-        meta_rows = read_csv_after_provenance(toy_run / "news_index_meta.csv")
+        meta_rows = read_csv_after_provenance(toy_chain / "news_index_meta.csv")
         assert meta_rows[0] == ["month", "article_count", "gap"]
         assert len(meta_rows) == 133
         assert all(r[2] == "0" for r in meta_rows[1:])  # no gaps in toy data
@@ -289,40 +297,35 @@ class TestBuildIndex:
 
 
 class TestFit:
-    def test_stdout_table(self, toy_run, capsys):
-        assert run("--config", "toy", "--out", toy_run, "fit") == 0
+    def test_stdout_table(self, toy_copy, capsys):
+        assert run("--config", "toy", "--out", toy_copy, "fit") == 0
         out = capsys.readouterr().out
         assert "Dependent variable: CPI" in out
         assert "pi-NEWS" in out
         assert "Note: *p<0.1; **p<0.05; ***p<0.01" in out
 
-    def test_written_files(self, toy_run):
-        text = (toy_run / "regression.txt").read_text()
+    def test_written_files(self, toy_chain):
+        text = (toy_chain / "regression.txt").read_text()
         assert text.startswith("# newscast ")
         assert "Dependent variable: CPI" in text
-        rows = read_csv_after_provenance(toy_run / "regression.csv")
+        rows = read_csv_after_provenance(toy_chain / "regression.csv")
         assert rows[0] == ["term", "statistic", "fed", "fed+news"]
 
-    def test_spec_arguments_override_config(self, toy_run, capsys):
-        assert run("--config", "toy", "--out", toy_run, "fit", "fed") == 0
-        rows = read_csv_after_provenance(toy_run / "regression.csv")
+    def test_spec_arguments_override_config(self, toy_copy, capsys):
+        assert run("--config", "toy", "--out", toy_copy, "fit", "fed") == 0
+        rows = read_csv_after_provenance(toy_copy / "regression.csv")
         assert rows[0] == ["term", "statistic", "fed"]
-        # Restore the two-model outputs for later tests in this module.
-        assert run("--config", "toy", "--out", toy_run, "fit") == 0
-        capsys.readouterr()
 
-    def test_fit_all_uses_every_spec(self, toy_run, capsys):
-        assert run("--config", "toy", "--out", toy_run, "fit", "all") == 0
-        rows = read_csv_after_provenance(toy_run / "regression.csv")
+    def test_fit_all_uses_every_spec(self, toy_copy, capsys):
+        assert run("--config", "toy", "--out", toy_copy, "fit", "all") == 0
+        rows = read_csv_after_provenance(toy_copy / "regression.csv")
         assert rows[0] == [
             "term", "statistic",
             "fed", "news", "fed+news", "fed-gas+news", "ccpi+news",
         ]
-        assert run("--config", "toy", "--out", toy_run, "fit") == 0
-        capsys.readouterr()
 
-    def test_unknown_spec_is_config_error(self, toy_run, capsys):
-        assert run("--config", "toy", "--out", toy_run, "fit", "fed+tweets") == 2
+    def test_unknown_spec_is_config_error(self, toy_copy, capsys):
+        assert run("--config", "toy", "--out", toy_copy, "fit", "fed+tweets") == 2
         assert "unknown model" in capsys.readouterr().err
 
     def test_unknown_spec_says_where_it_was_given(self, tmp_path, capsys):
@@ -362,30 +365,30 @@ class TestFit:
 
 
 class TestNowcast:
-    def test_default_month_follows_training(self, toy_run, capsys):
-        assert run("--config", "toy", "--out", toy_run, "nowcast") == 0
+    def test_default_month_follows_training(self, toy_copy, capsys):
+        assert run("--config", "toy", "--out", toy_copy, "nowcast") == 0
         out = capsys.readouterr().out
         assert "2020-01" in out
-        rows = read_csv_after_provenance(toy_run / "nowcast.csv")
+        rows = read_csv_after_provenance(toy_copy / "nowcast.csv")
         assert rows[0] == ["date", "model", "nowcast", "nowcast_annualized"]
         assert [r[1] for r in rows[1:]] == ["fed", "fed+news"]
         assert all(r[0] == "2020-01" for r in rows[1:])
 
-    def test_explicit_month(self, toy_run, capsys):
-        assert run("--config", "toy", "--out", toy_run,
+    def test_explicit_month(self, toy_copy, capsys):
+        assert run("--config", "toy", "--out", toy_copy,
                    "nowcast", "--month", "2021-06") == 0
-        rows = read_csv_after_provenance(toy_run / "nowcast.csv")
+        rows = read_csv_after_provenance(toy_copy / "nowcast.csv")
         assert all(r[0] == "2021-06" for r in rows[1:])
         capsys.readouterr()
 
-    def test_matches_first_backtest_month(self, toy_run, capsys):
+    def test_matches_first_backtest_month(self, toy_copy, capsys):
         # A fixed-scheme backtest's first month is exactly the nowcast
         # of eval_start: same fit, same bundle, same arithmetic.
-        assert run("--config", "toy", "--out", toy_run,
+        assert run("--config", "toy", "--out", toy_copy,
                    "nowcast", "--month", "2020-01") == 0
         capsys.readouterr()
-        nowcast_rows = read_csv_after_provenance(toy_run / "nowcast.csv")
-        forecast_rows = read_csv_after_provenance(toy_run / "forecasts.csv")
+        nowcast_rows = read_csv_after_provenance(toy_copy / "nowcast.csv")
+        forecast_rows = read_csv_after_provenance(toy_copy / "forecasts.csv")
         for model in ("fed", "fed+news"):
             direct = next(
                 float(r[2]) for r in nowcast_rows[1:] if r[1] == model
@@ -396,12 +399,12 @@ class TestNowcast:
             )
             assert direct == from_backtest
 
-    def test_readme_library_example_prints_it(self, toy_run, capsys, monkeypatch):
+    def test_readme_library_example_prints_it(self, toy_copy, capsys, monkeypatch):
         # The README's library chain, run on the toy files, prints the
         # command line's fed+news nowcast.
-        assert run("--config", "toy", "--out", toy_run,
+        assert run("--config", "toy", "--out", toy_copy,
                    "nowcast", "--month", "2020-01", "fed+news") == 0
-        rows = read_csv_after_provenance(toy_run / "nowcast.csv")
+        rows = read_csv_after_provenance(toy_copy / "nowcast.csv")
         capsys.readouterr()
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
         library = readme[readme.index("\n## Library\n"):]
@@ -466,8 +469,8 @@ class TestBacktestAndEvaluate:
         assert [len(row) for row in rows] == [7, 7, 7]
         assert [row[0] for row in rows] == ["model", "fed", "fed\r+news"]
 
-    def test_forecast_file_shape(self, toy_run):
-        rows = read_csv_after_provenance(toy_run / "forecasts.csv")
+    def test_forecast_file_shape(self, toy_chain):
+        rows = read_csv_after_provenance(toy_chain / "forecasts.csv")
         assert rows[0] == [
             "date", "model", "nowcast", "nowcast_annualized",
             "realized", "realized_annualized",
@@ -481,13 +484,13 @@ class TestBacktestAndEvaluate:
         news = [r for r in data if r[1] == "fed+news"]
         assert [r[4] for r in fed] == [r[4] for r in news]
 
-    def test_evaluation_outputs(self, toy_run):
-        text = (toy_run / "evaluation.txt").read_text()
+    def test_evaluation_outputs(self, toy_chain):
+        text = (toy_chain / "evaluation.txt").read_text()
         assert text.startswith("# newscast ")
         assert "RMSE" in text
         assert "FED" in text and "FED+NEWS" in text
         assert "(--)" in text
-        rows = read_csv_after_provenance(toy_run / "evaluation.csv")
+        rows = read_csv_after_provenance(toy_chain / "evaluation.csv")
         assert rows[0] == [
             "model", "rmse", "gw_statistic", "gw_df", "gw_p_value",
             "gw_variant", "stars",
@@ -622,7 +625,7 @@ class TestExitCodes:
         assert "1" not in documented
 
     def test_unsupported_scipy_install_exits_2(
-        self, toy_run, tmp_path, capsys, monkeypatch
+        self, toy_chain, tmp_path, capsys, monkeypatch
     ):
         # The tails are loaded from a file of scipy's private layout; where
         # that file is missing, evaluate names it and exits 2.
@@ -631,7 +634,7 @@ class TestExitCodes:
         monkeypatch.setattr("newscast.ols.PathFinder", hidden)
         tail_ufuncs.cache_clear()  # a failed load is not cached
         code = run("--config", "toy", "--out", out,
-                   "--set", f"forecasts={toy_run / 'forecasts.csv'}", "evaluate")
+                   "--set", f"forecasts={toy_chain / 'forecasts.csv'}", "evaluate")
         directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
         assert code == 2
         assert capsys.readouterr().err == (
@@ -658,14 +661,14 @@ class TestExitCodes:
          "'types.SimpleNamespace' object has no attribute 'stdtr'"),
     ], ids=["ImportError", "AttributeError"])
     def test_extension_that_needs_the_scipy_package_exits_2(
-        self, toy_run, tmp_path, capsys, monkeypatch, import_module, detail
+        self, toy_chain, tmp_path, capsys, monkeypatch, import_module, detail
     ):
         # A sibling extension that reads the scipy package finds only its
         # stand-in: the import fails, or the module lacks a name.
         monkeypatch.setattr("newscast.ols.importlib.import_module", import_module)
         tail_ufuncs.cache_clear()  # a failed load is not cached
         code = run("--config", "toy", "--out", tmp_path / "out",
-                   "--set", f"forecasts={toy_run / 'forecasts.csv'}", "evaluate")
+                   "--set", f"forecasts={toy_chain / 'forecasts.csv'}", "evaluate")
         directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
         assert code == 2
         assert capsys.readouterr().err == (
@@ -720,9 +723,9 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_squared_error_names_model_and_month(
-        self, toy_run, tmp_path, capsys
+        self, toy_chain, tmp_path, capsys
     ):
-        lines = (toy_run / "forecasts.csv").read_text().splitlines()
+        lines = (toy_chain / "forecasts.csv").read_text().splitlines()
         row = next(i for i, x in enumerate(lines) if x.startswith("2020-01,fed,"))
         lines[row] = ",".join([*lines[row].split(",")[:5], "1e200"])
         forecasts = tmp_path / "forecasts.csv"
@@ -734,9 +737,9 @@ class TestExitCodes:
         )
 
     def test_models_scored_against_other_realizations_exit_3(
-        self, toy_run, tmp_path, capsys
+        self, toy_chain, tmp_path, capsys
     ):
-        lines = (toy_run / "forecasts.csv").read_text().splitlines()
+        lines = (toy_chain / "forecasts.csv").read_text().splitlines()
         row = next(i for i, x in enumerate(lines) if x.startswith("2020-01,fed+news,"))
         lines[row] = ",".join([*lines[row].split(",")[:4], "9.0", "200.0"])
         forecasts = tmp_path / "forecasts.csv"
@@ -748,9 +751,9 @@ class TestExitCodes:
             "baseline 'fed': 2020-01\n"
         )
 
-    def test_forecast_months_with_a_gap_exit_3(self, toy_run, tmp_path, capsys):
+    def test_forecast_months_with_a_gap_exit_3(self, toy_chain, tmp_path, capsys):
         # The conditional variant would take 2020-05 as the lag of 2020-07.
-        lines = (toy_run / "forecasts.csv").read_text().splitlines()
+        lines = (toy_chain / "forecasts.csv").read_text().splitlines()
         forecasts = tmp_path / "forecasts.csv"
         forecasts.write_text(
             "".join(x + "\n" for x in lines if not x.startswith("2020-06,"))
@@ -762,8 +765,8 @@ class TestExitCodes:
             "error: months of model 'fed' are not consecutive: 2020-06\n"
         )
 
-    def test_forecast_row_with_blank_model_exit_3(self, toy_run, tmp_path, capsys):
-        text = (toy_run / "forecasts.csv").read_text()
+    def test_forecast_row_with_blank_model_exit_3(self, toy_chain, tmp_path, capsys):
+        text = (toy_chain / "forecasts.csv").read_text()
         line = text[: text.index(",fed+news,")].count("\n") + 1
         forecasts = tmp_path / "forecasts.csv"
         forecasts.write_text(text.replace(",fed+news,", ", ,"))
@@ -922,15 +925,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"cannot write {out / 'articles_scored.csv'}" in err
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
-
-
-@pytest.fixture(scope="module")
-def toy_chain(tmp_path_factory):
-    """Outputs of every command's clean toy run, shared read-only."""
-    out = tmp_path_factory.mktemp("toy-chain")
-    for command in COMMANDS:
-        assert run("--config", "toy", "--out", out, command) == 0
-    return out
 
 
 def snapshot(directory):

@@ -1,6 +1,5 @@
 """Monthly aggregation, the cumulative index, and its rate transform."""
 
-import itertools
 import math
 from datetime import date
 
@@ -137,49 +136,6 @@ class TestMonthlySentiment:
 
 
 class TestBuildNewsIndex:
-    def test_prefix_sum_matches_accumulate(self, rng):
-        values = [float(v) for v in rng.uniform(-1, 1, 36)]
-        monthly = [
-            mean(str(MonthKey(2018, 1).shift(i)), v) for i, v in enumerate(values)
-        ]
-        index = build_news_index(monthly)
-        expected = list(itertools.accumulate(values))
-        assert list(index.series.values()) == expected
-        assert index.gap_months == ()
-
-    def test_first_level_equals_first_mean(self):
-        index = build_news_index([mean("2020-01", 0.25)])
-        assert index.series[MonthKey(2020, 1)] == 0.25
-
-    def test_differences_recover_means_on_dyadic_grid(self):
-        # Dyadic means make every prefix sum exact, so first differences
-        # reproduce the inputs bit for bit.
-        values = [0.5, -0.25, 0.125, 0.375, -0.5, 0.0625]
-        monthly = [
-            mean(str(MonthKey(2020, 1).shift(i)), v) for i, v in enumerate(values)
-        ]
-        series = build_news_index(monthly).series
-        months = series.months()
-        diffs = [
-            series[m] - series[months[i]] for i, m in enumerate(months[1:])
-        ]
-        assert diffs == values[1:]
-
-    def test_gap_months_carry_forward(self):
-        index = build_news_index(
-            [mean("2020-01", 0.5), mean("2020-04", 0.25, count=3)]
-        )
-        s = index.series
-        assert s.months() == (
-            MonthKey(2020, 1), MonthKey(2020, 2),
-            MonthKey(2020, 3), MonthKey(2020, 4),
-        )
-        assert s[MonthKey(2020, 2)] == 0.5
-        assert s[MonthKey(2020, 3)] == 0.5
-        assert s[MonthKey(2020, 4)] == 0.75
-        assert index.gap_months == (MonthKey(2020, 2), MonthKey(2020, 3))
-        assert index.counts.tolist() == [1, 0, 0, 3]
-
     def test_out_of_order_rejected(self):
         with pytest.raises(DataError, match="out of order"):
             build_news_index([mean("2020-02", 0.1), mean("2020-01", 0.1)])
@@ -197,43 +153,6 @@ class TestBuildNewsIndex:
 
 
 class TestNewsPi:
-    def _index(self, values, start="2020-01"):
-        monthly = [
-            mean(str(MonthKey.parse(start).shift(i)), v)
-            for i, v in enumerate(values)
-        ]
-        return build_news_index(monthly)
-
-    def test_pct_change_happy_path(self):
-        # Levels 0.5, 1.0 -> 100 * (1.0/0.5 - 1) = 100.
-        index = self._index([0.5, 0.5])
-        out = news_pi(index, window=1)
-        assert out.name == "pi-NEWS"
-        assert out.unit == "percent"
-        assert out[MonthKey(2020, 2)] == pytest.approx(100.0)
-
-    def test_pct_change_window_12(self):
-        index = self._index([1.0] + [0.0] * 11 + [1.0])
-        out = news_pi(index, window=12)
-        assert out[MonthKey(2021, 1)] == pytest.approx(100.0)
-        assert list(news_pi(index).items()) == list(out.items())  # the default
-
-    def test_zero_denominator_collects_months(self):
-        # Levels: 0.5, 0.0 (zero), -0.5 (crossing vs 0.5 later).
-        index = self._index([0.5, -0.5, -0.5])
-        with pytest.raises(ZeroDenominatorError) as err:
-            news_pi(index, window=1)
-        # 2020-02 has base 0.5 and value 0.0 -> fine mathematically;
-        # 2020-03 has base 0.0 -> zero denominator.
-        assert MonthKey(2020, 3) in err.value.months
-
-    def test_sign_crossing_collected(self):
-        index = self._index([0.5, -1.0])  # levels 0.5 then -0.5
-        with pytest.raises(ZeroDenominatorError) as err:
-            news_pi(index, window=1)
-        assert err.value.months == (MonthKey(2020, 2),)
-        assert "level-diff" in str(err.value)
-
     def test_each_offending_month_is_named_once(self):
         # Levels 1, -1, 1, 0, 0, 0, 2, 3, 4: 2020-02 and 2020-03 cross
         # zero, and 2020-05..2020-07 divide by a zero level.
@@ -250,29 +169,9 @@ class TestNewsPi:
             MonthKey(2020, m) for m in (5, 6, 7, 2, 3)
         )
 
-    def test_level_diff_mode_never_raises(self):
-        index = self._index([0.5, -1.0, 0.5])  # levels 0.5, -0.5, 0.0
-        out = news_pi(index, window=1, mode="level-diff")
-        assert out[MonthKey(2020, 2)] == pytest.approx(-1.0)
-        assert out[MonthKey(2020, 3)] == pytest.approx(0.5)
-        assert out.unit == "percent"
-
-    def test_level_diff_telescoping_on_dyadic_grid(self):
-        # Level differences over the full span equal the sum of the
-        # intermediate monthly means, exactly on a dyadic grid.
-        values = [0.5, -0.25, 0.125, 0.375]
-        index = self._index(values)
-        out = news_pi(index, window=3, mode="level-diff")
-        assert out[MonthKey(2020, 4)] == values[1] + values[2] + values[3]
-
-    def test_level_diff_window_one_recovers_means(self):
-        values = [0.5, -0.25, 0.125]
-        out = news_pi(self._index(values), window=1, mode="level-diff")
-        assert list(out.values()) == values[1:]
-
     def test_invalid_mode(self):
         with pytest.raises(ConfigError, match="mode"):
-            news_pi(self._index([0.5, 0.5]), window=1, mode="diff")
+            news_pi(build_news_index([mean("2020-01", 0.5)]), mode="diff")
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_named_in_both_modes(self):
@@ -288,14 +187,6 @@ class TestNewsPi:
         assert str(err.value) == (
             "level-diff of the 'NEWS' index (window 1) overflows: 2020-02"
         )
-
-    def test_sign_crossing_of_tiny_levels_collected(self):
-        # The product of the two levels underflows to -0.0; their signs
-        # still differ.
-        s = make_series("2020-01", [1e-200, -1e-200], name="NEWS")
-        with pytest.raises(ZeroDenominatorError, match="sign-crossing") as err:
-            news_pi(s, window=1)
-        assert err.value.months == (MonthKey(2020, 2),)
 
     def test_accepts_bare_series(self):
         s = make_series("2020-01", [1.0, 2.0], name="NEWS")

@@ -74,15 +74,6 @@ class TestSeriesFiles:
         assert err.value.line == 2
         assert "date" in str(err.value)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-    def test_non_finite_value_names_line_and_month(self, tmp_path, value):
-        path = tmp_path / "s.csv"
-        path.write_text(f"date,value\n2020-01,1\n2020-02,{value}\n")
-        with pytest.raises(SeriesFormatError) as err:
-            read_series(path)
-        assert err.value.line == 3
-        assert f"{path}: value {value!r} at 2020-02 is not finite" in str(err.value)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             read_series(tmp_path / "absent.csv")
@@ -329,37 +320,6 @@ class TestForecastFiles:
         )
         with pytest.raises(DataError, match="no forecast rows"):
             read_forecasts(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_value_names_line_column_and_month(self, tmp_path, value):
-        path = tmp_path / "forecasts.csv"
-        path.write_text(
-            "date,model,nowcast,nowcast_annualized,realized,realized_annualized\n"
-            "2020-01,fed,0.1,1.2,0.2,2.4\n"
-            f"2020-02,fed,0.1,{value},0.2,2.4\n"
-        )
-        with pytest.raises(SeriesFormatError) as err:
-            read_forecasts(path)
-        assert err.value.line == 3
-        assert f"nowcast_annualized {value!r} at 2020-02 is not finite" in str(
-            err.value
-        )
-
-    @pytest.mark.parametrize(
-        "second, kind", [("2020-01", "duplicate"), ("2019-12", "non-monotone")]
-    )
-    def test_month_order_within_a_model(self, tmp_path, second, kind):
-        path = tmp_path / "forecasts.csv"
-        path.write_text(
-            "date,model,nowcast,nowcast_annualized,realized,realized_annualized\n"
-            "2020-01,fed,0.1,1.2,0.2,2.4\n"
-            "2020-01,news,0.1,1.2,0.2,2.4\n"
-            f"{second},fed,0.1,1.2,0.2,2.4\n"
-        )
-        with pytest.raises(SeriesFormatError) as err:
-            read_forecasts(path)
-        assert err.value.line == 4
-        assert f"{kind} month {second} for model 'fed'" in str(err.value)
 
 
 class TestSidecars:

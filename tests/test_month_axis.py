@@ -9,7 +9,7 @@ match bit for bit, and errors must list the same months.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newscast import (
@@ -52,6 +52,13 @@ def gapped(draw, unit="index-level", max_len=40):
     return points, series_of(points, unit=unit)
 
 
+def drawn_as(cells, start=2020 * 12):
+    """The gapped() draw of these cells (None for an absent month), for
+    an @example."""
+    points = {start + i: v for i, v in enumerate(cells) if v is not None}
+    return points, series_of(points)
+
+
 def bits(series):
     """(ordinal, exact float) pairs; hex keeps -0.0 apart from 0.0."""
     return [(m.ordinal, v.hex()) for m, v in series.items()]
@@ -75,6 +82,12 @@ def ref_lagged(points, window, fn):
 
 @SETTINGS
 @given(gapped(), st.integers(1, 14))
+# A zero level under an absent month is no zero denominator.
+@example(drawn_as([0.0, None, 1.0]), 1)
+# Drawn series are short (a median of 2 months), so window 12 over a
+# long series, with and without a zero denominator, is given.
+@example(drawn_as([100.0 * 1.002**t for t in range(40)]), 12)
+@example(drawn_as([100.0, 0.0] + [100.0] * 13), 12)
 def test_pct_change_matches_reference(drawn, window):
     points, series = drawn
     pairs = ref_lagged(points, window, lambda v, base: (v, base))
@@ -93,27 +106,35 @@ def test_pct_change_matches_reference(drawn, window):
 
 @SETTINGS
 @given(gapped(), st.integers(1, 14))
+@example(drawn_as([0.5, -1.0, 0.0, 0.25] * 4), 12)
 def test_news_pi_level_diff_matches_reference(drawn, window):
     points, series = drawn
     got = news_pi(series, window, mode="level-diff")
     assert bits(got) == ref_bits(ref_lagged(points, window, lambda v, b: v - b))
-    assert got.name == "pi-s"
+    assert (got.name, got.unit) == ("pi-s", "percent")
 
 
 @SETTINGS
 @given(gapped(), st.integers(1, 14))
+# window None calls news_pi with its default window, 12.
+@example(drawn_as([1.0] * 12 + [2.0]), None)
+# The product of the two levels underflows to -0.0; their signs differ.
+@example(drawn_as([1e-200, -1e-200]), 1)
 def test_news_pi_pct_change_lists_offending_months(drawn, window):
     points, series = drawn
+    args = () if window is None else (window,)
+    window = window or 12
     pairs = ref_lagged(points, window, lambda v, base: (v, base))
     zero = [o for o, (_, base) in pairs.items() if base == 0.0]
-    crossing = [o for o, (v, base) in pairs.items() if base != 0.0 and v * base < 0]
+    crossing = [o for o, (v, base) in pairs.items() if min(v, base) < 0 < max(v, base)]
     try:
-        got = news_pi(series, window)
+        got = news_pi(series, *args)
     except ZeroDenominatorError as exc:
         assert ordinals(exc.months) == zero + crossing
         return
     assert not zero and not crossing
     assert bits(got) == bits(pct_change(series, window))
+    assert (got.name, got.unit) == ("pi-s", "percent")
 
 
 @SETTINGS

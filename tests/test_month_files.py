@@ -171,6 +171,9 @@ class TestReadersMatchPerRowParse:
     @given(csv_files(month_rows(keyed=False), QUOTINGS))
     @example(("", "\r\n", csv.QUOTE_ALL, [["2020-01", "1"], ["2020-01", "2"]]))
     @example(("", "\n", csv.QUOTE_MINIMAL, [["2020-01", "1"], ["2020-02", "nan"]]))
+    # A spelling of infinity that JUNK_NUMBERS does not draw.
+    @example(("", "\n", csv.QUOTE_MINIMAL,
+              [["2020-01", "1"], ["2020-02", "-Infinity"]]))
     def test_series_file(self, scratch, spec):
         path = write_csv(scratch / "cpi.csv", nio.SERIES_HEADER, spec)
         got = outcome(lambda: series_values(read_series(path)))

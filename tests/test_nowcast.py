@@ -246,36 +246,6 @@ class TestBacktest:
         assert fs.nowcasts_annualized[0] == annualize(direct)
         assert fs.realized_annualized[0] == annualize(data["cpi"][t])
 
-    def test_fixed_scheme_replay(self, rng):
-        # Replay the loop independently: one fit, then per-month nowcasts.
-        data = make_bundle(rng, noise=0.2)
-        fs = backtest("fed", data, self.TRAIN, self.EVAL)
-        fitted = fit_model("fed", data, *self.TRAIN)
-        for i, t in enumerate(month_range(*self.EVAL)):
-            assert fs.nowcasts[i] == nowcast("fed", fitted, data, t)
-            assert fs.realized[i] == data["cpi"][t]
-
-    def test_rolling_scheme_replay(self, rng):
-        data = make_bundle(rng, noise=0.2)
-        fs = backtest(
-            "ccpi+news", data, self.TRAIN, (month("2018-01"), month("2018-06")),
-            scheme="rolling",
-        )
-        length = 60  # 2013-01..2017-12
-        for i, t in enumerate(month_range(month("2018-01"), month("2018-06"))):
-            fitted = fit_model(
-                "ccpi+news", data, t.shift(-length), t.shift(-1)
-            )
-            assert fs.nowcasts[i] == nowcast("ccpi+news", fitted, data, t)
-
-    def test_rolling_first_month_matches_fixed(self, rng):
-        # When evaluation starts right after training, the first rolling
-        # window is the training window itself.
-        data = make_bundle(rng, noise=0.2)
-        fixed = backtest("fed", data, self.TRAIN, self.EVAL)
-        rolling = backtest("fed", data, self.TRAIN, self.EVAL, scheme="rolling")
-        assert rolling.nowcasts[0] == fixed.nowcasts[0]
-
     def test_eval_month_count(self, rng):
         data = make_bundle(rng, n=120, noise=0.2)
         fs = backtest(
@@ -385,17 +355,6 @@ def outcome(call):
 class TestBacktestMatchesPerWindowFits:
     TRAIN = (month("2013-01"), month("2017-12"))
     EVAL = (month("2018-01"), month("2019-12"))
-
-    @pytest.mark.parametrize("robust", [False, True])
-    @pytest.mark.parametrize("spec", list(MODEL_SPECS))
-    @pytest.mark.parametrize("scheme", BACKTEST_SCHEMES)
-    def test_bitwise(self, rng, scheme, spec, robust):
-        data = make_bundle(rng, noise=0.2)
-        fs = backtest(spec, data, self.TRAIN, self.EVAL, scheme)
-        expected = per_window_backtest(
-            spec, data, self.TRAIN, self.EVAL, scheme, robust=robust
-        )
-        assert bits(fs.nowcasts) == bits(expected)
 
     def test_dependent_column_in_a_later_window(self, rng):
         # Gasoline is constant over 2015-07..2020-06, so only the rolling

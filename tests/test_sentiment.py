@@ -362,17 +362,6 @@ class TestSentimentScorer:
             probs=[(0.1, 0.2, 0.7), (0.6, 0.3, 0.1)],
         )
 
-    def test_polarity_transform(self):
-        scored = SentimentScorer().fit_transform(self._articles())
-        assert scored.ids == ["a1", "a2"]
-        assert scored.scores[0] == pytest.approx(0.6)
-        assert scored.scores[1] == pytest.approx(-0.5)
-        assert scored.probs is not None  # inputs carried through
-
-    def test_argmax_transform(self):
-        scored = SentimentScorer(score="argmax").fit_transform(self._articles())
-        assert scored.scores.tolist() == [1.0, -1.0]
-
     def test_invalid_mode_fails_at_fit(self):
         with pytest.raises(ConfigError):
             SentimentScorer(score="median").fit_transform(self._articles())

@@ -27,7 +27,6 @@ from newscast import (
 from newscast.timeseries import month_ordinal
 
 # Frozen high-precision oracle values (50-digit arithmetic).
-GEOMETRIC_PCT = 2.4265767945403237503  # 100*(1.002^12 - 1)
 ANNUALIZED_ONE = 12.682503013196972066  # 100*(1.01^12 - 1)
 DEANNUALIZED_TWELVE = 0.9488792934582974126  # 100*(1.12^(1/12) - 1)
 
@@ -131,11 +130,13 @@ class TestMonthlySeries:
         assert s.unit == "index-level"
 
     def test_keys_must_be_month_keys(self, series_factory):
+        # `in` refuses what indexing refuses, with the same error.
         s = series_factory("2020-01", [1.0])
         for key in (MonthKey(2020, 1).ordinal, "2020-01"):
-            with pytest.raises(DataError) as err:
-                s[key]
-            assert str(err.value) == f"series 's' has MonthKey keys, got {key!r}"
+            for look_up in (lambda: s[key], lambda: key in s):
+                with pytest.raises(DataError) as err:
+                    look_up()
+                assert str(err.value) == f"series 's' has MonthKey keys, got {key!r}"
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(DataError, match="^series 's': unit 'furlongs'"):
@@ -206,20 +207,6 @@ class TestMonthlySeries:
 
 
 class TestPctChange:
-    def test_constant_series_is_zero(self, series_factory):
-        s = series_factory("2018-01", [100.0] * 30)
-        out = pct_change(s, 12)
-        assert len(out) == 18
-        assert all(v == 0.0 for v in out.values())
-        assert out.unit == "percent"
-
-    def test_geometric_series_constant(self, series_factory):
-        s = series_factory("2015-01", [100.0 * 1.002**t for t in range(40)])
-        out = pct_change(s, 12)
-        assert len(out) == 28
-        for v in out.values():
-            assert v == pytest.approx(GEOMETRIC_PCT, rel=1e-10)
-
     def test_scale_invariance(self, series_factory, rng):
         values = list(100.0 + rng.uniform(0, 20, size=30))
         a = pct_change(series_factory("2015-01", values), 12)
@@ -228,13 +215,6 @@ class TestPctChange:
         )
         for x, y in zip(a.values(), b.values()):
             assert y == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-    def test_zero_denominator_collected(self, series_factory):
-        values = [100.0, 0.0, 100.0] + [100.0] * 12
-        s = series_factory("2019-01", values)
-        with pytest.raises(ZeroDenominatorError) as err:
-            pct_change(s, 12)
-        assert err.value.months == (MonthKey(2020, 2),)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_months_listed(self, series_factory):
@@ -304,30 +284,6 @@ class TestAnnualize:
             annualize(x)
         with pytest.raises(DomainError):
             deannualize(x)
-
-
-class TestMovingAveragePredictor:
-    def test_constant_history(self, series_factory):
-        s = series_factory("2019-01", [3.0] * 12, unit="percent")
-        assert moving_average_predictor(s, MonthKey(2020, 1)) == 3.0
-
-    def test_value_at_t_never_used(self, series_factory):
-        t = MonthKey(2020, 1)
-        with_t = series_factory("2019-01", [2.0] * 12 + [99.0], unit="percent")
-        without_t = series_factory("2019-01", [2.0] * 12, unit="percent")
-        assert (
-            moving_average_predictor(with_t, t)
-            == moving_average_predictor(without_t, t)
-            == 2.0
-        )
-
-    def test_missing_lags_named(self, series_factory):
-        s = series_factory("2019-01", [1.0] * 10, unit="percent")  # ends 2019-10
-        with pytest.raises(MissingMonthsError) as err:
-            moving_average_predictor(s, MonthKey(2020, 1))
-        assert MonthKey(2019, 12) in err.value.months
-        assert MonthKey(2019, 11) in err.value.months
-        assert err.value.months == tuple(sorted(err.value.months))
 
 
 @st.composite
