@@ -42,10 +42,11 @@ from typing import Iterator, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/newscast"
 #: What tier-1 reads: the package, the tests, the toy data generator,
-#: the tracer, the pytest settings, and the README whose examples the
-#: tests run.
-COPIED = ("src", "tests", "scripts", "benchmarks/bench_trace.py", "pyproject.toml",
-          "README.md")
+#: the tracer, the benchmark helpers' tests (whose definitions the
+#: dead-definition check reads), the pytest settings, and the README
+#: whose examples the tests run.
+COPIED = ("src", "tests", "scripts", "benchmarks/bench_trace.py",
+          "benchmarks/test_bench_helpers.py", "pyproject.toml", "README.md")
 #: The check of this list against the source; every mutant fails it, so
 #: it is not copied.
 LIST_TEST = "test_mutants.py"
@@ -294,6 +295,8 @@ NUMERIC = (
            "-1.0 <= self.mean_score <= 1.0", "-1.0 < self.mean_score <= 1.0"),
     Mutant("index: mean divided by count + 1", IDX,
            "/ len(group),", "/ (len(group) + 1),"),
+    Mutant("index: mean summed in article order", IDX,
+           "math.fsum(group.tolist())", "sum(group.tolist())"),
     Mutant("index: zero denominator under an absent month", IDX,
            "months_where(start, (then == 0.0) & ~np.isnan(now))",
            "months_where(start, then == 0.0)"),

@@ -146,7 +146,7 @@ def regression_table_delimited(
 
 def evaluation_table(evaluations: Sequence[ModelEvaluation]) -> str:
     """Text table of per-model RMSE with GW p-values in parentheses."""
-    label_width = max(len(e.model) for e in evaluations) + 2
+    label_width = max(len(e.model.upper()) for e in evaluations) + 2
     rows = []
     for entry in evaluations:
         stars = significance_stars(entry.gw.p_value) if entry.gw else ""

@@ -397,13 +397,15 @@ class TestScoringMatchesPerArticle:
         st.lists(
             st.tuples(
                 st.just("a"),
-                st.dates(date(2020, 1, 1), date(2020, 3, 31)),
+                # Ten months over a year's end.
+                st.dates(date(2019, 6, 1), date(2020, 3, 31)),
                 st.one_of(st.floats(-1.0, 1.0), EDGE_FLOATS),
             ),
             max_size=25,
         ),
         st.one_of(st.none(), st.integers(1, 31)),
     )
+    @example(drawn=[("a", date(2020, 1, 31), 0.5)], day_cutoff=31)
     def test_monthly_aggregate(self, drawn, day_cutoff):
         table = drawn_table(drawn, "scores")
         if not len(table):
@@ -421,18 +423,30 @@ class TestScoringMatchesPerArticle:
         assert [(m.month, m.mean_score.hex(), m.article_count) for m in got] == want
 
     @SETTINGS
-    @given(st.lists(st.one_of(TEXTS, HEADLINES), max_size=12))
-    def test_lexicon_and_baseline_batches(self, texts):
+    @given(
+        st.lists(st.one_of(TEXTS, HEADLINES), max_size=12),
+        st.one_of(st.none(), st.sampled_from([0.5, 0.7, 4.0]), st.floats(1e-3, 1e3)),
+        st.one_of(st.none(), st.integers(1, 10)),
+    )
+    # Ten distinct up words over the default cap of 8, and upper case.
+    @example(
+        texts=["rose surged soared jumped climbed accelerated spiked higher hot rising",
+               "PRICES ROSE"],
+        gain=None, cap=None,
+    )
+    def test_lexicon_and_baseline_batches(self, texts, gain, cap):
         for lexicon in (DEFAULT_LEXICON, ("  Food\n  PRICES ", "cpi", " ")):
             mask = lexicon_mask(texts, lexicon).tolist()
             assert mask == [reference_hits(t, lexicon) > 0 for t in texts]
             assert [lexicon_filter(t, lexicon) for t in texts] == mask
-        probs = baseline_classify(texts, gain=0.7, cap=2)
-        want = [reference_baseline(t, gain=0.7, cap=2) for t in texts]
+        # None leaves the setting at its default: gain 1, cap 8.
+        chosen = {k: v for k, v in (("gain", gain), ("cap", cap)) if v is not None}
+        probs = baseline_classify(texts, **chosen)
+        want = [reference_baseline(t, gain=gain or 1.0, cap=cap or 8) for t in texts]
         assert [tuple(p.hex() for p in row) for row in probs.tolist()] == want
         # No row depends on the other texts of its batch.
         assert [
-            tuple(p.hex() for p in baseline_classify([t], gain=0.7, cap=2)[0].tolist())
+            tuple(p.hex() for p in baseline_classify([t], **chosen)[0].tolist())
             for t in texts
         ] == want
 

@@ -1,5 +1,6 @@
 """Import hygiene: no module imports a name at top level it never uses,
-and every top-level name the package defines is read or exported."""
+every top-level name the package defines is read or exported, and every
+helper, constant, strategy and fixture the tests define is read."""
 
 import ast
 import importlib
@@ -15,6 +16,9 @@ import newscast
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "newscast").glob("*.py"))
 MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
+TESTS = sorted(
+    [*(ROOT / "tests").glob("*.py"), ROOT / "benchmarks" / "test_bench_helpers.py"]
+)
 
 #: Imported only so benchmarks/bench_trace.py can wrap them by name.
 EXEMPT = {
@@ -185,9 +189,13 @@ def test_heavy_import_checker_sees_every_form():
     ]
 
 
+#: Prefixes of the names pytest collects or calls by convention.
+COLLECTED = ("test_", "Test", "pytest_")
+
+
 def definitions(tree: ast.Module) -> list[str]:
     """Names a module's top-level def, class and assignment statements
-    bind, dunders excepted."""
+    bind, dunders and the names pytest collects excepted."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -195,11 +203,23 @@ def definitions(tree: ast.Module) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [
+        n for n in names
+        if not (n.startswith("__") and n.endswith("__") or n.startswith(COLLECTED))
+    ]
+
+
+def is_fixture(decorator: ast.expr) -> bool:
+    """@pytest.fixture or @fixture, with arguments or without."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (getattr(decorator, "attr", None) or getattr(decorator, "id", None)) == "fixture"
 
 
 def reads(tree: ast.Module) -> set[str]:
-    """Names a module loads, reads as an attribute, or imports by name."""
+    """Names a module loads, reads as an attribute, or imports by name,
+    and the fixtures its tests and fixtures take as parameters or name in
+    usefixtures."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -208,6 +228,12 @@ def reads(tree: ast.Module) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.FunctionDef) and (
+            node.name.startswith("test_") or any(map(is_fixture, node.decorator_list))
+        ):
+            found.update(arg.arg for arg in node.args.args)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "usefixtures":
+            found.update(arg.value for arg in node.args)
     return found
 
 
@@ -231,9 +257,25 @@ def test_every_definition_is_read_in_the_package_or_exported():
 
 
 def test_dead_definition_checker_follows_reads_imports_and_exports():
+    # A fixture is read when a test or a fixture takes it as a parameter,
+    # or a usefixtures mark names it; a helper's parameter reads nothing.
     sources = {
         "a": "X = 1\nY: int = 2\ndef f(): return g\ndef g(): pass\n"
         "class C: pass\n__all__ = []\n",
         "b": "from a import C\nimport a\nZ = a.Y\n",
+        "conftest": "import pytest\n@pytest.fixture\ndef taken(): pass\n"
+        "@pytest.fixture(scope='class')\ndef marked(chained): pass\n"
+        "@pytest.fixture\ndef chained(): pass\n@pytest.fixture\ndef unused(): pass\n"
+        "def helper(unused): pass\ndef pytest_configure(config): pass\n",
+        "test_a": "import pytest\n@pytest.mark.usefixtures('marked')\nclass TestA:\n"
+        "    def test_x(self, taken): pass\ndef test_y(): pass\nLIMIT = 1\n",
     }
-    assert dead_definitions(sources, ["X"]) == ["a.f", "b.Z"]
+    assert dead_definitions(sources, ["X"]) == [
+        "a.f", "b.Z", "conftest.helper", "conftest.unused", "test_a.LIMIT"
+    ]
+
+
+def test_every_test_helper_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
+    dead = dead_definitions(sources, ())
+    assert dead == [], f"defined in the tests but never read: {dead}"

@@ -1,6 +1,5 @@
 """Monthly aggregation, the cumulative index, and its rate transform."""
 
-import math
 from datetime import date
 
 import numpy as np
@@ -22,14 +21,8 @@ from newscast import (
 from conftest import make_articles, make_series
 
 
-def art(id_, month_str, score, day=1):
-    return id_, f"{month_str}-{day:02d}", score
-
-
-def scored(articles):
-    """(id, date, score) triples as an ArticleTable."""
-    ids, dates, scores = zip(*articles) if articles else ((), (), ())
-    return make_articles(ids, dates, scores=list(scores))
+#: An article of 20 January 2020, scored 0.1.
+ONE_ARTICLE = make_articles(["a"], ["2020-01-20"], scores=[0.1])
 
 
 def mean(month_str, value, count=1):
@@ -39,59 +32,6 @@ def mean(month_str, value, count=1):
 
 
 class TestMonthlyAggregate:
-    def test_singleton(self):
-        out = monthly_aggregate(scored([art("a", "2020-03", 0.4)]))
-        assert len(out) == 1
-        assert out[0].month == MonthKey(2020, 3)
-        assert out[0].mean_score == 0.4
-        assert out[0].article_count == 1
-
-    def test_symmetric_scores_average_to_zero(self):
-        out = monthly_aggregate(
-            scored([art("a", "2020-01", 0.7), art("b", "2020-01", -0.7)])
-        )
-        assert out[0].mean_score == 0.0
-        assert out[0].article_count == 2
-
-    def test_matches_group_by_oracle(self, rng):
-        # 200 articles over 10 months against an independent group-by.
-        months = [MonthKey(2019, 1).shift(int(k)) for k in rng.integers(0, 10, 200)]
-        scores = rng.uniform(-1, 1, 200)
-        articles = [
-            art(f"a{i}", str(m), float(s))
-            for i, (m, s) in enumerate(zip(months, scores))
-        ]
-        expected = {}
-        for m, (_, _, score) in zip(months, articles):
-            expected.setdefault(m, []).append(score)
-        out = monthly_aggregate(scored(articles))
-        assert [m.month for m in out] == sorted(expected)
-        for m in out:
-            group = expected[m.month]
-            assert m.article_count == len(group)
-            assert m.mean_score == math.fsum(group) / len(group)
-
-    def test_order_invariance(self, rng):
-        articles = [
-            art(f"a{i}", "2020-01", float(s))
-            for i, s in enumerate(rng.uniform(-1, 1, 50))
-        ]
-        forward = monthly_aggregate(scored(articles))
-        backward = monthly_aggregate(scored(list(reversed(articles))))
-        assert forward[0].mean_score == backward[0].mean_score
-
-    def test_day_cutoff_drops_late_articles(self):
-        articles = [
-            art("a", "2020-01", 1.0, day=3),
-            art("b", "2020-01", -1.0, day=20),
-            art("c", "2020-02", 0.5, day=15),
-        ]
-        out = monthly_aggregate(scored(articles), day_cutoff=15)
-        assert [(m.month, m.mean_score) for m in out] == [
-            (MonthKey(2020, 1), 1.0),
-            (MonthKey(2020, 2), 0.5),
-        ]
-
     def test_day_cutoff_requires_days(self):
         # Every article has a day of month: a table refuses dates of
         # month precision.
@@ -101,19 +41,17 @@ class TestMonthlyAggregate:
 
     def test_day_cutoff_all_filtered(self):
         with pytest.raises(DataError, match="no articles on or before"):
-            monthly_aggregate(
-                scored([art("a", "2020-01", 0.1, day=20)]), day_cutoff=15
-            )
+            monthly_aggregate(ONE_ARTICLE, day_cutoff=15)
 
     def test_day_cutoff_validation(self):
         with pytest.raises(ConfigError):
-            monthly_aggregate(scored([art("a", "2020-01", 0.1)]), day_cutoff=0)
+            monthly_aggregate(ONE_ARTICLE, day_cutoff=0)
         with pytest.raises(ConfigError):
-            monthly_aggregate(scored([art("a", "2020-01", 0.1)]), day_cutoff=32)
+            monthly_aggregate(ONE_ARTICLE, day_cutoff=32)
 
     def test_empty_input(self):
         with pytest.raises(DataError, match="at least one"):
-            monthly_aggregate(scored([]))
+            monthly_aggregate(make_articles([], [], scores=[]))
 
     def test_table_without_scores_refused(self):
         articles = make_articles(["a"], ["2020-01-01"], texts=["x"])
@@ -193,23 +131,3 @@ class TestNewsPi:
         out = news_pi(s, window=1)
         assert out[MonthKey(2020, 2)] == pytest.approx(100.0)
 
-
-class TestNoLookAhead:
-    def test_truncation_leaves_prefix_unchanged(self, rng):
-        # The index through month t must not change when later
-        # articles are deleted.
-        articles = []
-        for i in range(18):
-            m = MonthKey(2019, 1).shift(i)
-            for j in range(4):
-                articles.append(art(
-                    f"{m}-{j}", str(m), float(rng.uniform(-1, 1)),
-                    day=int(rng.integers(1, 29)),
-                ))
-        cut = MonthKey(2019, 12)
-        full = build_news_index(monthly_aggregate(scored(articles)))
-        truncated = build_news_index(monthly_aggregate(scored(
-            [a for a in articles if MonthKey.parse(a[1][:7]) <= cut]
-        )))
-        for month in truncated.series.months():
-            assert truncated.series[month] == full.series[month]

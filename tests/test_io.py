@@ -1,4 +1,7 @@
-"""File formats: series, article variants, forecasts, rejections."""
+"""File handling that the reader and writer oracles do not draw: errors,
+byte-order marks, physical lines, atomic writes and memory. The oracles
+(test_article_table.py, test_month_files.py) check what each file
+reads as and what each writer writes."""
 
 import pickle
 import tracemalloc
@@ -10,25 +13,18 @@ import pytest
 from newscast import (
     ArticleTable,
     DataError,
-    ForecastSeries,
-    MonthKey,
-    MonthlySentiment,
     SeriesFormatError,
-    annualize,
-    build_news_index,
     read_forecasts,
     read_probability_articles,
     read_scored_articles,
     read_series,
     read_text_articles,
-    write_forecasts,
     write_scored_articles,
     write_series,
 )
 from newscast.io import (
     Rejection,
     provenance_line,
-    write_index_metadata,
     write_probability_articles,
     write_rejections,
 )
@@ -37,35 +33,6 @@ from conftest import make_articles
 
 
 class TestSeriesFiles:
-    def test_roundtrip(self, tmp_path, series_factory):
-        s = series_factory("2020-01", [230.123, 231.0, 229.5], unit="index-level")
-        path = tmp_path / "cpi.csv"
-        write_series(s, path)
-        back = read_series(path, name=s.name)
-        assert back.months() == s.months()
-        assert back.values() == s.values()
-
-    def test_full_precision_roundtrip(self, tmp_path, series_factory):
-        # repr writing preserves doubles bit for bit.
-        values = [1 / 3, 0.1 + 0.2, 2**-40, 123456.789012345678]
-        s = series_factory("2020-01", values)
-        path = tmp_path / "s.csv"
-        write_series(s, path)
-        assert read_series(path).values() == tuple(values)
-
-    def test_name_defaults_to_file_stem(self, tmp_path, series_factory):
-        path = tmp_path / "gas.csv"
-        write_series(series_factory("2020-01", [1.0]), path)
-        assert read_series(path).name == "gas"
-
-    def test_comment_header_skipped(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text(
-            "# newscast 0.1.0 config:abcdef123456\n\ndate,value\n2020-01,1.5\n"
-        )
-        s = read_series(path)
-        assert s[MonthKey(2020, 1)] == 1.5
-
     def test_wrong_header_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# comment\nmonth,value\n2020-01,1\n")
@@ -89,77 +56,6 @@ class TestSeriesFiles:
         path.write_text("# c\ndate,value\n\n")
         with pytest.raises(DataError, match=f"{path} contains no series rows"):
             read_series(path)
-
-
-class TestProbabilityArticles:
-    def test_roundtrip(self, tmp_path):
-        articles = make_articles(
-            ["a1"], ["2020-01-05"], probs=[(0.25, 0.5, 0.25)], scores=[0.0]
-        )
-        path = tmp_path / "probs.csv"
-        write_probability_articles(articles, path)
-        back, rejections = read_probability_articles(path)
-        assert rejections == []
-        assert back.ids[0] == "a1"
-        months, days = back.months_and_days()
-        assert (MonthKey.from_ordinal(int(months[0])), days[0]) == (
-            MonthKey(2020, 1), 5
-        )
-        assert tuple(back.probs[0]) == (0.25, 0.5, 0.25)
-
-    def test_strict_mode_raises_with_line(self, tmp_path):
-        path = tmp_path / "probs.csv"
-        path.write_text(
-            "id,date,p_down,p_neutral,p_up\n"
-            "a1,2020-01-05,0.2,0.3,0.5\n"
-            "a2,2020-01-06,0.9,0.9,0.9\n"
-        )
-        with pytest.raises(SeriesFormatError) as err:
-            read_probability_articles(path)
-        assert err.value.line == 3
-
-    def test_lenient_mode_collects_rejections(self, tmp_path):
-        path = tmp_path / "probs.csv"
-        path.write_text(
-            "id,date,p_down,p_neutral,p_up\n"
-            "a1,2020-01-05,0.2,0.3,0.5\n"
-            "a2,2020-01-06,0.9,0.9,0.9\n"     # bad sum
-            "a3,2020-13-01,0.2,0.3,0.5\n"     # bad date
-            ",2020-01-07,0.2,0.3,0.5\n"       # empty id
-            "a5,2020-01-08,0.2,0.3\n"         # missing field
-            "a6,2020-01-09,0.1,0.1,0.8\n"
-        )
-        articles, rejections = read_probability_articles(path, strict=False)
-        assert articles.ids == ["a1", "a6"]
-        assert [r.line for r in rejections] == [3, 4, 5, 6]
-
-    def test_day_is_parsed_from_full_date(self, tmp_path):
-        path = tmp_path / "probs.csv"
-        path.write_text("id,date,p_down,p_neutral,p_up\na,2021-12-31,0,1,0\n")
-        articles, _ = read_probability_articles(path)
-        months, days = articles.months_and_days()
-        assert (MonthKey.from_ordinal(int(months[0])), days[0]) == (
-            MonthKey(2021, 12), 31
-        )
-
-
-class TestTextArticles:
-    def test_quoted_text_with_commas(self, tmp_path):
-        path = tmp_path / "text.csv"
-        path.write_text(
-            'id,date,text\nt1,2020-03-04,"Inflation, again, surprises"\n'
-        )
-        articles, rejections = read_text_articles(path)
-        assert rejections == []
-        assert articles.texts[0] == "Inflation, again, surprises"
-
-    def test_bad_date_collected_in_lenient_mode(self, tmp_path):
-        path = tmp_path / "text.csv"
-        path.write_text("id,date,text\nt1,2020-02-30,oops\n")
-        articles, rejections = read_text_articles(path, strict=False)
-        assert len(articles) == 0
-        assert len(rejections) == 1
-        assert rejections[0].line == 2
 
 
 BOM_FILES = {
@@ -234,19 +130,6 @@ class TestPhysicalLines:
 
 
 class TestScoredArticles:
-    def test_roundtrip_preserves_scores(self, tmp_path, rng):
-        articles = make_articles(
-            [f"a{i}" for i in range(10)],
-            [f"2020-{1 + i % 3:02d}-{1 + i:02d}" for i in range(10)],
-            scores=rng.uniform(-1, 1, 10),
-        )
-        path = tmp_path / "scored.csv"
-        write_scored_articles(articles, path, comment=provenance_line("0" * 12))
-        back, rejections = read_scored_articles(path)
-        assert rejections == []
-        assert back.scores.tolist() == articles.scores.tolist()
-        assert back.dates.tolist() == articles.dates.tolist()
-
     def test_article_without_day_is_not_written(self, tmp_path):
         # A made-up day would let the article past day_cutoff on reread,
         # so a table refuses dates without days.
@@ -267,35 +150,6 @@ class TestScoredArticles:
 
 
 class TestForecastFiles:
-    def _series(self, model, shift=0.0):
-        months = [MonthKey(2020, 1 + i).ordinal for i in range(3)]
-        casts = (0.1 + shift, 0.2 + shift, 0.3 + shift)
-        real = (0.15, 0.25, 0.2)
-        return ForecastSeries(
-            model=model,
-            months=months,
-            nowcasts=casts,
-            nowcasts_annualized=tuple(annualize(v) for v in casts),
-            realized=real,
-            realized_annualized=tuple(annualize(v) for v in real),
-        )
-
-    def test_roundtrip_two_models(self, tmp_path):
-        fed = self._series("fed")
-        both = self._series("fed+news", shift=0.01)
-        path = tmp_path / "forecasts.csv"
-        write_forecasts([fed, both], path)
-        back = read_forecasts(path)
-        assert [fs.model for fs in back] == ["fed", "fed+news"]
-        columns = (
-            "months", "nowcasts", "nowcasts_annualized", "realized",
-            "realized_annualized",
-        )
-        for original, loaded in zip([fed, both], back):
-            for name in columns:
-                got, want = getattr(loaded, name), getattr(original, name)
-                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
-
     def test_models_differing_by_a_trailing_nul_stay_apart(self, tmp_path):
         # numpy compares an array with "fed\0" as with "fed".
         path = tmp_path / "forecasts.csv"
@@ -308,11 +162,6 @@ class TestForecastFiles:
         back = read_forecasts(path)
         assert [(fs.model, len(fs)) for fs in back] == [("fed", 1), ("fed\0", 2)]
 
-    def test_model_order_is_file_order(self, tmp_path):
-        path = tmp_path / "forecasts.csv"
-        write_forecasts([self._series("b"), self._series("a")], path)
-        assert [fs.model for fs in read_forecasts(path)] == ["b", "a"]
-
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "forecasts.csv"
         path.write_text(
@@ -323,27 +172,6 @@ class TestForecastFiles:
 
 
 class TestSidecars:
-    def test_rejection_file(self, tmp_path):
-        path = tmp_path / "rejected.csv"
-        write_rejections(
-            [Rejection(line=3, reason="bad sum"), Rejection(line=9, reason="x")],
-            path,
-        )
-        content = path.read_text()
-        assert content.splitlines()[0] == "line,reason"
-        assert "3,bad sum" in content
-
-    def test_index_metadata(self, tmp_path):
-        path = tmp_path / "meta.csv"
-        index = build_news_index([
-            MonthlySentiment(MonthKey(2020, 1), 0.5, 4),
-            MonthlySentiment(MonthKey(2020, 3), -0.5, 2),
-        ])
-        write_index_metadata(index, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "month,article_count,gap"
-        assert lines[1:] == ["2020-01,4,0", "2020-02,0,1", "2020-03,2,0"]
-
     def test_provenance_line_format(self):
         line = provenance_line("abc123def456")
         assert line.startswith("# newscast ")

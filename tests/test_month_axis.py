@@ -47,7 +47,10 @@ VALUES = st.one_of(
 def gapped(draw, unit="index-level", max_len=40):
     """(points, series): ordinal -> value dict and the same MonthlySeries."""
     start = draw(st.integers(1990 * 12, 2010 * 12))
-    cells = draw(st.lists(st.one_of(st.none(), VALUES, VALUES), max_size=max_len))
+    # The length first, so that long series, and long windows, are as
+    # likely as short ones.
+    n = draw(st.integers(0, max_len))
+    cells = draw(st.lists(st.one_of(st.none(), VALUES, VALUES), min_size=n, max_size=n))
     points = {start + i: v for i, v in enumerate(cells) if v is not None}
     return points, series_of(points, unit=unit)
 
@@ -84,8 +87,7 @@ def ref_lagged(points, window, fn):
 @given(gapped(), st.integers(1, 14))
 # A zero level under an absent month is no zero denominator.
 @example(drawn_as([0.0, None, 1.0]), 1)
-# Drawn series are short (a median of 2 months), so window 12 over a
-# long series, with and without a zero denominator, is given.
+# Window 12 over a long series, with and without a zero denominator.
 @example(drawn_as([100.0 * 1.002**t for t in range(40)]), 12)
 @example(drawn_as([100.0, 0.0] + [100.0] * 13), 12)
 def test_pct_change_matches_reference(drawn, window):

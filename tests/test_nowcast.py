@@ -234,28 +234,6 @@ class TestBacktest:
     TRAIN = (month("2013-01"), month("2017-12"))
     EVAL = (month("2018-01"), month("2019-12"))
 
-    def test_single_month_equals_direct_composition(self, rng):
-        data = make_bundle(rng, noise=0.2)
-        t = month("2018-01")
-        fs = backtest("fed+news", data, self.TRAIN, (t, t))
-        fitted = fit_model("fed+news", data, *self.TRAIN)
-        direct = nowcast("fed+news", fitted, data, t)
-        assert fs.months.tolist() == [t.ordinal]
-        assert bits(fs.nowcasts) == bits([direct])
-        assert bits(fs.realized) == bits([data["cpi"][t]])
-        assert fs.nowcasts_annualized[0] == annualize(direct)
-        assert fs.realized_annualized[0] == annualize(data["cpi"][t])
-
-    def test_eval_month_count(self, rng):
-        data = make_bundle(rng, n=120, noise=0.2)
-        fs = backtest(
-            "fed", data, self.TRAIN, (month("2018-01"), month("2021-12"))
-        )
-        assert len(fs) == 48
-        assert fs.months.tolist() == list(
-            range(month("2018-01").ordinal, month("2021-12").ordinal + 1)
-        )
-
     def test_errors_are_realized_minus_nowcast(self, rng):
         data = make_bundle(rng, noise=0.2)
         fs = backtest("fed", data, self.TRAIN, self.EVAL)
@@ -263,12 +241,6 @@ class TestBacktest:
             fs.errors(),
             np.array(fs.realized_annualized) - np.array(fs.nowcasts_annualized),
         )
-
-    def test_annualized_columns(self, rng):
-        data = make_bundle(rng, noise=0.2)
-        fs = backtest("fed", data, self.TRAIN, self.EVAL)
-        for monthly, annual in zip(fs.nowcasts, fs.nowcasts_annualized):
-            assert annual == annualize(monthly)
 
     @pytest.mark.parametrize("bad, reason", [
         (-100.0, "cannot annualize rate -100.0 <= -100"),
@@ -313,16 +285,12 @@ class TestBacktest:
         with pytest.raises(ConfigError, match="scheme"):
             backtest("fed", data, self.TRAIN, self.EVAL, scheme="expanding")
 
-    def test_model_label_recorded(self, rng):
-        data = make_bundle(rng, noise=0.2)
-        fs = backtest("fed+news", data, self.TRAIN, self.EVAL)
-        assert fs.model == "fed+news"
-
 
 def per_window_backtest(spec, data, train, evaluation, scheme, robust=False):
     """The backtest loop written out: a full fit_model (coefficients and
     inference) per window and the public nowcast, then the annualized
-    columns in the order backtest computes them."""
+    columns in the order backtest computes them; the result as
+    forecast_columns gives a backtest's."""
     length = train[1].ordinal - train[0].ordinal + 1
     fitted = None
     if scheme == "fixed":
@@ -337,17 +305,25 @@ def per_window_backtest(spec, data, train, evaluation, scheme, robust=False):
         casts.append(nowcast(spec, fitted, data, t))
     annualized(spec, "nowcast", evaluation[0], casts)
     annualized(spec, "realized", evaluation[0], realized)
-    return casts
+    months = [t.ordinal for t in month_range(*evaluation)]
+    columns = (casts, list(map(annualize, casts)), realized, list(map(annualize, realized)))
+    return (spec, months, *map(bits, columns))
 
 
 def bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def forecast_columns(fs):
+    """A backtest's model, months and value columns, the values as bytes."""
+    columns = (fs.nowcasts, fs.nowcasts_annualized, fs.realized, fs.realized_annualized)
+    return (fs.model, fs.months.tolist(), *map(bits, columns))
+
+
 def outcome(call):
-    """A call's nowcasts as bytes, or its error type and message."""
+    """What a call returns, or its error type and message."""
     try:
-        return ("ok", bits(call()))
+        return ("ok", call())
     except NewscastError as exc:
         return (type(exc), str(exc))
 
@@ -434,7 +410,7 @@ def gapless_cases(draw):
 @given(gapless_cases(), st.booleans())
 def test_backtest_matches_per_window_fits(case, robust):
     spec, data, train, evaluation, scheme = case
-    got = outcome(lambda: backtest(spec, data, train, evaluation, scheme).nowcasts)
+    got = outcome(lambda: forecast_columns(backtest(spec, data, train, evaluation, scheme)))
     expected = outcome(
         lambda: per_window_backtest(spec, data, train, evaluation, scheme, robust)
     )

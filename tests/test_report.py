@@ -7,6 +7,7 @@ import pytest
 from newscast import (
     MODEL_SPECS,
     DataError,
+    ModelEvaluation,
     MonthKey,
     MonthlySeries,
     SentimentScorer,
@@ -240,6 +241,14 @@ class TestEvaluationTable:
         assert rendered == pytest.approx(
             report[1].gw.p_value, abs=5e-3
         )
+
+    def test_label_column_fits_the_printed_label(self):
+        # "ß" upper-cases to "SS": the column fits "SSSSSS", not "ßßß".
+        report = [ModelEvaluation("fed", 0.01, None), ModelEvaluation("ßßß", 0.02, None)]
+        assert evaluation_table(report).splitlines()[3:7] == [
+            "FED       0.0100", "            (--)",
+            "SSSSSS    0.0200", "            (--)",
+        ]
 
     def test_rmse_rendering(self, fitted_pair):
         report = self._report(fitted_pair)

@@ -1,15 +1,12 @@
 """Probability vectors, scoring rules, lexicon gate, keyword baseline, F1."""
 
 import re
-from datetime import date
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from newscast import (
-    ArticleTable,
     ConfigError,
     DataError,
     InvalidProbabilityError,
@@ -50,29 +47,6 @@ class TestSentimentProbs:
     def test_degenerate_corners_allowed(self):
         assert probs(1.0, 0.0, 0.0).p_down == 1.0
         assert probs(0.0, 0.0, 1.0).p_up == 1.0
-
-
-def article(day=1, scores=None):
-    """One article of January 2020, built as a table."""
-    return ArticleTable(
-        ["a"], np.array([date(2020, 1, day)], dtype="datetime64[D]"),
-        scores=None if scores is None else np.array(scores),
-    )
-
-
-class TestArticles:
-    def test_day_bounds(self):
-        assert article(day=31).months_and_days()[1].tolist() == [31]
-        # Day 0 or 32 has no datetime64[D] value; a missing date is NaT.
-        with pytest.raises(DataError, match=r"datetime64\[D\], got list"):
-            ArticleTable(["a"], ["2020-01-32"])
-        with pytest.raises(DataError, match="'a': date NaT"):
-            ArticleTable(["a"], np.array([None], dtype="datetime64[D]"))
-
-    def test_score_bounds(self):
-        article(scores=[-1.0])
-        with pytest.raises(DataError):
-            article(scores=[1.5])
 
 
 class TestPolarityScore:
@@ -208,61 +182,7 @@ class TestLexiconFilter:
         assert normalize_whitespace(text) == re.sub(r"\s+", " ", text).strip()
 
 
-def classify(text, **kwargs):
-    """baseline_classify's row for one text: (p_down, p_neutral, p_up)."""
-    return tuple(baseline_classify([text], **kwargs)[0].tolist())
-
-
 class TestBaselineClassify:
-    def test_empty_text_is_pure_neutral(self):
-        assert classify("") == (0.0, 1.0, 0.0)
-        assert classify("the quick brown fox") == (0.0, 1.0, 0.0)
-
-    def test_single_up_word(self):
-        # u=1, d=0, gain=1: (0, 1, 1)/2.
-        assert classify("prices rose in May") == (0.0, 0.5, 0.5)
-
-    def test_single_down_word(self):
-        assert classify("prices fell in May") == (0.5, 0.5, 0.0)
-
-    def test_balanced_evidence(self):
-        # One up and one down word: (1, 1, 1)/3.
-        p = SentimentProbs(*classify("gas rose while food fell"))
-        assert p.p_up == pytest.approx(1 / 3)
-        assert p.p_down == pytest.approx(1 / 3)
-        assert polarity_score(p) == pytest.approx(0.0)
-
-    def test_distinct_counting_not_occurrences(self):
-        assert classify("prices rose") == classify("rose rose rose")
-
-    def test_two_distinct_words_beat_one(self):
-        one = classify("prices rose")
-        two = classify("prices rose and surged")
-        assert two[2] > one[2]
-
-    def test_cap_limits_evidence(self):
-        words = ["rose", "surged", "soared", "jumped", "climbed",
-                 "accelerated", "spiked", "higher", "hot", "rising"]
-        ten = classify(" ".join(words))
-        # 10 distinct hits capped at 8: (0, 1, 8)/9.
-        assert ten[2] == pytest.approx(8 / 9)
-        capped_lower = classify(" ".join(words), cap=3)
-        assert capped_lower[2] == pytest.approx(3 / 4)
-
-    def test_gain_scales_confidence(self):
-        mild = classify("prices rose", gain=0.5)
-        strong = classify("prices rose", gain=4.0)
-        assert mild[2] == pytest.approx(0.5 / 1.5)
-        assert strong[2] == pytest.approx(4.0 / 5.0)
-        assert strong[2] > mild[2]
-
-    def test_deterministic(self):
-        text = "Inflation climbed while gasoline prices eased"
-        assert classify(text) == classify(text)
-
-    def test_case_insensitive(self):
-        assert classify("PRICES ROSE") == classify("prices rose")
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
             baseline_classify(["x"], gain=0.0)
@@ -280,16 +200,6 @@ class TestBaselineClassify:
         assert baseline_classify(["prices rose"], gain=1e308)[0, 2] == 1.0
         with pytest.raises(ConfigError, match=r"^baseline gain 1e\+308 with cap 8 "):
             baseline_classify(["gas rose while food fell"], gain=1e308)
-
-    def test_output_is_valid_probability_vector(self, rng):
-        vocab = ("rose", "fell", "surged", "cooled", "spiked", "slowing",
-                 "flat", "steady", "report", "index")
-        texts = [
-            " ".join(rng.choice(vocab, size=rng.integers(0, 12))) for _ in range(100)
-        ]
-        for row in baseline_classify(texts).tolist():
-            p = SentimentProbs(*row)  # constructor enforces the invariants
-            assert abs(p.p_down + p.p_neutral + p.p_up - 1.0) <= 1e-9
 
 
 class TestClassificationReport:

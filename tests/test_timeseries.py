@@ -50,27 +50,15 @@ MONTH_TEXTS = st.one_of(
 
 
 class TestMonthKey:
-    def test_parse_and_str_roundtrip(self):
-        m = MonthKey.parse("2020-03")
-        assert (m.year, m.month) == (2020, 3)
-        assert str(m) == "2020-03"
-        assert MonthKey.parse(str(m)) == m
-
-    def test_parse_rejects_garbage(self):
-        # Digits of other scripts and year 0 are refused, as
-        # date.fromisoformat refuses them in an article date.
-        for bad in (
-            "2020-3", "2020/03", "202003", "2020-13", "", "20-01", "٢٠٢٠-٠١",
-            "２０２０-０１", "0000-01",
-        ):
-            with pytest.raises(DataError):
-                MonthKey.parse(bad)
-
     @settings(max_examples=120, deadline=None)
     @given(text=MONTH_TEXTS)
     @example(text="0000-01")
     @example(text="2020-13")
+    # Years in Arabic-Indic and fullwidth digits.
+    @example(text="٢٠٢٠-٠١")
+    @example(text="２０２０-０１")
     @example(text="2020-1")
+    @example(text="2020/03")
     @example(text="2020-011")
     @example(text="2020-00")
     @example(text="0001-01")
@@ -207,15 +195,6 @@ class TestMonthlySeries:
 
 
 class TestPctChange:
-    def test_scale_invariance(self, series_factory, rng):
-        values = list(100.0 + rng.uniform(0, 20, size=30))
-        a = pct_change(series_factory("2015-01", values), 12)
-        b = pct_change(
-            series_factory("2015-01", [7.25 * v for v in values]), 12
-        )
-        for x, y in zip(a.values(), b.values()):
-            assert y == pytest.approx(x, rel=1e-12, abs=1e-12)
-
     @pytest.mark.filterwarnings("error")
     def test_overflow_months_listed(self, series_factory):
         s = series_factory("2015-01", [2.0, 1e-300, 1e300, 2.0, 1e-300, 1e300])
@@ -239,31 +218,12 @@ class TestPctChange:
 
 
 class TestAnnualize:
-    def test_zero_fixed_point(self):
-        assert annualize(0.0) == 0.0
-        assert deannualize(0.0) == 0.0
-
     def test_oracle_values(self):
         assert annualize(1.0) == pytest.approx(ANNUALIZED_ONE, rel=1e-14)
         assert deannualize(12.0) == pytest.approx(DEANNUALIZED_TWELVE, rel=1e-14)
 
-    def test_roundtrip_named_points(self):
-        for x in (-0.5, 0.3, 2.0):
-            assert deannualize(annualize(x)) == pytest.approx(x, rel=1e-12)
-
-    def test_roundtrip_other_direction(self):
-        for x in (-3.0, 0.7, 25.0):
-            assert annualize(deannualize(x)) == pytest.approx(x, rel=1e-12)
-
     def test_monotonicity(self):
         assert annualize(-1.0) < annualize(0.0) < annualize(0.5) < annualize(2.0)
-
-    def test_domain_errors(self):
-        for bad in (-100.0, -100.5, -200.0):
-            with pytest.raises(DomainError):
-                annualize(bad)
-            with pytest.raises(DomainError):
-                deannualize(bad)
 
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match="annualizing rate 1e\\+30 overflows"):
@@ -279,6 +239,7 @@ class TestAnnualize:
         assert abs(annualize(deannualize(x)) - x) <= 1e-12 * max(1.0, abs(x))
 
     @given(st.floats(max_value=-100.0, allow_nan=False))
+    @example(-100.0)
     def test_rates_at_or_below_minus_100_raise(self, x):
         with pytest.raises(DomainError):
             annualize(x)
