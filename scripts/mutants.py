@@ -143,7 +143,14 @@ RECORDED = (
            "standins[parent] = sys.modules[parent] = ModuleType(parent)",
            "standins[parent] = ModuleType(parent)"),
     Mutant("no stand-ins for scipy and scipy._lib", OLS,
-           '("scipy", root), ("scipy._lib", root / "_lib"), ', ""),
+           '("scipy", root), ("scipy._lib", root / "_lib"),', ""),
+    Mutant("stand-ins without a scipy package", OLS,
+           "    if root is not None:\n        for parent", "    if True:\n        for parent"),
+    Mutant("a namespace scipy counts as found", OLS,
+           "if spec and spec.origin else None", "if spec else None"),
+    Mutant("scipy's version read from the whole path", OLS,
+           'distributions(name="scipy", path=[str(root.parent)])',
+           'distributions(name="scipy")'),
     Mutant("an extension's ImportError escapes", OLS,
            "except (ImportError, AttributeError) as error:",
            "except AttributeError as error:"),

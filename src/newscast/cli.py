@@ -68,7 +68,8 @@ EPILOG = """\
 exit codes:
   0  success
   2  configuration problem (bad config file or override, unknown model name,
-     unsupported scipy install)
+     a scipy extension that does not load: the line names the module, the
+     scipy directory and version found, and the import error)
   3  data problem (malformed rows, missing months, missing pipeline files)
   4  numerical problem (singular design, zero denominator, degenerate test)
 

@@ -38,6 +38,10 @@ subprocess and sysconfig, about 17 ms of the tails' first load. A
 thread that imports scipy while they are in place would keep a stand-in
 for it, so a program that uses newscast from several threads calls
 fit_ols once, which loads both extensions, before it starts them.
+The loader relies on scipy's private file layout. Every failed load,
+scipy missing included, is one ConfigError that names the module, the
+scipy directory found with the version its own metadata records, and
+the import error.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import importlib.util
 import sys
 from dataclasses import dataclass, field
 from functools import cache
-from importlib.machinery import PathFinder
 from pathlib import Path
 from types import ModuleType
 from typing import Iterable, NamedTuple, Sequence
@@ -96,48 +99,40 @@ class Solution(NamedTuple):
 
 def _from_file(package: str, module: str, *attributes: str) -> tuple:
     """The attributes of scipy.<package>.<module>, imported from its file
-    unless loaded already. Meanwhile a stand-in that holds only its
-    directory replaces each of scipy, scipy._lib and scipy.<package>
-    that is not loaded, so the import finds the module, and the module
-    its siblings, without running the packages. This relies on scipy's
-    private file layout: a ConfigError names the module and the scipy
-    version when the file is not there or does not load, and names
-    scipy when there is none. The stand-ins are in sys.modules only
-    while the module loads, so the first call must not run while
-    another thread imports scipy."""
+    unless loaded already. Where a scipy package is found (a namespace
+    directory is none), a stand-in that holds only its directory
+    replaces each of scipy, scipy._lib and scipy.<package> that is not
+    loaded, so the import finds the module, and the module its
+    siblings, without running the packages. The stand-ins are in
+    sys.modules only while the module loads, so the first call must not
+    run while another thread imports scipy."""
+    name = f"scipy.{package}.{module}"
     spec = importlib.util.find_spec("scipy")
-    if spec is None:
-        raise ConfigError(
-            f"cannot load scipy.{package}.{module}: no scipy package found"
-        )
-    root = Path(spec.origin).parent
-    name, directory = f"scipy.{package}.{module}", root / package
-    if PathFinder.find_spec(name, [str(directory)]) is None:
-        raise _versioned(
-            f"unsupported scipy install: no module {name} in {directory}"
-        )
+    root = Path(spec.origin).parent if spec and spec.origin else None
     standins = {}
-    for parent, path in (
-        ("scipy", root), ("scipy._lib", root / "_lib"), (f"scipy.{package}", directory)
-    ):
-        if parent not in sys.modules:
-            standins[parent] = sys.modules[parent] = ModuleType(parent)
-            standins[parent].__path__ = [str(path)]
+    if root is not None:
+        for parent, path in (
+            ("scipy", root), ("scipy._lib", root / "_lib"),
+            (f"scipy.{package}", root / package),
+        ):
+            if parent not in sys.modules:
+                standins[parent] = sys.modules[parent] = ModuleType(parent)
+                standins[parent].__path__ = [str(path)]
     try:
         loaded = importlib.import_module(name)
         return tuple(getattr(loaded, a) for a in attributes)
     except (ImportError, AttributeError) as error:
-        raise _versioned(f"{name} in {directory} does not load: {error}") from None
+        found = "no scipy package found"
+        if root is not None:
+            from importlib.metadata import distributions
+
+            dist = next(distributions(name="scipy", path=[str(root.parent)]), None)
+            found = f"scipy {dist.version if dist else 'without metadata'} in {root}"
+        raise ConfigError(f"cannot load {name} ({found}): {error}") from None
     finally:
         for parent, standin in standins.items():
             if sys.modules.get(parent) is standin:
                 del sys.modules[parent]
-
-
-def _versioned(problem: str) -> ConfigError:
-    from importlib.metadata import version
-
-    return ConfigError(f"{problem} (scipy {version('scipy')})")
 
 
 @cache

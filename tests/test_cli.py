@@ -39,7 +39,7 @@ from newscast.io import (
     TEXT_HEADER,
 )
 from newscast.nowcast import MODEL_SPECS
-from newscast.ols import _routines, tail_ufuncs
+from newscast.ols import tail_ufuncs
 from newscast.report import EVALUATION_HEADER
 
 TOY_DIR = toy_config_path().parent
@@ -614,36 +614,46 @@ class TestExitCodes:
         assert NewscastError.exit_code == 1
         assert "1" not in documented
 
-    def test_unsupported_scipy_install_exits_2(
-        self, toy_chain, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("files, isolated, found, error", [
+        ({}, True, "no scipy package found", "'scipy'"),
+        ({"scipy/README.txt": ""}, True, "no scipy package found", "'scipy.linalg'"),
+        ({"scipy/__init__.py": ""}, False,
+         "scipy without metadata in {}", "'scipy.linalg._flapack'"),
+        ({"scipy/__init__.py": "",
+          "scipy-9.9.9.dist-info/METADATA": "Name: scipy\nVersion: 9.9.9\n"},
+         False, "scipy 9.9.9 in {}", "'scipy.linalg._flapack'"),
+    ], ids=["no-scipy", "namespace", "no-metadata", "missing-extension"])
+    def test_scipy_install_that_does_not_load_exits_2(
+        self, tmp_path, files, isolated, found, error
     ):
-        # The tails are loaded from a file of scipy's private layout; where
-        # that file is missing, evaluate names it and exits 2.
-        out = tmp_path / "out"
-        hidden = SimpleNamespace(find_spec=lambda name, path: None)
-        monkeypatch.setattr("newscast.ols.PathFinder", hidden)
-        tail_ufuncs.cache_clear()  # a failed load is not cached
-        code = run("--config", "toy", "--out", out,
-                   "--set", f"forecasts={toy_chain / 'forecasts.csv'}", "evaluate")
-        directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: unsupported scipy install: no module scipy.special._ufuncs in "
-            f"{directory} (scipy {version('scipy')})\n"
+        # fit loads scipy's LAPACK extension in a fresh interpreter that
+        # finds these files first on its path. An isolated one has no
+        # site-packages, so no other scipy: numpy comes from links.
+        first = tmp_path / "first"
+        for name, text in files.items():
+            (first / name).parent.mkdir(parents=True, exist_ok=True)
+            (first / name).write_text(text)
+        path = [str(first), str(Path(__file__).parents[1] / "src")]
+        if isolated:
+            links, site = tmp_path / "numpy", Path(np.__file__).parents[1]
+            links.mkdir()
+            for name in ("numpy", "numpy.libs"):
+                if (site / name).exists():
+                    (links / name).symlink_to(site / name)
+            path.append(str(links))
+        code = (
+            "import sys\nsys.path[:0] = sys.argv[2:]\nfrom newscast.cli import main\n"
+            "sys.exit(main(['--config', 'toy', '--out', sys.argv[1], 'fit', 'fed']))"
         )
-
-    def test_missing_scipy_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
-        find_spec = importlib.util.find_spec
-
-        def no_scipy(name, *args):
-            return None if name == "scipy" else find_spec(name, *args)
-
-        monkeypatch.setattr("importlib.util.find_spec", no_scipy)
-        _routines.cache_clear()  # a failed load is not cached
-        assert run("--config", "toy", "--out", tmp_path / "out", "fit", "fed") == 2
-        assert capsys.readouterr().err == (
-            "error: cannot load scipy.linalg._flapack: no scipy package found\n"
+        result = subprocess.run(
+            [sys.executable, *(["-S"] if isolated else []), "-c", code,
+             tmp_path / "out", *path],
+            capture_output=True, text=True,
         )
+        assert (result.returncode, result.stderr) == (2, (
+            "error: cannot load scipy.linalg._flapack "
+            f"({found.format(first / 'scipy')}): No module named {error}\n"
+        ))
 
     @pytest.mark.parametrize("import_module, detail", [
         (refuse_import, "scipy.special._ufuncs"),
@@ -659,11 +669,11 @@ class TestExitCodes:
         tail_ufuncs.cache_clear()  # a failed load is not cached
         code = run("--config", "toy", "--out", tmp_path / "out",
                    "--set", f"forecasts={toy_chain / 'forecasts.csv'}", "evaluate")
-        directory = Path(importlib.util.find_spec("scipy").origin).with_name("special")
+        root = Path(importlib.util.find_spec("scipy").origin).parent
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: scipy.special._ufuncs in {directory} does not load: {detail} "
-            f"(scipy {version('scipy')})\n"
+            f"error: cannot load scipy.special._ufuncs (scipy {version('scipy')} "
+            f"in {root}): {detail}\n"
         )
 
     @pytest.mark.filterwarnings("error")

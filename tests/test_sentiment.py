@@ -244,18 +244,6 @@ class TestClassificationReport:
         rep = classification_report([0, 0, 0], [1, 1, 0])
         assert rep.per_class_f1[1] == 0.0
 
-    def test_matches_sklearn(self, rng):
-        sklearn = pytest.importorskip("sklearn.metrics")
-        for _ in range(25):
-            n = int(rng.integers(3, 60))
-            gold = rng.choice([-1, 0, 1], size=n).tolist()
-            pred = rng.choice([-1, 0, 1], size=n).tolist()
-            rep = classification_report(pred, gold)
-            ref = sklearn.f1_score(
-                gold, pred, average="weighted", zero_division=0
-            )
-            assert rep.weighted_f1 == pytest.approx(ref, abs=1e-12)
-
     def test_input_validation(self):
         with pytest.raises(DataError, match="length"):
             classification_report([0], [0, 1])
