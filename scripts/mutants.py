@@ -210,12 +210,15 @@ RECORDED = (
     Mutant("argmax: an up/down tie goes up", SENT,
            "[(up > down) & (up > neutral),", "[(up >= down) & (up > neutral),"),
     Mutant("baseline: counts not capped", SENT,
-           "return np.minimum(counts, min(cap, len(phrases)))", "return counts"),
+           "np.minimum(_hits(phrases, haystacks), min(cap, len(phrases)))",
+           "_hits(phrases, haystacks)"),
     Mutant("lexicon phrases not whitespace-normalized", SENT,
            "dict.fromkeys(normalize_whitespace(p).lower() for p in lexicon)",
            "dict.fromkeys(p.lower() for p in lexicon)"),
     Mutant("day cutoff exclusive", IDX,
            "kept = days <= day_cutoff", "kept = days < day_cutoff"),
+    Mutant("epoch one month late", TS,
+           'EPOCH = np.datetime64("0000-01")', 'EPOCH = np.datetime64("0000-02")'),
 )
 
 # ---------------------------------------------------------------- numeric
@@ -317,9 +320,9 @@ NUMERIC = (
     Mutant("timeseries: from_ordinal month off by one", TS,
            "cls(year, month0 + 1)", "cls(year, month0)"),
     Mutant("timeseries: month 13 allowed", TS,
-           "not 1 <= month <= 12", "not 1 <= month <= 13"),
+           "not 1 <= self.month <= 12", "not 1 <= self.month <= 13"),
     Mutant("timeseries: month 0 allowed", TS,
-           "not 1 <= month <= 12", "not 0 <= month <= 12"),
+           "not 1 <= self.month <= 12", "not 0 <= self.month <= 12"),
     Mutant("timeseries: month text of 8 characters read", TS,
            "len(s) == 7 and", "len(s) >= 7 and"),
     Mutant("timeseries: month text separator unchecked", TS,
@@ -328,9 +331,6 @@ NUMERIC = (
            "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
     Mutant("timeseries: month text of year 1 refused", TS,
            "if year == 0:", "if year <= 1:"),
-    Mutant("timeseries: month text ordinal off by one", TS,
-           "year * 12 + _checked_month(int(s[5:])) - 1",
-           "year * 12 + _checked_month(int(s[5:]))"),
     Mutant("timeseries: last month trimmed", TS,
            "int(where[-1]) + 1)", "int(where[-1]))"),
     Mutant("timeseries: absent month kept past the last", TS,

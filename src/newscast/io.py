@@ -11,9 +11,10 @@ by the checks its entry in FORMATS declares. A rejected row is named by
 its line and one reason: series and forecast files are refused at the
 first, and `score` writes those of article files to
 articles_rejected.csv. Dates become one datetime64[D] column, months
-ordinals in memory and YYYY-MM text in files. Every output file is
-written by write_columns: floats with repr, a field quoted only when it
-holds a comma, quote, LF or CR, and every field when one holds a CR.
+ordinals in memory; _iso writes both, a month as EPOCH + its ordinal.
+Every output file is written by write_columns: floats with repr, a field
+quoted only when it holds a comma, quote, LF or CR, and every field when
+one holds a CR.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import DataError, SeriesFormatError, error_text
 from .index import NewsIndex
 from .nowcast import ForecastSeries
 from .sentiment import COLUMN_CHECKS, ArticleTable
-from .timeseries import MonthKey, MonthlySeries, month_ordinal
+from .timeseries import EPOCH, MonthKey, MonthlySeries, month_ordinal
 from .version import __version__
 
 SERIES_HEADER = ["date", "value"]
@@ -413,7 +414,7 @@ def read_series(path: str | Path, name: str | None = None) -> MonthlySeries:
 def write_series(
     series: MonthlySeries, path: str | Path, comment: str | None = None
 ) -> None:
-    months = [str(month) for month in series.months()]
+    months = _iso(EPOCH + series.ordinals())
     write_columns(SERIES_HEADER, [months, np.array(series.values())], path, comment)
 
 
@@ -479,10 +480,9 @@ def write_forecasts(
     models = [s.model for s in series_list for _ in range(len(s))]
     months, *values = (
         np.concatenate([np.empty(0, t), *(getattr(s, f.name) for s in series_list)])
-        for f, t in zip(fields(ForecastSeries)[1:], (np.int64, *[float] * 4))
+        for f, t in zip(fields(ForecastSeries)[1:], ForecastSeries.DTYPES)
     )
-    # Month ordinals count from 0000-01.
-    columns = [_iso(np.datetime64("0000-01") + months), models, *values]
+    columns = [_iso(EPOCH + months), models, *values]
     write_columns(FORECAST_HEADER, columns, path, comment)
 
 
@@ -506,7 +506,7 @@ def write_index_metadata(
     index: NewsIndex, path: str | Path, comment: str | None = None
 ) -> None:
     """Sidecar `month,article_count,gap` rows for a NEWS index."""
-    months = [str(month) for month in index.series.months()]
+    months = _iso(EPOCH + index.series.ordinals())
     counts = list(map(str, index.counts.tolist()))
-    gaps = ["1" if count == "0" else "0" for count in counts]
+    gaps = np.where(index.counts == 0, "1", "0").tolist()
     write_columns(INDEX_META_HEADER, [months, counts, gaps], path, comment)

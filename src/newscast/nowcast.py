@@ -15,8 +15,7 @@ cover and runs the solve core alone, in one call for all its windows.
 Nowcasts are columns over a span of months: each regressor is read as
 one array (the news values, or a price index's moving averages) and
 b0 + b1*x1 + ... is added in design order, so each nowcast equals the
-scalar sum for its month. A ForecastSeries holds int64 month ordinals
-and float64 arrays.
+scalar sum for its month. ForecastSeries.DTYPES declares its columns.
 """
 
 from __future__ import annotations
@@ -185,9 +184,8 @@ def _nowcasts(betas: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ForecastSeries:
-    """Aligned nowcasts and realizations, monthly and annualized: the
-    consecutive month ordinals (MonthKey.ordinal) as a read-only int64
-    array, each value column as a read-only float64 array."""
+    """Aligned nowcasts and realizations, monthly and annualized, as
+    read-only arrays: the consecutive month ordinals, then the values."""
 
     model: str
     months: np.ndarray
@@ -195,9 +193,11 @@ class ForecastSeries:
     nowcasts_annualized: np.ndarray
     realized: np.ndarray
     realized_annualized: np.ndarray
+    #: The dtype of each column after model, in field order.
+    DTYPES = (np.int64, *[np.float64] * 4)
 
     def __post_init__(self):
-        for field, dtype in zip(fields(self)[1:], (np.int64, *[float] * 4)):
+        for field, dtype in zip(fields(self)[1:], self.DTYPES):
             column = np.array(getattr(self, field.name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, field.name, column)

@@ -10,7 +10,7 @@ columns of ids and datetime64[D] dates, plus texts, probabilities or
 scores; month ordinals and days of month are derived from the dates. It
 is the one article type: readers return it, filtering, classifying and
 scoring work on its columns, and its constructor is where an article's
-values are checked.
+values are checked. The month ordinals count from timeseries.EPOCH.
 
 Raw text gets its probabilities from baseline_classify, a keyword
 heuristic that maps a batch of texts to one probability row per text.
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidProbabilityError, error_text
+from .timeseries import EPOCH
 
 LABELS = (-1, 0, 1)
 
@@ -134,8 +135,7 @@ class ArticleTable:
         """The month ordinal and the day of month of every date, from one
         conversion of the column."""
         starts = self.dates.astype("datetime64[M]")
-        # datetime64[M] counts months from 1970-01.
-        months = starts.astype(np.int64) + 1970 * 12
+        months = (starts - EPOCH).astype(np.int64)
         return months, (self.dates - starts).astype(np.int64) + 1
 
     def _check(self, names: Iterable[str]) -> None:
@@ -211,6 +211,12 @@ def _haystacks(texts: Iterable[str]) -> list[str]:
     return [normalize_whitespace(text).lower() for text in texts]
 
 
+def _hits(phrases: list[str], haystacks: list[str]) -> np.ndarray:
+    """How many of the phrases occur in each haystack, as int64."""
+    counts = (sum(p in haystack for p in phrases) for haystack in haystacks)
+    return np.fromiter(counts, dtype=np.int64, count=len(haystacks))
+
+
 def lexicon_mask(
     texts: Sequence[str], lexicon: Iterable[str] = DEFAULT_LEXICON
 ) -> np.ndarray:
@@ -218,11 +224,7 @@ def lexicon_mask(
     phrases = _phrases(lexicon)
     if not phrases:
         raise ConfigError("lexicon must contain at least one phrase")
-    return np.fromiter(
-        (any(p in haystack for p in phrases) for haystack in _haystacks(texts)),
-        dtype=bool,
-        count=len(texts),
-    )
+    return _hits(phrases, _haystacks(texts)) > 0
 
 
 def lexicon_filter(text: str, lexicon: Iterable[str] = DEFAULT_LEXICON) -> bool:
@@ -329,14 +331,9 @@ def baseline_classify(
 
     def hits(lexicon: Iterable[str]) -> np.ndarray:
         phrases = _phrases(lexicon)
-        counts = np.fromiter(
-            (sum(p in haystack for p in phrases) for haystack in haystacks),
-            dtype=np.int64,
-            count=len(haystacks),
-        )
         # No count exceeds the phrase count, and a cap past int64 cannot
         # enter numpy.
-        return np.minimum(counts, min(cap, len(phrases)))
+        return np.minimum(_hits(phrases, haystacks), min(cap, len(phrases)))
 
     with np.errstate(over="ignore"):
         odds_up = gain * hits(up_lexicon)

@@ -11,8 +11,8 @@ start + i, NaN where the series lacks the month; it keeps the read-only
 span from its first to its last month, and every month it has holds a
 finite value. Transforms and window reads compute on slices of that
 array and let NaN carry absence; a transform whose result overflows
-raises, naming the months. MonthKey objects appear only at the API and
-file boundary.
+raises, naming the months. MonthKey objects appear only at the API
+boundary. EPOCH turns dates into ordinals, and ordinals into file text.
 """
 
 from __future__ import annotations
@@ -38,12 +38,8 @@ UNITS = (INDEX_LEVEL, PERCENT)
 
 #: Months of history a moving average of a percent series covers.
 LAGS = 12
-
-
-def _checked_month(month: int) -> int:
-    if not 1 <= month <= 12:
-        raise DataError(f"month must be in 1..12, got {month}")
-    return month
+#: The datetime64[M] month of ordinal 0 (MonthKey.ordinal).
+EPOCH = np.datetime64("0000-01")
 
 
 def month_ordinal(text: str) -> int:
@@ -58,7 +54,7 @@ def month_ordinal(text: str) -> int:
     year = int(s[:4])
     if year == 0:  # article dates cannot hold year 0 either
         raise DataError(f"month {text!r} is outside years 1..9999")
-    return year * 12 + _checked_month(int(s[5:])) - 1
+    return MonthKey(year, int(s[5:])).ordinal
 
 
 @dataclass(frozen=True, order=True)
@@ -71,7 +67,8 @@ class MonthKey:
     def __post_init__(self):
         if not isinstance(self.year, int) or not isinstance(self.month, int):
             raise DataError(f"MonthKey fields must be integers, got {self!r}")
-        _checked_month(self.month)
+        if not 1 <= self.month <= 12:
+            raise DataError(f"month must be in 1..12, got {self.month}")
 
     @classmethod
     def parse(cls, text: str) -> MonthKey:
@@ -149,8 +146,12 @@ class MonthlySeries:
     def unit(self) -> str:
         return self._unit
 
+    def ordinals(self) -> np.ndarray:
+        """The int64 ordinals of the months the series has, in order."""
+        return self._start + np.flatnonzero(~np.isnan(self._values))
+
     def months(self) -> tuple[MonthKey, ...]:
-        return tuple(months_where(self._start, ~np.isnan(self._values)))
+        return tuple(map(MonthKey.from_ordinal, self.ordinals().tolist()))
 
     def values(self) -> tuple[float, ...]:
         return tuple(self._values[~np.isnan(self._values)].tolist())

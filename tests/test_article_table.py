@@ -69,6 +69,10 @@ READER_SETTINGS = settings(SETTINGS, max_examples=50)
 # ------------------------------------------------------------ strategies
 
 ANY_DAY = st.dates(date(1, 1, 1), date(9999, 12, 31))
+#: The first and last day of January and December in years where the
+#: year's digit count changes or ends: month ordinals, dates and month
+#: text must agree there.
+EDGE_DAYS = [date(y, m, d) for y in (1, 999, 1000, 9999) for m, d in ((1, 1), (12, 31))]
 FEW_MONTHS = st.dates(date(2020, 1, 1), date(2020, 4, 30))
 BAD_DATES = (
     "2020-02-30", "0000-01-01", "２０２０-01-05", "٢٠٢٠-01-05", "2020-13-01",
@@ -265,6 +269,9 @@ class TestReadersMatchPerRowParse:
 
     @READER_SETTINGS
     @given(csv_files(st.lists(text_rows(), max_size=25)))
+    @example(
+        spec=("", "\n", csv.QUOTE_MINIMAL, [["a", str(d), "x"] for d in EDGE_DAYS])
+    )
     def test_text_file(self, scratch, spec):
         assert_same_reads("texts", scratch / "t.csv", spec)
 
@@ -641,6 +648,7 @@ FIELDS = st.one_of(
 )
 BLOCKS = st.sampled_from([1, 2, 3, 16_384])
 MONTHS = st.integers(MonthKey(1, 1).ordinal, MonthKey(9999, 12).ordinal)
+EDGE_MONTHS = [MonthKey(d.year, d.month).ordinal for d in EDGE_DAYS]
 ANY_FLOAT = st.one_of(st.floats(), EDGE_FLOATS)
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
 
@@ -706,6 +714,7 @@ class TestWriterBytes:
         assert path.read_bytes() == want
 
     @example(drawn={}, block=16_384)
+    @example(drawn=dict.fromkeys(EDGE_MONTHS, 0.5), block=3)
     @SETTINGS
     @given(st.dictionaries(MONTHS, FINITE, max_size=8), BLOCKS)
     def test_series(self, scratch, drawn, block):
@@ -718,6 +727,7 @@ class TestWriterBytes:
         assert path.read_bytes() == b"# c\n" + csv_bytes(nio.SERIES_HEADER, rows)
 
     @example(drawn=[], block=16_384)
+    @example(drawn=[("fed", m, [(0.5,) * 4]) for m in EDGE_MONTHS], block=3)
     @SETTINGS
     @given(
         st.lists(
@@ -750,6 +760,7 @@ class TestWriterBytes:
         assert path.read_bytes() == csv_bytes(nio.FORECAST_HEADER, rows)
 
     @example(drawn=[], start=0, block=16_384)
+    @example(drawn=[(0.5, 0), (0.5, 2)], start=MonthKey(999, 12).ordinal, block=1)
     @SETTINGS
     @given(
         st.lists(st.tuples(FINITE, st.integers(0, 10**6)), max_size=8), MONTHS, BLOCKS
