@@ -9,7 +9,8 @@ replaces it. The list has three parts:
   own;
 - RECORDED: faults that earlier changes checked by hand (CHANGES.md);
 - NUMERIC: one mutant per comparison, constant and off-by-one in the
-  ols, evaluation, index, timeseries and nowcast modules.
+  ols, evaluation, index, timeseries and nowcast modules, and in the
+  score range of sentiment.COLUMN_CHECKS.
 
 What tier-1 reads (COPIED) is copied to a temporary directory; the
 checkout is never written. The copy's tests must pass unmutated. Then
@@ -203,9 +204,10 @@ RECORDED = (
     Mutant("reader: score converted before the id", IO,
            "        _DATE,\n        _ID,\n        _NUMBER,",
            "        _DATE,\n        _NUMBER,\n        _ID,"),
-    Mutant("sum check dropped from the column rule", SENT,
-           "return ~in_range | (np.abs(total - 1.0) > PROB_SUM_TOL)",
-           "return ~in_range"),
+    Mutant("sum check dropped from the probability rule", SENT,
+           "np.abs(total - 1.0) > PROB_SUM_TOL]", "np.isnan(total)]"),
+    Mutant("probability rule: an entry of 0 refused", SENT,
+           "~((probs >= 0.0) & (probs <= 1.0))", "~((probs > 0.0) & (probs <= 1.0))"),
     Mutant("PROB_SUM_TOL 1e-5", SENT, "PROB_SUM_TOL = 1e-6", "PROB_SUM_TOL = 1e-5"),
     Mutant("argmax: an up/down tie goes up", SENT,
            "[(up > down) & (up > neutral),", "[(up >= down) & (up > neutral),"),
@@ -301,8 +303,6 @@ NUMERIC = (
            "np.diff(offsets) <= 0", "np.diff(offsets) < 0"),
     Mutant("index: zero article count allowed", IDX,
            "self.article_count < 1", "self.article_count < 0"),
-    Mutant("index: mean score -1 refused", IDX,
-           "-1.0 <= self.mean_score <= 1.0", "-1.0 < self.mean_score <= 1.0"),
     Mutant("index: mean divided by count + 1", IDX,
            "/ len(group),", "/ (len(group) + 1),"),
     Mutant("index: mean summed in article order", IDX,
@@ -314,6 +314,8 @@ NUMERIC = (
            "np.sign(now) * np.sign(then) < 0.0", "np.sign(now) * np.sign(then) <= 0.0"),
     Mutant("index: default window 11", IDX,
            "    window: int = 12,\n    *,", "    window: int = 11,\n    *,"),
+    # sentiment: the score range, which monthly means share
+    Mutant("sentiment: score -1 refused", SENT, "(scores >= -1.0)", "(scores > -1.0)"),
     # timeseries
     Mutant("timeseries: ordinal off by one", TS,
            "self.year * 12 + (self.month - 1)", "self.year * 12 + self.month"),

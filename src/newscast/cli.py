@@ -31,7 +31,6 @@ from .errors import ConfigError, DataError, NewscastError
 from .evaluation import evaluate_forecasts
 from .index import build_news_index, monthly_aggregate, news_pi
 from .io import (
-    NOWCAST_HEADER,
     read_forecasts,
     read_probability_articles,
     read_scored_articles,
@@ -40,6 +39,7 @@ from .io import (
     remove_output,
     write_forecasts,
     write_index_metadata,
+    write_nowcasts,
     write_probability_articles,
     write_rejections,
     write_scored_articles,
@@ -263,9 +263,9 @@ def cmd_nowcast(cfg: RunConfig, args: argparse.Namespace) -> Result:
         fitted = fit_model(name, bundle, cfg.train_start, cfg.train_end)
         value = nowcast(name, fitted, bundle, t)
         (annual,) = annualized(name, "nowcast", t, [value])
-        rows.append([str(t), name, repr(value), repr(annual)])
+        rows.append((name, value, annual))
         lines.append(f"{name}: {t} nowcast {value:.4f} (annualized {annual:.4f})\n")
-    return "".join(lines), [(write_rows, NOWCAST_HEADER, rows)]
+    return "".join(lines), [(write_nowcasts, t.ordinal, *zip(*rows))]
 
 
 def cmd_backtest(cfg: RunConfig, args: argparse.Namespace) -> Result:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NewscastError
 from .evaluation import GW_VARIANTS, RMSE_UNITS
-from .index import PI_MODES
+from .index import PI_MODES, checked_day_cutoff
 from .io import provenance_line
 from .nowcast import BACKTEST_SCHEMES, resolve_spec
 from .sentiment import (
@@ -118,10 +118,7 @@ def _int(minimum: int | None = None):
 def _day_cutoff(raw: str, key: str, _) -> int | None:
     if raw.lower() in ("", "none"):
         return None
-    day = _int(minimum=1)(raw, key, None)
-    if day > 31:
-        raise ConfigError(f"day_cutoff must be in 1..31, got {day}")
-    return day
+    return checked_day_cutoff(_int()(raw, key, None))
 
 
 def _gain(raw: str, key: str, _) -> float:

@@ -5,7 +5,8 @@ scores up to and including t (a prefix sum, so its first differences
 recover the monthly means). Months without articles carry the previous
 level forward and are flagged, never interpolated. Articles are grouped
 by the month ordinals of their dates, and a NewsIndex counts them in
-one array over its span.
+one array over its span. A monthly mean must pass the score rule of
+sentiment.COLUMN_CHECKS.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ZeroDenominatorError
-from .sentiment import ArticleTable
+from .sentiment import COLUMN_CHECKS, ArticleTable
 from .timeseries import (
     MonthKey,
     MonthlySeries,
@@ -43,8 +44,9 @@ class MonthlySentiment:
             raise DataError(
                 f"article_count must be positive, got {self.article_count}"
             )
-        if not -1.0 <= self.mean_score <= 1.0:
-            raise DataError(f"mean score {self.mean_score} outside [-1, 1]")
+        refused, reason = COLUMN_CHECKS["scores"]
+        if refused(np.float64(self.mean_score)):
+            raise DataError(f"mean {reason(self.mean_score)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +66,13 @@ class NewsIndex:
         return tuple(months_where(self.series.first_month().ordinal, self.counts == 0))
 
 
+def checked_day_cutoff(day_cutoff: int | None) -> int | None:
+    """day_cutoff if it is None or a day of the month, else ConfigError."""
+    if day_cutoff is not None and not 1 <= day_cutoff <= 31:
+        raise ConfigError(f"day_cutoff must be in 1..31, got {day_cutoff}")
+    return day_cutoff
+
+
 def monthly_aggregate(
     articles: ArticleTable, *, day_cutoff: int | None = None
 ) -> list[MonthlySentiment]:
@@ -74,8 +83,7 @@ def monthly_aggregate(
     is chronological with one entry per month that has articles; means
     use exactly rounded summation, so article order never matters.
     """
-    if day_cutoff is not None and not 1 <= day_cutoff <= 31:
-        raise ConfigError(f"day_cutoff must be in 1..31, got {day_cutoff}")
+    checked_day_cutoff(day_cutoff)
     if articles.scores is None:
         raise DataError("the articles have no scores to aggregate")
     if not len(articles):

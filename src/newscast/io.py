@@ -10,11 +10,12 @@ Every input file is read a block of lines at a time, a column at a time,
 by the checks its entry in FORMATS declares. A rejected row is named by
 its line and one reason: series and forecast files are refused at the
 first, and `score` writes those of article files to
-articles_rejected.csv. Dates become one datetime64[D] column, months
-ordinals in memory; _iso writes both, a month as EPOCH + its ordinal.
-Every output file is written by write_columns: floats with repr, a field
-quoted only when it holds a comma, quote, LF or CR, and every field when
-one holds a CR.
+articles_rejected.csv. Article values are checked by
+sentiment.COLUMN_CHECKS. Dates become one datetime64[D] column, months
+ordinals in memory; _iso writes both, each month (the nowcast's too) as
+EPOCH + its ordinal. Every output file is written by write_columns:
+floats with repr, a field quoted only when it holds a comma, quote, LF
+or CR, and every field when one holds a CR.
 """
 
 from __future__ import annotations
@@ -484,6 +485,15 @@ def write_forecasts(
     )
     columns = [_iso(EPOCH + months), models, *values]
     write_columns(FORECAST_HEADER, columns, path, comment)
+
+
+def write_nowcasts(
+    month: int, models: Sequence[str], values: Sequence[float],
+    annualized: Sequence[float], path: str | Path, comment: str | None = None,
+) -> None:
+    months = _iso(EPOCH + np.full(len(models), month))
+    columns = [months, list(models), np.array(values), np.array(annualized)]
+    write_columns(NOWCAST_HEADER, columns, path, comment)
 
 
 def read_forecasts(path: str | Path) -> list[ForecastSeries]:

@@ -9,8 +9,11 @@ A batch of articles travels through the pipeline as an ArticleTable:
 columns of ids and datetime64[D] dates, plus texts, probabilities or
 scores; month ordinals and days of month are derived from the dates. It
 is the one article type: readers return it, filtering, classifying and
-scoring work on its columns, and its constructor is where an article's
-values are checked. The month ordinals count from timeseries.EPOCH.
+scoring work on its columns. The month ordinals count from
+timeseries.EPOCH. Each article value rule is written once, in
+COLUMN_CHECKS, with its reason: the readers and the ArticleTable
+constructor check whole columns by it, SentimentProbs one probability
+row, and index.MonthlySentiment a monthly mean score.
 
 Raw text gets its probabilities from baseline_classify, a keyword
 heuristic that maps a batch of texts to one probability row per text.
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidProbabilityError, error_text
+from .errors import ConfigError, DataError, InvalidProbabilityError
 from .timeseries import EPOCH
 
 LABELS = (-1, 0, 1)
@@ -43,6 +46,35 @@ DEFAULT_LEXICON = (
 PROB_SUM_TOL = 1e-6
 
 
+def _probability_rule(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an n x 3 (p_down, p_neutral, p_up) matrix, the faults
+    in the order the rule checks them (each entry outside [0, 1], NaN
+    included, then a left-to-right sum off 1 by more than PROB_SUM_TOL),
+    and that sum."""
+    with np.errstate(invalid="ignore"):  # inf - inf: refused by range anyway
+        total = probs[:, 0] + probs[:, 1] + probs[:, 2]
+    outside = ~((probs >= 0.0) & (probs <= 1.0))
+    return np.column_stack([outside, np.abs(total - 1.0) > PROB_SUM_TOL]), total
+
+
+def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
+    """True for each row of an n x 3 matrix that the rule refuses."""
+    return _probability_rule(probs)[0].any(axis=1)
+
+
+def probability_error(row: Sequence[float]) -> str | None:
+    """The first fault of a (p_down, p_neutral, p_up) row as text, or None."""
+    # No dtype, so that int entries sum to an int, as in Python.
+    (faults,), (total,) = _probability_rule(np.array([row]))
+    if not faults.any():
+        return None
+    first = int(faults.argmax())
+    if first == 3:
+        return f"probabilities sum to {total.tolist()}, not 1 within {PROB_SUM_TOL}"
+    name = ("p_down", "p_neutral", "p_up")[first]
+    return f"{name}={row[first]} outside [0, 1]"
+
+
 @dataclass(frozen=True)
 class SentimentProbs:
     """Probabilities for the labels (-1, 0, +1), in that order."""
@@ -52,28 +84,8 @@ class SentimentProbs:
     p_up: float
 
     def __post_init__(self):
-        for name, p in (
-            ("p_down", self.p_down),
-            ("p_neutral", self.p_neutral),
-            ("p_up", self.p_up),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise InvalidProbabilityError(f"{name}={p} outside [0, 1]")
-        total = self.p_down + self.p_neutral + self.p_up
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise InvalidProbabilityError(
-                f"probabilities sum to {total}, not 1 within {PROB_SUM_TOL}"
-            )
-
-
-def invalid_probabilities(probs: np.ndarray) -> np.ndarray:
-    """True for each row of an n x 3 (p_down, p_neutral, p_up) matrix
-    that SentimentProbs refuses: an entry outside [0, 1] (NaN included),
-    or a left-to-right sum further than PROB_SUM_TOL from 1."""
-    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf: refused by range anyway
-        total = probs[:, 0] + probs[:, 1] + probs[:, 2]
-    return ~in_range | (np.abs(total - 1.0) > PROB_SUM_TOL)
+        if error := probability_error(astuple(self)):
+            raise InvalidProbabilityError(error)
 
 
 #: The dates an article file can hold.
@@ -86,7 +98,7 @@ COLUMN_CHECKS = {
         lambda dates: ~((dates >= DATE_RANGE[0]) & (dates <= DATE_RANGE[1])),
         lambda day: f"date {np.datetime64(day, 'D')} outside years 1..9999",
     ),
-    "probs": (invalid_probabilities, lambda row: error_text(SentimentProbs, *row)),
+    "probs": (invalid_probabilities, probability_error),
     "scores": (
         lambda scores: ~((scores >= -1.0) & (scores <= 1.0)),
         "score {} outside [-1, 1]".format,

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from newscast import (
     ArticleTable,
     DataError,
+    InvalidProbabilityError,
     MonthKey,
     SentimentProbs,
     SentimentScorer,
@@ -176,16 +177,20 @@ def oracle_id(row):
     return row[0].strip()
 
 
-def oracle_probability_row(row):
-    """date, floats, probability rule, id."""
-    when = oracle_date(row[1])
-    probs = tuple(float(cell) for cell in row[2:])
+def oracle_probability_rule(probs):
     for name, p in zip(("p_down", "p_neutral", "p_up"), probs):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}={p} outside [0, 1]")
     total = probs[0] + probs[1] + probs[2]
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total}, not 1 within 1e-06")
+
+
+def oracle_probability_row(row):
+    """date, floats, probability rule, id."""
+    when = oracle_date(row[1])
+    probs = tuple(float(cell) for cell in row[2:])
+    oracle_probability_rule(probs)
     return (oracle_id(row), *when, tuple(p.hex() for p in probs))
 
 
@@ -261,11 +266,46 @@ def assert_same_reads(column, path, spec):
         assert outcome(read, path, column, strict) == want
 
 
+def assert_constructor_refuses_as_oracle(path):
+    """SentimentProbs refuses the three numbers of each five-field row
+    exactly when the oracle's probability rule does, and with its text."""
+    for _, row in oracle_rows(path):
+        try:
+            probs = [float(cell) for cell in row[2:]]
+        except ValueError:
+            continue
+        if len(row) != 5:
+            continue
+        want = got = None
+        try:
+            oracle_probability_rule(probs)
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            SentimentProbs(*probs)
+        except InvalidProbabilityError as exc:
+            got = str(exc)
+        assert got == want
+
+
+# NaN, infinities, -0.0 and sums just inside and outside 1 +- 1e-6.
+EDGE_PROBABILITY_ROWS = [
+    [f"e{i}", "2020-01-05", *row] for i, row in enumerate([
+        ["nan", "0.5", "0.5"], ["0.5", "inf", "0.5"], ["0.5", "0.5", "-inf"],
+        ["-0.0", "0.5", "0.5"], ["-0.0", "-0.0", "-0.0"], ["inf", "-inf", "1"],
+        ["0.5", "0.5", "1e-06"], ["0.5", "0.5", "1.0000001e-06"],
+        ["0.5", "0.499999", "0.0"], ["0.5", "0.49999899999999997", "0.0"],
+    ])
+]
+
+
 class TestReadersMatchPerRowParse:
     @READER_SETTINGS
     @given(csv_files(st.lists(probability_rows(), max_size=25)))
+    @example(spec=("", "\n", csv.QUOTE_MINIMAL, EDGE_PROBABILITY_ROWS))
     def test_probability_file(self, scratch, spec):
         assert_same_reads("probs", scratch / "p.csv", spec)
+        assert_constructor_refuses_as_oracle(scratch / "p.csv")
 
     @READER_SETTINGS
     @given(csv_files(st.lists(text_rows(), max_size=25)))

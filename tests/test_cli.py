@@ -373,18 +373,18 @@ class TestNowcast:
 
     def test_matches_first_backtest_month(self, toy_copy, capsys):
         # A fixed-scheme backtest's first month is exactly the nowcast
-        # of eval_start: same fit, same bundle, same arithmetic.
+        # of eval_start: same fit, same bundle, same arithmetic. The
+        # fields are compared as text, so both files write the month
+        # and the floats alike.
         assert run("--config", "toy", "--out", toy_copy,
                    "nowcast", "--month", "2020-01") == 0
         capsys.readouterr()
         nowcast_rows = read_csv_after_provenance(toy_copy / "nowcast.csv")
         forecast_rows = read_csv_after_provenance(toy_copy / "forecasts.csv")
         for model in ("fed", "fed+news"):
-            direct = next(
-                float(r[2]) for r in nowcast_rows[1:] if r[1] == model
-            )
+            direct = next(r for r in nowcast_rows[1:] if r[1] == model)
             from_backtest = next(
-                float(r[2]) for r in forecast_rows[1:]
+                r[:4] for r in forecast_rows[1:]
                 if r[0] == "2020-01" and r[1] == model
             )
             assert direct == from_backtest
